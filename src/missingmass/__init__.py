@@ -74,7 +74,7 @@ from .sampling import (
     draw_sample,
     empirical_missing_mass,
     good_turing,
-    replicate_rng,
+    monte_carlo,
     verify_bias,
     verify_concentration,
 )

@@ -21,7 +21,7 @@ import numpy as np
 from .distributions import ProbVector
 from .errors import InvalidInputError
 from .numerics import fsum, pow_one_minus
-from .sampling import McReport, _draw_counts, _mc_rows, _mean_se
+from .sampling import McReport, mean_report, monte_carlo
 
 MATRIX_TOL = 1e-9
 
@@ -218,43 +218,24 @@ def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
     }
 
 
+def _eps_missing_rows(near: np.ndarray, masses: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """eps-missing mass of each row of a (rows, t) index block; near = d <= eps."""
+    return (~near[idx].any(axis=1) * masses).sum(axis=1)
+
+
 def mc_eps_missing_mass(
-    cloud: PointCloud,
-    t: int,
-    eps: float,
-    replicates: int,
-    seed: int,
-    threads: int | None = None,
+    cloud: PointCloud, t: int, eps: float, replicates: int, seed: int
 ) -> McReport:
     """Monte Carlo mean eps-missing mass, checked against the closed form."""
     if replicates < 1000:
         raise InvalidInputError("eps-missing-mass MC needs at least 1000 replicates")
-    if not isinstance(t, int) or t < 1:
-        raise InvalidInputError(f"sample size must be a positive integer, got {t!r}")
     if not (eps > 0.0):
         raise InvalidInputError(f"radius eps must be positive, got {eps}")
-    d = cloud.distances()
-    masses = cloud.masses
-    cum = np.cumsum(masses)
-    cum[-1] = 1.0
-    closed = expected_eps_missing_mass(cloud, t, eps)
-
-    def row(rng: np.random.Generator, _i: int):
-        counts = _draw_counts(cum, t, rng)
-        hit = np.flatnonzero(counts)
-        min_dist = d[hit].min(axis=0)
-        return (float(masses[min_dist > eps].sum()),)
-
-    vals = _mc_rows(replicates, seed, row, 1, threads)[:, 0]
-    mean, se = _mean_se(vals)
-    return McReport(
-        replicates=replicates,
-        estimate=mean,
-        std_error=se,
-        seed=seed,
-        bound=closed,
-        violated=bool(abs(mean - closed) > 3.0 * se),
+    near = cloud.distances() <= eps
+    values = monte_carlo(
+        cloud.masses, t, replicates, seed, lambda idx: _eps_missing_rows(near, cloud.masses, idx)
     )
+    return mean_report(values, expected_eps_missing_mass(cloud, t, eps), seed)
 
 
 def exact_covering_number(cloud: PointCloud, eps: float, max_points: int = 20) -> int:

@@ -307,18 +307,6 @@ class CountableFamily:
             return f"dyadic-blocks(a={self.params['a']})"
         return f"explicit({len(self.params['masses'])} atoms)"
 
-    def known_plateau_length(self) -> int | None:
-        """Exact plateau length when the family's structure pins it down."""
-        if self.kind == "geometric":
-            # consecutive masses differ by the ratio; bands [a/2, a) hold at
-            # most ceil(log2(1/ratio))^-1-ish runs -- exact only for ratio 1/2
-            if self.params["ratio"] == 0.5:
-                return 1
-            return None
-        if self.kind == "dyadic-blocks":
-            return self.params["a"]
-        return None
-
     # -- serialization --
 
     def to_json_obj(self) -> dict:

@@ -22,8 +22,6 @@ from .numerics import fsum, pow_one_minus
 # below); 0.69 keeps a safety margin.  Re-derived in the acceptance suite.
 DEFAULT_COUNTABLE_C = 0.69
 
-EXACT_IDENTITY_TOL = 1e-12
-
 
 def _require_distribution(d) -> None:
     if not isinstance(d, (ProbVector, BlockVector)):

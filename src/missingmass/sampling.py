@@ -1,17 +1,16 @@
 """Seeded i.i.d. sampling and Monte Carlo verification.
 
-Reproducibility contract: every replicate draws from its own substream,
-derived from the master seed by a counter-based split (replicate index ->
-spawn key).  Replicates can therefore run in any order or thread layout and
-the aggregate report is bit-for-bit identical; aggregation itself uses
-exactly rounded summation over the index-ordered statistics.
+Reproducibility contract: replicates run in blocks of BLOCK, and block b
+draws from its own substream, derived from the master seed by a
+counter-based split (block index -> spawn key).  Every seeded report is
+therefore bit-for-bit reproducible, a shorter run is a prefix of a longer
+one, and aggregation uses exactly rounded summation.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,20 +20,14 @@ from .errors import InvalidInputError
 from .mass import expected_missing_mass, gt_bias
 from .numerics import fsum
 
-_CHUNK = 2048  # replicates per worker task; fixed so layout never matters
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("MML_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for one replicate of one experiment."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+BLOCK = 64  # replicates per substream; part of the seeded layout, so a constant
+# Uniforms drawn per call: a block at large t is drawn in consecutive row
+# slices, which continue the same stream, so memory stays bounded and the
+# values are unchanged.
+DRAWS_PER_CALL = 1 << 16
+# Relative slack of a verdict: a mean that matches its closed form up to a few
+# ulps is no violation, even when the standard error is 0.
+RHO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,25 +72,53 @@ class McReport:
         return obj
 
 
-def _cumulative_table(d: ProbVector) -> np.ndarray:
-    cum = np.cumsum(np.asarray(d.masses))
+def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
+    """Per-replicate statistics of seeded samples of t i.i.d. draws from masses.
+
+    Block b of BLOCK replicates draws a (rows, t) array of uniforms from the
+    substream (seed, spawn_key=(b,)) and maps it to atom indices by inverse
+    CDF; stat turns that index block (or a slice of its rows, at large t)
+    into one value or one row of values per replicate.  Results are
+    concatenated in replicate order.
+    """
+    if not isinstance(t, int) or t < 1:
+        raise InvalidInputError(f"sample size must be a positive integer, got {t!r}")
+    if not isinstance(replicates, int) or replicates < 1:
+        raise InvalidInputError(f"replicates must be a positive integer, got {replicates!r}")
+    cum = np.cumsum(masses)
     cum[-1] = 1.0  # guard: float cumsum may land a hair under 1
-    return cum
+    step = max(1, DRAWS_PER_CALL // t)
+    out = []
+    for b, start in enumerate(range(0, replicates, BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        rows = min(BLOCK, replicates - start)
+        for r in range(0, rows, step):
+            u = rng.random((min(step, rows - r), t))
+            out.append(stat(np.searchsorted(cum, u, side="right")))
+    return np.concatenate(out)
 
 
-def _draw_counts(cum: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial counts from t inverse-CDF categorical draws."""
-    u = rng.random(t)
-    idx = np.searchsorted(cum, u, side="right")
-    return np.bincount(idx, minlength=len(cum))
+def _counts(idx: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) occurrence counts of a (rows, t) index block, by one bincount."""
+    rows = idx.shape[0]
+    flat = (idx + n * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=rows * n).reshape(rows, n)
+
+
+def _missing_rows(counts: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Missing mass of each row of a (rows, n) count block."""
+    return ((counts == 0) * masses).sum(axis=1)
+
+
+def _bias_rows(idx: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Good-Turing estimate minus missing mass of each row of an index block."""
+    counts = _counts(idx, len(masses))
+    return np.count_nonzero(counts == 1, axis=1) / idx.shape[1] - _missing_rows(counts, masses)
 
 
 def draw_sample(d: ProbVector, t: int, seed: int, source: str | None = None) -> SampleCounts:
     """t i.i.d. draws from d, aggregated to per-atom counts; deterministic per seed."""
-    if not isinstance(t, int) or t < 1:
-        raise InvalidInputError(f"sample size must be a positive integer, got {t!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = _draw_counts(_cumulative_table(d), t, rng)
+    counts = monte_carlo(d.masses, t, 1, seed, lambda idx: _counts(idx, d.n))[0]
     return SampleCounts(
         t=t,
         counts=tuple(int(c) for c in counts),
@@ -122,106 +143,68 @@ def good_turing(sc: SampleCounts) -> float:
     return sum(1 for c in sc.counts if c == 1) / sc.t
 
 
-def _mc_rows(
-    replicates: int,
-    seed: int,
-    row_fn,
-    width: int,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Run row_fn(rng, i) for each replicate; row order is index order."""
-    threads = _default_threads() if threads is None else max(1, threads)
-    out = np.empty((replicates, width))
-
-    def run_chunk(start: int) -> None:
-        for i in range(start, min(start + _CHUNK, replicates)):
-            out[i] = row_fn(replicate_rng(seed, i), i)
-
-    starts = range(0, replicates, _CHUNK)
-    if threads == 1:
-        for s in starts:
-            run_chunk(s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
-    return out
+def is_violation(excess: float, se: float, estimate: float, reference: float) -> bool:
+    """The verdict rule of every Monte Carlo check: excess beyond three standard
+    errors plus a relative rounding slack RHO."""
+    scale = max(abs(estimate), abs(reference), sys.float_info.min)
+    return bool(excess > 3.0 * se + RHO * scale)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     r = len(values)
-    mean = fsum(values) / r
+    mean = fsum(values.tolist()) / r
     if r < 2:
         return mean, 0.0
-    var = fsum((v - mean) ** 2 for v in values) / (r - 1)
+    var = fsum(((values - mean) ** 2).tolist()) / (r - 1)
     return mean, math.sqrt(var / r)
 
 
-def verify_bias(
-    d: ProbVector, t: int, replicates: int, seed: int, threads: int | None = None
-) -> McReport:
-    """Monte Carlo check of the bias identity for the Good-Turing estimate.
-
-    Estimates E[GT estimate - missing mass] and compares it against the
-    closed form; the report flags a violation when the closed form falls
-    outside three standard errors of the estimate.
-    """
-    if replicates < 1000:
-        raise InvalidInputError("bias verification needs at least 1000 replicates")
-    if not isinstance(t, int) or t < 1:
-        raise InvalidInputError(f"sample size must be a positive integer, got {t!r}")
-    cum = _cumulative_table(d)
-    masses = np.asarray(d.masses)
-
-    def row(rng: np.random.Generator, _i: int):
-        counts = _draw_counts(cum, t, rng)
-        missing = float(masses[counts == 0].sum())
-        estimate = float(np.count_nonzero(counts == 1)) / t
-        return (estimate - missing,)
-
-    diffs = _mc_rows(replicates, seed, row, 1, threads)[:, 0]
-    mean, se = _mean_se(diffs)
-    closed = gt_bias(d, t)
+def mean_report(values: np.ndarray, closed: float, seed: int) -> McReport:
+    """Report of a Monte Carlo mean checked against its closed form."""
+    mean, se = _mean_se(values)
     return McReport(
-        replicates=replicates,
+        replicates=len(values),
         estimate=mean,
         std_error=se,
         seed=seed,
         bound=closed,
-        violated=bool(abs(mean - closed) > 3.0 * se),
+        violated=is_violation(abs(mean - closed), se, mean, closed),
     )
 
 
+def verify_bias(d: ProbVector, t: int, replicates: int, seed: int) -> McReport:
+    """Monte Carlo check of the bias identity for the Good-Turing estimate.
+
+    Estimates E[GT estimate - missing mass] and compares it against the
+    closed form; the report flags a violation when the closed form falls
+    outside three standard errors of the estimate (see is_violation).
+    """
+    if replicates < 1000:
+        raise InvalidInputError("bias verification needs at least 1000 replicates")
+    masses = np.asarray(d.masses)
+    values = monte_carlo(masses, t, replicates, seed, lambda idx: _bias_rows(idx, masses))
+    return mean_report(values, gt_bias(d, t), seed)
+
+
 def verify_concentration(
-    d: ProbVector,
-    t: int,
-    eps: float,
-    replicates: int,
-    seed: int,
-    threads: int | None = None,
+    d: ProbVector, t: int, eps: float, replicates: int, seed: int
 ) -> McReport:
     """Empirical tail frequency of |U_t - E U_t| >= eps against 2 exp(-t eps^2).
 
     The report's ``violated`` flag fires only when the empirical frequency
-    exceeds the bound by more than three binomial standard errors.
+    exceeds the bound by more than three binomial standard errors (see
+    is_violation).
     """
     if replicates < 10_000:
         raise InvalidInputError("concentration verification needs at least 10^4 replicates")
     if not (0.0 < eps <= 1.0):
         raise InvalidInputError(f"deviation eps must lie in (0, 1], got {eps}")
-    if not isinstance(t, int) or t < 1:
-        raise InvalidInputError(f"sample size must be a positive integer, got {t!r}")
-    cum = _cumulative_table(d)
     masses = np.asarray(d.masses)
-    center = expected_missing_mass(d, t)
-
-    def row(rng: np.random.Generator, _i: int):
-        counts = _draw_counts(cum, t, rng)
-        missing = float(masses[counts == 0].sum())
-        return missing, 1.0 if abs(missing - center) >= eps else 0.0
-
-    rows = _mc_rows(replicates, seed, row, 2, threads)
-    mean, se = _mean_se(rows[:, 0])
-    freq = fsum(rows[:, 1]) / replicates
+    missing = monte_carlo(
+        masses, t, replicates, seed, lambda idx: _missing_rows(_counts(idx, d.n), masses)
+    )
+    mean, se = _mean_se(missing)
+    freq = np.count_nonzero(np.abs(missing - expected_missing_mass(d, t)) >= eps) / replicates
     freq_se = math.sqrt(freq * (1.0 - freq) / replicates)
     bound = 2.0 * math.exp(-t * eps * eps)
     return McReport(
@@ -231,5 +214,5 @@ def verify_concentration(
         seed=seed,
         exceed_freq=freq,
         bound=bound,
-        violated=bool(freq - 3.0 * freq_se > bound),
+        violated=is_violation(freq - bound, freq_se, freq, bound),
     )

@@ -155,6 +155,13 @@ class TestSimulate:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_no_false_violation_at_t1(self, capsys):
+        # the standard error is 0 at t=1; an ulp of rounding is no violation
+        code, out, _ = run_cli(capsys, "simulate", "--mode", "bias", "--family", "uniform",
+                               "--n", "3", "--t", "1", "--replicates", "1000")
+        assert code == 0
+        assert json.loads(out)["violated"] is False
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         # honest bound violations are (by design) all but impossible to
         # produce, so the exit-code plumbing is exercised with a stub report
