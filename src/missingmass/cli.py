@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -86,7 +85,10 @@ def _parse_t_values(args) -> list[int]:
         parts = [int(p) for p in spec.split(":")]
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
+        ts = list(range(start, stop + 1, step))
+        if not ts:
+            raise MissingMassError(f"t grid {spec!r} is empty")
+        return ts
     return [int(p) for p in spec.split(",")]
 
 

@@ -19,11 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProbVector
-from .errors import InvalidInputError
-from .numerics import fsum, pow_one_minus
+from .errors import InvalidInputError, require_t
+from .numerics import pow_one_minus
 from .sampling import McReport, mean_report, monte_carlo
 
 MATRIX_TOL = 1e-9
+# Cap on the cells of one (rows, t, n) gather of eps-ball hits: a block's rows
+# are reduced in chunks of at most this many cells, so memory stays bounded
+# at any cloud size and t, and the values do not depend on the chunking.
+GATHER_CELLS = 1 << 22
 
 
 class PointCloud:
@@ -38,12 +42,10 @@ class PointCloud:
         if (coords is None) == (matrix is None):
             raise InvalidInputError("give exactly one of coords or matrix")
         ProbVector(masses, normalize=normalize)  # runs the distribution invariants
-        raw = [float(m) for m in masses]
+        self.masses = np.array([float(m) for m in masses])
         if normalize:
-            total = fsum(raw)
-            raw = [m / total for m in raw]
-        self.masses = np.asarray(raw)
-        self.n = len(raw)
+            self.masses /= math.fsum(self.masses.tolist())
+        self.n = len(self.masses)
         if coords is not None:
             pts = np.asarray(coords, dtype=float)
             if pts.ndim == 1:
@@ -169,7 +171,7 @@ def eps_missing_mass(cloud: PointCloud, sample_indices, eps: float) -> float:
     if any(i < 0 or i >= cloud.n for i in idx):
         raise InvalidInputError("sample index out of range")
     min_dist = cloud.distances()[idx].min(axis=0)
-    return fsum(cloud.masses[min_dist > eps])
+    return math.fsum(cloud.masses[min_dist > eps])
 
 
 def ball_masses(cloud: PointCloud, eps: float) -> np.ndarray:
@@ -185,10 +187,9 @@ def expected_eps_missing_mass(cloud: PointCloud, t: int, eps: float) -> float:
     A point is eps-missed exactly when no draw lands in its closed ball, so
     the expectation is sum_x m(x) (1 - P(ball(x)))^t.
     """
-    if not isinstance(t, int) or t < 1:
-        raise InvalidInputError(f"sample size must be a positive integer, got {t!r}")
+    require_t(t)
     balls = ball_masses(cloud, eps)
-    return fsum(m * pow_one_minus(b, t) for m, b in zip(cloud.masses, balls))
+    return math.fsum(m * pow_one_minus(b, t) for m, b in zip(cloud.masses, balls))
 
 
 EXACT_COVER_LIMIT = 20
@@ -220,7 +221,9 @@ def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
 
 def _eps_missing_rows(near: np.ndarray, masses: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """eps-missing mass of each row of a (rows, t) index block; near = d <= eps."""
-    return (~near[idx].any(axis=1) * masses).sum(axis=1)
+    step = max(1, GATHER_CELLS // (idx.shape[1] * near.shape[0]))
+    hit = np.concatenate([near[idx[r:r + step]].any(axis=1) for r in range(0, len(idx), step)])
+    return (~hit * masses).sum(axis=1)
 
 
 def mc_eps_missing_mass(

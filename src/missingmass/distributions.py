@@ -1,25 +1,29 @@
 """Finite and countable discrete distributions and their band structure.
 
-The two workhorse representations are ``ProbVector`` (a dense probability
-vector, masses sorted nondecreasing) and ``BlockVector`` (run-length encoded
-equal-mass blocks, needed when constructions blow the support up by factors
-of 2^k).  ``CountableFamily`` covers the built-in infinite families through
-an exact term function plus an analytic tail bound, so every downstream
-expectation can be reported as an interval rather than a silently truncated
-number.
+Every finite distribution is stored in one run-length form: the sorted
+distinct masses ``m`` and their multiplicities ``c``, both read-only numpy
+arrays, built and validated by one function.  ``ProbVector`` (a probability
+vector given atom by atom), ``BlockVector`` (equal-mass blocks, for supports
+blown up by factors of 2^k) and ``Truncation`` (a finite prefix of a
+countable family plus its tail bound) are thin front doors onto that form:
+they differ in how they are built and serialized, not in how they are
+evaluated.  ``CountableFamily`` covers the built-in infinite families
+through an exact term function plus an analytic tail bound, so every
+downstream expectation can be reported as an interval rather than a silently
+truncated number.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InsufficientTruncationError, InvalidInputError
-from .numerics import fsum
 
 # |sum(masses) - 1| beyond this rejects the input instead of renormalizing.
 SUM_TOLERANCE = 1e-12
@@ -27,55 +31,104 @@ SUM_TOLERANCE = 1e-12
 MassBlocks = tuple[tuple[float, int], ...]
 
 
-def _group_sorted(masses) -> MassBlocks:
-    """Collapse a nondecreasing mass sequence into (mass, count) runs."""
-    blocks: list[tuple[float, int]] = []
-    for m in masses:
-        if blocks and blocks[-1][0] == m:
-            blocks[-1] = (m, blocks[-1][1] + 1)
-        else:
-            blocks.append((m, 1))
-    return tuple(blocks)
+def _runs(masses, counts=None, *, normalize: bool = False, tail: float | None = None):
+    """Validate atom masses (each repeated counts[i] times, default once) and
+    return the read-only run form (m, c): sorted distinct masses, positive counts.
 
-
-@dataclass(frozen=True)
-class ProbVector:
-    """A fully supported finite distribution, masses sorted nondecreasing."""
-
-    masses: tuple[float, ...]
-
-    def __init__(self, masses, *, normalize: bool = False):
-        vals = [float(m) for m in masses]
-        if not vals:
-            raise InvalidInputError("distribution must have at least one atom")
-        if normalize:
-            total = fsum(vals)
-            if total <= 0.0 or not math.isfinite(total):
-                raise InvalidInputError("cannot normalize: total mass not positive")
-            vals = [v / total for v in vals]
-        for v in vals:
-            if not (v > 0.0):
-                raise InvalidInputError(f"masses must be strictly positive, got {v}")
-            if v > 1.0:
-                raise InvalidInputError(f"masses must lie in (0, 1], got {v}")
-        total = fsum(vals)
+    The masses lie in (0, 1] and sum to 1 within SUM_TOLERANCE, or, with a
+    ``tail``, to at most 1 and at least 1 once the tail is added (a truncation
+    prefix).  ``normalize`` first rescales them to total 1.
+    """
+    try:
+        m = np.fromiter(masses, dtype=float)
+        c = np.ones(m.size, np.int64) if counts is None else np.array(counts, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"masses and counts must be numbers: {exc}") from None
+    if m.size == 0:
+        raise InvalidInputError("distribution must have at least one atom")
+    if not (c >= 1).all() or sum(c.tolist()) >= 2 ** 63:
+        raise InvalidInputError("block counts must be positive integers totalling below 2^63")
+    if normalize:
+        total = math.fsum((m * c).tolist())
+        if not (0.0 < total < math.inf):
+            raise InvalidInputError("cannot normalize: total mass not positive")
+        m = m / total
+    bad = ~((m > 0.0) & (m <= 1.0))
+    if bad.any():
+        raise InvalidInputError(f"masses must lie in (0, 1], got {m[bad][0]}")
+    order = np.argsort(m)
+    m, c = m[order], c[order]
+    starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
+    m, c = m[starts], np.add.reduceat(c, starts)
+    total = math.fsum((m * c).tolist())
+    if tail is None:
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise InvalidInputError(
                 f"masses sum to {total!r}, off by more than {SUM_TOLERANCE}; "
                 "pass normalize=True to rescale explicitly"
             )
-        object.__setattr__(self, "masses", tuple(sorted(vals)))
+    elif not (tail >= 0.0):
+        raise InvalidInputError("tail bound must be nonnegative")
+    elif total > 1.0 + SUM_TOLERANCE or total + tail < 1.0 - SUM_TOLERANCE:
+        raise InvalidInputError(
+            f"prefix mass {total!r} with tail bound {tail!r} does not bracket total mass 1"
+        )
+    m.setflags(write=False)
+    c.setflags(write=False)
+    return m, c
+
+
+class _Runs:
+    """The run-length core every finite distribution type shares."""
+
+    __slots__ = ("m", "c")
+
+    @classmethod
+    def _of_runs(cls, m, c, tail: float | None = None):
+        out = object.__new__(cls)
+        out.m, out.c = _runs(m, c, tail=tail)
+        return out
 
     @property
     def n(self) -> int:
-        return len(self.masses)
+        return sum(self.c.tolist())
 
     @property
     def min_mass(self) -> float:
-        return self.masses[0]
+        return float(self.m[0])
+
+    @property
+    def masses(self) -> tuple[float, ...]:
+        """Every atom's mass, sorted nondecreasing."""
+        return tuple(np.repeat(self.m, self.c).tolist())
+
+    @property
+    def blocks(self) -> MassBlocks:
+        return tuple(zip(self.m.tolist(), self.c.tolist()))
 
     def mass_blocks(self) -> MassBlocks:
-        return _group_sorted(self.masses)
+        return self.blocks
+
+    def _key(self) -> tuple:
+        return self.blocks
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._key()!r}"
+
+
+class ProbVector(_Runs):
+    """A fully supported finite distribution, given atom by atom."""
+
+    __slots__ = ()
+
+    def __init__(self, masses, *, normalize: bool = False):
+        self.m, self.c = _runs(masses, normalize=normalize)
 
     @staticmethod
     def uniform(n: int) -> "ProbVector":
@@ -103,55 +156,25 @@ class ProbVector:
         return ProbVector(vals, normalize=normalize)
 
 
-@dataclass(frozen=True)
-class BlockVector:
+class BlockVector(_Runs):
     """Run-length encoded distribution: equal-mass blocks of (mass, count).
 
     Doubling a BlockVector k times costs O(1) per block, so supports of size
     count * 2^k stay representable long after a dense vector would not.
     """
 
-    blocks: MassBlocks
+    __slots__ = ()
 
     def __init__(self, blocks):
-        merged: dict[float, int] = {}
-        for m, c in blocks:
-            m = float(m)
-            c = int(c)
-            if not (m > 0.0) or m > 1.0:
-                raise InvalidInputError(f"block mass must be in (0, 1], got {m}")
-            if c < 1:
-                raise InvalidInputError(f"block count must be positive, got {c}")
-            merged[m] = merged.get(m, 0) + c
-        if not merged:
-            raise InvalidInputError("distribution must have at least one block")
-        total = fsum(m * c for m, c in merged.items())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise InvalidInputError(
-                f"block masses sum to {total!r}, off by more than {SUM_TOLERANCE}"
-            )
-        object.__setattr__(self, "blocks", tuple(sorted(merged.items())))
-
-    @property
-    def n(self) -> int:
-        return sum(c for _, c in self.blocks)
-
-    @property
-    def min_mass(self) -> float:
-        return self.blocks[0][0]
-
-    def mass_blocks(self) -> MassBlocks:
-        return self.blocks
+        pairs = [(m, c) for m, c in blocks]
+        self.m, self.c = _runs([m for m, _ in pairs], [c for _, c in pairs])
 
     def to_prob_vector(self, max_atoms: int = 2_000_000) -> ProbVector:
         if self.n > max_atoms:
             raise InvalidInputError(
                 f"support size {self.n} exceeds max_atoms={max_atoms}"
             )
-        dense: list[float] = []
-        for m, c in self.blocks:
-            dense.extend([m] * c)
-        return ProbVector(dense)
+        return ProbVector._of_runs(self.m, self.c)
 
     def to_json_obj(self) -> dict:
         return {"blocks": [[m, c] for m, c in self.blocks]}
@@ -163,8 +186,7 @@ class BlockVector:
         return BlockVector([(float(m), int(c)) for m, c in obj["blocks"]])
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(_Runs):
     """A finite prefix of a countable family plus its analytic tail bound.
 
     The prefix masses sum to at most 1; ``tail`` bounds everything omitted.
@@ -173,34 +195,17 @@ class Truncation:
     rule tail <= smallest retained mass.
     """
 
-    masses: tuple[float, ...]
-    tail: float
-    source: str = ""
-    plateau_adequate: bool | None = None
+    __slots__ = ("tail", "source", "plateau_adequate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "masses", tuple(sorted(float(m) for m in self.masses)))
-        if not self.masses:
-            raise InvalidInputError("truncation retained no atoms")
-        if self.tail < 0.0:
-            raise InvalidInputError("tail bound must be nonnegative")
-        if self.plateau_adequate is None:
-            object.__setattr__(self, "plateau_adequate", self.tail <= self.masses[0])
+    def __init__(self, masses, tail: float, source: str = "", plateau_adequate: bool | None = None):
+        self.m, self.c = _runs(masses, tail=tail)
+        self.tail, self.source = tail, source
+        self.plateau_adequate = (
+            tail <= self.min_mass if plateau_adequate is None else plateau_adequate
+        )
 
-    @property
-    def n(self) -> int:
-        return len(self.masses)
-
-    @property
-    def min_mass(self) -> float:
-        return self.masses[0]
-
-    def mass_blocks(self) -> MassBlocks:
-        return _group_sorted(self.masses)
-
-
-Distribution = ProbVector | BlockVector
-Truncatable = ProbVector | BlockVector | Truncation
+    def _key(self) -> tuple:
+        return (self.blocks, self.tail, self.source, self.plateau_adequate)
 
 
 @dataclass(frozen=True)
@@ -230,21 +235,8 @@ class CountableFamily:
             if not isinstance(a, int) or a < 2:
                 raise InvalidInputError("dyadic-blocks family needs integer a >= 2")
         else:
-            masses = self.params.get("masses")
-            bound = self.params.get("tail_bound", 0.0)
-            if not masses:
-                raise InvalidInputError("explicit family needs a nonempty mass list")
-            if any(not (m > 0.0) for m in masses):
-                raise InvalidInputError("explicit masses must be strictly positive")
-            if bound < 0.0:
-                raise InvalidInputError("explicit tail bound must be nonnegative")
-            listed = fsum(masses)
-            if listed > 1.0 + SUM_TOLERANCE:
-                raise InvalidInputError("explicit masses exceed total mass 1")
-            if listed + bound < 1.0 - SUM_TOLERANCE:
-                raise InvalidInputError(
-                    "explicit masses + tail bound fall short of total mass 1"
-                )
+            # the listed masses are a truncation prefix, the tail bound its tail
+            _runs(self.params.get("masses") or (), tail=self.params.get("tail_bound", 0.0))
 
     # -- constructors --
 
@@ -297,7 +289,7 @@ class CountableFamily:
             return (a - part) * 0.5 ** (full + 1) / a + 0.5 ** (full + 1)
         masses = self.params["masses"]
         bound = self.params["tail_bound"]
-        return fsum(masses[n_kept:]) + bound
+        return math.fsum(masses[n_kept:]) + bound
 
     @property
     def descriptor(self) -> str:
@@ -354,8 +346,13 @@ def truncate(family: CountableFamily, tol: float, max_atoms: int = 10_000_000) -
         else:
             lo = mid + 1
     n_kept = max(hi, 1)
-    masses = [family.term(i) for i in range(1, n_kept + 1)]
+    # one run per block of equal atoms: a dyadic-blocks prefix is a few dozen
+    # runs however many atoms it holds
+    step = family.params["a"] if family.kind == "dyadic-blocks" else 1
+    starts = range(1, n_kept + 1, step)
+    m = [family.term(i) for i in starts]
     tail = family.tail_mass(n_kept)
+    trunc = Truncation._of_runs(m, [min(step, n_kept + 1 - i) for i in starts], tail)
     if family.kind == "geometric":
         # a prefix this long realizes the family's densest factor-2 band
         ratio = family.params["ratio"]
@@ -363,11 +360,12 @@ def truncate(family: CountableFamily, tol: float, max_atoms: int = 10_000_000) -
     elif family.kind == "dyadic-blocks":
         adequate = n_kept >= family.params["a"]  # first block fully retained
     else:
-        adequate = tail <= min(masses)
-    return Truncation(tuple(masses), tail, family.descriptor, adequate)
+        adequate = tail <= trunc.min_mass
+    trunc.tail, trunc.source, trunc.plateau_adequate = tail, family.descriptor, adequate
+    return trunc
 
 
-def plateau_length(d: Truncatable) -> int:
+def plateau_length(d: ProbVector | BlockVector | Truncation) -> int:
     """Largest number of atoms sharing one dyadic band [alpha/2, alpha).
 
     The count as a function of alpha is a sum of indicators of the half-open
@@ -379,26 +377,13 @@ def plateau_length(d: Truncatable) -> int:
             "truncation too coarse: the retained prefix does not provably "
             "realize the family's plateau structure"
         )
-    blocks = d.mass_blocks()
-    values = [m for m, _ in blocks]
-    prefix = [0]
-    for _, c in blocks:
-        prefix.append(prefix[-1] + c)
-    best = 0
-    for j, v in enumerate(values):
-        hi = bisect.bisect_left(values, 2.0 * v)
-        best = max(best, prefix[hi] - prefix[j])
-    return best
+    prefix = np.concatenate(([0], np.cumsum(d.c)))
+    hi = np.searchsorted(d.m, 2.0 * d.m, side="left")
+    return int((prefix[hi] - prefix[:-1]).max())
 
 
-def doubling_operator(d: Distribution) -> Distribution:
+def doubling_operator(d: ProbVector | BlockVector) -> ProbVector | BlockVector:
     """Split every atom of mass p into two atoms of mass p/2."""
-    if isinstance(d, BlockVector):
-        return BlockVector([(m / 2.0, 2 * c) for m, c in d.blocks])
-    if isinstance(d, ProbVector):
-        halves: list[float] = []
-        for m in d.masses:
-            halves.append(m / 2.0)
-            halves.append(m / 2.0)
-        return ProbVector(halves)
-    raise InvalidInputError(f"cannot double a {type(d).__name__}")
+    if not isinstance(d, (ProbVector, BlockVector)):
+        raise InvalidInputError(f"cannot double a {type(d).__name__}")
+    return type(d)._of_runs(d.m / 2.0, 2 * d.c)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument checks shared across the package."""
 
 
 class MissingMassError(Exception):
@@ -26,3 +26,10 @@ class ThresholdNotFoundError(MissingMassError):
         super().__init__(
             f"no uniform-to-bivalent crossing found for n={n} scanning t up to {t_max}"
         )
+
+
+def require_t(t, minimum: int = 1) -> int:
+    """The one check of a sample count t: an int (bool excluded) >= minimum."""
+    if not isinstance(t, int) or isinstance(t, bool) or t < minimum:
+        raise InvalidInputError(f"sample count t must be an integer >= {minimum}, got {t!r}")
+    return t

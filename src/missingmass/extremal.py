@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProbVector
-from .errors import InvalidInputError, MissingMassError, ThresholdNotFoundError
+from .errors import InvalidInputError, MissingMassError, ThresholdNotFoundError, require_t
 from .numerics import pow_one_minus, pow_unit
 
 # Sign scan resolution for locating interior critical points, and the
@@ -33,37 +33,26 @@ LIGHT_MASS_TOL = 1e-15
 _LOG_OVERFLOW = 700.0  # exp argument beyond which a ratio is reported as inf
 
 
-def _require_n(n) -> int:
+def _require(n, t=1, x=0.0) -> None:
+    """Check a support size n >= 2, a sample count t and a light mass x in
+    [0, 1/n]; the defaults pass, for callers without a t or an x."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidInputError(f"support size n must be an integer >= 2, got {n!r}")
-    return n
-
-
-def _require_t(t) -> int:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise InvalidInputError(f"sample count t must be an integer >= 1, got {t!r}")
-    return t
-
-
-def _check_light_mass(n: int, x: float) -> None:
+    require_t(t)
     if not (0.0 <= x <= 1.0 / n + 1e-15):
         raise InvalidInputError(f"light mass must lie in [0, 1/{n}], got {x}")
 
 
 def bivalent_missing_mass(n: int, t: int, x: float) -> float:
     """E[U_t] of the one-heavy/(n-1)-light distribution with light mass x."""
-    _require_n(n)
-    _require_t(t)
-    _check_light_mass(n, x)
+    _require(n, t, x)
     u = (n - 1) * x
     return (n - 1) * x * pow_one_minus(x, t) + (1.0 - u) * pow_unit(u, t)
 
 
 def bivalent_missing_mass_prime(n: int, t: int, x: float) -> float:
     """Analytic derivative of bivalent_missing_mass in the light mass."""
-    _require_n(n)
-    _require_t(t)
-    _check_light_mass(n, x)
+    _require(n, t, x)
     u = (n - 1) * x
     light_part = pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x)
     heavy_part = pow_unit(u, t - 1) * (t - (t + 1) * u)
@@ -72,8 +61,7 @@ def bivalent_missing_mass_prime(n: int, t: int, x: float) -> float:
 
 def uniform_value(n: int, t: int) -> float:
     """E[U_t] of the uniform distribution on n atoms: (1 - 1/n)^t."""
-    _require_n(n)
-    _require_t(t)
+    _require(n, t)
     return pow_one_minus(1.0 / n, t)
 
 
@@ -83,9 +71,7 @@ def uniform_ratio(n: int, t: int, x: float) -> float:
     Evaluated through ratio powers so that large t neither under- nor
     overflows; a genuinely astronomical ratio comes back as inf.
     """
-    _require_n(n)
-    _require_t(t)
-    _check_light_mass(n, x)
+    _require(n, t, x)
     # (1-x)/(1-1/n) >= 1 for x <= 1/n; its log via log1p of the increment
     log_r1 = math.log1p((1.0 / n - x) / (1.0 - 1.0 / n))
     if t * log_r1 > _LOG_OVERFLOW:
@@ -102,8 +88,7 @@ def bivalent_ratio_bound(n: int, t: int) -> float:
     The bound caps the light part by the kernel peak at 1/(t+1) and the
     heavy part by its value at light mass 1/t.
     """
-    _require_n(n)
-    _require_t(t)
+    _require(n, t)
     log_r1 = math.log1p((1.0 / n - 1.0 / (t + 1)) / (1.0 - 1.0 / n))
     if t * log_r1 > _LOG_OVERFLOW:
         return math.inf
@@ -210,8 +195,7 @@ def maximize_missing_mass(n: int, t: int) -> ExtremalSolution:
     (1/(t+1), 1/t) is located and the best one is compared against the
     uniform value; ties go to the uniform.
     """
-    _require_n(n)
-    _require_t(t)
+    _require(n, t)
     uval = uniform_value(n, t)
     if t > n:
         # Strictly-interior representable bracket.  For extreme t the heavy
@@ -247,7 +231,7 @@ def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
     mass over the uniform distribution, verifying the win persists through
     the rest of the scan.
     """
-    _require_n(n)
+    _require(n)
     budget = n + max(10, math.ceil(10.0 * math.sqrt(n)))
     if t_max is None:
         t_max = budget
@@ -275,8 +259,7 @@ def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
 def light_mass_bounds(n: int, t: int) -> tuple[float, float]:
     """Localization interval for the winning light mass once t is past
     n + sqrt(2n): (1/(t+1), 1/(t+1) + exp(-sqrt(n/2)))."""
-    _require_n(n)
-    _require_t(t)
+    _require(n, t)
     if t < n + math.sqrt(2.0 * n):
         raise InvalidInputError(
             f"localization requires t >= n + sqrt(2n) = {n + math.sqrt(2 * n):.3f}, got t={t}"
@@ -292,7 +275,7 @@ def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[f
     grid, takes p3 = 1 - p1 - p2, then refines once around the best cell.
     Returns the best value and its point, coordinates sorted nondecreasing.
     """
-    _require_t(t)
+    require_t(t)
     if not (0.0 < grid_step <= 1e-2):
         raise InvalidInputError(f"grid step must lie in (0, 0.01], got {grid_step}")
 

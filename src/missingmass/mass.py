@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import BlockVector, CountableFamily, ProbVector, Truncation, truncate
-from .errors import InvalidInputError
-from .numerics import fsum, pow_one_minus
+from .errors import InvalidInputError, require_t
+from .numerics import pow_one_minus, pow_one_minus_array
 
 # Ships the empirically calibrated universal constant for the countable-support
 # bound ell/(c*t).  On the dyadic-block grid a in 2..64, t in (a, 100a] the
@@ -31,17 +33,23 @@ def _require_distribution(d) -> None:
         )
 
 
-def _require_t(t, minimum: int = 1) -> int:
-    if not isinstance(t, int) or isinstance(t, bool) or t < minimum:
-        raise InvalidInputError(f"sample count t must be an integer >= {minimum}, got {t!r}")
-    return t
+def _kernel_sum(m: np.ndarray, c: np.ndarray, t: int, k: int = 1, s: int = 0) -> float:
+    """sum over the runs of c m^k (1 - m)^(t - s), exactly rounded.
+
+    Every closed form in this module is one such sum.  The powers are taken
+    elementwise; the sum is math.fsum, so the result is the correctly rounded
+    sum of the rounded terms whatever their number or order (pairwise
+    summation would carry an O(eps log n) bound instead: Higham, SIAM J. Sci.
+    Comput. 14(4), 1993).
+    """
+    w = c * m if k == 1 else c * m * m
+    return math.fsum((w * pow_one_minus_array(m, t - s)).tolist())
 
 
 def expected_missing_mass(d: ProbVector | BlockVector, t: int, *, allow_zero: bool = False) -> float:
     """Exact E[U_t] = sum_i p_i (1 - p_i)^t."""
     _require_distribution(d)
-    t = _require_t(t, 0 if allow_zero else 1)
-    return fsum(c * m * pow_one_minus(m, t) for m, c in d.mass_blocks())
+    return _kernel_sum(d.m, d.c, require_t(t, 0 if allow_zero else 1))
 
 
 def expected_missing_mass_interval(
@@ -53,12 +61,12 @@ def expected_missing_mass_interval(
     omitted atoms add at most their total mass, so the interval width never
     exceeds the truncation tolerance.
     """
-    t = _require_t(t)
+    t = require_t(t)
     if isinstance(f, CountableFamily):
         f = truncate(f, tol if tol is not None else f.truncation_tol)
     elif not isinstance(f, Truncation):
         raise InvalidInputError(f"expected a CountableFamily or Truncation, got {type(f).__name__}")
-    lower = fsum(c * m * pow_one_minus(m, t) for m, c in f.mass_blocks())
+    lower = _kernel_sum(f.m, f.c, t)
     return lower, lower + f.tail
 
 
@@ -66,7 +74,7 @@ def kernel(x: float, t: int) -> float:
     """Single-atom contribution f(x) = x (1 - x)^t."""
     if not (0.0 <= x <= 1.0):
         raise InvalidInputError(f"kernel argument must lie in [0, 1], got {x}")
-    _require_t(t)
+    require_t(t)
     return x * pow_one_minus(x, t)
 
 
@@ -74,13 +82,13 @@ def kernel_prime(x: float, t: int) -> float:
     """Derivative of the kernel: (1 - x)^(t-1) (1 - (t+1) x)."""
     if not (0.0 <= x <= 1.0):
         raise InvalidInputError(f"kernel argument must lie in [0, 1], got {x}")
-    _require_t(t)
+    require_t(t)
     return pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x)
 
 
 def kernel_peak(t: int) -> float:
     """Location of the kernel maximum, 1/(t+1); the peak value is < 1/(e t)."""
-    _require_t(t)
+    require_t(t)
     return 1.0 / (t + 1)
 
 
@@ -91,7 +99,7 @@ def bound_finite(n: int, t: int) -> float:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"support size must be a positive integer, got {n!r}")
-    t = _require_t(t)
+    t = require_t(t)
     if t <= n:
         return min(1.0, math.exp(-t / n))
     return min(1.0, n / (math.e * t))
@@ -105,7 +113,7 @@ def bound_countable(ell: int, t: int, c: float = DEFAULT_COUNTABLE_C) -> float:
     """
     if not isinstance(ell, int) or ell < 1:
         raise InvalidInputError(f"plateau length must be a positive integer, got {ell!r}")
-    t = _require_t(t)
+    t = require_t(t)
     if not (c > 0.0):
         raise InvalidInputError(f"constant c must be positive, got {c}")
     return ell / (c * t)
@@ -118,39 +126,34 @@ def dyadic_bands(d: ProbVector | BlockVector, t: int) -> list[tuple[int, int, fl
     count, band contribution) triples; contributions re-sum to E[U_t].
     """
     _require_distribution(d)
-    t = _require_t(t)
-    threshold = 1.0 / (t + 1)
-    per_band: dict[int, tuple[int, list[float]]] = {}
-    for m, c in d.mass_blocks():
-        if m < threshold:
-            j = -1
-        else:
-            # guard the float log against landing one band off at boundaries:
-            # m >= threshold is already decided, so j may never round to -1
-            # (m*(t+1) evaluates to 0.999... for some exact-threshold atoms)
-            j = max(0, int(math.floor(math.log2(m * (t + 1)))))
-            while j > 0 and m * (t + 1) < 2.0 ** j:
-                j -= 1
-            while m * (t + 1) >= 2.0 ** (j + 1):
-                j += 1
-        count, terms = per_band.setdefault(j, (0, []))
-        per_band[j] = (count + c, terms)
-        terms.append(c * m * pow_one_minus(m, t))
-    return [(j, count, fsum(terms)) for j, (count, terms) in sorted(per_band.items())]
+    t = require_t(t)
+    x = d.m * (t + 1)
+    # guard the float log against landing one band off at boundaries: the
+    # band test is x >= 2^j exactly, and m >= 1/(t+1) may give x = 0.999...
+    j = np.maximum(np.floor(np.log2(x)), 0.0).astype(np.int64)
+    while (down := (j > 0) & (x < np.ldexp(1.0, j))).any():
+        j -= down
+    while (up := x >= np.ldexp(1.0, j + 1)).any():
+        j += up
+    j[d.m < 1.0 / (t + 1)] = -1
+    bands = []
+    for band in np.unique(j):
+        sel = j == band
+        bands.append((int(band), sum(d.c[sel].tolist()), _kernel_sum(d.m[sel], d.c[sel], t)))
+    return bands
 
 
 def gt_expected_estimate(d: ProbVector | BlockVector, t: int) -> float:
     """Exact expectation of the Good-Turing estimate: sum_i p_i (1 - p_i)^(t-1)."""
     _require_distribution(d)
-    t = _require_t(t)
-    return fsum(c * m * pow_one_minus(m, t - 1) for m, c in d.mass_blocks())
+    return _kernel_sum(d.m, d.c, require_t(t), s=1)
 
 
 def singleton_mass_expectation(d: ProbVector | BlockVector, t: int) -> float:
     """Exact expected mass of atoms seen exactly once: sum_i t p_i^2 (1 - p_i)^(t-1)."""
     _require_distribution(d)
-    t = _require_t(t)
-    return fsum(c * t * m * m * pow_one_minus(m, t - 1) for m, c in d.mass_blocks())
+    t = require_t(t)
+    return t * _kernel_sum(d.m, d.c, t, k=2, s=1)
 
 
 def gt_bias(d: ProbVector | BlockVector, t: int) -> float:
@@ -191,17 +194,15 @@ def missing_mass_curve(
     tol: float | None = None,
 ) -> MassCurve:
     """Evaluate E[U_t] over a grid of sample counts."""
-    ts = [_require_t(t) for t in t_values]
+    ts = tuple(require_t(t) for t in t_values)
     if not ts:
         raise InvalidInputError("t grid must be nonempty")
-    if isinstance(d, (CountableFamily, Truncation)):
-        if isinstance(d, CountableFamily):
-            d = truncate(d, tol if tol is not None else d.truncation_tol)
-        bounds = [expected_missing_mass_interval(d, t) for t in ts]
-        lowers = tuple(lo for lo, _ in bounds)
-        uppers = tuple(hi for _, hi in bounds)
-        values = tuple((lo + hi) / 2.0 for lo, hi in bounds)
-    else:
-        values = tuple(expected_missing_mass(d, t) for t in ts)
-        lowers = uppers = values
-    return MassCurve(tuple(ts), values, lowers, uppers)
+    if isinstance(d, CountableFamily):
+        d = truncate(d, tol if tol is not None else d.truncation_tol)
+    elif not isinstance(d, Truncation):
+        _require_distribution(d)
+    lower = tuple(_kernel_sum(d.m, d.c, t) for t in ts)
+    if not isinstance(d, Truncation):
+        return MassCurve(ts, lower, lower, lower)
+    upper = tuple(lo + d.tail for lo in lower)
+    return MassCurve(ts, tuple((lo + hi) / 2.0 for lo, hi in zip(lower, upper)), lower, upper)

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProbVector
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_t
 from .mass import expected_missing_mass, gt_bias
-from .numerics import fsum
 
 BLOCK = 64  # replicates per substream; part of the seeded layout, so a constant
 # Uniforms drawn per call: a block at large t is drawn in consecutive row
@@ -81,8 +80,7 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     into one value or one row of values per replicate.  Results are
     concatenated in replicate order.
     """
-    if not isinstance(t, int) or t < 1:
-        raise InvalidInputError(f"sample size must be a positive integer, got {t!r}")
+    require_t(t)
     if not isinstance(replicates, int) or replicates < 1:
         raise InvalidInputError(f"replicates must be a positive integer, got {replicates!r}")
     cum = np.cumsum(masses)
@@ -133,7 +131,7 @@ def empirical_missing_mass(d: ProbVector, sc: SampleCounts) -> float:
         raise InvalidInputError(
             f"counts cover {len(sc.counts)} atoms but the distribution has {d.n}"
         )
-    return fsum(m for m, c in zip(d.masses, sc.counts) if c == 0)
+    return math.fsum(m for m, c in zip(d.masses, sc.counts) if c == 0)
 
 
 def good_turing(sc: SampleCounts) -> float:
@@ -152,10 +150,10 @@ def is_violation(excess: float, se: float, estimate: float, reference: float) ->
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     r = len(values)
-    mean = fsum(values.tolist()) / r
+    mean = math.fsum(values.tolist()) / r
     if r < 2:
         return mean, 0.0
-    var = fsum(((values - mean) ** 2).tolist()) / (r - 1)
+    var = math.fsum(((values - mean) ** 2).tolist()) / (r - 1)
     return mean, math.sqrt(var / r)
 
 
@@ -201,7 +199,7 @@ def verify_concentration(
         raise InvalidInputError(f"deviation eps must lie in (0, 1], got {eps}")
     masses = np.asarray(d.masses)
     missing = monte_carlo(
-        masses, t, replicates, seed, lambda idx: _missing_rows(_counts(idx, d.n), masses)
+        masses, t, replicates, seed, lambda idx: _missing_rows(_counts(idx, len(masses)), masses)
     )
     mean, se = _mean_se(missing)
     freq = np.count_nonzero(np.abs(missing - expected_missing_mass(d, t)) >= eps) / replicates

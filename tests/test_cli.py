@@ -53,6 +53,15 @@ class TestEmm:
             0.25 * 0.75 ** 3 + 0.75 * 0.25 ** 3, rel=1e-12
         )
 
+    @pytest.mark.parametrize("command", ["emm", "bounds"])
+    @pytest.mark.parametrize("grid", ["5:1", "1:5:-1"])
+    def test_empty_grid_is_usage_error(self, capsys, command, grid):
+        code, out, err = run_cli(capsys, command, "--family", "uniform", "--n", "5",
+                                 "--t-grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "empty" in err
+
     def test_dist_file_csv(self, tmp_path, capsys):
         f = tmp_path / "d.csv"
         f.write_text("0.5\n0.5\n")

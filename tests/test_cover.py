@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,19 @@ class TestMcEpsMissingMass:
         a = mc_eps_missing_mass(line3, 2, 0.5, replicates=2000, seed=5)
         b = mc_eps_missing_mass(line3, 2, 0.5, replicates=2000, seed=5)
         assert a == b
+
+    def test_memory_bounded_on_large_cloud(self):
+        # a whole block's (rows, t, n) gather of ball hits would be 32 MB here
+        cloud = random_cloud(np.random.default_rng(5), 1000, 2)
+        cloud.distances()  # cached before tracing: the 8 MB matrix is the input
+        tracemalloc.start()
+        try:
+            rep = mc_eps_missing_mass(cloud, 500, 0.02, replicates=1000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert rep.violated is False
 
 
 class TestEpsNet:

@@ -95,6 +95,50 @@ class TestBlockVector:
             BlockVector([(0.25, 3)])
 
 
+class TestRunLengthCore:
+    def test_front_doors_share_one_form(self):
+        dense = ProbVector([0.5, 0.125, 0.25, 0.125])
+        blocks = BlockVector([(0.25, 1), (0.125, 2), (0.5, 1)])
+        trunc = Truncation((0.125, 0.25, 0.125), 0.5)
+        for d in (dense, blocks, trunc):
+            assert d.m.tolist() == [0.125, 0.25, 0.5][: len(d.m)]
+            assert d.c.tolist() == [2, 1, 1][: len(d.c)]
+            assert not d.m.flags.writeable and not d.c.flags.writeable
+        assert dense.blocks == blocks.blocks == blocks.mass_blocks()
+        assert dense.masses == blocks.to_prob_vector().masses == (0.125, 0.125, 0.25, 0.5)
+        assert dense != blocks and dense == ProbVector(list(reversed(dense.masses)))
+
+    def test_dyadic_prefix_is_one_run_per_block(self):
+        trunc = truncate(CountableFamily.dyadic_blocks(64), 1e-12)
+        assert len(trunc.blocks) == 40
+        assert [c for _, c in trunc.blocks[1:]] == [64] * 39  # smallest mass: the partial block
+        assert trunc.n == 39 * 64 + trunc.blocks[0][1]
+        assert trunc.masses[-64:] == (1 / 128,) * 64
+
+    def test_truncation_must_bracket_total_mass(self):
+        with pytest.raises(InvalidInputError):
+            Truncation((0.75, 0.5), 0.0)  # prefix above 1
+        with pytest.raises(InvalidInputError):
+            Truncation((0.5, 0.25), 0.125)  # prefix + tail short of 1
+        with pytest.raises(InvalidInputError):
+            Truncation((0.5,), -0.5)
+
+    def test_rejects_non_numbers(self):
+        with pytest.raises(InvalidInputError):
+            ProbVector([0.5, None])
+        with pytest.raises(InvalidInputError):
+            ProbVector([[0.5], [0.5]])
+
+    def test_count_beyond_int64_is_clean_error(self):
+        with pytest.raises(InvalidInputError):
+            BlockVector([(2.0 ** -64, 2 ** 64)])
+        with pytest.raises(InvalidInputError):  # two runs that merge past the cap
+            BlockVector([(2.0 ** -64, 2 ** 62), (2.0 ** -64, 2 ** 62), (0.5, 1)])
+        near_cap = BlockVector([(2.0 ** -62, 2 ** 62)])
+        with pytest.raises(InvalidInputError):
+            doubling_operator(near_cap)
+
+
 class TestPlateauLength:
     @pytest.mark.parametrize("n", [1, 2, 5, 17])
     def test_uniform_is_n(self, n):

@@ -27,7 +27,25 @@ from missingmass import (
     truncate,
 )
 
+from missingmass import PointCloud, expected_eps_missing_mass, monte_carlo, uniform_value
+
 from conftest import prob_vectors, sample_counts_t
+
+
+@pytest.mark.parametrize("t", [True, False, 0, -1, 2.5, "3", None])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda t: expected_missing_mass(ProbVector.uniform(3), t),
+        lambda t: uniform_value(5, t),
+        lambda t: monte_carlo([0.5, 0.5], t, 10, 0, lambda idx: idx[:, 0]),
+        lambda t: expected_eps_missing_mass(PointCloud([0.5, 0.5], coords=[[0.0], [1.0]]), t, 0.5),
+    ],
+    ids=["mass", "extremal", "sampling", "cover"],
+)
+def test_one_sample_count_check(entry, t):
+    with pytest.raises(InvalidInputError, match="sample count t must be an integer >= 1"):
+        entry(t)
 
 
 def enumerate_expectations(masses, t):
