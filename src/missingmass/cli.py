@@ -81,15 +81,19 @@ def _parse_t_values(args) -> list[int]:
     spec = args.t_grid
     if spec is None:
         raise MissingMassError("give --t or --t-grid")
-    if ":" in spec:
-        parts = [int(p) for p in spec.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        ts = list(range(start, stop + 1, step))
-        if not ts:
-            raise MissingMassError(f"t grid {spec!r} is empty")
-        return ts
-    return [int(p) for p in spec.split(",")]
+    if not spec.strip():
+        raise MissingMassError(f"t grid {spec!r} is empty")
+    if ":" not in spec:
+        return [int(p) for p in spec.split(",")]
+    parts = [int(p) for p in spec.split(":")]
+    if len(parts) > 3 or parts[2:] == [0]:
+        raise MissingMassError(f"t grid {spec!r} is not START:STOP[:STEP] with STEP != 0")
+    start, stop, step = parts + [1] if len(parts) == 2 else parts
+    # STOP is inclusive in either direction
+    ts = list(range(start, stop + (1 if step > 0 else -1), step))
+    if not ts:
+        raise MissingMassError(f"t grid {spec!r} is empty")
+    return ts
 
 
 def _emit(args, obj, csv_text: str | None = None) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import ProbVector
 from .errors import InvalidInputError, require_t
-from .numerics import pow_one_minus
+from .numerics import SLICE_CELLS, pow_one_minus
 from .sampling import McReport, mean_report, monte_carlo
 
 MATRIX_TOL = 1e-9
@@ -175,10 +175,18 @@ def eps_missing_mass(cloud: PointCloud, sample_indices, eps: float) -> float:
 
 
 def ball_masses(cloud: PointCloud, eps: float) -> np.ndarray:
-    """Mass of the closed eps-ball around each point."""
+    """Mass of the closed eps-ball around each point.
+
+    Each row's masses are summed over its hits (numpy's pairwise sum), in
+    slices of at most SLICE_CELLS cells, so the value of a row depends on
+    neither the slicing nor the BLAS build or its thread count.
+    """
     if not (eps > 0.0):
         raise InvalidInputError(f"radius eps must be positive, got {eps}")
-    return (cloud.distances() <= eps).astype(float) @ cloud.masses
+    d = cloud.distances()
+    step = max(1, SLICE_CELLS // cloud.n)
+    return np.concatenate([np.where(d[r:r + step] <= eps, cloud.masses, 0.0).sum(axis=1)
+                           for r in range(0, cloud.n, step)])
 
 
 def expected_eps_missing_mass(cloud: PointCloud, t: int, eps: float) -> float:
@@ -188,8 +196,8 @@ def expected_eps_missing_mass(cloud: PointCloud, t: int, eps: float) -> float:
     the expectation is sum_x m(x) (1 - P(ball(x)))^t.
     """
     require_t(t)
-    balls = ball_masses(cloud, eps)
-    return math.fsum(m * pow_one_minus(b, t) for m, b in zip(cloud.masses, balls))
+    balls = np.minimum(ball_masses(cloud, eps), 1.0)
+    return math.fsum((cloud.masses * pow_one_minus(balls, t)).tolist())
 
 
 EXACT_COVER_LIMIT = 20

@@ -10,7 +10,7 @@ The value of that family is
 with x = 1/n recovering the uniform distribution.  Small sample counts are
 won by the uniform; past an integer threshold (strictly above n) a strictly
 interior light mass wins, and its location is pinned inside (1/(t+1), 1/t).
-The threshold is found by direct integer scan, and an exhaustive grid oracle
+The threshold is found by one array scan over t, and an exhaustive grid oracle
 over the 3-atom simplex cross-checks the one-variable reduction.
 """
 
@@ -23,12 +23,11 @@ import numpy as np
 
 from .distributions import ProbVector
 from .errors import InvalidInputError, MissingMassError, ThresholdNotFoundError, require_t
-from .numerics import pow_one_minus, pow_unit
+from .numerics import SLICE_CELLS, pow_one_minus, pow_unit
 
-# Sign scan resolution for locating interior critical points, and the
-# bisection tolerance on the light mass itself.
+# Cells per sign scan of the derivative when locating the interior maximum.
 CRITICAL_SCAN_POINTS = 64
-LIGHT_MASS_TOL = 1e-15
+_SCAN = np.arange(CRITICAL_SCAN_POINTS + 1) / CRITICAL_SCAN_POINTS
 
 _LOG_OVERFLOW = 700.0  # exp argument beyond which a ratio is reported as inf
 
@@ -46,13 +45,23 @@ def _require(n, t=1, x=0.0) -> None:
 def bivalent_missing_mass(n: int, t: int, x: float) -> float:
     """E[U_t] of the one-heavy/(n-1)-light distribution with light mass x."""
     _require(n, t, x)
-    u = (n - 1) * x
-    return (n - 1) * x * pow_one_minus(x, t) + (1.0 - u) * pow_unit(u, t)
+    return float(_value(n, t, x))
 
 
 def bivalent_missing_mass_prime(n: int, t: int, x: float) -> float:
     """Analytic derivative of bivalent_missing_mass in the light mass."""
     _require(n, t, x)
+    return float(_prime(n, t, x))
+
+
+def _value(n: int, t, x):
+    """bivalent_missing_mass elementwise over arrays of t and x, unchecked."""
+    u = (n - 1) * x
+    return u * pow_one_minus(x, t) + (1.0 - u) * pow_unit(u, t)
+
+
+def _prime(n: int, t, x):
+    """bivalent_missing_mass_prime elementwise over arrays of t and x, unchecked."""
     u = (n - 1) * x
     light_part = pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x)
     heavy_part = pow_unit(u, t - 1) * (t - (t + 1) * u)
@@ -62,7 +71,7 @@ def bivalent_missing_mass_prime(n: int, t: int, x: float) -> float:
 def uniform_value(n: int, t: int) -> float:
     """E[U_t] of the uniform distribution on n atoms: (1 - 1/n)^t."""
     _require(n, t)
-    return pow_one_minus(1.0 / n, t)
+    return float(pow_one_minus(1.0 / n, t))
 
 
 def uniform_ratio(n: int, t: int, x: float) -> float:
@@ -77,8 +86,8 @@ def uniform_ratio(n: int, t: int, x: float) -> float:
     if t * log_r1 > _LOG_OVERFLOW:
         return math.inf
     first = (n - 1) * x * math.exp(t * log_r1)
-    second = (1.0 - (n - 1) * x) * pow_unit(n * x, t)
-    return first + second
+    second = (1.0 - (n - 1) * x) * pow_unit(min(n * x, 1.0), t)
+    return float(first + second)
 
 
 def bivalent_ratio_bound(n: int, t: int) -> float:
@@ -100,7 +109,7 @@ def bivalent_ratio_bound(n: int, t: int) -> float:
     else:
         second_pow = pow_unit(ratio2, t)
     second = (1.0 - (n - 1) / t) * second_pow
-    return first + second
+    return float(first + second)
 
 
 @dataclass(frozen=True)
@@ -142,94 +151,65 @@ class ThresholdResult:
         return {"n": self.n, "tau": self.tau, "margin_at_tau": self.margin_at_tau}
 
 
-def _interior_critical_points(n: int, t: int) -> list[float]:
-    """All sign changes of the derivative strictly inside (1/(t+1), 1/n).
+def _solve(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best interior light mass and its value for each sample count in t
+    (all > n); the family beats the uniform wherever value > uniform_value.
 
     Interior local maxima can only live below 2/(t+1) (the derivative of the
-    kernel decreases there and increases beyond), and the derivative vanishes
-    at most twice in the scanned zone, so a fixed-resolution sign scan with
-    bisection on each bracket finds every candidate.  The right end stays a
-    hair below 1/n: the uniform point is a critical point of the family by
-    construction, and letting the scan touch it would manufacture spurious
-    interior roots out of float noise.
+    kernel decreases there and increases beyond), so the derivative is
+    sampled at CRITICAL_SCAN_POINTS + 1 points across (1/(t+1),
+    min(2/(t+1), 1/n)), and the first cell where it turns from > 0 to <= 0
+    is re-sampled the same way until it stops shrinking: f rises up to that
+    root, and a later root is a local minimum.  The right end stays a hair
+    below 1/n, where the uniform point is a critical point by construction
+    and float noise would make spurious roots.  For extreme t the maximizer
+    sits within one float spacing of the kernel peak, so the first float
+    past the peak is always a candidate and a root is clamped to it.
     """
     lo = 1.0 / (t + 1)
-    hi = min(2.0 / (t + 1), (1.0 - 1e-9) / n)
-    if hi <= lo:
-        return []
-    xs = [lo + (hi - lo) * i / CRITICAL_SCAN_POINTS for i in range(CRITICAL_SCAN_POINTS + 1)]
-    gs = [bivalent_missing_mass_prime(n, t, x) for x in xs]
-    roots: list[float] = []
-    for i in range(CRITICAL_SCAN_POINTS):
-        a, b, ga, gb = xs[i], xs[i + 1], gs[i], gs[i + 1]
-        if ga == 0.0:
-            roots.append(a)
-            continue
-        if (ga > 0.0) == (gb > 0.0) and gb != 0.0:
-            continue
-        # bisect past the 1e-15 contract all the way to float resolution, so
-        # the residual derivative at the root is dominated by rounding alone
-        while True:
-            m = 0.5 * (a + b)
-            if not (a < m < b):
-                break
-            gm = bivalent_missing_mass_prime(n, t, m)
-            if gm == 0.0:
-                a = b = m
-                break
-            if (gm > 0.0) == (ga > 0.0):
-                a, ga = m, gm
-            else:
-                b, gb = m, gm
-        roots.append(0.5 * (a + b))
-    if gs[-1] == 0.0:
-        roots.append(xs[-1])
-    return roots
+    a, b = lo, np.minimum(2.0 / (t + 1), (1.0 - 1e-9) / n)
+    found, rows = b > a, np.arange(len(t))
+    while True:
+        # a cell within a factor 2 of 1/(t+1) has an exact width b - a, so
+        # the samples stay inside it
+        x = a[:, None] + (b - a)[:, None] * _SCAN
+        rising = _prime(n, t[:, None], x) > 0.0
+        turn = rising[:, :-1] & ~rising[:, 1:]
+        i = np.argmax(turn, axis=1)
+        found &= turn[rows, i]
+        if np.array_equal(x[rows, i], a) and np.array_equal(x[rows, i + 1], b):
+            break
+        a, b = x[rows, i], x[rows, i + 1]
+    peak = np.nextafter(lo, 1.0)
+    root = np.where(found, np.maximum(0.5 * (a + b), peak), peak)
+    v_root, v_peak = _value(n, t, root), _value(n, t, peak)
+    better = v_peak > v_root  # the root on ties
+    return np.where(better, peak, root), np.where(better, v_peak, v_root)
 
 
 def maximize_missing_mass(n: int, t: int) -> ExtremalSolution:
     """Global maximizer of E[U_t] over distributions on n atoms.
 
-    For t <= n the uniform distribution is certified optimal.  Otherwise
-    every interior critical point of the one-variable family inside
-    (1/(t+1), 1/t) is located and the best one is compared against the
+    For t <= n the uniform distribution is certified optimal.  Otherwise the
+    best interior light mass inside (1/(t+1), 1/t) is compared against the
     uniform value; ties go to the uniform.
     """
     _require(n, t)
     uval = uniform_value(n, t)
     if t > n:
-        # Strictly-interior representable bracket.  For extreme t the heavy
-        # term underflows and the true maximizer sits within one float
-        # spacing of the kernel peak, so the first float past the peak is
-        # always offered as a candidate and winners are clamped inside.
-        lo_open = math.nextafter(1.0 / (t + 1), 1.0)
-        candidates = _interior_critical_points(n, t)
-        if lo_open < 1.0 / t:
-            candidates.append(lo_open)
-        best_x, best_v = None, -math.inf
-        for x in candidates:
-            x = max(x, lo_open)
-            v = bivalent_missing_mass(n, t, x)
-            if v > best_v:
-                best_x, best_v = x, v
-        if best_x is not None and best_v > uval:
-            return ExtremalSolution(
-                n=n,
-                t=t,
-                x_star=best_x,
-                heavy=1.0 - (n - 1) * best_x,
-                value=best_v,
-                is_uniform=False,
-            )
-    return ExtremalSolution(
-        n=n, t=t, x_star=1.0 / n, heavy=1.0 / n, value=uval, is_uniform=True
-    )
+        [x], [value] = _solve(n, np.array([t]))
+        if value > uval:
+            x = float(x)
+            return ExtremalSolution(n=n, t=t, x_star=x, heavy=1.0 - (n - 1) * x,
+                                    value=float(value), is_uniform=False)
+    return ExtremalSolution(n=n, t=t, x_star=1.0 / n, heavy=1.0 / n, value=uval, is_uniform=True)
 
 
 def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
     """Scan t = n+1, n+2, ... for the first strict win of an interior light
     mass over the uniform distribution, verifying the win persists through
-    the rest of the scan.
+    the rest of the scan.  The scan is solved in slices of at most
+    SLICE_CELLS derivative samples, so its memory does not grow with n.
     """
     _require(n)
     budget = n + max(10, math.ceil(10.0 * math.sqrt(n)))
@@ -239,17 +219,21 @@ def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
         raise InvalidInputError(
             f"t_max={t_max} is below the scan budget {budget} for n={n}"
         )
+    step = max(1, SLICE_CELLS // len(_SCAN))
     tau, margin = None, None
-    for t in range(n + 1, t_max + 1):
-        sol = maximize_missing_mass(n, t)
-        win = not sol.is_uniform
-        if tau is None:
-            if win:
-                tau = t
-                margin = sol.value - uniform_value(n, t)
-        elif not win:
+    for start in range(n + 1, t_max + 1, step):
+        t = np.arange(start, min(start + step, t_max + 1))
+        _, values = _solve(n, t)
+        uval = pow_one_minus(1.0 / n, t)
+        win = values > uval
+        if tau is None and win.any():
+            i = int(np.argmax(win))
+            tau, margin = int(t[i]), float(values[i] - uval[i])
+            t, win = t[i:], win[i:]
+        if tau is not None and not win.all():
             raise MissingMassError(
-                f"win indicator not monotone: n={n} wins at t={tau} but loses at t={t}"
+                f"win indicator not monotone: n={n} wins at t={tau} "
+                f"but loses at t={int(t[np.argmin(win)])}"
             )
     if tau is None:
         raise ThresholdNotFoundError(n, t_max)

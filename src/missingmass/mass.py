@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import BlockVector, CountableFamily, ProbVector, Truncation, truncate
 from .errors import InvalidInputError, require_t
-from .numerics import pow_one_minus, pow_one_minus_array
+from .numerics import pow_one_minus
 
 # Ships the empirically calibrated universal constant for the countable-support
 # bound ell/(c*t).  On the dyadic-block grid a in 2..64, t in (a, 100a] the
@@ -43,7 +43,7 @@ def _kernel_sum(m: np.ndarray, c: np.ndarray, t: int, k: int = 1, s: int = 0) ->
     Comput. 14(4), 1993).
     """
     w = c * m if k == 1 else c * m * m
-    return math.fsum((w * pow_one_minus_array(m, t - s)).tolist())
+    return math.fsum((w * pow_one_minus(m, t - s)).tolist())
 
 
 def expected_missing_mass(d: ProbVector | BlockVector, t: int, *, allow_zero: bool = False) -> float:
@@ -75,7 +75,7 @@ def kernel(x: float, t: int) -> float:
     if not (0.0 <= x <= 1.0):
         raise InvalidInputError(f"kernel argument must lie in [0, 1], got {x}")
     require_t(t)
-    return x * pow_one_minus(x, t)
+    return float(x * pow_one_minus(x, t))
 
 
 def kernel_prime(x: float, t: int) -> float:
@@ -83,7 +83,7 @@ def kernel_prime(x: float, t: int) -> float:
     if not (0.0 <= x <= 1.0):
         raise InvalidInputError(f"kernel argument must lie in [0, 1], got {x}")
     require_t(t)
-    return pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x)
+    return float(pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x))
 
 
 def kernel_peak(t: int) -> float:

@@ -62,6 +62,23 @@ class TestEmm:
         assert out == ""
         assert "empty" in err
 
+    @pytest.mark.parametrize("command", ["emm", "bounds"])
+    def test_negative_step_includes_stop(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--family", "uniform", "--n", "5",
+                               "--t-grid", "5:1:-1")
+        assert code == 0
+        obj = json.loads(out)
+        ts = [row["t"] for row in obj] if command == "bounds" else obj["t"]
+        assert ts == [5, 4, 3, 2, 1]
+
+    @pytest.mark.parametrize("grid", ["1:5:0", "", "1:2:3:4"])
+    def test_malformed_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "emm", "--family", "uniform", "--n", "5",
+                                 "--t-grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"mml emm: t grid {grid!r}")
+
     def test_dist_file_csv(self, tmp_path, capsys):
         f = tmp_path / "d.csv"
         f.write_text("0.5\n0.5\n")

@@ -18,6 +18,7 @@ from missingmass import (
     greedy_eps_net,
     mc_eps_missing_mass,
 )
+from missingmass.cover import ball_masses
 
 
 @pytest.fixture
@@ -179,6 +180,29 @@ class TestExpectedEpsMissingMass:
         for t in (1, 5, 25):
             vals = [expected_eps_missing_mass(cloud, t, float(eps)) for eps in qs]
             assert vals == sorted(vals, reverse=True)
+
+
+class TestBallMasses:
+    def test_row_sums_independent_of_slicing(self, rng):
+        cloud = random_cloud(rng, 300, 2, skewed=True)
+        d, eps = cloud.distances(), 0.2
+        balls = ball_masses(cloud, eps)
+        assert balls.tolist() == [float(np.sum(np.where(row <= eps, cloud.masses, 0.0)))
+                                  for row in d]
+        assert np.allclose(balls, [math.fsum(cloud.masses[row <= eps]) for row in d],
+                           rtol=1e-15, atol=0.0)
+
+    def test_memory_bounded(self):
+        # a dense float copy of the ball matrix would be 8 MB here
+        cloud = random_cloud(np.random.default_rng(7), 1000, 2)
+        cloud.distances()  # cached before tracing: the matrix is the input
+        tracemalloc.start()
+        try:
+            ball_masses(cloud, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestCoveringBound:

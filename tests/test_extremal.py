@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,12 @@ class TestMaximize:
             d = sol.to_prob_vector()
             assert expected_missing_mass(d, t) == pytest.approx(sol.value, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [10 ** 6, 10 ** 9])
+    def test_strict_bracket_at_huge_t(self, t):
+        sol = maximize_missing_mass(10, t)
+        assert not sol.is_uniform
+        assert 1.0 / (t + 1) < sol.x_star < 1.0 / t
+
     def test_interior_derivative_small(self):
         for n, t in [(10, 20), (100, 130), (1000, 1100)]:
             sol = maximize_missing_mass(n, t)
@@ -165,6 +172,22 @@ class TestThreshold:
         res = find_threshold(n)
         assert res.tau > n
         assert res.margin_at_tau > 0.0
+
+    @pytest.mark.parametrize("n,tau", [(2, 4), (3, 5), (5, 8), (10, 15), (37, 46), (100, 114),
+                                       (1000, 1045), (10000, 10142)])
+    def test_pinned_table(self, n, tau):
+        assert find_threshold(n).tau == tau
+
+    def test_memory_flat_at_a_million_atoms(self):
+        # one unsliced solve over the 10^4 scanned t would peak near 35 MB
+        tracemalloc.start()
+        try:
+            res = find_threshold(10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert res.tau == 1001414
 
     def test_scan_budget_validation(self):
         with pytest.raises(InvalidInputError):

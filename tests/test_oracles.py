@@ -1,10 +1,10 @@
 """Exact-arithmetic oracles for the closed forms, and their extreme inputs.
 
 Every float mass is a rational number, so E[U_t], the Good-Turing
-expectation, the singleton mass and the dyadic bands have exact values as
-`fractions.Fraction`s of the very floats a distribution holds.  The library
-must land within 1e-12 relative of them whichever front door (`ProbVector`,
-`BlockVector`, `Truncation`) the masses came through.
+expectation, the singleton mass, the dyadic bands and the one-heavy family
+have exact values as `fractions.Fraction`s of the very floats a distribution
+holds.  The library must land within 1e-12 relative of them whichever front
+door (`ProbVector`, `BlockVector`, `Truncation`) the masses came through.
 """
 
 import math
@@ -21,15 +21,19 @@ from missingmass import (
     CountableFamily,
     ProbVector,
     Truncation,
+    bivalent_missing_mass,
+    bivalent_missing_mass_prime,
+    bound_finite,
     dyadic_bands,
     expected_missing_mass,
     expected_missing_mass_interval,
     gt_bias,
     gt_expected_estimate,
+    maximize_missing_mass,
     singleton_mass_expectation,
     truncate,
 )
-from missingmass.numerics import pow_one_minus, pow_one_minus_array
+from missingmass.numerics import pow_one_minus, pow_unit
 
 REL = Fraction(1, 10 ** 12)
 small_t = st.integers(min_value=1, max_value=30)
@@ -86,6 +90,14 @@ def truncation_inputs(draw):
 
 
 finite_inputs = st.one_of(prob_vector_inputs(), block_vector_inputs())
+
+
+@st.composite
+def bivalent_inputs(draw):
+    """A support size n <= 8 and a light mass x, the float of a rational in [0, 1/n]."""
+    n = draw(st.integers(2, 8))
+    x = draw(st.fractions(min_value=0, max_value=Fraction(1, n), max_denominator=10 ** 6))
+    return n, float(x)
 
 
 class TestExactOracles:
@@ -180,11 +192,71 @@ class TestExtremeInputs:
         assert hi == lo + trunc.tail
 
 
+class TestExtremalOracles:
+    @given(bivalent_inputs(), small_t)
+    def test_bivalent_value(self, given_nx, t):
+        n, x = given_nx
+        light = (n - 1) * Fraction(x)
+        exact = light * (1 - Fraction(x)) ** t + (1 - light) * light ** t
+        assert close(bivalent_missing_mass(n, t, x), exact)
+
+    @given(bivalent_inputs(), small_t)
+    def test_bivalent_prime(self, given_nx, t):
+        """Within 1e-12 of the sum of the magnitudes of its terms: the light
+        and heavy parts cancel at every critical point, x = 1/n included, so a
+        relative error would be unbounded exactly where it matters least."""
+        n, x = given_nx
+        x_, light = Fraction(x), (n - 1) * Fraction(x)
+        light_pow, heavy_pow = (1 - x_) ** (t - 1), light ** (t - 1)
+        exact = (n - 1) * (light_pow * (1 - (t + 1) * x_) + heavy_pow * (t - (t + 1) * light))
+        scale = (n - 1) * (light_pow * (1 + (t + 1) * x_) + heavy_pow * (t + (t + 1) * light))
+        assert abs(Fraction(bivalent_missing_mass_prime(n, t, x)) - exact) <= REL * scale
+
+    @given(bivalent_inputs(), small_t)
+    def test_bound_finite_holds_exactly(self, given_nx, t):
+        """E[U_t] <= bound_finite(n, t) over the exact sum of the stored masses,
+        at the drawn light mass and at the maximizer of the family."""
+        n, x = given_nx
+        bound = bound_finite(n, t)
+        dists = [maximize_missing_mass(n, t).to_prob_vector()]
+        if x > 0.0:
+            dists.append(ProbVector([x] * (n - 1) + [1.0 - (n - 1) * x]))
+        for d in dists:
+            assert exact_sum(d.masses, t) <= Fraction(bound)
+            assert expected_missing_mass(d, t) <= bound
+
+
+POWER_BASES = [1e-300, 1e-9, 1e-8, 1e-3, 0.25, 0.5, 1.0 - 2.0 ** -52, 1.0]
+POWER_EXPONENTS = [0, 1, 2, 63, 64, 10 ** 9]
+
+
+def decimal_pow(base: float, t: int, one_minus: bool = False) -> float:
+    """base^t, or (1 - base)^t, computed with 50-digit Decimals and rounded to a float."""
+    if t == 0:
+        return 1.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float((1 - Decimal(base) if one_minus else Decimal(base)) ** t)
+
+
 class TestPowerPolicy:
-    @pytest.mark.parametrize("t", [0, 1, 2, 63, 64, 10 ** 9])
+    @pytest.mark.parametrize("t", POWER_EXPONENTS)
     def test_array_twin_matches_scalar(self, t):
-        ps = [1e-300, 1e-9, 1e-8, 1e-3, 0.25, 0.5, 1.0 - 2.0 ** -52, 1.0]
-        got = pow_one_minus_array(np.array(ps), t)
-        for p, g in zip(ps, got.tolist()):
-            want = pow_one_minus(p, t)
-            assert g == pytest.approx(want, rel=1e-13, abs=0.0)
+        """Over an array of masses, pow_one_minus equals its value mass by mass
+        and lies within 1e-13 relative of a 50-digit Decimal reference."""
+        got = pow_one_minus(np.array(POWER_BASES), t)
+        for p, g in zip(POWER_BASES, got.tolist()):
+            assert g == float(pow_one_minus(p, t))
+            assert g == pytest.approx(decimal_pow(p, t, one_minus=True), rel=1e-13, abs=0.0)
+
+    def test_array_exponents(self):
+        """Both powers over a (bases x exponents) grid, which mixes the direct
+        and the log-space branches in one call."""
+        bases = np.array(POWER_BASES)[:, None]
+        ts = np.array(POWER_EXPONENTS)[None, :]
+        one_minus, unit = pow_one_minus(bases, ts), pow_unit(bases, ts)
+        for i, b in enumerate(POWER_BASES):
+            for j, t in enumerate(POWER_EXPONENTS):
+                assert one_minus[i, j] == pytest.approx(
+                    decimal_pow(b, t, one_minus=True), rel=1e-13, abs=0.0)
+                assert unit[i, j] == pytest.approx(decimal_pow(b, t), rel=1e-13, abs=0.0)
