@@ -3,10 +3,15 @@ covering-number bound.
 
 A point is eps-missed by a sample when no draw lands within distance eps of
 it (closed balls, so boundary points count as covered).  The expected
-eps-missing mass is controlled by N(eps)/(e t) where N(eps) is the covering
-number; a greedy farthest-point net gives the certified upper bound
+eps-missing mass is compared against N(eps)/(e t), where N(eps) is the
+covering number; a greedy farthest-point net gives the certified upper bound
 N_hat(eps) >= N(eps), and an exact set-cover search is available for small
 clouds.
+
+Caveat: with closed radius-eps balls that comparison is not a valid bound in
+general.  Two clusters under one ball break it, since the argument needs
+cells of diameter eps, and covering_bound_report's ``ok`` is False on about
+1 in 6 seeded random clouds of the acceptance criterion C10's kind.
 """
 
 from __future__ import annotations
@@ -204,7 +209,8 @@ EXACT_COVER_LIMIT = 20
 
 
 def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
-    """Bound check record: expected eps-missing mass against net_size/(e t).
+    """Expected eps-missing mass against net_size/(e t); not a valid bound in
+    general (see the module docstring), so ``ok`` may be False.
 
     The greedy net certifies N_hat(eps) >= N(eps) on any cloud; on clouds
     small enough for exhaustive set cover the exact covering number replaces

@@ -146,6 +146,15 @@ class TestConstruct:
         assert code == 0
         assert "blocks" in json.loads(out)
 
+    def test_rate_lb_past_the_doubling_cap(self, tmp_path, capsys):
+        f = tmp_path / "r.json"
+        f.write_text(json.dumps([1 - 1e-15 * t for t in range(1, 11)] + [0.8, 0.7]))
+        code, out, err = run_cli(capsys, "construct", "--kind", "rate-lb",
+                                 "--r-file", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == "mml construct: targets not dominated within 40 doublings\n"
+
 
 class TestGt:
     def test_identity_in_output(self, capsys):

@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 
 from missingmass import (
     BlockVector,
+    ConstructionFailedError,
     CountableFamily,
     ProbVector,
     Truncation,
@@ -30,6 +31,7 @@ from missingmass import (
     gt_bias,
     gt_expected_estimate,
     maximize_missing_mass,
+    rate_lb,
     singleton_mass_expectation,
     truncate,
 )
@@ -190,6 +192,23 @@ class TestExtremeInputs:
         lo, hi = expected_missing_mass_interval(trunc, 10 ** 9)
         assert lo == pytest.approx(float(exact), rel=1e-12)
         assert hi == lo + trunc.tail
+
+    def test_subnormal_tolerance(self):
+        # 5e-324 is the smallest subnormal: the geometric tail 2^-N reaches it
+        trunc = truncate(CountableFamily.geometric(0.5), 5e-324)
+        assert isinstance(trunc, Truncation)
+        assert 0.0 < trunc.tail <= 5e-324
+
+    def test_unsorted_explicit_masses(self):
+        trunc = truncate(CountableFamily.explicit([0.1, 0.5, 0.4]), 1e-9)
+        assert trunc.blocks == ((0.1, 1), (0.4, 1), (0.5, 1))
+        assert trunc.tail == 0.0
+
+    def test_rate_lb_stops_at_the_doubling_cap(self):
+        # targets within 1e-14 of 1 stay out of reach of any finite doubling
+        targets = [1 - 1e-15 * t for t in range(1, 11)] + [0.8, 0.7]
+        with pytest.raises(ConstructionFailedError, match="within 40 doublings"):
+            rate_lb(targets)
 
 
 class TestExtremalOracles:

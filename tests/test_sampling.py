@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -18,13 +19,22 @@ from missingmass import (
     good_turing,
     gt_bias,
     gt_expected_estimate,
+    mc_eps_missing_mass,
     monte_carlo,
     verify_bias,
     verify_concentration,
 )
 from missingmass import sampling
 from missingmass.cover import _eps_missing_rows
-from missingmass.sampling import BLOCK, _bias_rows, _counts, _missing_rows
+from missingmass.sampling import (
+    BLOCK,
+    GUIDE_CELLS,
+    _bias_rows,
+    _counts,
+    _guide_table,
+    _inverse_cdf,
+    _missing_rows,
+)
 
 
 class TestDrawSample:
@@ -191,6 +201,130 @@ class TestMonteCarlo:
             assert abs(missing[i] - empirical_missing_mass(self.D, sc)) <= 1e-15
             assert abs(bias[i] - (good_turing(sc) - empirical_missing_mass(self.D, sc))) <= 1e-15
             assert abs(eps_missing[i] - eps_missing_mass(cloud, row, 0.25)) <= 1e-15
+
+
+def _random_support(n, seed=0):
+    w = np.random.default_rng(seed).random(n) + 0.01
+    return ProbVector(w / w.sum(), normalize=True)
+
+
+# 2^-1, ..., 2^-59 and a second 2^-59: the tiny atoms share one bucket
+GEOMETRIC = ProbVector([0.5 ** k for k in range(1, 60)] + [0.5 ** 59])
+
+
+def _reference_indices(masses, t, replicates, seed):
+    """The plain inverse CDF: searchsorted on the same substream uniforms."""
+    cum = np.cumsum(masses)
+    cum[-1] = 1.0
+    blocks = []
+    for b, start in enumerate(range(0, replicates, BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        u = rng.random((min(BLOCK, replicates - start), t))
+        blocks.append(np.searchsorted(cum, u, side="right"))
+    return np.concatenate(blocks)
+
+
+def _adversarial_uniforms(cum, buckets):
+    """Every bucket edge k/K and every cum value, with their float neighbours."""
+    edges = np.concatenate([np.arange(buckets) / buckets, cum, [0.0, 1.0]])
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+class TestGuideTable:
+    """The guide-table search returns exactly searchsorted(cum, u, side="right")."""
+
+    def _check_engine(self, d, t=50, replicates=100, seed=5):
+        idx = monte_carlo(d.masses, t, replicates, seed, lambda idx: idx)
+        ref = _reference_indices(d.masses, t, replicates, seed)
+        assert idx.dtype == ref.dtype
+        assert np.array_equal(idx, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 2000])
+    def test_engine_on_random_supports(self, n):
+        self._check_engine(_random_support(n, seed=n))
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_engine_on_bucket_edges(self, n):
+        # every cumulative sum i/n is exact and lands on a bucket edge k/K
+        cum = np.cumsum(ProbVector.uniform(n).masses)
+        buckets = len(_guide_table(cum))
+        assert np.isin(cum, np.arange(buckets + 1) / buckets).all()
+        self._check_engine(ProbVector.uniform(n))
+
+    def test_engine_on_skewed_support_uses_fallback(self):
+        cum = np.cumsum(GEOMETRIC.masses)
+        lo = _guide_table(cum)
+        u = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,))).random((BLOCK, 1000))
+        steps = np.searchsorted(cum, u, side="right") - lo[(u * len(lo)).astype(np.intp)]
+        assert steps.max() > sampling.GUIDE_PASSES  # some draws reach searchsorted
+        self._check_engine(GEOMETRIC, t=1000)
+
+    @pytest.mark.parametrize("passes", [0, 1, 64])
+    def test_any_pass_count(self, monkeypatch, passes):
+        monkeypatch.setattr(sampling, "GUIDE_PASSES", passes)
+        self._check_engine(GEOMETRIC, t=200)
+        self._check_engine(_random_support(50), t=200)
+
+    def test_capped_table(self, monkeypatch):
+        monkeypatch.setattr(sampling, "GUIDE_CELLS", 4)  # 500 atoms per bucket
+        cum = np.cumsum(_random_support(2000).masses)
+        assert len(_guide_table(cum)) == 4
+        self._check_engine(_random_support(2000))
+
+    @pytest.mark.parametrize("n, buckets", [
+        (1, 4), (2, 8), (3, 16), (1000, 4096), (16_384, GUIDE_CELLS), (20_000, GUIDE_CELLS),
+    ])
+    def test_table_size(self, n, buckets):
+        # the next power of two >= 4n, capped
+        assert len(_guide_table(np.linspace(1.0 / n, 1.0, n))) == buckets
+
+    @pytest.mark.parametrize("d", [
+        ProbVector([1.0]), ProbVector.uniform(4), ProbVector.uniform(64),
+        _random_support(50), _random_support(2000), GEOMETRIC,
+    ], ids=["point", "uniform4", "uniform64", "random50", "random2000", "geometric"])
+    def test_search_on_adversarial_uniforms(self, d):
+        cum = np.cumsum(d.masses)
+        cum[-1] = 1.0
+        lo = _guide_table(cum)
+        u = _adversarial_uniforms(cum, len(lo))
+        assert u.max() == np.nextafter(1.0, 0.0)
+        ref = np.searchsorted(cum, u, side="right")
+        assert np.array_equal(_inverse_cdf(cum, lo, u), ref)
+        rows = u[: len(u) // 3 * 3].reshape(3, -1)
+        assert np.array_equal(_inverse_cdf(cum, lo, rows), np.searchsorted(cum, rows, side="right"))
+
+
+class TestPinnedValues:
+    """Seeded values recorded under the plain searchsorted sampler; any change
+    to the sampler that moves a draw moves one of them."""
+
+    def test_verify_bias(self):
+        w = np.random.default_rng(2024).random(2000)
+        rep = verify_bias(ProbVector(w / w.sum(), normalize=True), 500, 1000, 17)
+        assert json.dumps(rep.to_json_obj()) == (
+            '{"estimate": 0.0002647216180160227, "std_error": 0.0008911429979292482, '
+            '"replicates": 1000, "seed": 17, "bound": 0.00045873017100606095, '
+            '"violated": false}')
+
+    def test_verify_concentration(self):
+        rep = verify_concentration(GEOMETRIC, 100, 0.05, 10_000, 23)
+        assert json.dumps(rep.to_json_obj()) == (
+            '{"estimate": 0.014276977908611297, "std_error": 0.00010269657216745863, '
+            '"replicates": 10000, "seed": 23, "exceed_freq": 0.0022, '
+            '"bound": 1.5576015661428098, "violated": false}')
+
+    def test_mc_eps_missing_mass(self):
+        coords = np.random.default_rng(5).random((300, 2))
+        rep = mc_eps_missing_mass(PointCloud([1 / 300] * 300, coords=coords), 100, 0.08, 1000, 31)
+        assert json.dumps(rep.to_json_obj()) == (
+            '{"estimate": 0.14261333333333334, "std_error": 0.0009254814388584188, '
+            '"replicates": 1000, "seed": 31, "bound": 0.14205957414632403, '
+            '"violated": false}')
+
+    def test_draw_sample(self):
+        counts = draw_sample(GEOMETRIC, 1000, 43).counts
+        assert counts == (0,) * 44 + (1, 0, 0, 1, 0, 0, 0, 2, 8, 5, 11, 37, 70, 126, 230, 509)
 
 
 class TestVerifyConcentration:
