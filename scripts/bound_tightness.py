@@ -3,8 +3,9 @@
 
 Prints t * E[U_t] normalized by (n-1) for the two-level finite construction
 and by a for the dyadic-block family.  The finite column is pinned between
-8/27 and 1/e; the countable column calibrates the default constant of the
-countable-support bound (its observed maximum is 1/c).
+8/27 and 1/e; the countable column stays below C* = 1.44270930, the sharp
+constant of the countable-support bound E[U_t] <= ell C*/t (proved in the
+``missingmass.mass`` docstring), so any c <= 1/C* = 0.69314033 is valid.
 """
 
 import argparse

@@ -133,10 +133,7 @@ def _csv_cell(v) -> str:
 def _cmd_emm(args) -> int:
     d = _load_distribution(args)
     ts = _parse_t_values(args)
-    if isinstance(d, CountableFamily):
-        curve = mass.missing_mass_curve(d, ts, tol=args.tol)
-    else:
-        curve = mass.missing_mass_curve(d, ts)
+    curve = mass.missing_mass_curve(d, ts, tol=args.tol)
     if len(ts) == 1:
         one = {"t": ts[0], "value": curve.values[0]}
         if curve.lower[0] != curve.upper[0]:
@@ -249,8 +246,7 @@ def _cmd_simulate(args) -> int:
         d = _load_distribution(args)
         if isinstance(d, CountableFamily):
             raise MissingMassError("simulation needs a finite distribution")
-        if isinstance(d, BlockVector):
-            d = d.to_prob_vector()
+        d = d.to_prob_vector()  # the sampler visits every atom: cap the support
         if args.mode == "bias":
             report = sampling.verify_bias(d, args.t, args.replicates, args.seed)
         else:
@@ -372,10 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except MissingMassError as exc:
-        print(f"mml {args.command}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (MissingMassError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"mml {args.command}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

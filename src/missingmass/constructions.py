@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .distributions import BlockVector, CountableFamily, ProbVector, doubling_operator
-from .errors import ConstructionFailedError, InvalidInputError
+from .errors import ConstructionFailedError, InvalidInputError, require_int, require_real, require_t
 from .mass import expected_missing_mass
 
 MAX_DOUBLINGS = 40
@@ -27,10 +27,8 @@ def tight_finite(n: int, t: int) -> ProbVector:
 
     Requires t > n so the heavy atom genuinely dominates the light mass.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidInputError(f"need integer n >= 2, got {n!r}")
-    if not isinstance(t, int) or t <= n:
-        raise InvalidInputError(f"need integer t > n={n}, got {t!r}")
+    n = require_int(n, "support size n", 2)
+    t = require_t(t, n + 1)
     x = 1.0 / (t + 1)
     return ProbVector([x] * (n - 1) + [1.0 - (n - 1) * x])
 
@@ -41,24 +39,20 @@ def tight_countable(a: int, truncation_tol: float = 1e-9) -> CountableFamily:
     Block k carries total mass 2^-k, so the plateau length is exactly a and
     every truncation at a block boundary has tail 2^-k.
     """
-    if not isinstance(a, int) or a < 2:
-        raise InvalidInputError(f"need integer a >= 2, got {a!r}")
     return CountableFamily.dyadic_blocks(a, truncation_tol=truncation_tol)
 
 
 def inverse_log_targets(t_max: int) -> list[float]:
     """The slowly vanishing target sequence r_t = 1/ln(t+2)."""
-    if t_max < 1:
-        raise InvalidInputError("t_max must be >= 1")
+    t_max = require_int(t_max, "horizon t_max", 1)
     return [1.0 / math.log(t + 2) for t in range(1, t_max + 1)]
 
 
 def geometric_targets(t_max: int, ratio: float = 0.5, scale: float = 0.9) -> list[float]:
     """Rapidly vanishing targets r_t = scale * ratio^t."""
-    if t_max < 1:
-        raise InvalidInputError("t_max must be >= 1")
-    if not (0.0 < ratio < 1.0 and 0.0 < scale < 1.0):
-        raise InvalidInputError("need ratio and scale in (0, 1)")
+    t_max = require_int(t_max, "horizon t_max", 1)
+    require_real(ratio, "ratio", 0.0, 1.0, "()")
+    require_real(scale, "scale", 0.0, 1.0, "()")
     return [scale * ratio ** t for t in range(1, t_max + 1)]
 
 
@@ -80,9 +74,9 @@ def rate_lb(targets, max_doublings: int = MAX_DOUBLINGS) -> BlockVector:
     t_max = len(r)
     if t_max < 1:
         raise InvalidInputError("target sequence must be nonempty")
-    if r[0] >= 1.0 or r[-1] <= 0.0:
-        raise InvalidInputError("targets must lie strictly inside (0, 1)")
-    if any(r[i] <= r[i + 1] for i in range(t_max - 1)):
+    require_real(r[0], "first target", 0.0, 1.0, "()")
+    require_real(r[-1], "last target", 0.0, 1.0, "()")
+    if not all(r[i] > r[i + 1] for i in range(t_max - 1)):
         raise InvalidInputError("targets must be strictly decreasing")
 
     tau = next((t for t in range(11, t_max + 1) if r[t - 1] < 0.9), None)

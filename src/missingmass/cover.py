@@ -23,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProbVector
-from .errors import InvalidInputError, require_t
+from .distributions import validate_masses
+from .errors import InvalidInputError, require_int, require_real, require_t
 from .numerics import SLICE_CELLS, pow_one_minus
 from .sampling import McReport, mean_report, monte_carlo
 
 MATRIX_TOL = 1e-9
+# Largest cloud that exact_covering_number's branch-and-bound accepts, and
+# below which covering_bound_report uses it instead of the greedy net.
+EXACT_COVER_LIMIT = 20
 # Cap on the cells of one (rows, t, n) gather of eps-ball hits: a block's rows
 # are reduced in chunks of at most this many cells, so memory stays bounded
 # at any cloud size and t, and the values do not depend on the chunking.
@@ -38,18 +41,16 @@ GATHER_CELLS = 1 << 22
 class PointCloud:
     """Finite metric probability space: points, masses, and a distance oracle.
 
-    Either Euclidean coordinates or an explicit distance matrix; explicit
-    matrices are validated (symmetry, zero diagonal, nonnegativity, triangle
-    inequality within 1e-9) on construction.
+    Either Euclidean coordinates or an explicit distance matrix, every entry
+    finite; explicit matrices are validated (symmetry, zero diagonal,
+    nonnegativity, triangle inequality within 1e-9) on construction.  The
+    masses, kept in point order, pass the distributions' mass validator.
     """
 
     def __init__(self, masses, *, coords=None, matrix=None, normalize: bool = False):
         if (coords is None) == (matrix is None):
             raise InvalidInputError("give exactly one of coords or matrix")
-        ProbVector(masses, normalize=normalize)  # runs the distribution invariants
-        self.masses = np.array([float(m) for m in masses])
-        if normalize:
-            self.masses /= math.fsum(self.masses.tolist())
+        self.masses = validate_masses(masses, normalize=normalize)[0]
         self.n = len(self.masses)
         if coords is not None:
             pts = np.asarray(coords, dtype=float)
@@ -59,6 +60,8 @@ class PointCloud:
                 raise InvalidInputError(
                     f"coords must be (n, d) with n={self.n}, got shape {pts.shape}"
                 )
+            if not np.isfinite(pts).all():
+                raise InvalidInputError("coordinates must be finite")
             self.coords = pts
             self.metric = "euclidean"
             self._dist = None
@@ -75,6 +78,8 @@ class PointCloud:
 
     @staticmethod
     def _validate_matrix(d: np.ndarray) -> None:
+        if not np.isfinite(d).all():
+            raise InvalidInputError("distance matrix entries must be finite")
         if np.any(d < -MATRIX_TOL):
             raise InvalidInputError("distance matrix has negative entries")
         if np.max(np.abs(np.diagonal(d))) > MATRIX_TOL:
@@ -153,8 +158,7 @@ def greedy_eps_net(cloud: PointCloud, eps: float) -> EpsNet:
     Deterministic: starts at the largest-mass point (ties to the lowest
     index) and repeatedly adds the point farthest from the current net.
     """
-    if not (eps > 0.0):
-        raise InvalidInputError(f"radius eps must be positive, got {eps}")
+    require_real(eps, "radius eps", 0.0, math.inf, "(]")
     d = cloud.distances()
     start = int(np.argmax(cloud.masses))
     centers = [start]
@@ -168,12 +172,11 @@ def greedy_eps_net(cloud: PointCloud, eps: float) -> EpsNet:
 
 def eps_missing_mass(cloud: PointCloud, sample_indices, eps: float) -> float:
     """Mass of the points left outside every closed eps-ball of the sample."""
-    if not (eps > 0.0):
-        raise InvalidInputError(f"radius eps must be positive, got {eps}")
-    idx = [int(i) for i in sample_indices]
+    require_real(eps, "radius eps", 0.0, math.inf, "(]")
+    idx = [require_int(i, "sample index", 0) for i in sample_indices]
     if not idx:
         raise InvalidInputError("sample must contain at least one point")
-    if any(i < 0 or i >= cloud.n for i in idx):
+    if max(idx) >= cloud.n:
         raise InvalidInputError("sample index out of range")
     min_dist = cloud.distances()[idx].min(axis=0)
     return math.fsum(cloud.masses[min_dist > eps])
@@ -186,8 +189,7 @@ def ball_masses(cloud: PointCloud, eps: float) -> np.ndarray:
     slices of at most SLICE_CELLS cells, so the value of a row depends on
     neither the slicing nor the BLAS build or its thread count.
     """
-    if not (eps > 0.0):
-        raise InvalidInputError(f"radius eps must be positive, got {eps}")
+    require_real(eps, "radius eps", 0.0, math.inf, "(]")
     d = cloud.distances()
     step = max(1, SLICE_CELLS // cloud.n)
     return np.concatenate([np.where(d[r:r + step] <= eps, cloud.masses, 0.0).sum(axis=1)
@@ -203,9 +205,6 @@ def expected_eps_missing_mass(cloud: PointCloud, t: int, eps: float) -> float:
     require_t(t)
     balls = np.minimum(ball_masses(cloud, eps), 1.0)
     return math.fsum((cloud.masses * pow_one_minus(balls, t)).tolist())
-
-
-EXACT_COVER_LIMIT = 20
 
 
 def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
@@ -244,10 +243,8 @@ def mc_eps_missing_mass(
     cloud: PointCloud, t: int, eps: float, replicates: int, seed: int
 ) -> McReport:
     """Monte Carlo mean eps-missing mass, checked against the closed form."""
-    if replicates < 1000:
-        raise InvalidInputError("eps-missing-mass MC needs at least 1000 replicates")
-    if not (eps > 0.0):
-        raise InvalidInputError(f"radius eps must be positive, got {eps}")
+    require_int(replicates, "eps-missing-mass replicates", 1000)
+    require_real(eps, "radius eps", 0.0, math.inf, "(]")
     near = cloud.distances() <= eps
     values = monte_carlo(
         cloud.masses, t, replicates, seed, lambda idx: _eps_missing_rows(near, cloud.masses, idx)
@@ -255,15 +252,15 @@ def mc_eps_missing_mass(
     return mean_report(values, expected_eps_missing_mass(cloud, t, eps), seed)
 
 
-def exact_covering_number(cloud: PointCloud, eps: float, max_points: int = 20) -> int:
+def exact_covering_number(cloud: PointCloud, eps: float) -> int:
     """Minimum number of closed eps-balls (centered at cloud points) covering
-    the cloud, by exact branch-and-bound set cover.  Small clouds only."""
-    if cloud.n > max_points:
+    the cloud, by exact branch-and-bound set cover; clouds of at most
+    EXACT_COVER_LIMIT points only."""
+    if cloud.n > EXACT_COVER_LIMIT:
         raise InvalidInputError(
-            f"exact cover is limited to {max_points} points, cloud has {cloud.n}"
+            f"exact cover is limited to {EXACT_COVER_LIMIT} points, cloud has {cloud.n}"
         )
-    if not (eps > 0.0):
-        raise InvalidInputError(f"radius eps must be positive, got {eps}")
+    best = greedy_eps_net(cloud, eps).size  # valid upper bound to prune against
     d = cloud.distances()
     sets = []
     for i in range(cloud.n):
@@ -272,7 +269,6 @@ def exact_covering_number(cloud: PointCloud, eps: float, max_points: int = 20) -
             mask |= 1 << int(j)
         sets.append(mask)
     full = (1 << cloud.n) - 1
-    best = greedy_eps_net(cloud, eps).size  # valid upper bound to prune against
 
     def search(uncovered: int, depth: int) -> None:
         nonlocal best

@@ -2,7 +2,8 @@
 
 Every finite distribution is stored in one run-length form: the sorted
 distinct masses ``m`` and their multiplicities ``c``, both read-only numpy
-arrays, built and validated by one function.  ``ProbVector`` (a probability
+arrays, built by one function from masses checked by one validator
+(``validate_masses``, which ``cover.PointCloud`` shares).  ``ProbVector`` (a probability
 vector given atom by atom), ``BlockVector`` (equal-mass blocks, for supports
 blown up by factors of 2^k) and ``Truncation`` (a finite prefix of a
 countable family plus its tail bound) are thin front doors onto that form:
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientTruncationError, InvalidInputError
+from .errors import InsufficientTruncationError, InvalidInputError, require_int, require_real
 
 # |sum(masses) - 1| beyond this rejects the input instead of renormalizing.
 SUM_TOLERANCE = 1e-12
@@ -31,17 +32,22 @@ SUM_TOLERANCE = 1e-12
 MassBlocks = tuple[tuple[float, int], ...]
 
 
-def _runs(masses, counts=None, *, normalize: bool = False, tail: float | None = None):
-    """Validate atom masses (each repeated counts[i] times, default once) and
-    return the read-only run form (m, c): sorted distinct masses, positive counts.
+def validate_masses(masses, counts=None, *, normalize: bool = False, tail: float | None = None):
+    """Validate atom masses, each repeated counts[i] times (default once), and
+    return them in the order given as float and int64 arrays (m, c).
 
     The masses lie in (0, 1] and sum to 1 within SUM_TOLERANCE, or, with a
     ``tail``, to at most 1 and at least 1 once the tail is added (a truncation
-    prefix).  ``normalize`` first rescales them to total 1.
+    prefix).  ``normalize`` first rescales them to total 1.  Counts must be
+    integers >= 1 (an int64 array passes by its dtype) totalling below 2^63.
     """
+    if counts is not None and not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
+        counts = [require_int(k, "block count", 1) for k in counts]  # 2.5 is an error, not 2
+    if tail is not None:
+        require_real(tail, "tail bound", 0.0, math.inf)
     try:
         m = np.fromiter(masses, dtype=float)
-        c = np.ones(m.size, np.int64) if counts is None else np.array(counts, dtype=np.int64)
+        c = np.ones(m.size, np.int64) if counts is None else np.asarray(counts, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"masses and counts must be numbers: {exc}") from None
     if m.size == 0:
@@ -56,10 +62,6 @@ def _runs(masses, counts=None, *, normalize: bool = False, tail: float | None = 
     bad = ~((m > 0.0) & (m <= 1.0))
     if bad.any():
         raise InvalidInputError(f"masses must lie in (0, 1], got {m[bad][0]}")
-    order = np.argsort(m)
-    m, c = m[order], c[order]
-    starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
-    m, c = m[starts], np.add.reduceat(c, starts)
     total = math.fsum((m * c).tolist())
     if tail is None:
         if abs(total - 1.0) > SUM_TOLERANCE:
@@ -67,12 +69,21 @@ def _runs(masses, counts=None, *, normalize: bool = False, tail: float | None = 
                 f"masses sum to {total!r}, off by more than {SUM_TOLERANCE}; "
                 "pass normalize=True to rescale explicitly"
             )
-    elif not (tail >= 0.0):
-        raise InvalidInputError("tail bound must be nonnegative")
     elif total > 1.0 + SUM_TOLERANCE or total + tail < 1.0 - SUM_TOLERANCE:
         raise InvalidInputError(
             f"prefix mass {total!r} with tail bound {tail!r} does not bracket total mass 1"
         )
+    return m, c
+
+
+def _runs(masses, counts=None, *, normalize: bool = False, tail: float | None = None):
+    """validate_masses, then the read-only run form (m, c): sorted distinct
+    masses and their positive counts."""
+    m, c = validate_masses(masses, counts, normalize=normalize, tail=tail)
+    order = np.argsort(m)
+    m, c = m[order], c[order]
+    starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
+    m, c = m[starts], np.add.reduceat(c, starts)
     m.setflags(write=False)
     c.setflags(write=False)
     return m, c
@@ -106,8 +117,14 @@ class _Runs:
     def blocks(self) -> MassBlocks:
         return tuple(zip(self.m.tolist(), self.c.tolist()))
 
-    def mass_blocks(self) -> MassBlocks:
-        return self.blocks
+    def to_prob_vector(self, max_atoms: int = 2_000_000) -> "ProbVector":
+        """This distribution as a ProbVector, refused past max_atoms atoms: the
+        cap for code that visits every atom, such as the samplers."""
+        if self.n > max_atoms:
+            raise InvalidInputError(
+                f"support size {self.n} exceeds max_atoms={max_atoms}"
+            )
+        return ProbVector._of_runs(self.m, self.c)
 
     def _key(self) -> tuple:
         return self.blocks
@@ -132,9 +149,8 @@ class ProbVector(_Runs):
 
     @staticmethod
     def uniform(n: int) -> "ProbVector":
-        if n < 1:
-            raise InvalidInputError("uniform distribution needs n >= 1")
-        return ProbVector([1.0 / n] * n)
+        n = require_int(n, "support size n", 1)
+        return ProbVector._of_runs([1.0 / n], [n])
 
     # -- serialization (CSV: one mass per line; JSON: array of numbers) --
 
@@ -169,13 +185,6 @@ class BlockVector(_Runs):
         pairs = [(m, c) for m, c in blocks]
         self.m, self.c = _runs([m for m, _ in pairs], [c for _, c in pairs])
 
-    def to_prob_vector(self, max_atoms: int = 2_000_000) -> ProbVector:
-        if self.n > max_atoms:
-            raise InvalidInputError(
-                f"support size {self.n} exceeds max_atoms={max_atoms}"
-            )
-        return ProbVector._of_runs(self.m, self.c)
-
     def to_json_obj(self) -> dict:
         return {"blocks": [[m, c] for m, c in self.blocks]}
 
@@ -183,7 +192,7 @@ class BlockVector(_Runs):
     def from_json_obj(obj) -> "BlockVector":
         if not isinstance(obj, dict) or "blocks" not in obj:
             raise InvalidInputError('BlockVector JSON must be {"blocks": [[mass, count], ...]}')
-        return BlockVector([(float(m), int(c)) for m, c in obj["blocks"]])
+        return BlockVector(obj["blocks"])
 
 
 class Truncation(_Runs):
@@ -227,13 +236,10 @@ class CountableFamily:
         if self.kind not in self.KINDS:
             raise InvalidInputError(f"unknown family kind {self.kind!r}")
         if self.kind == "geometric":
-            r = self.params.get("ratio")
-            if r is None or not (0.0 < r < 1.0):
-                raise InvalidInputError("geometric family needs ratio in (0, 1)")
+            require_real(self.params.get("ratio"), "geometric ratio", 0.0, 1.0, "()")
         elif self.kind == "dyadic-blocks":
-            a = self.params.get("a")
-            if not isinstance(a, int) or a < 2:
-                raise InvalidInputError("dyadic-blocks family needs integer a >= 2")
+            a = require_int(self.params.get("a"), "dyadic-blocks width a", 2)
+            object.__setattr__(self, "params", {**self.params, "a": a})
         else:
             # the listed masses are a truncation prefix, the tail bound its tail
             _runs(self.params.get("masses") or (), tail=self.params.get("tail_bound", 0.0))
@@ -246,7 +252,7 @@ class CountableFamily:
 
     @staticmethod
     def dyadic_blocks(a: int, truncation_tol: float = 1e-9) -> "CountableFamily":
-        return CountableFamily("dyadic-blocks", {"a": int(a)}, truncation_tol)
+        return CountableFamily("dyadic-blocks", {"a": a}, truncation_tol)
 
     @staticmethod
     def explicit(masses, tail_bound: float = 0.0, truncation_tol: float = 1e-9) -> "CountableFamily":
@@ -260,8 +266,7 @@ class CountableFamily:
 
     def term(self, i: int) -> float:
         """Mass of atom i (1-indexed, in the family's canonical enumeration)."""
-        if i < 1:
-            raise InvalidInputError("atom index must be >= 1")
+        i = require_int(i, "atom index", 1)
         if self.kind == "geometric":
             r = self.params["ratio"]
             return (1.0 - r) * r ** (i - 1)
@@ -278,8 +283,7 @@ class CountableFamily:
 
     def tail_mass(self, n_kept: int) -> float:
         """Upper bound on the total mass of atoms beyond the first ``n_kept``."""
-        if n_kept < 0:
-            raise InvalidInputError("truncation index must be >= 0")
+        n_kept = require_int(n_kept, "truncation index", 0)
         if self.kind == "geometric":
             return self.params["ratio"] ** n_kept
         if self.kind == "dyadic-blocks":
@@ -314,8 +318,6 @@ class CountableFamily:
         params = dict(obj.get("params", {}))
         if "masses" in params:
             params["masses"] = tuple(float(m) for m in params["masses"])
-        if "a" in params:
-            params["a"] = int(params["a"])
         return CountableFamily(obj["family"], params, float(obj.get("truncation_tol", 1e-9)))
 
     @staticmethod
@@ -330,8 +332,7 @@ def truncate(family: CountableFamily, tol: float, max_atoms: int = 10_000_000) -
     expectation: tail atoms contribute at most their total mass because
     p(1-p)^t <= p.
     """
-    if not (0.0 < tol < 1.0):
-        raise InvalidInputError("truncation tolerance must lie in (0, 1)")
+    require_real(tol, "truncation tolerance", 0.0, 1.0, "()")
     if family.tail_mass(max_atoms) > tol:
         raise InsufficientTruncationError(
             f"{family.descriptor}: tail does not reach {tol} within {max_atoms} atoms"

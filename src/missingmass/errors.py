@@ -1,4 +1,17 @@
-"""Exception types and the argument checks shared across the package."""
+"""Exception types and the package's one validation module.
+
+Every scalar precondition in the package goes through one of two rules:
+``require_int`` (an integer at or above a minimum; ``require_t`` is its
+sample-count case) and ``require_real`` (a real number inside an interval,
+NaN never passing).  Both reject ``bool`` and never coerce: a value that is
+not already an integer or a real is an ``InvalidInputError``, not a rounded
+number.  Distribution masses are arrays, not scalars; they have their own
+validator, ``distributions.validate_masses``, shared by every distribution
+type and by ``cover.PointCloud``.
+"""
+
+import numbers
+import operator
 
 
 class MissingMassError(Exception):
@@ -28,8 +41,36 @@ class ThresholdNotFoundError(MissingMassError):
         )
 
 
+def require_int(value, name: str, minimum: int) -> int:
+    """The one integer rule: value passes if operator.index accepts it, it is
+    not a bool, and it is >= minimum; it comes back as a Python int."""
+    index = value
+    if type(value) is not int:
+        try:
+            index = None if isinstance(value, bool) else operator.index(value)
+        except TypeError:
+            index = None
+    if index is None or index < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return index
+
+
 def require_t(t, minimum: int = 1) -> int:
-    """The one check of a sample count t: an int (bool excluded) >= minimum."""
-    if not isinstance(t, int) or isinstance(t, bool) or t < minimum:
-        raise InvalidInputError(f"sample count t must be an integer >= {minimum}, got {t!r}")
-    return t
+    """The sample count case of require_int; it runs on every kernel call, so
+    a plain int takes the fast path."""
+    if type(t) is int and t >= minimum:
+        return t
+    return require_int(t, "sample count t", minimum)
+
+
+def require_real(value, name: str, low: float, high: float, bounds: str = "[]"):
+    """The one real-range rule: value is a real number (bool excluded) between
+    low and high, each end closed or open as bounds says ("[]", "(]", "[)"
+    or "()").  NaN fails every comparison, so it never passes."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (low < value if bounds[0] == "(" else low <= value)
+            and (value < high if bounds[1] == ")" else value <= high)):
+        return value
+    raise InvalidInputError(
+        f"{name} must lie in {bounds[0]}{low:g}, {high:g}{bounds[1]}, got {value!r}"
+    )

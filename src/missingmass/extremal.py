@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProbVector
-from .errors import InvalidInputError, MissingMassError, ThresholdNotFoundError, require_t
+from .errors import MissingMassError, ThresholdNotFoundError, require_int, require_real, require_t
 from .numerics import SLICE_CELLS, pow_one_minus, pow_unit
 
 # Cells per sign scan of the derivative when locating the interior maximum.
@@ -32,14 +32,13 @@ _SCAN = np.arange(CRITICAL_SCAN_POINTS + 1) / CRITICAL_SCAN_POINTS
 _LOG_OVERFLOW = 700.0  # exp argument beyond which a ratio is reported as inf
 
 
-def _require(n, t=1, x=0.0) -> None:
+def _require(n, t=1, x=0.0) -> tuple[int, int]:
     """Check a support size n >= 2, a sample count t and a light mass x in
-    [0, 1/n]; the defaults pass, for callers without a t or an x."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidInputError(f"support size n must be an integer >= 2, got {n!r}")
-    require_t(t)
-    if not (0.0 <= x <= 1.0 / n + 1e-15):
-        raise InvalidInputError(f"light mass must lie in [0, 1/{n}], got {x}")
+    [0, 1/n], and return n and t as ints; the defaults pass, for callers
+    without a t or an x."""
+    n, t = require_int(n, "support size n", 2), require_t(t)
+    require_real(x, "light mass", 0.0, 1.0 / n + 1e-15)
+    return n, t
 
 
 def bivalent_missing_mass(n: int, t: int, x: float) -> float:
@@ -194,7 +193,7 @@ def maximize_missing_mass(n: int, t: int) -> ExtremalSolution:
     best interior light mass inside (1/(t+1), 1/t) is compared against the
     uniform value; ties go to the uniform.
     """
-    _require(n, t)
+    n, t = _require(n, t)
     uval = uniform_value(n, t)
     if t > n:
         [x], [value] = _solve(n, np.array([t]))
@@ -211,14 +210,9 @@ def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
     the rest of the scan.  The scan is solved in slices of at most
     SLICE_CELLS derivative samples, so its memory does not grow with n.
     """
-    _require(n)
+    n = _require(n)[0]
     budget = n + max(10, math.ceil(10.0 * math.sqrt(n)))
-    if t_max is None:
-        t_max = budget
-    elif t_max < budget:
-        raise InvalidInputError(
-            f"t_max={t_max} is below the scan budget {budget} for n={n}"
-        )
+    t_max = budget if t_max is None else require_int(t_max, f"t_max for n={n}", budget)
     step = max(1, SLICE_CELLS // len(_SCAN))
     tau, margin = None, None
     for start in range(n + 1, t_max + 1, step):
@@ -243,11 +237,8 @@ def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
 def light_mass_bounds(n: int, t: int) -> tuple[float, float]:
     """Localization interval for the winning light mass once t is past
     n + sqrt(2n): (1/(t+1), 1/(t+1) + exp(-sqrt(n/2)))."""
-    _require(n, t)
-    if t < n + math.sqrt(2.0 * n):
-        raise InvalidInputError(
-            f"localization requires t >= n + sqrt(2n) = {n + math.sqrt(2 * n):.3f}, got t={t}"
-        )
+    _require(n)
+    require_t(t, math.ceil(n + math.sqrt(2.0 * n)))  # t >= n + sqrt(2n)
     lo = 1.0 / (t + 1)
     return lo, lo + math.exp(-math.sqrt(n / 2.0))
 
@@ -260,8 +251,7 @@ def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[f
     Returns the best value and its point, coordinates sorted nondecreasing.
     """
     require_t(t)
-    if not (0.0 < grid_step <= 1e-2):
-        raise InvalidInputError(f"grid step must lie in (0, 0.01], got {grid_step}")
+    require_real(grid_step, "grid step", 0.0, 1e-2, "(]")
 
     def sweep(p1_vals: np.ndarray, p2_vals: np.ndarray) -> tuple[float, float, float]:
         p1 = p1_vals[:, None]

@@ -5,6 +5,34 @@ Everything here is a pure function of the distribution.  The single-atom
 kernel x(1-x)^t drives all of it: an atom of mass x is missed by t draws
 with probability (1-x)^t, so the expected missing mass is the sum of kernel
 values over the support.
+
+The countable-support bound (``bound_countable``) is a theorem with a sharp
+constant.  Let ell be the plateau length, the largest number of atoms in one
+band [alpha/2, alpha), and
+
+    C* = sup_{y>0} sum_{k in Z} 2^k y exp(-2^k y) = 1.44270930.
+
+Then E[U_t] <= ell C*/t, so ell/(c t) bounds E[U_t] for every
+c <= c* = 1/C* = 0.69314033.  Proof sketch:
+
+1. Sort the atoms in decreasing order.  Then p_{i+ell} <= p_i/2, or else
+   ell+1 atoms would share one band.
+2. Split the atoms into ell chains by index mod ell.  Within a chain each
+   mass is at most half the one before.
+3. (1-p)^t <= exp(-tp), so with x = tp an atom adds at most f(x)/t, where
+   f(x) = x exp(-x) rises on (0, 1] and falls on [1, inf).
+4. In one chain let z be the smallest x >= 1 and w the largest x < 1, and
+   pick y in [max(w, 1/2), min(1, z/2)], dropping a side that is empty.
+   Each term of the chain is then at most the matching term f(2^k y) of one
+   geometric sequence, so the chain adds at most C*/t.
+
+The sum over k oscillates in log2 y with period 1, by about 1.4e-5 around
+its mean 1/ln 2 = 1.44269504; the oscillation comes from the Fourier terms
+Gamma(1 + 2 pi i k/ln 2)/ln 2 of its Mellin transform (Flajolet, Gourdon &
+Dumas, "Mellin transforms and asymptotics: harmonic sums", TCS 144, 1995),
+and its maximum, at log2 y ~ 0.86 (mod 1), is C*.  The constant is sharp:
+with ell atoms at each mass 2^-k/(2 ell), k >= 0, the largest t E[U_t]/ell
+comes arbitrarily close to C* as t grows.
 """
 
 from __future__ import annotations
@@ -15,13 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BlockVector, CountableFamily, ProbVector, Truncation, truncate
-from .errors import InvalidInputError, require_t
+from .errors import InvalidInputError, require_int, require_real, require_t
 from .numerics import pow_one_minus
 
-# Ships the empirically calibrated universal constant for the countable-support
-# bound ell/(c*t).  On the dyadic-block grid a in 2..64, t in (a, 100a] the
-# largest valid c is 1/max(t E/a) ~= 0.6933 (the max approaches 1/ln 2 from
-# below); 0.69 keeps a safety margin.  Re-derived in the acceptance suite.
+# The constant c of the countable-support bound ell/(c*t).  The bound holds for
+# every c <= c* = 1/C* = 0.69314033 (the theorem in the module docstring);
+# 0.69 keeps a 0.45 % margin.  The test suite checks the bound and its sharpness.
 DEFAULT_COUNTABLE_C = 0.69
 
 
@@ -72,16 +99,14 @@ def expected_missing_mass_interval(
 
 def kernel(x: float, t: int) -> float:
     """Single-atom contribution f(x) = x (1 - x)^t."""
-    if not (0.0 <= x <= 1.0):
-        raise InvalidInputError(f"kernel argument must lie in [0, 1], got {x}")
+    require_real(x, "kernel argument", 0.0, 1.0)
     require_t(t)
     return float(x * pow_one_minus(x, t))
 
 
 def kernel_prime(x: float, t: int) -> float:
     """Derivative of the kernel: (1 - x)^(t-1) (1 - (t+1) x)."""
-    if not (0.0 <= x <= 1.0):
-        raise InvalidInputError(f"kernel argument must lie in [0, 1], got {x}")
+    require_real(x, "kernel argument", 0.0, 1.0)
     require_t(t)
     return float(pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x))
 
@@ -97,8 +122,7 @@ def bound_finite(n: int, t: int) -> float:
 
     exp(-t/n) while t <= n, then n/(e t); both clamped to 1.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInputError(f"support size must be a positive integer, got {n!r}")
+    n = require_int(n, "support size n", 1)
     t = require_t(t)
     if t <= n:
         return min(1.0, math.exp(-t / n))
@@ -108,14 +132,13 @@ def bound_finite(n: int, t: int) -> float:
 def bound_countable(ell: int, t: int, c: float = DEFAULT_COUNTABLE_C) -> float:
     """Plateau-length upper bound ell/(c*t) for countable supports.
 
-    The constant c is not pinned down by theory; the shipped default is the
-    empirical calibration from the dyadic-block grid.
+    E[U_t] <= ell C*/t with C* = 1.44270930 (the theorem and its proof
+    sketch are in the module docstring), so the bound holds for every
+    c <= c* = 1/C* = 0.69314033; the default 0.69 keeps a 0.45 % margin.
     """
-    if not isinstance(ell, int) or ell < 1:
-        raise InvalidInputError(f"plateau length must be a positive integer, got {ell!r}")
+    ell = require_int(ell, "plateau length", 1)
     t = require_t(t)
-    if not (c > 0.0):
-        raise InvalidInputError(f"constant c must be positive, got {c}")
+    require_real(c, "constant c", 0.0, math.inf, "(]")
     return ell / (c * t)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProbVector
-from .errors import InvalidInputError, require_t
+from .errors import InvalidInputError, require_int, require_real, require_t
 from .mass import expected_missing_mass, gt_bias
 
 BLOCK = 64  # replicates per substream; part of the seeded layout, so a constant
@@ -89,9 +89,7 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     into one value or one row of values per replicate.  Results are
     concatenated in replicate order.
     """
-    require_t(t)
-    if not isinstance(replicates, int) or replicates < 1:
-        raise InvalidInputError(f"replicates must be a positive integer, got {replicates!r}")
+    t, replicates = require_t(t), require_int(replicates, "replicates", 1)
     cum = np.cumsum(masses)
     cum[-1] = 1.0  # guard: float cumsum may land a hair under 1
     lo = _guide_table(cum)
@@ -174,8 +172,7 @@ def empirical_missing_mass(d: ProbVector, sc: SampleCounts) -> float:
 
 def good_turing(sc: SampleCounts) -> float:
     """Good-Turing missing-mass estimate: fraction of the sample seen once."""
-    if sc.t < 1:
-        raise InvalidInputError("sample must contain at least one draw")
+    require_t(sc.t)
     return sum(1 for c in sc.counts if c == 1) / sc.t
 
 
@@ -215,8 +212,7 @@ def verify_bias(d: ProbVector, t: int, replicates: int, seed: int) -> McReport:
     closed form; the report flags a violation when the closed form falls
     outside three standard errors of the estimate (see is_violation).
     """
-    if replicates < 1000:
-        raise InvalidInputError("bias verification needs at least 1000 replicates")
+    require_int(replicates, "bias verification replicates", 1000)
     masses = np.asarray(d.masses)
     values = monte_carlo(masses, t, replicates, seed, lambda idx: _bias_rows(idx, masses))
     return mean_report(values, gt_bias(d, t), seed)
@@ -231,10 +227,8 @@ def verify_concentration(
     exceeds the bound by more than three binomial standard errors (see
     is_violation).
     """
-    if replicates < 10_000:
-        raise InvalidInputError("concentration verification needs at least 10^4 replicates")
-    if not (0.0 < eps <= 1.0):
-        raise InvalidInputError(f"deviation eps must lie in (0, 1], got {eps}")
+    require_int(replicates, "concentration verification replicates", 10_000)
+    require_real(eps, "deviation eps", 0.0, 1.0, "(]")
     masses = np.asarray(d.masses)
     missing = monte_carlo(
         masses, t, replicates, seed, lambda idx: _missing_rows(_counts(idx, len(masses)), masses)

@@ -1,9 +1,11 @@
+import math
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from missingmass import ProbVector
+from missingmass import BlockVector, ProbVector
 
 hypothesis.settings.register_profile(
     "default", deadline=None, suppress_health_check=[hypothesis.HealthCheck.too_slow]
@@ -21,6 +23,19 @@ def prob_vectors(draw, min_n=1, max_n=25):
         )
     )
     return ProbVector(weights, normalize=True)
+
+
+@st.composite
+def block_vectors(draw, max_blocks=8):
+    pairs = draw(
+        st.lists(
+            st.tuples(st.floats(min_value=1e-3, max_value=1e3), st.integers(1, 2 ** 20)),
+            min_size=1,
+            max_size=max_blocks,
+        )
+    )
+    total = math.fsum(w * c for w, c in pairs)
+    return BlockVector([(w / total, c) for w, c in pairs])
 
 
 sample_counts_t = st.integers(min_value=1, max_value=300)

@@ -235,6 +235,48 @@ class TestCover:
         assert obj["exact_cover"] == 1
 
 
+class TestInvalidFiles:
+    """Inputs that once gave a silently wrong answer: each is now exit 2 with
+    one message line and no output."""
+
+    @pytest.mark.parametrize("name, text, argv", [
+        ("frac.json", '{"blocks": [[0.25, 2.5], [0.5, 1]]}', ["emm", "--t", "3"]),
+        ("a.json", '{"family": "dyadic-blocks", "params": {"a": 2.7}}', ["emm", "--t", "3"]),
+        ("nan.csv", "id,mass,x1,x2\na,0.5,0,0\nb,0.25,nan,1\nc,0.25,3,4\n",
+         ["cover", "--eps", "1", "--t", "1"]),
+        ("inf.csv", "id,mass,x1,x2\na,0.5,0,0\nb,0.25,inf,1\nc,0.25,3,4\n",
+         ["cover", "--eps", "1", "--t", "1"]),
+    ], ids=["fractional-count", "fractional-a", "nan-coordinate", "inf-coordinate"])
+    def test_rejected(self, tmp_path, capsys, name, text, argv):
+        f = tmp_path / name
+        f.write_text(text)
+        flag = "--cloud" if argv[0] == "cover" else "--dist"
+        code, out, err = run_cli(capsys, *argv, flag, str(f))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"mml {argv[0]}: ")
+
+
+class TestHugeUniform:
+    N = str(2 ** 40)
+
+    @pytest.mark.parametrize("command, key", [
+        ("emm", "value"), ("bounds", "value"), ("gt", "expected_missing_mass"),
+    ])
+    def test_closed_forms_in_run_form(self, capsys, command, key):
+        code, out, _ = run_cli(capsys, command, "--family", "uniform", "--n", self.N,
+                               "--t", "10")
+        assert code == 0
+        assert json.loads(out)[key] == 0.999999999990905
+
+    def test_simulate_caps_the_support(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--mode", "bias", "--family", "uniform",
+                                 "--n", self.N, "--t", "10", "--replicates", "1000")
+        assert code == 2
+        assert out == ""
+        assert err == f"mml simulate: support size {self.N} exceeds max_atoms=2000000\n"
+
+
 class TestOracle:
     def test_uniform_argmax(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--t", "2", "--grid-step", "0.005")

@@ -43,7 +43,7 @@ class TestTightFinite:
     def test_exactly_two_levels(self):
         d = tight_finite(9, 40)
         assert len(set(d.masses)) == 2
-        assert d.mass_blocks()[0][1] == 8
+        assert d.blocks[0][1] == 8
 
     def test_requires_t_above_n(self):
         with pytest.raises(InvalidInputError):

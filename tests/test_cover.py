@@ -51,6 +51,16 @@ class TestPointCloud:
         with pytest.raises(InvalidInputError):
             PointCloud([0.5, 0.5], coords=[[0.0]])
 
+    @pytest.mark.parametrize("geometry", [
+        {"matrix": [[0.0, math.nan], [math.nan, 0.0]]},
+        {"matrix": [[0.0, math.inf], [math.inf, 0.0]]},
+        {"coords": [[0.0], [math.nan]]},
+        {"coords": [[0.0, math.inf], [1.0, 1.0]]},
+    ], ids=["nan-matrix", "inf-matrix", "nan-coords", "inf-coords"])
+    def test_non_finite_geometry_rejected(self, geometry):
+        with pytest.raises(InvalidInputError, match="finite"):
+            PointCloud([0.5, 0.5], **geometry)
+
     def test_needs_exactly_one_geometry(self):
         with pytest.raises(InvalidInputError):
             PointCloud([1.0])

@@ -68,7 +68,7 @@ class TestProbVector:
 
     def test_mass_blocks_groups_ties(self):
         d = ProbVector([0.25, 0.25, 0.5])
-        assert d.mass_blocks() == ((0.25, 2), (0.5, 1))
+        assert d.blocks == ((0.25, 2), (0.5, 1))
 
 
 class TestBlockVector:
@@ -104,7 +104,7 @@ class TestRunLengthCore:
             assert d.m.tolist() == [0.125, 0.25, 0.5][: len(d.m)]
             assert d.c.tolist() == [2, 1, 1][: len(d.c)]
             assert not d.m.flags.writeable and not d.c.flags.writeable
-        assert dense.blocks == blocks.blocks == blocks.mass_blocks()
+        assert dense.blocks == blocks.blocks
         assert dense.masses == blocks.to_prob_vector().masses == (0.125, 0.125, 0.25, 0.5)
         assert dense != blocks and dense == ProbVector(list(reversed(dense.masses)))
 

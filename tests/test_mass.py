@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from missingmass import (
+    DEFAULT_COUNTABLE_C,
+    BlockVector,
     CountableFamily,
     InvalidInputError,
     MassCurve,
@@ -29,7 +32,7 @@ from missingmass import (
 
 from missingmass import PointCloud, expected_eps_missing_mass, monte_carlo, uniform_value
 
-from conftest import prob_vectors, sample_counts_t
+from conftest import block_vectors, prob_vectors, sample_counts_t
 
 
 @pytest.mark.parametrize("t", [True, False, 0, -1, 2.5, "3", None])
@@ -188,6 +191,20 @@ class TestBounds:
         lo, hi = expected_missing_mass_interval(CountableFamily.dyadic_blocks(a), t, tol=1e-12)
         assert lo >= 4 * a / (27 * t)
         assert hi <= bound_countable(a, t)
+
+    @given(d=st.one_of(prob_vectors(), block_vectors()), t=st.integers(1, 10 ** 7))
+    def test_bound_countable_holds_with_the_shipped_constant(self, d, t):
+        # E[U_t] <= ell C*/t, and the shipped c = 0.69 is below c* = 1/C*
+        assert expected_missing_mass(d, t) <= bound_countable(plateau_length(d), t)
+
+    def test_countable_constant_is_sharp(self):
+        # 4 atoms at each mass 2^-k/8 (total 1 - 2^-60): over one octave of t,
+        # t E[U_t]/4 comes within 1e-6 of C* = 1.44270930
+        d = BlockVector([(2.0 ** -k / 8, 4) for k in range(60)])
+        assert plateau_length(d) == 4
+        ts = np.unique(np.round(2.0 ** (21 + np.arange(1024) / 1024)).astype(np.int64))
+        ratios = [t * expected_missing_mass(d, t) / 4 for t in ts.tolist()]
+        assert 1.44270830 <= max(ratios) <= 1 / DEFAULT_COUNTABLE_C
 
 
 class TestDyadicBands:
