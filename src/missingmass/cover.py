@@ -132,6 +132,9 @@ class PointCloud:
         header = [h.strip().lower() for h in rows[0]]
         if header[:2] != ["id", "mass"]:
             raise InvalidInputError("point cloud CSV header must start id,mass")
+        short = next((i for i, r in enumerate(rows[1:], 1) if len(r) < 2), None)
+        if short is not None:
+            raise InvalidInputError(f"point cloud CSV data row {short} needs an id and a mass")
         masses = [float(r[1]) for r in rows[1:]]
         coords = [[float(v) for v in r[2:]] for r in rows[1:]]
         return PointCloud(masses, coords=coords, normalize=normalize)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientTruncationError, InvalidInputError, require_int, require_real
+from .numerics import KernelTerms
 
 # |sum(masses) - 1| beyond this rejects the input instead of renormalizing.
 SUM_TOLERANCE = 1e-12
@@ -92,7 +93,7 @@ def _runs(masses, counts=None, *, normalize: bool = False, tail: float | None = 
 class _Runs:
     """The run-length core every finite distribution type shares."""
 
-    __slots__ = ("m", "c")
+    __slots__ = ("m", "c", "_kernel_terms")
 
     @classmethod
     def _of_runs(cls, m, c, tail: float | None = None):
@@ -103,6 +104,15 @@ class _Runs:
     @property
     def n(self) -> int:
         return sum(self.c.tolist())
+
+    @property
+    def kernel_terms(self) -> KernelTerms:
+        """The terms c m^k (1 - m)^e of every closed form, built on first use
+        and kept: m and c are read-only, so the cache never goes stale."""
+        terms = getattr(self, "_kernel_terms", None)
+        if terms is None:
+            terms = self._kernel_terms = KernelTerms(self.m, self.c)
+        return terms
 
     @property
     def min_mass(self) -> float:
@@ -182,7 +192,10 @@ class BlockVector(_Runs):
     __slots__ = ()
 
     def __init__(self, blocks):
-        pairs = [(m, c) for m, c in blocks]
+        try:
+            pairs = [(m, c) for m, c in blocks]
+        except (TypeError, ValueError):
+            raise InvalidInputError("blocks must be a list of [mass, count] pairs") from None
         self.m, self.c = _runs([m for m, _ in pairs], [c for _, c in pairs])
 
     def to_json_obj(self) -> dict:
@@ -235,6 +248,7 @@ class CountableFamily:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidInputError(f"unknown family kind {self.kind!r}")
+        require_real(self.truncation_tol, "truncation_tol", 0.0, 1.0, "()")
         if self.kind == "geometric":
             require_real(self.params.get("ratio"), "geometric ratio", 0.0, 1.0, "()")
         elif self.kind == "dyadic-blocks":
@@ -315,10 +329,15 @@ class CountableFamily:
     def from_json_obj(obj) -> "CountableFamily":
         if not isinstance(obj, dict) or "family" not in obj:
             raise InvalidInputError("CountableFamily JSON must carry a 'family' key")
-        params = dict(obj.get("params", {}))
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidInputError("family 'params' must be a JSON object")
+        params = dict(params)
         if "masses" in params:
+            if not isinstance(params["masses"], list):
+                raise InvalidInputError("family 'masses' must be a JSON array of numbers")
             params["masses"] = tuple(float(m) for m in params["masses"])
-        return CountableFamily(obj["family"], params, float(obj.get("truncation_tol", 1e-9)))
+        return CountableFamily(obj["family"], params, obj.get("truncation_tol", 1e-9))
 
     @staticmethod
     def from_json_text(text: str) -> "CountableFamily":

@@ -44,7 +44,7 @@ import numpy as np
 
 from .distributions import BlockVector, CountableFamily, ProbVector, Truncation, truncate
 from .errors import InvalidInputError, require_int, require_real, require_t
-from .numerics import pow_one_minus
+from .numerics import KernelTerms, pow_one_minus
 
 # The constant c of the countable-support bound ell/(c*t).  The bound holds for
 # every c <= c* = 1/C* = 0.69314033 (the theorem in the module docstring);
@@ -60,23 +60,22 @@ def _require_distribution(d) -> None:
         )
 
 
-def _kernel_sum(m: np.ndarray, c: np.ndarray, t: int, k: int = 1, s: int = 0) -> float:
+def _kernel_sum(terms: KernelTerms, t: int, k: int = 1, s: int = 0) -> float:
     """sum over the runs of c m^k (1 - m)^(t - s), exactly rounded.
 
-    Every closed form in this module is one such sum.  The powers are taken
-    elementwise; the sum is math.fsum, so the result is the correctly rounded
-    sum of the rounded terms whatever their number or order (pairwise
-    summation would carry an O(eps log n) bound instead: Higham, SIAM J. Sci.
-    Comput. 14(4), 1993).
+    Every closed form in this module is one such sum, over a distribution's
+    cached ``kernel_terms``.  The powers are taken elementwise; the sum is
+    math.fsum, so the result is the correctly rounded sum of the rounded terms
+    whatever their number or order (pairwise summation would carry an
+    O(eps log n) bound instead: Higham, SIAM J. Sci. Comput. 14(4), 1993).
     """
-    w = c * m if k == 1 else c * m * m
-    return math.fsum((w * pow_one_minus(m, t - s)).tolist())
+    return math.fsum(terms(t - s, k).tolist())
 
 
 def expected_missing_mass(d: ProbVector | BlockVector, t: int, *, allow_zero: bool = False) -> float:
     """Exact E[U_t] = sum_i p_i (1 - p_i)^t."""
     _require_distribution(d)
-    return _kernel_sum(d.m, d.c, require_t(t, 0 if allow_zero else 1))
+    return _kernel_sum(d.kernel_terms, require_t(t, 0 if allow_zero else 1))
 
 
 def expected_missing_mass_interval(
@@ -93,7 +92,7 @@ def expected_missing_mass_interval(
         f = truncate(f, tol if tol is not None else f.truncation_tol)
     elif not isinstance(f, Truncation):
         raise InvalidInputError(f"expected a CountableFamily or Truncation, got {type(f).__name__}")
-    lower = _kernel_sum(f.m, f.c, t)
+    lower = _kernel_sum(f.kernel_terms, t)
     return lower, lower + f.tail
 
 
@@ -162,21 +161,25 @@ def dyadic_bands(d: ProbVector | BlockVector, t: int) -> list[tuple[int, int, fl
     bands = []
     for band in np.unique(j):
         sel = j == band
-        bands.append((int(band), sum(d.c[sel].tolist()), _kernel_sum(d.m[sel], d.c[sel], t)))
+        # a band is evaluated as a distribution of its own: in a mixed branch
+        # an exponent of 2 calls pow where a direct one squares, so the same
+        # atom's term can round differently inside the whole distribution
+        band_terms = KernelTerms(d.m[sel], d.c[sel])
+        bands.append((int(band), sum(band_terms.c.tolist()), _kernel_sum(band_terms, t)))
     return bands
 
 
 def gt_expected_estimate(d: ProbVector | BlockVector, t: int) -> float:
     """Exact expectation of the Good-Turing estimate: sum_i p_i (1 - p_i)^(t-1)."""
     _require_distribution(d)
-    return _kernel_sum(d.m, d.c, require_t(t), s=1)
+    return _kernel_sum(d.kernel_terms, require_t(t), s=1)
 
 
 def singleton_mass_expectation(d: ProbVector | BlockVector, t: int) -> float:
     """Exact expected mass of atoms seen exactly once: sum_i t p_i^2 (1 - p_i)^(t-1)."""
     _require_distribution(d)
     t = require_t(t)
-    return t * _kernel_sum(d.m, d.c, t, k=2, s=1)
+    return t * _kernel_sum(d.kernel_terms, t, k=2, s=1)
 
 
 def gt_bias(d: ProbVector | BlockVector, t: int) -> float:
@@ -224,7 +227,8 @@ def missing_mass_curve(
         d = truncate(d, tol if tol is not None else d.truncation_tol)
     elif not isinstance(d, Truncation):
         _require_distribution(d)
-    lower = tuple(_kernel_sum(d.m, d.c, t) for t in ts)
+    terms = d.kernel_terms
+    lower = tuple(_kernel_sum(terms, t) for t in ts)
     if not isinstance(d, Truncation):
         return MassCurve(ts, lower, lower, lower)
     upper = tuple(lo + d.tail for lo in lower)

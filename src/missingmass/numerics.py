@@ -1,12 +1,22 @@
-"""Floating-point helpers: the shared power-evaluation policy, and the cap on
-the temporaries of sliced array evaluations.
+"""Floating-point helpers: the shared power-evaluation policy, the cached
+kernel terms of one distribution, and the cap on the temporaries of sliced
+array evaluations.
 
 Powers of the form (1-p)^t underflow or lose accuracy when evaluated naively
 for large t or tiny p.  Both failure modes are avoided by switching to
 exp(t*log(1-p)) past a fixed threshold; below it the direct power is at least
-as accurate.  Every module evaluates its power factors through these helpers,
-elementwise over numpy arrays or scalars of bases and exponents, so the
-policy lives in one place.
+as accurate.  The rule is elementwise: an atom takes log space when its
+exponent is at least POW_EXPONENT_SWITCH or its mass is below POW_TINY_MASS.
+It is decided here and nowhere else, in two places that agree atom by atom:
+
+* ``pow_one_minus`` takes arrays of bases and exponents (the extremal
+  solvers, the eps-ball masses) and decides the rule over the mask;
+* ``KernelTerms`` takes one distribution's sorted masses and a scalar
+  exponent (every closed form in ``mass``) and decides it in Python: all
+  atoms past the exponent switch, none when the smallest mass is not tiny,
+  else the prefix of tiny masses.  What depends only on the distribution
+  (its weights c m^k, 1 - m, log1p(-m) and the tiny prefix) is built on
+  first use and cached per distribution, by ``_Runs.kernel_terms``.
 """
 
 import numpy as np
@@ -30,6 +40,65 @@ def pow_one_minus(p, t):
         log_space = log_space | (p < POW_TINY_MASS)
     return _by_policy(log_space, p, t,
                       lambda p, t: np.exp(t * np.log1p(-p)), lambda p, t: (1.0 - p) ** t)
+
+
+class KernelTerms:
+    """The terms c m^k (1 - m)^e, k in {1, 2}, of one run-length distribution
+    (masses m sorted ascending, counts c; both read-only) for a scalar
+    exponent e >= 0, each atom on pow_one_minus's branch.
+
+    Each ingredient is built the first time a branch needs it and then kept,
+    so a distribution evaluated once pays only for its own branch.
+    """
+
+    __slots__ = ("m", "c", "_w1", "_w2", "_q", "_log", "_tiny")
+
+    def __init__(self, m: np.ndarray, c: np.ndarray):
+        self.m, self.c = m, c
+        self._w1 = self._w2 = self._q = self._log = self._tiny = None
+
+    def __call__(self, e: int, k: int = 1) -> np.ndarray:
+        if k == 1:
+            w = self._w1
+            if w is None:
+                w = self._w1 = self.c * self.m
+        else:
+            w = self._w2
+            if w is None:
+                w = self._w2 = self.c * self.m * self.m
+        return w * self.powers(e)
+
+    def powers(self, e: int) -> np.ndarray:
+        """(1 - m)^e."""
+        if e >= POW_EXPONENT_SWITCH:
+            return np.exp(e * self.log)
+        tiny = self._tiny
+        if tiny is None:  # m is sorted, so the masses below POW_TINY_MASS are a prefix
+            m = self.m
+            tiny = 0 if m[0] >= POW_TINY_MASS else int(np.searchsorted(m, POW_TINY_MASS))
+            self._tiny = tiny
+        if not tiny:
+            return self.q ** e
+        # the direct part takes an array exponent, as in pow_one_minus's mixed
+        # branch: `** 2` with a scalar is numpy's square, which can round
+        # differently from pow
+        return np.concatenate((np.exp(e * self.log[:tiny]),
+                               self.q[tiny:] ** np.full(self.m.size - tiny, e)))
+
+    @property
+    def q(self) -> np.ndarray:
+        """1 - m."""
+        if self._q is None:
+            self._q = 1.0 - self.m
+        return self._q
+
+    @property
+    def log(self) -> np.ndarray:
+        """log1p(-m); a mass of 1 gives -inf, and its power exp(-inf) = 0."""
+        if self._log is None:
+            with np.errstate(divide="ignore"):
+                self._log = np.log1p(-self.m)
+        return self._log
 
 
 def pow_unit(b, t):

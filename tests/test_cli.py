@@ -130,6 +130,13 @@ class TestConstruct:
         assert obj["family"] == "dyadic-blocks"
         assert obj["params"]["a"] == 3
 
+    def test_tight_countable_tolerance_checked_at_construction(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "--kind", "tight-countable",
+                                 "--a", "3", "--tol", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "mml construct: truncation_tol must lie in (0, 1), got 5.0\n"
+
     def test_rate_lb_blocks(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--kind", "rate-lb",
                                "--target", "geometric", "--t-max", "30")
@@ -236,18 +243,30 @@ class TestCover:
 
 
 class TestInvalidFiles:
-    """Inputs that once gave a silently wrong answer: each is now exit 2 with
-    one message line and no output."""
+    """Inputs that once gave a silently wrong answer or a traceback: each is
+    now exit 2 with one message line, naming the bad field, and no output."""
 
-    @pytest.mark.parametrize("name, text, argv", [
-        ("frac.json", '{"blocks": [[0.25, 2.5], [0.5, 1]]}', ["emm", "--t", "3"]),
-        ("a.json", '{"family": "dyadic-blocks", "params": {"a": 2.7}}', ["emm", "--t", "3"]),
+    @pytest.mark.parametrize("name, text, argv, field", [
+        ("frac.json", '{"blocks": [[0.25, 2.5], [0.5, 1]]}', ["emm", "--t", "3"], "count"),
+        ("a.json", '{"family": "dyadic-blocks", "params": {"a": 2.7}}', ["emm", "--t", "3"],
+         "width a"),
         ("nan.csv", "id,mass,x1,x2\na,0.5,0,0\nb,0.25,nan,1\nc,0.25,3,4\n",
-         ["cover", "--eps", "1", "--t", "1"]),
+         ["cover", "--eps", "1", "--t", "1"], "coordinates"),
         ("inf.csv", "id,mass,x1,x2\na,0.5,0,0\nb,0.25,inf,1\nc,0.25,3,4\n",
-         ["cover", "--eps", "1", "--t", "1"]),
-    ], ids=["fractional-count", "fractional-a", "nan-coordinate", "inf-coordinate"])
-    def test_rejected(self, tmp_path, capsys, name, text, argv):
+         ["cover", "--eps", "1", "--t", "1"], "coordinates"),
+        ("flat.json", '{"blocks": [0.5, 0.5]}', ["emm", "--t", "3"], "blocks"),
+        ("short.csv", "id,mass,x1\na,0.5,0\nb\n", ["cover", "--eps", "1", "--t", "1"],
+         "data row 2"),
+        ("params.json", '{"family": "geometric", "params": [1, 2]}', ["emm", "--t", "3"],
+         "params"),
+        ("masses.json", '{"family": "explicit", "params": {"masses": 0.5}}',
+         ["emm", "--t", "3"], "masses"),
+        ("tol.json", '{"family": "geometric", "params": {"ratio": 0.5}, "truncation_tol": 5}',
+         ["emm", "--t", "3"], "truncation_tol"),
+    ], ids=["fractional-count", "fractional-a", "nan-coordinate", "inf-coordinate",
+            "unpaired-blocks", "one-cell-row", "params-array", "masses-number",
+            "truncation-tol"])
+    def test_rejected(self, tmp_path, capsys, name, text, argv, field):
         f = tmp_path / name
         f.write_text(text)
         flag = "--cloud" if argv[0] == "cover" else "--dist"
@@ -255,6 +274,7 @@ class TestInvalidFiles:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"mml {argv[0]}: ")
+        assert field in err
 
 
 class TestHugeUniform:

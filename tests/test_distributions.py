@@ -254,6 +254,16 @@ class TestCountableFamily:
         with pytest.raises(InvalidInputError):
             CountableFamily("zeta", {"s": 2.0})
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 5.0, -1e-3, float("nan"), "1e-9", None, True])
+    def test_truncation_tol_checked_at_construction(self, tol):
+        with pytest.raises(InvalidInputError, match="truncation_tol"):
+            CountableFamily.geometric(0.5, truncation_tol=tol)
+        with pytest.raises(InvalidInputError, match="truncation_tol"):
+            CountableFamily.dyadic_blocks(3, truncation_tol=tol)
+        obj = {"family": "geometric", "params": {"ratio": 0.5}, "truncation_tol": tol}
+        with pytest.raises(InvalidInputError, match="truncation_tol"):
+            CountableFamily.from_json_obj(obj)
+
 
 class TestTruncate:
     def test_geometric_tolerance(self):

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from missingmass import (
@@ -31,6 +31,8 @@ from missingmass import (
 )
 
 from missingmass import PointCloud, expected_eps_missing_mass, monte_carlo, uniform_value
+
+from missingmass.numerics import pow_one_minus
 
 from conftest import block_vectors, prob_vectors, sample_counts_t
 
@@ -207,6 +209,39 @@ class TestBounds:
         assert 1.44270830 <= max(ratios) <= 1 / DEFAULT_COUNTABLE_C
 
 
+class TestCountableConstantEnclosure:
+    """A certified enclosure of C* = sup_y g(y), g(y) = sum_k f(2^k y) with
+    f(x) = x exp(-x), in outward-rounded interval arithmetic.
+
+    g(2y) = g(y), so y ranges over [1, 2], cut at y_j = 2^(j/N).  The terms
+    k < K_LO add at most sum 2^(k+1) = 2^(K_LO+1), since f(x) <= x and
+    2^k y < 2^(k+1); the terms k > K_HI add at most 2 f(2^(K_HI+1)), since f
+    falls past 1 and each term is under half the one before.  Below: g(y_j)
+    >= its kept terms.  Above: on [y_j, y_j+1] each kept term is at most f at
+    the end nearer 1, or 1/e when its range holds 1.
+    """
+
+    N, K_LO, K_HI = 128, -24, 6
+
+    def test_shipped_constant_is_proven(self):
+        from mpmath import iv  # at its default 53-bit precision
+
+        ks = range(self.K_LO, self.K_HI + 1)
+        ys = [iv.mpf(2) ** (iv.mpf(j) / self.N) for j in range(self.N + 1)]
+        xs = [[iv.mpf(2) ** k * y for k in ks] for y in ys]
+        fs = [[x * iv.exp(-x) for x in row] for row in xs]
+        top = iv.mpf(2) ** (self.K_HI + 1)
+        tail = iv.mpf(2) ** (self.K_LO + 1) + 2 * top * iv.exp(-top)
+        lower = max(sum(row, iv.mpf(0)).a for row in fs)
+        upper = max(
+            sum((fs[j + 1][i] if xs[j + 1][i].b <= 1 else fs[j][i] if xs[j][i].a >= 1
+                 else iv.exp(-1) for i in range(len(ks))), tail).b
+            for j in range(self.N)
+        )
+        assert 1.4427091 <= lower <= 1.44270930 <= upper <= 1.4457
+        assert 1 / upper > DEFAULT_COUNTABLE_C  # c* = 1/C* > 0.69174 > 0.69
+
+
 class TestDyadicBands:
     def test_uniform_single_band(self):
         d = ProbVector.uniform(4)
@@ -316,3 +351,98 @@ class TestMassCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError):
             missing_mass_curve(ProbVector.uniform(2), [])
+
+
+def _reference_sum(m, c, e, k=1):
+    """The uncached kernel sum: fsum over the runs of c m^k (1 - m)^e, with the
+    powers from pow_one_minus on fresh copies of m and c."""
+    m, c = np.array(m), np.array(c)
+    w = c * m if k == 1 else c * m * m
+    return math.fsum((w * pow_one_minus(m, e)).tolist())
+
+
+def _reference_bands(d, t):
+    """dyadic_bands recomputed band by band with _reference_sum; frexp gives
+    the exact band j of x = m (t + 1), 2^j <= x < 2^(j+1)."""
+    m, c = np.array(d.m), np.array(d.c)
+    j = np.array([-1 if p < 1.0 / (t + 1) else max(math.frexp(p * (t + 1))[1] - 1, 0)
+                  for p in m.tolist()])
+    return [(int(b), sum(c[j == b].tolist()), _reference_sum(m[j == b], c[j == b], t))
+            for b in np.unique(j)]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# masses spread over 2^-45..2^0, so masses below POW_TINY_MASS sit beside
+# ordinary ones and every small exponent takes the mixed branch
+_spread_weights = st.builds(math.ldexp, st.floats(1.0, 2.0), st.integers(-45, 0))
+
+
+@st.composite
+def spread_distributions(draw):
+    pairs = draw(st.lists(st.tuples(_spread_weights, st.integers(1, 2 ** 20)),
+                          min_size=1, max_size=12))
+    if draw(st.booleans()):
+        return ProbVector([w for w, _ in pairs], normalize=True)
+    total = math.fsum(w * c for w, c in pairs)
+    return BlockVector([(w / total, c) for w, c in pairs])
+
+
+# t = 0 (allow_zero), exponents 63 and 64 with s = 0 and with s = 1, and
+# both sides of the switch far out
+kernel_t = st.one_of(st.sampled_from([0, 1, 2, 3, 63, 64, 65]), st.integers(0, 300),
+                     st.sampled_from([10 ** 3, 10 ** 5, 10 ** 9]))
+
+
+class TestCachedKernelTerms:
+    """Every closed form, evaluated through a distribution's cached kernel
+    terms, equals the uncached reference bit for bit, whatever order of t
+    fills the cache."""
+
+    def _check(self, d, ts):
+        for t in ts:
+            want = _reference_sum(d.m, d.c, t)
+            assert _bits([expected_missing_mass(d, t, allow_zero=True)]) == _bits([want])
+            if t == 0:
+                continue
+            gt = _reference_sum(d.m, d.c, t - 1)
+            singleton = t * _reference_sum(d.m, d.c, t - 1, k=2)
+            got = [expected_missing_mass(d, t), gt_expected_estimate(d, t),
+                   singleton_mass_expectation(d, t), gt_bias(d, t)]
+            assert _bits(got) == _bits([want, gt, singleton, gt - want])
+            got_bands, want_bands = dyadic_bands(d, t), _reference_bands(d, t)
+            assert [b[:2] for b in got_bands] == [b[:2] for b in want_bands]
+            assert _bits(b[2] for b in got_bands) == _bits(b[2] for b in want_bands)
+        positive = [t for t in ts if t]
+        if positive:
+            want = [_reference_sum(d.m, d.c, t) for t in positive]
+            assert _bits(missing_mass_curve(d, positive).values) == _bits(want)
+
+    @given(d=spread_distributions(), ts=st.lists(kernel_t, min_size=1, max_size=8))
+    # mixed, at exponent 2, where numpy's square and pow round 1 - 0.2 and
+    # 1 - 0.6 apart (0.6 alone is band 0 of dyadic_bands at t = 2)
+    @example(d=ProbVector([1e-9, 0.2, 0.2 - 1e-9, 0.6]), ts=[3, 2, 1, 63, 64, 65, 0])
+    @example(d=ProbVector([1.0]), ts=[64, 65, 10 ** 9, 0, 1, 63])
+    @example(d=ProbVector.uniform(2 ** 40), ts=[0, 63, 64, 65, 10 ** 9, 1])
+    def test_distributions_match_uncached_reference(self, d, ts):
+        self._check(d, ts)
+
+    @given(d=st.one_of(prob_vectors(), block_vectors()), ts=st.lists(kernel_t, max_size=8))
+    def test_ordinary_distributions_match_uncached_reference(self, d, ts):
+        self._check(d, ts)
+
+    @given(family=st.one_of(st.builds(CountableFamily.geometric, st.floats(0.05, 0.95)),
+                            st.builds(CountableFamily.dyadic_blocks, st.integers(2, 64))),
+           tol=st.sampled_from([1e-12, 1e-6, 1e-3]),
+           ts=st.lists(kernel_t.filter(bool), min_size=1, max_size=8))
+    def test_truncations_match_uncached_reference(self, family, tol, ts):
+        trunc = truncate(family, tol)
+        want = [_reference_sum(trunc.m, trunc.c, t) for t in ts]
+        got = [expected_missing_mass_interval(trunc, t) for t in ts]
+        assert _bits(lo for lo, _ in got) == _bits(want)
+        assert _bits(hi for _, hi in got) == _bits(w + trunc.tail for w in want)
+        fresh = [expected_missing_mass_interval(family, t, tol)[0] for t in ts]
+        assert _bits(fresh) == _bits(want)
+        assert _bits(missing_mass_curve(trunc, ts).lower) == _bits(want)
