@@ -1,9 +1,9 @@
 """Command-line interface: every operation behind one scriptable binary.
 
-All randomness flows from --seed, so any invocation is reproducible from its
-flags alone.  JSON is the default output; t-grids and distributions can also
-be emitted as CSV.  Exit codes: 0 success, 2 invalid input or usage, 3 when
-a verification subcommand detects a bound violation.
+All randomness flows from --seed (simulate only), so any invocation is
+reproducible from its flags alone.  JSON is the default output; t-grids and
+distributions can also be emitted as CSV.  Exit codes: 0 success, 2 invalid
+input or usage, 3 when a verification subcommand detects a bound violation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from . import constructions, cover, extremal, mass, sampling
 from .distributions import BlockVector, CountableFamily, ProbVector
 from .errors import MissingMassError
-from .mass import DEFAULT_COUNTABLE_C
+from .mass import DEFAULT_COUNTABLE_C, DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -24,9 +24,6 @@ EXIT_VIOLATION = 3
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-    sub.add_argument("--tol", type=float, default=1e-12,
-                     help="truncation tolerance where applicable (default 1e-12)")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="output format (default json)")
     sub.add_argument("--out", type=Path, default=None,
@@ -155,11 +152,11 @@ def _cmd_bounds(args) -> int:
         ell = plateau_length(trunc)
         for t in ts:
             lo, hi = mass.expected_missing_mass_interval(trunc, t)
-            bound = mass.bound_countable(ell, t, args.c)
+            bound = mass.bound_countable(ell, t)
             ok = hi <= bound + 1e-12
             ok_all &= ok
             rows.append({"t": t, "lower": lo, "upper": hi, "ell": ell,
-                         "c": args.c, "bound_countable": bound, "ok": ok})
+                         "c": DEFAULT_COUNTABLE_C, "bound_countable": bound, "ok": ok})
     else:
         n = d.n
         for t in ts:
@@ -195,7 +192,7 @@ def _cmd_construct(args) -> int:
     elif args.kind == "tight-countable":
         if args.a is None:
             raise MissingMassError("tight-countable needs --a")
-        fam = constructions.tight_countable(args.a, truncation_tol=args.tol)
+        fam = constructions.tight_countable(args.a)
         _emit(args, fam.to_json_obj())
     else:  # rate-lb
         targets = _rate_targets(args)
@@ -209,7 +206,7 @@ def _rate_targets(args) -> list[float]:
         targets = json.loads(args.r_file.read_text())
         if not isinstance(targets, list):
             raise MissingMassError("--r-file must hold a JSON array of rates")
-        return [float(v) for v in targets]
+        return targets
     if args.t_max is None:
         raise MissingMassError("rate-lb needs --t-max (or --r-file)")
     if args.target == "inverse-log":
@@ -289,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     _dist_flags(p)
     p.add_argument("--t", type=int)
     p.add_argument("--t-grid", help="START:STOP[:STEP] (inclusive) or comma list")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"truncation tolerance of a countable family (default {DEFAULT_TOL:g})")
     _common_flags(p)
     p.set_defaults(handler=_cmd_emm)
 
@@ -296,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     _dist_flags(p)
     p.add_argument("--t", type=int)
     p.add_argument("--t-grid")
-    p.add_argument("--c", type=float, default=DEFAULT_COUNTABLE_C,
-                   help=f"constant for the countable bound (default {DEFAULT_COUNTABLE_C})")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"truncation tolerance of a countable family (default {DEFAULT_TOL:g})")
     _common_flags(p)
     p.set_defaults(handler=_cmd_bounds)
 
@@ -342,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--eps", type=float)
     p.add_argument("--replicates", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     _common_flags(p)
     p.set_defaults(handler=_cmd_simulate)
 

@@ -16,7 +16,14 @@ from __future__ import annotations
 import math
 
 from .distributions import BlockVector, CountableFamily, ProbVector, doubling_operator
-from .errors import ConstructionFailedError, InvalidInputError, require_int, require_real, require_t
+from .errors import (
+    ConstructionFailedError,
+    InvalidInputError,
+    require_int,
+    require_real,
+    require_reals,
+    require_t,
+)
 from .mass import expected_missing_mass
 
 MAX_DOUBLINGS = 40
@@ -33,13 +40,13 @@ def tight_finite(n: int, t: int) -> ProbVector:
     return ProbVector([x] * (n - 1) + [1.0 - (n - 1) * x])
 
 
-def tight_countable(a: int, truncation_tol: float = 1e-9) -> CountableFamily:
+def tight_countable(a: int) -> CountableFamily:
     """Dyadic-block family: block k holds a atoms of mass 1/(2^k a).
 
     Block k carries total mass 2^-k, so the plateau length is exactly a and
     every truncation at a block boundary has tail 2^-k.
     """
-    return CountableFamily.dyadic_blocks(a, truncation_tol=truncation_tol)
+    return CountableFamily.dyadic_blocks(a)
 
 
 def inverse_log_targets(t_max: int) -> list[float]:
@@ -59,9 +66,9 @@ def geometric_targets(t_max: int, ratio: float = 0.5, scale: float = 0.9) -> lis
 def rate_lb(targets, max_doublings: int = MAX_DOUBLINGS) -> BlockVector:
     """Distribution whose expected missing mass beats every target rate.
 
-    ``targets`` lists r_1 > r_2 > ... > r_T in (0, 1).  The base layout is
-    one heavy atom of mass 1 - r_tau (tau = first index past 10 with
-    r_tau < 0.9), a block of equal atoms below 1/(t+1)^2 carrying mass
+    ``targets`` lists real numbers r_1 > r_2 > ... > r_T in (0, 1).  The
+    base layout is one heavy atom of mass 1 - r_tau (tau = first index past
+    10 with r_tau < 0.9), a block of equal atoms below 1/(t+1)^2 carrying mass
     r_{t-1} - r_t for each tau < t <= T, and a final fine block carrying
     r_T.  Atom doubling is then applied until E[U_t] > r_t holds for every
     t on the horizon; each doubling strictly raises E[U_t] at every t, so
@@ -70,7 +77,7 @@ def rate_lb(targets, max_doublings: int = MAX_DOUBLINGS) -> BlockVector:
     Returns a run-length encoded distribution: doubling multiplies the
     support by 2 per round, so dense storage would not survive the cap.
     """
-    r = [float(v) for v in targets]
+    r = [float(v) for v in require_reals(list(targets), "target rates")]
     t_max = len(r)
     if t_max < 1:
         raise InvalidInputError("target sequence must be nonempty")

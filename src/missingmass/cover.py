@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import validate_masses
-from .errors import InvalidInputError, require_int, require_real, require_t
+from .errors import InvalidInputError, require_int, require_real, require_reals, require_t
 from .numerics import SLICE_CELLS, pow_one_minus
 from .sampling import McReport, mean_report, monte_carlo
 
@@ -42,9 +42,11 @@ class PointCloud:
     """Finite metric probability space: points, masses, and a distance oracle.
 
     Either Euclidean coordinates or an explicit distance matrix, every entry
-    finite; explicit matrices are validated (symmetry, zero diagonal,
-    nonnegativity, triangle inequality within 1e-9) on construction.  The
-    masses, kept in point order, pass the distributions' mass validator.
+    a finite real number (a float array passes by its dtype; "0" and true are
+    errors, never coerced); explicit matrices are validated (symmetry, zero
+    diagonal, nonnegativity, triangle inequality within 1e-9) on
+    construction.  The masses, kept in point order, pass the distributions'
+    mass validator.
     """
 
     def __init__(self, masses, *, coords=None, matrix=None, normalize: bool = False):
@@ -53,7 +55,7 @@ class PointCloud:
         self.masses = validate_masses(masses, normalize=normalize)[0]
         self.n = len(self.masses)
         if coords is not None:
-            pts = np.asarray(coords, dtype=float)
+            pts = _real_array(coords, "coordinates")
             if pts.ndim == 1:
                 pts = pts[:, None]
             if pts.ndim != 2 or pts.shape[0] != self.n:
@@ -66,7 +68,7 @@ class PointCloud:
             self.metric = "euclidean"
             self._dist = None
         else:
-            d = np.asarray(matrix, dtype=float)
+            d = _real_array(matrix, "distance matrix entries")
             if d.shape != (self.n, self.n):
                 raise InvalidInputError(
                     f"matrix must be ({self.n}, {self.n}), got shape {d.shape}"
@@ -114,17 +116,17 @@ class PointCloud:
         return obj
 
     @staticmethod
-    def from_json_obj(obj, *, normalize: bool = False) -> "PointCloud":
+    def from_json_obj(obj) -> "PointCloud":
         if not isinstance(obj, dict) or "masses" not in obj:
             raise InvalidInputError("PointCloud JSON needs a 'masses' key")
         if "matrix" in obj and obj["matrix"] is not None:
-            return PointCloud(obj["masses"], matrix=obj["matrix"], normalize=normalize)
+            return PointCloud(obj["masses"], matrix=obj["matrix"])
         if "points" not in obj:
             raise InvalidInputError("PointCloud JSON needs 'points' or 'matrix'")
-        return PointCloud(obj["masses"], coords=obj["points"], normalize=normalize)
+        return PointCloud(obj["masses"], coords=obj["points"])
 
     @staticmethod
-    def from_csv_text(text: str, *, normalize: bool = False) -> "PointCloud":
+    def from_csv_text(text: str) -> "PointCloud":
         """CSV with header id,mass,x1,...,xd."""
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
         if len(rows) < 2:
@@ -137,7 +139,17 @@ class PointCloud:
             raise InvalidInputError(f"point cloud CSV data row {short} needs an id and a mass")
         masses = [float(r[1]) for r in rows[1:]]
         coords = [[float(v) for v in r[2:]] for r in rows[1:]]
-        return PointCloud(masses, coords=coords, normalize=normalize)
+        return PointCloud(masses, coords=coords)
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """values (numbers, or rows of numbers) as a float array, each item a real
+    number by require_real's rule; a float array passes by its dtype."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return values.astype(float, copy=False)
+    items = np.array(values, dtype=object)
+    require_reals(items.ravel().tolist(), name)
+    return items.astype(float)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientTruncationError, InvalidInputError, require_int, require_real
+from .errors import (
+    InsufficientTruncationError,
+    InvalidInputError,
+    require_int,
+    require_real,
+    require_reals,
+)
 from .numerics import KernelTerms
 
 # |sum(masses) - 1| beyond this rejects the input instead of renormalizing.
 SUM_TOLERANCE = 1e-12
+TRUNCATE_MAX_ATOMS = 10_000_000  # longest prefix truncate will keep
 
 MassBlocks = tuple[tuple[float, int], ...]
 
@@ -37,13 +44,21 @@ def validate_masses(masses, counts=None, *, normalize: bool = False, tail: float
     """Validate atom masses, each repeated counts[i] times (default once), and
     return them in the order given as float and int64 arrays (m, c).
 
-    The masses lie in (0, 1] and sum to 1 within SUM_TOLERANCE, or, with a
-    ``tail``, to at most 1 and at least 1 once the tail is added (a truncation
-    prefix).  ``normalize`` first rescales them to total 1.  Counts must be
-    integers >= 1 (an int64 array passes by its dtype) totalling below 2^63.
+    Each mass is a real number (a float array passes by its dtype; "0.5" and
+    true are errors, never coerced); the masses lie in (0, 1] and sum to 1
+    within SUM_TOLERANCE, or, with a ``tail``, to at most 1 and at least 1
+    once the tail is added (a truncation prefix).  ``normalize`` first
+    rescales them to total 1.  Counts must be integers >= 1 (an int64 array
+    passes by its dtype) totalling below 2^63.
     """
     if counts is not None and not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
         counts = [require_int(k, "block count", 1) for k in counts]  # 2.5 is an error, not 2
+    if not (isinstance(masses, np.ndarray) and masses.dtype.kind == "f"):
+        try:
+            masses = list(masses)
+        except TypeError:
+            raise InvalidInputError(f"masses must be a list of numbers, got {masses!r}") from None
+        require_reals(masses, "masses")
     if tail is not None:
         require_real(tail, "tail bound", 0.0, math.inf)
     try:
@@ -168,18 +183,18 @@ class ProbVector(_Runs):
         return list(self.masses)
 
     @staticmethod
-    def from_json_obj(obj, *, normalize: bool = False) -> "ProbVector":
+    def from_json_obj(obj) -> "ProbVector":
         if not isinstance(obj, list):
             raise InvalidInputError("ProbVector JSON must be an array of numbers")
-        return ProbVector(obj, normalize=normalize)
+        return ProbVector(obj)
 
     def to_csv_text(self) -> str:
         return "\n".join(repr(m) for m in self.masses) + "\n"
 
     @staticmethod
-    def from_csv_text(text: str, *, normalize: bool = False) -> "ProbVector":
+    def from_csv_text(text: str) -> "ProbVector":
         vals = [float(row[0]) for row in csv.reader(io.StringIO(text)) if row]
-        return ProbVector(vals, normalize=normalize)
+        return ProbVector(vals)
 
 
 class BlockVector(_Runs):
@@ -213,18 +228,16 @@ class Truncation(_Runs):
 
     The prefix masses sum to at most 1; ``tail`` bounds everything omitted.
     ``plateau_adequate`` records whether the prefix provably realizes the
-    family's plateau structure; when unset it falls back to the conservative
-    rule tail <= smallest retained mass.
+    family's plateau structure: ``truncate`` sets it, and a prefix built
+    directly takes the conservative rule tail <= smallest retained mass.
     """
 
     __slots__ = ("tail", "source", "plateau_adequate")
 
-    def __init__(self, masses, tail: float, source: str = "", plateau_adequate: bool | None = None):
+    def __init__(self, masses, tail: float):
         self.m, self.c = _runs(masses, tail=tail)
-        self.tail, self.source = tail, source
-        self.plateau_adequate = (
-            tail <= self.min_mass if plateau_adequate is None else plateau_adequate
-        )
+        self.tail, self.source = tail, ""
+        self.plateau_adequate = tail <= self.min_mass
 
     def _key(self) -> tuple:
         return (self.blocks, self.tail, self.source, self.plateau_adequate)
@@ -236,45 +249,44 @@ class CountableFamily:
 
     Only closed-form families are admitted (arbitrary user term functions
     cannot guarantee a valid tail bound): ``geometric``, ``dyadic-blocks``,
-    and an ``explicit`` list-plus-tail-bound variant.
+    and an ``explicit`` list-plus-tail-bound variant (``tail_bound`` 0 when
+    not given).  A truncation tolerance is passed with each call, not held.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    truncation_tol: float = 1e-9
 
     KINDS = ("geometric", "dyadic-blocks", "explicit")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidInputError(f"unknown family kind {self.kind!r}")
-        require_real(self.truncation_tol, "truncation_tol", 0.0, 1.0, "()")
+        # validate once, then keep only the canonical params the family reads
         if self.kind == "geometric":
-            require_real(self.params.get("ratio"), "geometric ratio", 0.0, 1.0, "()")
+            ratio = require_real(self.params.get("ratio"), "geometric ratio", 0.0, 1.0, "()")
+            params = {"ratio": float(ratio)}
         elif self.kind == "dyadic-blocks":
-            a = require_int(self.params.get("a"), "dyadic-blocks width a", 2)
-            object.__setattr__(self, "params", {**self.params, "a": a})
+            params = {"a": require_int(self.params.get("a"), "dyadic-blocks width a", 2)}
         else:
             # the listed masses are a truncation prefix, the tail bound its tail
-            _runs(self.params.get("masses") or (), tail=self.params.get("tail_bound", 0.0))
+            tail = self.params.get("tail_bound", 0.0)
+            m, _ = validate_masses(self.params.get("masses") or (), tail=tail)
+            params = {"masses": tuple(m.tolist()), "tail_bound": float(tail)}
+        object.__setattr__(self, "params", params)
 
     # -- constructors --
 
     @staticmethod
-    def geometric(ratio: float = 0.5, truncation_tol: float = 1e-9) -> "CountableFamily":
-        return CountableFamily("geometric", {"ratio": float(ratio)}, truncation_tol)
+    def geometric(ratio: float = 0.5) -> "CountableFamily":
+        return CountableFamily("geometric", {"ratio": ratio})
 
     @staticmethod
-    def dyadic_blocks(a: int, truncation_tol: float = 1e-9) -> "CountableFamily":
-        return CountableFamily("dyadic-blocks", {"a": a}, truncation_tol)
+    def dyadic_blocks(a: int) -> "CountableFamily":
+        return CountableFamily("dyadic-blocks", {"a": a})
 
     @staticmethod
-    def explicit(masses, tail_bound: float = 0.0, truncation_tol: float = 1e-9) -> "CountableFamily":
-        return CountableFamily(
-            "explicit",
-            {"masses": tuple(float(m) for m in masses), "tail_bound": float(tail_bound)},
-            truncation_tol,
-        )
+    def explicit(masses, tail_bound: float = 0.0) -> "CountableFamily":
+        return CountableFamily("explicit", {"masses": masses, "tail_bound": tail_bound})
 
     # -- the defining functions --
 
@@ -323,28 +335,26 @@ class CountableFamily:
         params = dict(self.params)
         if self.kind == "explicit":
             params["masses"] = list(params["masses"])
-        return {"family": self.kind, "params": params, "truncation_tol": self.truncation_tol}
+        return {"family": self.kind, "params": params}
 
     @staticmethod
     def from_json_obj(obj) -> "CountableFamily":
+        """The family of a JSON object; keys it does not read are ignored."""
         if not isinstance(obj, dict) or "family" not in obj:
             raise InvalidInputError("CountableFamily JSON must carry a 'family' key")
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise InvalidInputError("family 'params' must be a JSON object")
-        params = dict(params)
-        if "masses" in params:
-            if not isinstance(params["masses"], list):
-                raise InvalidInputError("family 'masses' must be a JSON array of numbers")
-            params["masses"] = tuple(float(m) for m in params["masses"])
-        return CountableFamily(obj["family"], params, obj.get("truncation_tol", 1e-9))
+        if "masses" in params and not isinstance(params["masses"], list):
+            raise InvalidInputError("family 'masses' must be a JSON array of numbers")
+        return CountableFamily(obj["family"], params)
 
     @staticmethod
     def from_json_text(text: str) -> "CountableFamily":
         return CountableFamily.from_json_obj(json.loads(text))
 
 
-def truncate(family: CountableFamily, tol: float, max_atoms: int = 10_000_000) -> Truncation:
+def truncate(family: CountableFamily, tol: float) -> Truncation:
     """Smallest prefix of ``family`` whose tail bound drops to at most ``tol``.
 
     The retained atoms plus the reported tail sandwich every downstream
@@ -352,9 +362,9 @@ def truncate(family: CountableFamily, tol: float, max_atoms: int = 10_000_000) -
     p(1-p)^t <= p.
     """
     require_real(tol, "truncation tolerance", 0.0, 1.0, "()")
-    if family.tail_mass(max_atoms) > tol:
+    if family.tail_mass(TRUNCATE_MAX_ATOMS) > tol:
         raise InsufficientTruncationError(
-            f"{family.descriptor}: tail does not reach {tol} within {max_atoms} atoms"
+            f"{family.descriptor}: tail does not reach {tol} within {TRUNCATE_MAX_ATOMS} atoms"
         )
     lo, hi = 0, 1
     while family.tail_mass(hi) > tol:

@@ -5,9 +5,11 @@ Every scalar precondition in the package goes through one of two rules:
 sample-count case) and ``require_real`` (a real number inside an interval,
 NaN never passing).  Both reject ``bool`` and never coerce: a value that is
 not already an integer or a real is an ``InvalidInputError``, not a rounded
-number.  Distribution masses are arrays, not scalars; they have their own
-validator, ``distributions.validate_masses``, shared by every distribution
-type and by ``cover.PointCloud``.
+number.  ``require_reals`` applies require_real's type rule to every item of
+a list of numbers read from a file, so "0.5" or true in one is an error too.
+Distribution masses are arrays, not scalars; they have their own validator,
+``distributions.validate_masses``, shared by every distribution type and by
+``cover.PointCloud``.
 """
 
 import numbers
@@ -74,3 +76,14 @@ def require_real(value, name: str, low: float, high: float, bounds: str = "[]"):
     raise InvalidInputError(
         f"{name} must lie in {bounds[0]}{low:g}, {high:g}{bounds[1]}, got {value!r}"
     )
+
+
+def require_reals(items: list, name: str) -> list:
+    """require_real's type rule for each item of a list: a real number, bool
+    excluded, nothing coerced.  The check runs over the distinct item types,
+    so a long list of floats costs one pass of type()."""
+    for kind in set(map(type, items)):
+        if not issubclass(kind, numbers.Real) or issubclass(kind, bool):
+            bad = next(v for v in items if type(v) is kind)
+            raise InvalidInputError(f"{name} must be real numbers, got {bad!r}")
+    return items

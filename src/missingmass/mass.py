@@ -51,6 +51,9 @@ from .numerics import KernelTerms, pow_one_minus
 # 0.69 keeps a 0.45 % margin.  The test suite checks the bound and its sharpness.
 DEFAULT_COUNTABLE_C = 0.69
 
+# The one default truncation tolerance: both enclosure functions and `mml --tol`.
+DEFAULT_TOL = 1e-12
+
 
 def _require_distribution(d) -> None:
     if not isinstance(d, (ProbVector, BlockVector)):
@@ -79,17 +82,17 @@ def expected_missing_mass(d: ProbVector | BlockVector, t: int, *, allow_zero: bo
 
 
 def expected_missing_mass_interval(
-    f: CountableFamily | Truncation, t: int, tol: float | None = None
+    f: CountableFamily | Truncation, t: int, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Interval [lower, upper] containing E[U_t] for a countable family.
 
     The lower endpoint is the exact contribution of the retained prefix; the
     omitted atoms add at most their total mass, so the interval width never
-    exceeds the truncation tolerance.
+    exceeds the truncation tolerance ``tol`` (a Truncation carries its own).
     """
     t = require_t(t)
     if isinstance(f, CountableFamily):
-        f = truncate(f, tol if tol is not None else f.truncation_tol)
+        f = truncate(f, tol)
     elif not isinstance(f, Truncation):
         raise InvalidInputError(f"expected a CountableFamily or Truncation, got {type(f).__name__}")
     lower = _kernel_sum(f.kernel_terms, t)
@@ -149,14 +152,9 @@ def dyadic_bands(d: ProbVector | BlockVector, t: int) -> list[tuple[int, int, fl
     """
     _require_distribution(d)
     t = require_t(t)
-    x = d.m * (t + 1)
-    # guard the float log against landing one band off at boundaries: the
-    # band test is x >= 2^j exactly, and m >= 1/(t+1) may give x = 0.999...
-    j = np.maximum(np.floor(np.log2(x)), 0.0).astype(np.int64)
-    while (down := (j > 0) & (x < np.ldexp(1.0, j))).any():
-        j -= down
-    while (up := x >= np.ldexp(1.0, j + 1)).any():
-        j += up
+    # frexp's exponent e gives 2^(e-1) <= x < 2^e exactly, so j = e - 1; an
+    # atom at 1/(t+1) whose x rounds to 0.999... stays in band 0
+    j = np.maximum(np.frexp(d.m * (t + 1))[1] - 1, 0)
     j[d.m < 1.0 / (t + 1)] = -1
     bands = []
     for band in np.unique(j):
@@ -217,14 +215,14 @@ class MassCurve:
 def missing_mass_curve(
     d: ProbVector | BlockVector | CountableFamily | Truncation,
     t_values,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> MassCurve:
-    """Evaluate E[U_t] over a grid of sample counts."""
+    """Evaluate E[U_t] over a grid of sample counts (a family truncated at ``tol``)."""
     ts = tuple(require_t(t) for t in t_values)
     if not ts:
         raise InvalidInputError("t grid must be nonempty")
     if isinstance(d, CountableFamily):
-        d = truncate(d, tol if tol is not None else d.truncation_tol)
+        d = truncate(d, tol)
     elif not isinstance(d, Truncation):
         _require_distribution(d)
     terms = d.kernel_terms

@@ -150,13 +150,13 @@ def _bias_rows(idx: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return np.count_nonzero(counts == 1, axis=1) / idx.shape[1] - _missing_rows(counts, masses)
 
 
-def draw_sample(d: ProbVector, t: int, seed: int, source: str | None = None) -> SampleCounts:
+def draw_sample(d: ProbVector, t: int, seed: int) -> SampleCounts:
     """t i.i.d. draws from d, aggregated to per-atom counts; deterministic per seed."""
     counts = monte_carlo(d.masses, t, 1, seed, lambda idx: _counts(idx, d.n))[0]
     return SampleCounts(
         t=t,
         counts=tuple(int(c) for c in counts),
-        source=source if source is not None else f"ProbVector(n={d.n})",
+        source=f"ProbVector(n={d.n})",
         seed=seed,
     )
 

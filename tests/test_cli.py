@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from missingmass import McReport
-from missingmass.cli import main
+from missingmass.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +80,17 @@ class TestEmm:
         assert out == ""
         assert err.startswith(f"mml emm: t grid {grid!r}")
 
+    def test_explicit_family_without_tail_bound(self, tmp_path, capsys):
+        # the tail bound defaults to 0: the listed masses are the whole family
+        f = tmp_path / "explicit.json"
+        f.write_text('{"family": "explicit", "params": {"masses": [0.5, 0.5]}}')
+        code, out, _ = run_cli(capsys, "emm", "--dist", str(f), "--t", "3")
+        assert code == 0
+        assert json.loads(out) == {"t": 3, "value": 0.125}
+        code, out, _ = run_cli(capsys, "bounds", "--dist", str(f), "--t", "3")
+        assert code == 0
+        assert json.loads(out)["upper"] == 0.125
+
     def test_dist_file_csv(self, tmp_path, capsys):
         f = tmp_path / "d.csv"
         f.write_text("0.5\n0.5\n")
@@ -129,13 +141,6 @@ class TestConstruct:
         obj = json.loads(out)
         assert obj["family"] == "dyadic-blocks"
         assert obj["params"]["a"] == 3
-
-    def test_tight_countable_tolerance_checked_at_construction(self, capsys):
-        code, out, err = run_cli(capsys, "construct", "--kind", "tight-countable",
-                                 "--a", "3", "--tol", "5")
-        assert code == 2
-        assert out == ""
-        assert err == "mml construct: truncation_tol must lie in (0, 1), got 5.0\n"
 
     def test_rate_lb_blocks(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--kind", "rate-lb",
@@ -261,15 +266,24 @@ class TestInvalidFiles:
          "params"),
         ("masses.json", '{"family": "explicit", "params": {"masses": 0.5}}',
          ["emm", "--t", "3"], "masses"),
-        ("tol.json", '{"family": "geometric", "params": {"ratio": 0.5}, "truncation_tol": 5}',
-         ["emm", "--t", "3"], "truncation_tol"),
+        ("strings.json", '["0.5", "0.5"]', ["emm", "--t", "3"], "masses"),
+        ("blockstr.json", '{"blocks": [["0.5", 2]]}', ["emm", "--t", "3"], "masses"),
+        ("explicit.json", '{"family": "explicit", "params": {"masses": ["0.5", "0.5"]}}',
+         ["emm", "--t", "3"], "masses"),
+        ("points.json", '{"points": [["0"], [true]], "masses": [0.5, 0.5]}',
+         ["cover", "--eps", "1", "--t", "1"], "coordinates"),
+        ("cloudmass.json", '{"points": [[0], [1]], "masses": ["0.5", 0.5]}',
+         ["cover", "--eps", "1", "--t", "1"], "masses"),
+        ("rates.json", json.dumps([0.5, 0.25, "0.125"] + [0.5 ** t for t in range(4, 31)]),
+         ["construct", "--kind", "rate-lb"], "target rates"),
     ], ids=["fractional-count", "fractional-a", "nan-coordinate", "inf-coordinate",
             "unpaired-blocks", "one-cell-row", "params-array", "masses-number",
-            "truncation-tol"])
+            "string-masses", "string-block-mass", "string-family-masses", "string-bool-points",
+            "string-cloud-mass", "string-rate"])
     def test_rejected(self, tmp_path, capsys, name, text, argv, field):
         f = tmp_path / name
         f.write_text(text)
-        flag = "--cloud" if argv[0] == "cover" else "--dist"
+        flag = {"cover": "--cloud", "construct": "--r-file"}.get(argv[0], "--dist")
         code, out, err = run_cli(capsys, *argv, flag, str(f))
         assert code == 2
         assert out == ""
@@ -303,6 +317,47 @@ class TestOracle:
         assert code == 0
         obj = json.loads(out)
         assert all(abs(p - 1 / 3) <= 0.005 for p in obj["point"])
+
+
+class TestOptions:
+    """Every subcommand takes exactly the flags its handler reads."""
+
+    DESTS = {
+        "emm": "a dist family format n out ratio t t_grid tol",
+        "bounds": "a dist family format n out ratio t t_grid tol",
+        "extremal": "format n out t",
+        "tau": "format n out t_max",
+        "construct": "a format kind n out r_file ratio scale t t_max target",
+        "gt": "a dist family format n out ratio t",
+        "simulate": "a cloud dist eps family format mode n out ratio replicates seed t",
+        "cover": "cloud eps exact format out t",
+        "oracle": "format grid_step out t",
+    }
+
+    def test_option_sets(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: sorted(a.dest for a in p._actions if not isinstance(a, argparse._HelpAction))
+               for name, p in sub.choices.items()}
+        assert got == {name: dests.split() for name, dests in self.DESTS.items()}
+        assert sum(len(dests) for dests in got.values()) == 70
+
+    @pytest.mark.parametrize("argv", [
+        ["tau", "--n", "3", "--seed", "1"],
+        ["emm", "--family", "uniform", "--n", "3", "--t", "1", "--seed", "1"],
+        ["construct", "--kind", "tight-countable", "--a", "3", "--tol", "1e-9"],
+        ["bounds", "--family", "geometric", "--t", "5", "--c", "0.5"],
+    ], ids=["tau-seed", "emm-seed", "construct-tol", "bounds-c"])
+    def test_removed_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_countable_rows_keep_the_proven_constant(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--family", "geometric", "--t", "5")
+        assert code == 0
+        assert json.loads(out)["c"] == 0.69
 
 
 class TestOutput:

@@ -168,7 +168,7 @@ class TestPlateauLength:
         assert plateau_length(doubling_operator(d)) >= plateau_length(d)
 
     def test_inadequate_truncation_rejected(self):
-        t = Truncation((0.5, 0.25), 0.26, plateau_adequate=None)
+        t = Truncation((0.5, 0.25), 0.26)
         assert not t.plateau_adequate
         with pytest.raises(InsufficientTruncationError):
             plateau_length(t)
@@ -244,7 +244,7 @@ class TestCountableFamily:
 
     def test_json_roundtrip(self):
         for f in [
-            CountableFamily.geometric(0.5, truncation_tol=1e-8),
+            CountableFamily.geometric(0.5),
             CountableFamily.dyadic_blocks(4),
             CountableFamily.explicit([0.75, 0.25]),
         ]:
@@ -253,16 +253,6 @@ class TestCountableFamily:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             CountableFamily("zeta", {"s": 2.0})
-
-    @pytest.mark.parametrize("tol", [0.0, 1.0, 5.0, -1e-3, float("nan"), "1e-9", None, True])
-    def test_truncation_tol_checked_at_construction(self, tol):
-        with pytest.raises(InvalidInputError, match="truncation_tol"):
-            CountableFamily.geometric(0.5, truncation_tol=tol)
-        with pytest.raises(InvalidInputError, match="truncation_tol"):
-            CountableFamily.dyadic_blocks(3, truncation_tol=tol)
-        obj = {"family": "geometric", "params": {"ratio": 0.5}, "truncation_tol": tol}
-        with pytest.raises(InvalidInputError, match="truncation_tol"):
-            CountableFamily.from_json_obj(obj)
 
 
 class TestTruncate:

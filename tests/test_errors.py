@@ -1,4 +1,4 @@
-"""The two argument rules in missingmass.errors, and checks that go through them."""
+"""The argument rules in missingmass.errors, and checks that go through them."""
 
 import json
 import math
@@ -11,13 +11,15 @@ from missingmass import (
     CountableFamily,
     InvalidInputError,
     PointCloud,
+    ProbVector,
     bound_finite,
     doubling_operator,
     eps_missing_mass,
     maximize_missing_mass,
+    rate_lb,
 )
-from missingmass import distributions
-from missingmass.errors import require_int, require_real
+from missingmass import cover, distributions
+from missingmass.errors import require_int, require_real, require_reals
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
@@ -52,6 +54,14 @@ def test_require_real_rejects_nan_bool_and_non_numbers(value):
         require_real(value, "y", -math.inf, math.inf)
 
 
+def test_require_reals_applies_the_real_type_rule_to_each_item():
+    items = [0.5, 1, np.float64(0.25), np.int64(2), math.inf]
+    assert require_reals(items, "z") is items
+    for bad in ["0.5", True, np.bool_(True), None, [0.5]]:
+        with pytest.raises(InvalidInputError, match=r"^z must be real numbers, got "):
+            require_reals([0.5, bad], "z")
+
+
 def test_bool_is_no_support_size():
     with pytest.raises(InvalidInputError):
         bound_finite(True, 3)
@@ -82,6 +92,39 @@ class TestLoadersDoNotCoerce:
         cloud = PointCloud([0.5, 0.5], coords=[[0.0], [2.0]])
         with pytest.raises(InvalidInputError, match="sample index"):
             eps_missing_mass(cloud, [1, index], 1.0)
+
+    @pytest.mark.parametrize("mass", ["0.5", True])
+    def test_masses(self, mass):
+        with pytest.raises(InvalidInputError, match="masses must be real numbers"):
+            ProbVector.from_json_obj([mass, 0.5])
+        with pytest.raises(InvalidInputError, match="masses must be real numbers"):
+            BlockVector.from_json_obj({"blocks": [[mass, 1], [0.5, 1]]})
+        with pytest.raises(InvalidInputError, match="masses must be real numbers"):
+            CountableFamily.explicit([mass, 0.5])
+        with pytest.raises(InvalidInputError, match="masses must be real numbers"):
+            PointCloud.from_json_obj({"points": [[0], [1]], "masses": [mass, 0.5]})
+
+    @pytest.mark.parametrize("value", ["0", True])
+    def test_cloud_coordinates_and_matrix(self, value):
+        with pytest.raises(InvalidInputError, match="coordinates must be real numbers"):
+            PointCloud.from_json_obj({"points": [[value], [1]], "masses": [0.5, 0.5]})
+        with pytest.raises(InvalidInputError, match="distance matrix entries must be real"):
+            PointCloud.from_json_obj({"matrix": [[0, value], [1, 0]], "masses": [0.5, 0.5]})
+
+    @pytest.mark.parametrize("rate", ["0.125", True])
+    def test_target_rates(self, rate):
+        with pytest.raises(InvalidInputError, match="target rates must be real numbers"):
+            rate_lb([0.5, 0.25, rate] + [0.5 ** t for t in range(4, 31)])
+
+    def test_float_arrays_pass_by_dtype(self, monkeypatch):
+        def per_element(*args):
+            raise AssertionError("a float array went through the per-item rule")
+
+        monkeypatch.setattr(distributions, "require_reals", per_element)
+        monkeypatch.setattr(cover, "require_reals", per_element)
+        assert doubling_operator(ProbVector(np.full(4, 0.25))).n == 8
+        cloud = PointCloud(np.full(2, 0.5), coords=np.array([[0.0], [1.0]]))
+        assert PointCloud(cloud.masses, matrix=cloud.distances()).diameter() == 1.0
 
     def test_int64_counts_pass_by_dtype(self, monkeypatch):
         d = BlockVector([(2.0 ** -40, 2 ** 40)])
