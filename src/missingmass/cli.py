@@ -30,13 +30,16 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
                      help="write output to a file instead of stdout")
 
 
-def _dist_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=("uniform", "geometric", "dyadic-blocks"),
-                     help="built-in family")
+def _dist_flags(sub: argparse.ArgumentParser, countable: bool = True) -> None:
+    """The distribution flags; the countable families and their parameters
+    only on subcommands whose handler can take a countable family."""
+    families = ("uniform", "geometric", "dyadic-blocks") if countable else ("uniform",)
+    sub.add_argument("--family", choices=families, help="built-in family")
     sub.add_argument("--n", type=int, help="support size for --family uniform")
-    sub.add_argument("--ratio", type=float, default=0.5,
-                     help="ratio for --family geometric (default 0.5)")
-    sub.add_argument("--a", type=int, help="block width for --family dyadic-blocks")
+    if countable:
+        sub.add_argument("--ratio", type=float, default=0.5,
+                         help="ratio for --family geometric (default 0.5)")
+        sub.add_argument("--a", type=int, help="block width for --family dyadic-blocks")
     sub.add_argument("--dist", type=Path,
                      help="distribution file (.json array / blocks object, or .csv)")
 
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("gt", help="closed-form Good-Turing expectations and bias")
-    _dist_flags(p)
+    _dist_flags(p, countable=False)
     p.add_argument("--t", type=int, required=True)
     _common_flags(p)
     p.set_defaults(handler=_cmd_gt)
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo verification")
     p.add_argument("--mode", required=True,
                    choices=("bias", "concentration", "eps-mass"))
-    _dist_flags(p)
+    _dist_flags(p, countable=False)
     p.add_argument("--cloud", type=Path)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--eps", type=float)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import validate_masses
+from .distributions import MassSumError, validate_masses
 from .errors import InvalidInputError, require_int, require_real, require_reals, require_t
 from .numerics import SLICE_CELLS, pow_one_minus
 from .sampling import McReport, mean_report, monte_carlo
@@ -52,7 +52,10 @@ class PointCloud:
     def __init__(self, masses, *, coords=None, matrix=None, normalize: bool = False):
         if (coords is None) == (matrix is None):
             raise InvalidInputError("give exactly one of coords or matrix")
-        self.masses = validate_masses(masses, normalize=normalize)[0]
+        try:
+            self.masses = validate_masses(masses, normalize=normalize)[0]
+        except MassSumError as exc:
+            raise exc.hinted() from None
         self.n = len(self.masses)
         if coords is not None:
             pts = _real_array(coords, "coordinates")
@@ -119,11 +122,14 @@ class PointCloud:
     def from_json_obj(obj) -> "PointCloud":
         if not isinstance(obj, dict) or "masses" not in obj:
             raise InvalidInputError("PointCloud JSON needs a 'masses' key")
-        if "matrix" in obj and obj["matrix"] is not None:
-            return PointCloud(obj["masses"], matrix=obj["matrix"])
-        if "points" not in obj:
+        matrix = obj.get("matrix")
+        if matrix is None and "points" not in obj:
             raise InvalidInputError("PointCloud JSON needs 'points' or 'matrix'")
-        return PointCloud(obj["masses"], coords=obj["points"])
+        # a file has no normalize option, so its sum error must not name one
+        masses = validate_masses(obj["masses"])[0]
+        if matrix is not None:
+            return PointCloud(masses, matrix=matrix)
+        return PointCloud(masses, coords=obj["points"])
 
     @staticmethod
     def from_csv_text(text: str) -> "PointCloud":
@@ -137,7 +143,7 @@ class PointCloud:
         short = next((i for i, r in enumerate(rows[1:], 1) if len(r) < 2), None)
         if short is not None:
             raise InvalidInputError(f"point cloud CSV data row {short} needs an id and a mass")
-        masses = [float(r[1]) for r in rows[1:]]
+        masses = validate_masses([float(r[1]) for r in rows[1:]])[0]  # as in from_json_obj
         coords = [[float(v) for v in r[2:]] for r in rows[1:]]
         return PointCloud(masses, coords=coords)
 

@@ -37,6 +37,14 @@ from .numerics import KernelTerms
 SUM_TOLERANCE = 1e-12
 TRUNCATE_MAX_ATOMS = 10_000_000  # longest prefix truncate will keep
 
+
+class MassSumError(InvalidInputError):
+    """Masses that do not sum to 1: the one mass error that normalize=True
+    fixes, so the constructors that take normalize name it."""
+
+    def hinted(self) -> InvalidInputError:
+        return InvalidInputError(f"{self}; pass normalize=True to rescale explicitly")
+
 MassBlocks = tuple[tuple[float, int], ...]
 
 
@@ -81,10 +89,7 @@ def validate_masses(masses, counts=None, *, normalize: bool = False, tail: float
     total = math.fsum((m * c).tolist())
     if tail is None:
         if abs(total - 1.0) > SUM_TOLERANCE:
-            raise InvalidInputError(
-                f"masses sum to {total!r}, off by more than {SUM_TOLERANCE}; "
-                "pass normalize=True to rescale explicitly"
-            )
+            raise MassSumError(f"masses sum to {total!r}, off by more than {SUM_TOLERANCE}")
     elif total > 1.0 + SUM_TOLERANCE or total + tail < 1.0 - SUM_TOLERANCE:
         raise InvalidInputError(
             f"prefix mass {total!r} with tail bound {tail!r} does not bracket total mass 1"
@@ -170,7 +175,10 @@ class ProbVector(_Runs):
     __slots__ = ()
 
     def __init__(self, masses, *, normalize: bool = False):
-        self.m, self.c = _runs(masses, normalize=normalize)
+        try:
+            self.m, self.c = _runs(masses, normalize=normalize)
+        except MassSumError as exc:
+            raise exc.hinted() from None
 
     @staticmethod
     def uniform(n: int) -> "ProbVector":
@@ -186,7 +194,7 @@ class ProbVector(_Runs):
     def from_json_obj(obj) -> "ProbVector":
         if not isinstance(obj, list):
             raise InvalidInputError("ProbVector JSON must be an array of numbers")
-        return ProbVector(obj)
+        return ProbVector._of_runs(obj, None)
 
     def to_csv_text(self) -> str:
         return "\n".join(repr(m) for m in self.masses) + "\n"
@@ -194,7 +202,7 @@ class ProbVector(_Runs):
     @staticmethod
     def from_csv_text(text: str) -> "ProbVector":
         vals = [float(row[0]) for row in csv.reader(io.StringIO(text)) if row]
-        return ProbVector(vals)
+        return ProbVector._of_runs(vals, None)
 
 
 class BlockVector(_Runs):
@@ -251,6 +259,7 @@ class CountableFamily:
     cannot guarantee a valid tail bound): ``geometric``, ``dyadic-blocks``,
     and an ``explicit`` list-plus-tail-bound variant (``tail_bound`` 0 when
     not given).  A truncation tolerance is passed with each call, not held.
+    Families are equal and hash alike by kind and canonical params.
     """
 
     kind: str
@@ -273,6 +282,11 @@ class CountableFamily:
             m, _ = validate_masses(self.params.get("masses") or (), tail=tail)
             params = {"masses": tuple(m.tolist()), "tail_bound": float(tail)}
         object.__setattr__(self, "params", params)
+
+    def __hash__(self) -> int:
+        # params is a dict, but canonical: the same keys in the same order,
+        # each value a float, an int or a tuple of floats
+        return hash((self.kind, tuple(self.params.items())))
 
     # -- constructors --
 

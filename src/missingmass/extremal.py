@@ -67,6 +67,19 @@ def _prime(n: int, t, x):
     return (n - 1) * (light_part + heavy_part)
 
 
+def _prime_second(n: int, t, x):
+    """The first and second derivatives of bivalent_missing_mass elementwise
+    over arrays of t and x, unchecked; the powers (1-x)^(t-2) and u^(t-2)
+    are taken once and multiplied up."""
+    u, e = (n - 1) * x, t - 2
+    light, heavy = pow_one_minus(x, e), pow_unit(u, e)
+    prime = (n - 1) * (light * (1.0 - x) * (1.0 - (t + 1) * x)
+                       + heavy * u * (t - (t + 1) * u))
+    second = (n - 1) * t * (light * ((t + 1) * x - 2.0)
+                            + (n - 1) * heavy * ((t - 1) - (t + 1) * u))
+    return prime, second
+
+
 def uniform_value(n: int, t: int) -> float:
     """E[U_t] of the uniform distribution on n atoms: (1 - 1/n)^t."""
     _require(n, t)
@@ -155,33 +168,64 @@ def _solve(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (all > n); the family beats the uniform wherever value > uniform_value.
 
     Interior local maxima can only live below 2/(t+1) (the derivative of the
-    kernel decreases there and increases beyond), so the derivative is
-    sampled at CRITICAL_SCAN_POINTS + 1 points across (1/(t+1),
-    min(2/(t+1), 1/n)), and the first cell where it turns from > 0 to <= 0
-    is re-sampled the same way until it stops shrinking: f rises up to that
-    root, and a later root is a local minimum.  The right end stays a hair
-    below 1/n, where the uniform point is a critical point by construction
-    and float noise would make spurious roots.  For extreme t the maximizer
-    sits within one float spacing of the kernel peak, so the first float
-    past the peak is always a candidate and a root is clamped to it.
+    kernel decreases there and increases beyond).  One scan samples the
+    derivative at CRITICAL_SCAN_POINTS + 1 points across (1/(t+1),
+    min(2/(t+1), 1/n)), the first of them the kernel peak (the first float
+    past 1/(t+1)), and keeps the first cell where it turns from > 0 to <= 0:
+    f rises up to that root, and a later root is a local minimum.  The right
+    end stays a hair below 1/n, where the uniform point is a critical point
+    by construction and float noise would make spurious roots.  A row without
+    such a cell takes the peak; for extreme t that is most rows, since their
+    sign change sits within one float spacing of it.
+
+    Every other row then takes safeguarded Newton steps on the derivative
+    from its cell's left end ("rtsafe", Numerical Recipes 9.4), with the
+    second derivative in closed form.  Each step moves the end of the bracket
+    on its side of the sign change; a step that would leave the bracket or
+    not halve the previous step is replaced by bisection.  A row is frozen
+    once its step is within four float spacings, so its answer never depends
+    on the other t solved with it.  The peak stays a candidate: it wins where
+    its value is strictly larger.
     """
     lo = 1.0 / (t + 1)
-    a, b = lo, np.minimum(2.0 / (t + 1), (1.0 - 1e-9) / n)
-    found, rows = b > a, np.arange(len(t))
-    while True:
-        # a cell within a factor 2 of 1/(t+1) has an exact width b - a, so
-        # the samples stay inside it
-        x = a[:, None] + (b - a)[:, None] * _SCAN
-        rising = _prime(n, t[:, None], x) > 0.0
-        turn = rising[:, :-1] & ~rising[:, 1:]
-        i = np.argmax(turn, axis=1)
-        found &= turn[rows, i]
-        if np.array_equal(x[rows, i], a) and np.array_equal(x[rows, i + 1], b):
-            break
-        a, b = x[rows, i], x[rows, i + 1]
     peak = np.nextafter(lo, 1.0)
-    root = np.where(found, np.maximum(0.5 * (a + b), peak), peak)
-    v_root, v_peak = _value(n, t, root), _value(n, t, peak)
+    end = np.minimum(lo + lo, (1.0 - 1e-9) / n)
+    # a cell within a factor 2 of 1/(t+1) has an exact width, so the samples
+    # stay inside it; the first one is the peak
+    x = lo[:, None] + (end - lo)[:, None] * _SCAN
+    x[:, 0] = peak
+    rising = _prime(n, t[:, None], x) > 0.0
+    turn = rising[:, :-1] & ~rising[:, 1:]
+    i = np.argmax(turn, axis=1)
+    live = np.flatnonzero(turn[np.arange(len(t)), i] & (end > lo))
+    i = i[live]
+    root = peak.copy()
+    xk, b, tl = x[live, i], x[live, i + 1], t[live]
+    a, step = xk, np.full(live.size, np.inf)
+    while live.size:
+        fp, fpp = _prime_second(n, tl, xk)
+        up = fp > 0.0
+        a, b = np.where(up, xk, a), np.where(up, b, xk)
+        dx = fp / fpp
+        nxt = xk - dx
+        tol = 4.0 * np.spacing(xk)
+        # Newton when it stays inside the bracket and halves the last step, or
+        # moves less than the tolerance; bisection otherwise
+        bisect = ~(((a < nxt) & (nxt < b) & (np.abs(dx + dx) < np.abs(step)))
+                   | (np.abs(dx) <= tol))
+        if bisect.any():
+            mid = 0.5 * (a + b)
+            nxt, dx = np.where(bisect, mid, nxt), np.where(bisect, xk - mid, dx)
+        done = np.abs(dx) <= tol
+        if done.any():
+            root[live[done]] = np.maximum(nxt[done], peak[live[done]])
+            if done.all():
+                break
+            keep = ~done
+            live, a, b, tl, nxt, dx = live[keep], a[keep], b[keep], tl[keep], nxt[keep], dx[keep]
+        xk, step = nxt, dx
+    v = _value(n, np.concatenate((t, t)), np.concatenate((root, peak)))
+    v_root, v_peak = v[:len(t)], v[len(t):]
     better = v_peak > v_root  # the root on ties
     return np.where(better, peak, root), np.where(better, v_peak, v_root)
 
@@ -194,7 +238,7 @@ def maximize_missing_mass(n: int, t: int) -> ExtremalSolution:
     uniform value; ties go to the uniform.
     """
     n, t = _require(n, t)
-    uval = uniform_value(n, t)
+    uval = float(pow_one_minus(1.0 / n, t))
     if t > n:
         [x], [value] = _solve(n, np.array([t]))
         if value > uval:

@@ -291,6 +291,24 @@ class TestInvalidFiles:
         assert field in err
 
 
+    @pytest.mark.parametrize("name, text, argv", [
+        ("short.json", "[0.5, 0.4]", ["emm", "--t", "3"]),
+        ("short.csv", "0.5\n0.4\n", ["emm", "--t", "3"]),
+        ("cloud.json", '{"points": [[0], [1]], "masses": [0.5, 0.4]}',
+         ["cover", "--eps", "1", "--t", "1"]),
+    ], ids=["dist-json", "dist-csv", "cloud-json"])
+    def test_sum_error_names_no_library_option(self, tmp_path, capsys, name, text, argv):
+        # normalize=True is a constructor option: no file or flag can pass it
+        f = tmp_path / name
+        f.write_text(text)
+        flag = "--cloud" if argv[0] == "cover" else "--dist"
+        code, out, err = run_cli(capsys, *argv, flag, str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"mml {argv[0]}: masses sum to 0.9")
+        assert "normalize" not in err
+
+
 class TestHugeUniform:
     N = str(2 ** 40)
 
@@ -328,8 +346,8 @@ class TestOptions:
         "extremal": "format n out t",
         "tau": "format n out t_max",
         "construct": "a format kind n out r_file ratio scale t t_max target",
-        "gt": "a dist family format n out ratio t",
-        "simulate": "a cloud dist eps family format mode n out ratio replicates seed t",
+        "gt": "dist family format n out t",
+        "simulate": "cloud dist eps family format mode n out replicates seed t",
         "cover": "cloud eps exact format out t",
         "oracle": "format grid_step out t",
     }
@@ -340,19 +358,24 @@ class TestOptions:
         got = {name: sorted(a.dest for a in p._actions if not isinstance(a, argparse._HelpAction))
                for name, p in sub.choices.items()}
         assert got == {name: dests.split() for name, dests in self.DESTS.items()}
-        assert sum(len(dests) for dests in got.values()) == 70
+        assert sum(len(dests) for dests in got.values()) == 66
 
-    @pytest.mark.parametrize("argv", [
-        ["tau", "--n", "3", "--seed", "1"],
-        ["emm", "--family", "uniform", "--n", "3", "--t", "1", "--seed", "1"],
-        ["construct", "--kind", "tight-countable", "--a", "3", "--tol", "1e-9"],
-        ["bounds", "--family", "geometric", "--t", "5", "--c", "0.5"],
-    ], ids=["tau-seed", "emm-seed", "construct-tol", "bounds-c"])
-    def test_removed_flag_is_usage_error(self, capsys, argv):
+    @pytest.mark.parametrize("argv,message", [
+        (["tau", "--n", "3", "--seed", "1"], "unrecognized arguments"),
+        (["emm", "--family", "uniform", "--n", "3", "--t", "1", "--seed", "1"],
+         "unrecognized arguments"),
+        (["construct", "--kind", "tight-countable", "--a", "3", "--tol", "1e-9"],
+         "unrecognized arguments"),
+        (["bounds", "--family", "geometric", "--t", "5", "--c", "0.5"], "unrecognized arguments"),
+        (["gt", "--family", "geometric", "--t", "3"], "invalid choice: 'geometric'"),
+        (["simulate", "--mode", "bias", "--family", "uniform", "--n", "3", "--t", "3",
+          "--ratio", "0.3"], "unrecognized arguments"),
+    ], ids=["tau-seed", "emm-seed", "construct-tol", "bounds-c", "gt-geometric", "simulate-ratio"])
+    def test_removed_flag_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_countable_rows_keep_the_proven_constant(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--family", "geometric", "--t", "5")

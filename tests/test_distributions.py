@@ -11,6 +11,7 @@ from missingmass import (
     CountableFamily,
     InsufficientTruncationError,
     InvalidInputError,
+    PointCloud,
     ProbVector,
     Truncation,
     doubling_operator,
@@ -53,6 +54,22 @@ class TestProbVector:
             ProbVector([0.5, 0.6])
         d = ProbVector([0.5, 0.6], normalize=True)
         assert math.isclose(sum(d.masses), 1.0, abs_tol=1e-12)
+
+    def test_sum_error_names_normalize_only_where_it_exists(self):
+        # the constructors take normalize=True and say so; file loaders and
+        # block lists do not take it, so their message states the sum alone
+        for build in (lambda: ProbVector([0.5, 0.4]),
+                      lambda: PointCloud([0.5, 0.4], coords=[[0.0], [1.0]])):
+            with pytest.raises(InvalidInputError, match="pass normalize=True"):
+                build()
+        for load in (lambda: ProbVector.from_json_obj([0.5, 0.4]),
+                     lambda: ProbVector.from_csv_text("0.5\n0.4\n"),
+                     lambda: BlockVector([(0.5, 1), (0.4, 1)]),
+                     lambda: PointCloud.from_json_obj({"points": [[0], [1]], "masses": [0.5, 0.4]}),
+                     lambda: PointCloud.from_csv_text("id,mass,x1\na,0.5,0\nb,0.4,1\n")):
+            with pytest.raises(InvalidInputError, match="masses sum to 0.9") as exc:
+                load()
+            assert "normalize" not in str(exc.value)
 
     def test_uniform(self):
         d = ProbVector.uniform(7)
@@ -253,6 +270,22 @@ class TestCountableFamily:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             CountableFamily("zeta", {"s": 2.0})
+
+    def test_hash_and_equality_by_canonical_params(self):
+        geo = CountableFamily.geometric(0.5)
+        assert hash(geo) == hash(CountableFamily("geometric", {"ratio": 0.5, "unread": 1}))
+        assert geo == CountableFamily.from_json_obj(json.loads(json.dumps(geo.to_json_obj())))
+        explicit = CountableFamily.explicit([0.75, 0.25])
+        assert explicit == CountableFamily.explicit((0.75, 0.25), tail_bound=0.0)
+        assert hash(explicit) == hash(CountableFamily.explicit((0.75, 0.25), tail_bound=0.0))
+        assert geo != CountableFamily.geometric(0.25)
+        assert geo != CountableFamily.explicit([0.5, 0.5])
+        families = {geo, CountableFamily.geometric(0.5), CountableFamily.geometric(0.25),
+                    CountableFamily.dyadic_blocks(4), CountableFamily.dyadic_blocks(4),
+                    explicit, CountableFamily.explicit([0.75, 0.25])}
+        assert len(families) == 4
+        assert CountableFamily.dyadic_blocks(4) in families
+        assert CountableFamily.dyadic_blocks(5) not in families
 
 
 class TestTruncate:

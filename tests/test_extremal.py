@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from missingmass import (
@@ -20,6 +21,7 @@ from missingmass import (
     uniform_ratio,
     uniform_value,
 )
+from missingmass.extremal import _prime, _prime_second, _solve
 
 
 class TestBivalentValue:
@@ -75,6 +77,21 @@ class TestBivalentPrime:
         # below the kernel peak the family value is still climbing
         for n, t in [(5, 12), (100, 150)]:
             assert bivalent_missing_mass_prime(n, t, 1.0 / (t + 1)) > 0.0
+
+    @pytest.mark.parametrize("n,t", [(2, 3), (3, 5), (10, 30), (50, 200), (1000, 1100),
+                                     (10 ** 4, 10142), (10, 10 ** 6), (10 ** 4, 10 ** 9)])
+    def test_second_derivative_matches_finite_differences(self, n, t):
+        # across the solver's bracket (1/(t+1), min(2/(t+1), 1/n)); the first
+        # derivative shares the second's powers and matches the plain one
+        lo, hi = 1.0 / (t + 1), min(2.0 / (t + 1), 1.0 / n)
+        x = lo + (hi - lo) * np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        h = 1e-7 * x
+        t_arr = np.full(x.size, t)
+        fd = (_prime(n, t_arr, x + h) - _prime(n, t_arr, x - h)) / (2 * h)
+        prime, second = _prime_second(n, t_arr, x)
+        assert second == pytest.approx(fd, rel=1e-7)
+        scale = np.abs(second * x).max()
+        assert prime == pytest.approx(_prime(n, t_arr, x), rel=1e-12, abs=1e-12 * scale)
 
 
 class TestUniformRatio:
@@ -164,6 +181,84 @@ class TestMaximize:
                 continue
             scale = max(1.0, abs(bivalent_missing_mass_prime(n, t, 1.0 / (t + 1))))
             assert abs(bivalent_missing_mass_prime(n, t, sol.x_star)) <= 1e-10 * scale
+
+
+def _mp_interior_maximum(n: int, t: int):
+    """The first root of the derivative inside (1/(t+1), min(2/(t+1), 1/n))
+    at 50 digits, with the family value and the second derivative there, or
+    None when the derivative stays positive (the uniform point wins)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        def terms(x):
+            u = (n - 1) * x
+            return u, (1 - x) ** (t - 2), u ** (t - 2)
+
+        def prime(x):
+            u, light, heavy = terms(x)
+            return light * (1 - x) * (1 - (t + 1) * x) + heavy * u * (t - (t + 1) * u)
+
+        lo = mpmath.mpf(1) / (t + 1)
+        # a hair below 1/n, where the uniform point is a critical point
+        hi = min(2 * lo, (1 - mpmath.mpf(10) ** -20) / n)
+        # the derivative at 1/(t+1) is the heavy part alone, so positive
+        a = lo
+        for k in range(1, 65):
+            b = lo + (hi - lo) * k / 64
+            if prime(b) <= 0:
+                break
+            a = b
+        else:
+            return None
+        for _ in range(80):
+            mid = (a + b) / 2
+            a, b = (mid, b) if prime(mid) > 0 else (a, mid)
+        r = (a + b) / 2
+        u, light, heavy = terms(r)
+        value = u * light * (1 - r) ** 2 + (1 - u) * heavy * u * u
+        second = (n - 1) * t * (light * ((t + 1) * r - 2)
+                                + (n - 1) * heavy * ((t - 1) - (t + 1) * u))
+        return r, value, second
+
+
+class TestSolver:
+    def test_slice_independence(self):
+        # a t's answer is bit for bit the same alone as in a slice of 800
+        for n in (10, 100, 1000, 5000):
+            t = np.arange(n + 1, n + 801)
+            x, v = _solve(n, t)
+            for k in range(0, 800, 7):
+                xk, vk = _solve(n, t[k:k + 1])
+                assert (x[k].hex(), v[k].hex()) == (xk[0].hex(), vk[0].hex()), (n, int(t[k]))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 10 ** 4])
+    def test_matches_mpmath_maximum(self, n):
+        import mpmath
+
+        tau = find_threshold(n).tau
+        ts = {n + 1, n + 2, tau - 1, tau, tau + 1, 2 * n, 10 * n, 100 * n, 10 ** 6, 10 ** 9}
+        for t in sorted(t for t in ts if t > n):
+            sol = maximize_missing_mass(n, t)
+            best = _mp_interior_maximum(n, t)
+            if best is None:
+                assert sol.is_uniform, t
+                continue
+            r, value, second = best
+            ulp = math.ulp(float(value))
+            with mpmath.workdps(50):
+                x = mpmath.mpf(sol.x_star)
+                exact = (n - 1) * x * (1 - x) ** t + (1 - (n - 1) * x) * ((n - 1) * x) ** t
+                # the returned distribution is no more than 4 ulps below the
+                # maximum, and its value is its own, up to the rounding of
+                # (1-x)^t (about t/2 ulps below the log-space switch)
+                assert exact >= value - 4 * ulp, t
+                assert abs(sol.value - exact) <= 1e-13 * exact, t
+                if not sol.is_uniform:
+                    # flat-maximum tolerance: the distance over which a
+                    # quadratic maximum drops by 4 ulps
+                    flat = mpmath.sqrt(8 * ulp / abs(second))
+                    peak = math.nextafter(1.0 / (t + 1), 1.0)
+                    assert sol.x_star == peak or abs(x - r) <= flat, t
 
 
 class TestThreshold:
