@@ -201,7 +201,7 @@ def _solve(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i = i[live]
     root = peak.copy()
     xk, b, tl = x[live, i], x[live, i + 1], t[live]
-    a, step = xk, np.full(live.size, np.inf)
+    a, step = xk, np.inf
     while live.size:
         fp, fpp = _prime_second(n, tl, xk)
         up = fp > 0.0
@@ -292,25 +292,33 @@ def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[f
 
     Independent of the one-variable reduction: sweeps (p1, p2) on a square
     grid, takes p3 = 1 - p1 - p2, then refines once around the best cell.
-    Returns the best value and its point, coordinates sorted nondecreasing.
+    Each sweep runs over slices of whole rows of at most SLICE_CELLS cells
+    and keeps the first maximum in row-major order, so its memory does not
+    grow with the grid.  Returns the best value and its point, coordinates
+    sorted nondecreasing.
     """
     require_t(t)
     require_real(grid_step, "grid step", 0.0, 1e-2, "(]")
 
     def sweep(p1_vals: np.ndarray, p2_vals: np.ndarray) -> tuple[float, float, float]:
-        p1 = p1_vals[:, None]
         p2 = p2_vals[None, :]
-        p3 = 1.0 - p1 - p2
-        ok = p3 >= -1e-12
-        p3c = np.clip(p3, 0.0, 1.0)
-        f = (
-            p1 * (1.0 - p1) ** t
-            + p2 * (1.0 - p2) ** t
-            + p3c * (1.0 - p3c) ** t
-        )
-        f = np.where(ok, f, -1.0)
-        i, j = np.unravel_index(int(np.argmax(f)), f.shape)
-        return float(f[i, j]), float(p1_vals[i]), float(p2_vals[j])
+        rows = max(1, SLICE_CELLS // p2.size)
+        best, bi, bj = -math.inf, 0, 0
+        for start in range(0, p1_vals.size, rows):
+            p1 = p1_vals[start:start + rows, None]
+            p3 = 1.0 - p1 - p2
+            ok = p3 >= -1e-12
+            p3c = np.clip(p3, 0.0, 1.0)
+            f = (
+                p1 * (1.0 - p1) ** t
+                + p2 * (1.0 - p2) ** t
+                + p3c * (1.0 - p3c) ** t
+            )
+            f = np.where(ok, f, -1.0)
+            i, j = np.unravel_index(int(np.argmax(f)), f.shape)
+            if f[i, j] > best:  # a later slice wins only strictly
+                best, bi, bj = f[i, j], start + i, j
+        return float(best), float(p1_vals[bi]), float(p2_vals[bj])
 
     m = int(round(1.0 / grid_step))
     coarse = np.linspace(0.0, 1.0, m + 1)

@@ -156,14 +156,11 @@ def dyadic_bands(d: ProbVector | BlockVector, t: int) -> list[tuple[int, int, fl
     # atom at 1/(t+1) whose x rounds to 0.999... stays in band 0
     j = np.maximum(np.frexp(d.m * (t + 1))[1] - 1, 0)
     j[d.m < 1.0 / (t + 1)] = -1
+    terms = d.kernel_terms(t)  # the very terms E[U_t] sums
     bands = []
     for band in np.unique(j):
         sel = j == band
-        # a band is evaluated as a distribution of its own: in a mixed branch
-        # an exponent of 2 calls pow where a direct one squares, so the same
-        # atom's term can round differently inside the whole distribution
-        band_terms = KernelTerms(d.m[sel], d.c[sel])
-        bands.append((int(band), sum(band_terms.c.tolist()), _kernel_sum(band_terms, t)))
+        bands.append((int(band), sum(d.c[sel].tolist()), math.fsum(terms[sel].tolist())))
     return bands
 
 

@@ -2,60 +2,58 @@
 kernel terms of one distribution, and the cap on the temporaries of sliced
 array evaluations.
 
-Powers of the form (1-p)^t underflow or lose accuracy when evaluated naively
-for large t or tiny p.  Both failure modes are avoided by switching to
-exp(t*log(1-p)) past a fixed threshold; below it the direct power is at least
-as accurate.  The rule is elementwise: an atom takes log space when its
-exponent is at least POW_EXPONENT_SWITCH or its mass is below POW_TINY_MASS.
-It is decided here and nowhere else, in two places that agree atom by atom:
+Powers of the form (1-p)^t and b^t underflow or lose accuracy when evaluated
+naively for large t.  One rule decides every power, and it reads the exponent
+alone: log space, exp(t*log1p(-p)) or exp(t*log b), when t is at least
+POW_EXPONENT_SWITCH, the direct power otherwise, whatever the base.  So a
+power never depends on the other elements of its array, and a scalar takes
+the very numpy loop an array does:
 
-* ``pow_one_minus`` takes arrays of bases and exponents (the extremal
-  solvers, the eps-ball masses) and decides the rule over the mask;
-* ``KernelTerms`` takes one distribution's sorted masses and a scalar
-  exponent (every closed form in ``mass``) and decides it in Python: all
-  atoms past the exponent switch, none when the smallest mass is not tiny,
-  else the prefix of tiny masses.  What depends only on the distribution
-  (its weights c m^k, 1 - m, log1p(-m) and the tiny prefix) is built on
-  first use and cached per distribution, by ``_Runs.kernel_terms``.
+* ``pow_one_minus`` and ``pow_unit`` take arrays or scalars of bases and
+  exponents (the extremal solvers, the eps-ball masses, the scalar kernel);
+* ``KernelTerms`` takes one distribution's masses and a scalar exponent
+  (every closed form in ``mass``) and gives pow_one_minus's values bit for
+  bit.  What depends only on the distribution (its weights c m^k, 1 - m and
+  log1p(-m)) is built on first use and cached per distribution, by
+  ``_Runs.kernel_terms``.
 """
 
 import numpy as np
 
-# Direct powers stay accurate for moderate exponents; log-space takes over
-# past this, or whenever the base is within 1e-8 of 1.
+# Log space from this exponent on, for every base.  Below it the direct power
+# rounds the base once (1 - p is rounded before the power), so it carries up
+# to about t/2 ulps where log space carries about 1; past it, the direct
+# power's error would keep growing with t.
 POW_EXPONENT_SWITCH = 64
-POW_TINY_MASS = 1e-8
 
 # Cap on the cells of one temporary array in a sliced evaluation (the
-# extremal scan over t, the rows of the eps-ball matrix); slicing never
-# changes a value.
+# extremal scan over t, the rows of the eps-ball matrix, the simplex grid
+# oracle); slicing never changes a value.
 SLICE_CELLS = 1 << 16
 
 
 def pow_one_minus(p, t):
-    """(1 - p)^t elementwise for p in [0, 1] and t >= 0, safe for large t and tiny p."""
-    p = np.asarray(p, dtype=float)
-    log_space = np.asarray(t >= POW_EXPONENT_SWITCH)
-    if not log_space.all():  # the masses matter only where some exponent is small
-        log_space = log_space | (p < POW_TINY_MASS)
-    return _by_policy(log_space, p, t,
-                      lambda p, t: np.exp(t * np.log1p(-p)), lambda p, t: (1.0 - p) ** t)
+    """(1 - p)^t elementwise for p in [0, 1] and t >= 0, safe for large t."""
+    # the direct branch runs on an ndarray: `**` on a numpy scalar rounds
+    # differently from the array loop
+    return _by_policy(np.asarray(p, dtype=float), t, lambda p, t: np.exp(t * np.log1p(-p)),
+                      lambda p, t: np.asarray(1.0 - p) ** t)
 
 
 class KernelTerms:
     """The terms c m^k (1 - m)^e, k in {1, 2}, of one run-length distribution
-    (masses m sorted ascending, counts c; both read-only) for a scalar
-    exponent e >= 0, each atom on pow_one_minus's branch.
+    (masses m, counts c; both read-only) for a scalar exponent e >= 0, with
+    pow_one_minus's powers.
 
     Each ingredient is built the first time a branch needs it and then kept,
     so a distribution evaluated once pays only for its own branch.
     """
 
-    __slots__ = ("m", "c", "_w1", "_w2", "_q", "_log", "_tiny")
+    __slots__ = ("m", "c", "_w1", "_w2", "_q", "_log")
 
     def __init__(self, m: np.ndarray, c: np.ndarray):
         self.m, self.c = m, c
-        self._w1 = self._w2 = self._q = self._log = self._tiny = None
+        self._w1 = self._w2 = self._q = self._log = None
 
     def __call__(self, e: int, k: int = 1) -> np.ndarray:
         if k == 1:
@@ -70,20 +68,7 @@ class KernelTerms:
 
     def powers(self, e: int) -> np.ndarray:
         """(1 - m)^e."""
-        if e >= POW_EXPONENT_SWITCH:
-            return np.exp(e * self.log)
-        tiny = self._tiny
-        if tiny is None:  # m is sorted, so the masses below POW_TINY_MASS are a prefix
-            m = self.m
-            tiny = 0 if m[0] >= POW_TINY_MASS else int(np.searchsorted(m, POW_TINY_MASS))
-            self._tiny = tiny
-        if not tiny:
-            return self.q ** e
-        # the direct part takes an array exponent, as in pow_one_minus's mixed
-        # branch: `** 2` with a scalar is numpy's square, which can round
-        # differently from pow
-        return np.concatenate((np.exp(e * self.log[:tiny]),
-                               self.q[tiny:] ** np.full(self.m.size - tiny, e)))
+        return np.exp(e * self.log) if e >= POW_EXPONENT_SWITCH else self.q ** e
 
     @property
     def q(self) -> np.ndarray:
@@ -103,29 +88,23 @@ class KernelTerms:
 
 def pow_unit(b, t):
     """b^t elementwise for b in [0, 1] and t >= 0; underflow rounds to 0."""
-    b = np.asarray(b, dtype=float)
-    return _by_policy(np.asarray(t >= POW_EXPONENT_SWITCH), b, t,
-                      lambda b, t: np.exp(t * _log_unit(b)), lambda b, t: b ** t)
+    return _by_policy(np.asarray(b, dtype=float), t, lambda b, t: np.exp(t * np.log(b)),
+                      lambda b, t: b ** t)
 
 
-def _log_unit(b: np.ndarray) -> np.ndarray:
-    """log b for b in [0, 1]; past 0.5, b - 1 is exact (Sterbenz), so log1p
-    keeps full precision there."""
-    return _by_policy(b <= 0.5, b, 0, lambda b, _: np.log(b), lambda b, _: np.log1p(b - 1.0))
-
-
-def _by_policy(mask, x, t, when_true, when_false):
-    """when_true(x, t) where mask holds and when_false(x, t) elsewhere,
-    evaluating only the branches some element needs.  when_true is the
-    branch that may take the log of 0: it runs with that warning off."""
+def _by_policy(x, t, log_space, direct):
+    """log_space(x, t) where t >= POW_EXPONENT_SWITCH and direct(x, t)
+    elsewhere, evaluating only the branches some element needs.  log_space
+    may take the log of 0: it runs with that warning off."""
+    mask = np.asarray(t >= POW_EXPONENT_SWITCH)
     logs = np.count_nonzero(mask)
     if not logs:
-        return when_false(x, t)
+        return direct(x, t)
     with np.errstate(divide="ignore"):
         if logs == mask.size:
-            return when_true(x, t)
+            return log_space(x, t)
         x, t, mask = np.broadcast_arrays(x, t, mask)
         out = np.empty(mask.shape)
-        out[mask] = when_true(x[mask], t[mask])
-        out[~mask] = when_false(x[~mask], t[~mask])
+        out[mask] = log_space(x[mask], t[mask])
+        out[~mask] = direct(x[~mask], t[~mask])
         return out

@@ -22,6 +22,7 @@ from missingmass import (
     uniform_value,
 )
 from missingmass.extremal import _prime, _prime_second, _solve
+from missingmass.numerics import pow_one_minus
 
 
 class TestBivalentValue:
@@ -296,11 +297,17 @@ class TestThreshold:
         assert "n=7" in str(err)
 
     def test_wins_monotone_past_tau(self):
-        res = find_threshold(30)
-        for t in range(res.tau, res.tau + 15):
-            assert not maximize_missing_mass(30, t).is_uniform
-        for t in range(30 + 1, res.tau):
-            assert maximize_missing_mass(30, t).is_uniform
+        """maximize_missing_mass agrees with the scan at every scanned t: its
+        scalar uniform value is the scan's array one, bit for bit."""
+        for n in (2, 3, 5, 10, 17, 37, 63):
+            res = find_threshold(n)
+            ts = np.arange(n + 1, res.scan_range[1] + 1)
+            uval = pow_one_minus(1.0 / n, ts)
+            for t, u in zip(ts.tolist(), uval.tolist()):
+                sol = maximize_missing_mass(n, t)
+                assert sol.is_uniform == (t < res.tau), (n, t)
+                if sol.is_uniform:
+                    assert sol.value == u, (n, t)
 
     @pytest.mark.parametrize("n", [3, 17, 64, 200])
     def test_strict_bracket_past_tau_up_to_50n(self, n):
@@ -354,3 +361,13 @@ class TestSimplexOracle:
     def test_grid_step_validation(self):
         with pytest.raises(InvalidInputError):
             simplex_grid_oracle(5, 0.5)
+
+    def test_memory_bounded(self):
+        # one unsliced sweep of the 1001 x 1001 grid holds several 8 MB temporaries
+        tracemalloc.start()
+        try:
+            simplex_grid_oracle(40, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20

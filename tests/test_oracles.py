@@ -247,6 +247,8 @@ class TestExtremalOracles:
 
 POWER_BASES = [1e-300, 1e-9, 1e-8, 1e-3, 0.25, 0.5, 1.0 - 2.0 ** -52, 1.0]
 POWER_EXPONENTS = [0, 1, 2, 63, 64, 10 ** 9]
+# a seeded sample of bases log-spaced over [1e-300, 1]
+TWIN_BASES = 10.0 ** np.random.default_rng(2328).uniform(-300.0, 0.0, 10_000)
 
 
 def decimal_pow(base: float, t: int, one_minus: bool = False) -> float:
@@ -259,14 +261,19 @@ def decimal_pow(base: float, t: int, one_minus: bool = False) -> float:
 
 
 class TestPowerPolicy:
-    @pytest.mark.parametrize("t", POWER_EXPONENTS)
+    @pytest.mark.parametrize("t", sorted(POWER_EXPONENTS + [3, 7, 31]))
     def test_array_twin_matches_scalar(self, t):
         """Over an array of masses, pow_one_minus equals its value mass by mass
-        and lies within 1e-13 relative of a 50-digit Decimal reference."""
+        and lies within 1e-13 relative of a 50-digit Decimal reference; over
+        TWIN_BASES, both powers equal their scalar values base by base."""
         got = pow_one_minus(np.array(POWER_BASES), t)
         for p, g in zip(POWER_BASES, got.tolist()):
             assert g == float(pow_one_minus(p, t))
             assert g == pytest.approx(decimal_pow(p, t, one_minus=True), rel=1e-13, abs=0.0)
+        for power in (pow_one_minus, pow_unit):
+            got = power(TWIN_BASES, t).tolist()
+            mismatched = [b for b, g in zip(TWIN_BASES.tolist(), got) if g != float(power(b, t))]
+            assert mismatched == []
 
     def test_array_exponents(self):
         """Both powers over a (bases x exponents) grid, which mixes the direct
