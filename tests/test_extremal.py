@@ -299,7 +299,7 @@ class TestThreshold:
     def test_wins_monotone_past_tau(self):
         """maximize_missing_mass agrees with the scan at every scanned t: its
         scalar uniform value is the scan's array one, bit for bit."""
-        for n in (2, 3, 5, 10, 17, 37, 63):
+        for n in (2, 3, 5, 10, 17, 30, 37, 63):
             res = find_threshold(n)
             ts = np.arange(n + 1, res.scan_range[1] + 1)
             uval = pow_one_minus(1.0 / n, ts)

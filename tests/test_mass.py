@@ -375,8 +375,8 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-# masses spread over 2^-45..2^0, so tiny masses sit beside ordinary ones in
-# one array, as they do in a truncated countable family
+# masses spread over 2^-45..2^0, so masses below POW_TINY_MASS sit beside
+# ordinary ones and every small exponent takes the mixed branch
 _spread_weights = st.builds(math.ldexp, st.floats(1.0, 2.0), st.integers(-45, 0))
 
 
@@ -421,8 +421,9 @@ class TestCachedKernelTerms:
             assert _bits(missing_mass_curve(d, positive).values) == _bits(want)
 
     @given(d=spread_distributions(), ts=st.lists(kernel_t, min_size=1, max_size=8))
-    # exponent 2, where numpy's square and pow round 1 - 0.2 and 1 - 0.6
-    # apart: every path squares (0.6 alone is band 0 of dyadic_bands at t = 2)
+    # mixed, at exponent 2, where numpy's square and pow round 1 - 0.2 and
+    # 1 - 0.6 apart: every path squares (0.6 alone is band 0 of dyadic_bands
+    # at t = 2)
     @example(d=ProbVector([1e-9, 0.2, 0.2 - 1e-9, 0.6]), ts=[3, 2, 1, 63, 64, 65, 0])
     @example(d=ProbVector([1.0]), ts=[64, 65, 10 ** 9, 0, 1, 63])
     @example(d=ProbVector.uniform(2 ** 40), ts=[0, 63, 64, 65, 10 ** 9, 1])

@@ -265,15 +265,18 @@ class TestPowerPolicy:
     def test_array_twin_matches_scalar(self, t):
         """Over an array of masses, pow_one_minus equals its value mass by mass
         and lies within 1e-13 relative of a 50-digit Decimal reference; over
-        TWIN_BASES, both powers equal their scalar values base by base."""
+        TWIN_BASES, both powers, with the exponent as a scalar or as an array,
+        equal their scalar values base by base."""
         got = pow_one_minus(np.array(POWER_BASES), t)
         for p, g in zip(POWER_BASES, got.tolist()):
             assert g == float(pow_one_minus(p, t))
             assert g == pytest.approx(decimal_pow(p, t, one_minus=True), rel=1e-13, abs=0.0)
         for power in (pow_one_minus, pow_unit):
-            got = power(TWIN_BASES, t).tolist()
-            mismatched = [b for b, g in zip(TWIN_BASES.tolist(), got) if g != float(power(b, t))]
-            assert mismatched == []
+            want = [float(power(b, t)) for b in TWIN_BASES.tolist()]
+            # a scalar exponent, and the same exponent as an array
+            for exponent in (t, np.full(TWIN_BASES.size, t)):
+                got = power(TWIN_BASES, exponent).tolist()
+                assert [b for b, g, w in zip(TWIN_BASES.tolist(), got, want) if g != w] == []
 
     def test_array_exponents(self):
         """Both powers over a (bases x exponents) grid, which mixes the direct
