@@ -25,7 +25,7 @@ import numpy as np
 
 from .distributions import MassSumError, validate_masses
 from .errors import InvalidInputError, require_int, require_real, require_reals, require_t
-from .numerics import SLICE_CELLS, pow_one_minus
+from .numerics import SLICE_CELLS, exact_sum, pow_one_minus
 from .sampling import McReport, mean_report, monte_carlo
 
 MATRIX_TOL = 1e-9
@@ -46,7 +46,8 @@ class PointCloud:
     errors, never coerced); explicit matrices are validated (symmetry, zero
     diagonal, nonnegativity, triangle inequality within 1e-9) on
     construction.  The masses, kept in point order, pass the distributions'
-    mass validator.
+    mass validator.  The distance matrix is built once, and the ball masses
+    are kept for the last eps they were asked for.
     """
 
     def __init__(self, masses, *, coords=None, matrix=None, normalize: bool = False):
@@ -80,6 +81,7 @@ class PointCloud:
             self.coords = None
             self.metric = "matrix"
             self._dist = d
+        self._balls = None  # (eps, read-only ball_masses(self, eps))
 
     @staticmethod
     def _validate_matrix(d: np.ndarray) -> None:
@@ -200,21 +202,27 @@ def eps_missing_mass(cloud: PointCloud, sample_indices, eps: float) -> float:
     if max(idx) >= cloud.n:
         raise InvalidInputError("sample index out of range")
     min_dist = cloud.distances()[idx].min(axis=0)
-    return math.fsum(cloud.masses[min_dist > eps])
+    return exact_sum(cloud.masses[min_dist > eps])
 
 
 def ball_masses(cloud: PointCloud, eps: float) -> np.ndarray:
-    """Mass of the closed eps-ball around each point.
+    """Mass of the closed eps-ball around each point, as a read-only array
+    that the cloud keeps until it is asked for another eps.
 
     Each row's masses are summed over its hits (numpy's pairwise sum), in
     slices of at most SLICE_CELLS cells, so the value of a row depends on
     neither the slicing nor the BLAS build or its thread count.
     """
     require_real(eps, "radius eps", 0.0, math.inf, "(]")
+    if cloud._balls is not None and cloud._balls[0] == eps:
+        return cloud._balls[1]
     d = cloud.distances()
     step = max(1, SLICE_CELLS // cloud.n)
-    return np.concatenate([np.where(d[r:r + step] <= eps, cloud.masses, 0.0).sum(axis=1)
-                           for r in range(0, cloud.n, step)])
+    balls = np.concatenate([np.where(d[r:r + step] <= eps, cloud.masses, 0.0).sum(axis=1)
+                            for r in range(0, cloud.n, step)])
+    balls.setflags(write=False)
+    cloud._balls = (eps, balls)
+    return balls
 
 
 def expected_eps_missing_mass(cloud: PointCloud, t: int, eps: float) -> float:
@@ -225,7 +233,7 @@ def expected_eps_missing_mass(cloud: PointCloud, t: int, eps: float) -> float:
     """
     require_t(t)
     balls = np.minimum(ball_masses(cloud, eps), 1.0)
-    return math.fsum((cloud.masses * pow_one_minus(balls, t)).tolist())
+    return exact_sum(cloud.masses * pow_one_minus(balls, t))
 
 
 def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:

@@ -31,7 +31,7 @@ from .errors import (
     require_real,
     require_reals,
 )
-from .numerics import KernelTerms
+from .numerics import KernelTerms, exact_sum
 
 # |sum(masses) - 1| beyond this rejects the input instead of renormalizing.
 SUM_TOLERANCE = 1e-12
@@ -79,14 +79,14 @@ def validate_masses(masses, counts=None, *, normalize: bool = False, tail: float
     if not (c >= 1).all() or sum(c.tolist()) >= 2 ** 63:
         raise InvalidInputError("block counts must be positive integers totalling below 2^63")
     if normalize:
-        total = math.fsum((m * c).tolist())
+        total = exact_sum(m * c)
         if not (0.0 < total < math.inf):
             raise InvalidInputError("cannot normalize: total mass not positive")
         m = m / total
     bad = ~((m > 0.0) & (m <= 1.0))
     if bad.any():
         raise InvalidInputError(f"masses must lie in (0, 1], got {m[bad][0]}")
-    total = math.fsum((m * c).tolist())
+    total = exact_sum(m * c)
     if tail is None:
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise MassSumError(f"masses sum to {total!r}, off by more than {SUM_TOLERANCE}")
@@ -129,10 +129,11 @@ class _Runs:
     def kernel_terms(self) -> KernelTerms:
         """The terms c m^k (1 - m)^e of every closed form, built on first use
         and kept: m and c are read-only, so the cache never goes stale."""
-        terms = getattr(self, "_kernel_terms", None)
-        if terms is None:
+        try:
+            return self._kernel_terms
+        except AttributeError:  # an unset slot: the first use
             terms = self._kernel_terms = KernelTerms(self.m, self.c)
-        return terms
+            return terms
 
     @property
     def min_mass(self) -> float:
@@ -333,7 +334,7 @@ class CountableFamily:
             return (a - part) * 0.5 ** (full + 1) / a + 0.5 ** (full + 1)
         masses = self.params["masses"]
         bound = self.params["tail_bound"]
-        return math.fsum(masses[n_kept:]) + bound
+        return exact_sum(np.array(masses[n_kept:], dtype=float)) + bound
 
     @property
     def descriptor(self) -> str:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .distributions import BlockVector, CountableFamily, ProbVector, Truncation, truncate
 from .errors import InvalidInputError, require_int, require_real, require_t
-from .numerics import KernelTerms, pow_one_minus
+from .numerics import KernelTerms, exact_sum, pow_one_minus
 
 # The constant c of the countable-support bound ell/(c*t).  The bound holds for
 # every c <= c* = 1/C* = 0.69314033 (the theorem in the module docstring);
@@ -68,11 +68,12 @@ def _kernel_sum(terms: KernelTerms, t: int, k: int = 1, s: int = 0) -> float:
 
     Every closed form in this module is one such sum, over a distribution's
     cached ``kernel_terms``.  The powers are taken elementwise; the sum is
-    math.fsum, so the result is the correctly rounded sum of the rounded terms
-    whatever their number or order (pairwise summation would carry an
-    O(eps log n) bound instead: Higham, SIAM J. Sci. Comput. 14(4), 1993).
+    numerics.exact_sum, so the result is the correctly rounded sum of the
+    rounded terms whatever their number or order (pairwise summation would
+    carry an O(eps log n) bound instead: Higham, SIAM J. Sci. Comput. 14(4),
+    1993).
     """
-    return math.fsum(terms(t - s, k).tolist())
+    return exact_sum(terms(t - s, k))
 
 
 def expected_missing_mass(d: ProbVector | BlockVector, t: int, *, allow_zero: bool = False) -> float:
@@ -156,12 +157,12 @@ def dyadic_bands(d: ProbVector | BlockVector, t: int) -> list[tuple[int, int, fl
     # atom at 1/(t+1) whose x rounds to 0.999... stays in band 0
     j = np.maximum(np.frexp(d.m * (t + 1))[1] - 1, 0)
     j[d.m < 1.0 / (t + 1)] = -1
+    # m is sorted and j is monotone in m, so each band is one slice of the runs
+    bands = range(int(j[0]), int(j[-1]) + 1)
+    edges = np.searchsorted(j, [*bands, bands.stop]).tolist()
     terms = d.kernel_terms(t)  # the very terms E[U_t] sums
-    bands = []
-    for band in np.unique(j):
-        sel = j == band
-        bands.append((int(band), sum(d.c[sel].tolist()), math.fsum(terms[sel].tolist())))
-    return bands
+    return [(band, int(d.c[lo:hi].sum()), exact_sum(terms[lo:hi]))
+            for band, lo, hi in zip(bands, edges, edges[1:]) if lo < hi]
 
 
 def gt_expected_estimate(d: ProbVector | BlockVector, t: int) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 from .distributions import ProbVector
 from .errors import InvalidInputError, require_int, require_real, require_t
 from .mass import expected_missing_mass, gt_bias
+from .numerics import exact_sum
 
 BLOCK = 64  # replicates per substream; part of the seeded layout, so a constant
 # Uniforms drawn per call: a block at large t is drawn in consecutive row
@@ -167,7 +168,7 @@ def empirical_missing_mass(d: ProbVector, sc: SampleCounts) -> float:
         raise InvalidInputError(
             f"counts cover {len(sc.counts)} atoms but the distribution has {d.n}"
         )
-    return math.fsum(m for m, c in zip(d.masses, sc.counts) if c == 0)
+    return exact_sum(np.repeat(d.m, d.c)[np.asarray(sc.counts) == 0])
 
 
 def good_turing(sc: SampleCounts) -> float:
@@ -185,10 +186,10 @@ def is_violation(excess: float, se: float, estimate: float, reference: float) ->
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     r = len(values)
-    mean = math.fsum(values.tolist()) / r
+    mean = exact_sum(values) / r
     if r < 2:
         return mean, 0.0
-    var = math.fsum(((values - mean) ** 2).tolist()) / (r - 1)
+    var = exact_sum((values - mean) ** 2) / (r - 1)
     return mean, math.sqrt(var / r)
 
 

@@ -202,6 +202,28 @@ class TestBallMasses:
         assert np.allclose(balls, [math.fsum(cloud.masses[row <= eps]) for row in d],
                            rtol=1e-15, atol=0.0)
 
+    def test_kept_for_the_last_eps(self, rng):
+        """The cloud keeps one read-only array, for the last eps; another eps
+        recomputes, and the values never depend on the cache."""
+        cloud = random_cloud(rng, 60, 2)
+        d = cloud.distances()
+
+        def fresh(eps):
+            return [float(np.sum(np.where(row <= eps, cloud.masses, 0.0))) for row in d]
+
+        first = ball_masses(cloud, 0.2)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        assert ball_masses(cloud, 0.2) is first
+        expected_eps_missing_mass(cloud, 3, 0.2)
+        assert ball_masses(cloud, 0.2) is first
+        second = ball_masses(cloud, 0.35)
+        assert second is not first and not second.flags.writeable
+        assert second.tolist() == fresh(0.35) != first.tolist()
+        again = ball_masses(cloud, 0.2)
+        assert again is not first and again.tolist() == first.tolist() == fresh(0.2)
+
     def test_memory_bounded(self):
         # a dense float copy of the ball matrix would be 8 MB here
         cloud = random_cloud(np.random.default_rng(7), 1000, 2)

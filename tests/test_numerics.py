@@ -1,0 +1,143 @@
+"""numerics.exact_sum against math.fsum, bit for bit.
+
+exact_sum promises fsum's value (and its special values and errors) for
+every input; from EXACT_SUM_MIN terms on it gets there without fsum's
+per-term loop, and it must not quietly fall back to that loop on the sums
+the package makes.
+"""
+
+import math
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+
+from missingmass import ProbVector, dyadic_bands, expected_missing_mass, missing_mass_curve
+from missingmass import numerics
+from missingmass.numerics import EXACT_SUM_MIN, exact_sum
+
+# sizes on both sides of the switch to the extraction
+sizes = st.integers(EXACT_SUM_MIN - 4, EXACT_SUM_MIN + 700)
+# arrays of that size with every element drawn on its own are large inputs
+# by design, and slow to draw: fewer of them
+large_inputs = settings(max_examples=30,
+                        suppress_health_check=[HealthCheck.large_base_example,
+                                               HealthCheck.data_too_large])
+
+
+def outcome(fn, x):
+    """fn(x) as its float's hex, or the type and message of what it raised."""
+    try:
+        return fn(x).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_as_fsum(x: np.ndarray) -> None:
+    assert outcome(exact_sum, x) == outcome(lambda v: math.fsum(v.tolist()), x)
+
+
+@st.composite
+def structured_arrays(draw, exponents=st.integers(-1074, 1000)):
+    """Seeded arrays of the shapes that stress a filtered sum: binary
+    exponents spread over up to 200 from a drawn lowest one (so into the
+    subnormals, and up to about 1e+-300), mixed signs, and whole or partial
+    cancellation of a copy."""
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(exponents)
+    hi = draw(st.integers(lo, min(lo + 200, 1000)))
+    x = np.ldexp(rng.random(n) + 0.5, rng.integers(lo, hi + 1, n))
+    if draw(st.booleans()):
+        x *= rng.choice([-1.0, 1.0], n)
+    cancel = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    if cancel:
+        k = int(cancel * (n // 2))
+        x[n // 2:n // 2 + k] = -x[:k]
+    return rng.permutation(x)
+
+
+class TestExactSum:
+    @large_inputs
+    @given(x=hnp.arrays(np.float64, sizes,
+                        elements=st.floats(allow_nan=False, allow_infinity=False),
+                        fill=st.nothing()))
+    def test_any_finite_floats(self, x):
+        same_as_fsum(x)
+
+    @given(x=structured_arrays())
+    def test_spread_cancelling_and_subnormal_terms(self, x):
+        same_as_fsum(x)
+
+    # exponents within 200 of the subnormals, or up to 2^1000 = 1e301
+    @given(x=structured_arrays(st.integers(-1074, -874) | st.integers(800, 1000)))
+    @example(x=np.full(EXACT_SUM_MIN, 1e300))
+    @example(x=np.full(EXACT_SUM_MIN, 5e-324))
+    def test_near_overflow_and_underflow(self, x):
+        same_as_fsum(x)
+
+    @pytest.mark.parametrize("n", [EXACT_SUM_MIN // 2, EXACT_SUM_MIN, 4 * EXACT_SUM_MIN])
+    def test_ties_fall_back(self, n, monkeypatch):
+        """n/2 = 2^k pairs [1, 2^-53] sum to 2^k + 2^(k-53), exactly halfway
+        between 2^k and the float above it: the filter cannot decide that
+        tie, so math.fsum does, and rounds it to the even 2^k."""
+        x = np.tile([1.0, 2.0 ** -53], n // 2)
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(numerics.math, "fsum", lambda v: calls.append(1) or fsum(v))
+        assert exact_sum(x) == n // 2
+        assert len(calls) == 1
+        monkeypatch.undo()
+        same_as_fsum(x)
+
+    @pytest.mark.parametrize("n", [1, EXACT_SUM_MIN, 3 * EXACT_SUM_MIN])
+    def test_negative_zeros_sum_to_positive_zero(self, n):
+        got = exact_sum(np.full(n, -0.0))
+        assert got.hex() == math.fsum([-0.0] * n).hex() == "0x0.0p+0"
+        assert math.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("n", [3, EXACT_SUM_MIN + 1])
+    def test_special_values_and_errors(self, n):
+        x = np.ones(n)
+        x[1] = math.inf
+        assert exact_sum(x) == math.inf
+        x[2] = -math.inf
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            exact_sum(x)
+        x[1:3] = math.nan
+        assert math.isnan(exact_sum(x))
+        x[:] = 1.0
+        x[:3] = [1e308, 1e308, -1e308]  # finite sum, overflowing partial sum
+        with pytest.raises(OverflowError):
+            exact_sum(x)
+
+    def test_no_fallback_on_a_large_curve(self, monkeypatch):
+        """The 500-point curve of a 10^4-atom distribution is certified by the
+        filter at every t: none of its sums reaches math.fsum."""
+        rng = np.random.default_rng(8)
+        d = ProbVector(rng.exponential(size=10 ** 4), normalize=True)
+        ts = range(200, 100001, 200)
+        want = [math.fsum(d.kernel_terms(t).tolist()) for t in ts]
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(numerics.math, "fsum", lambda v: calls.append(1) or fsum(v))
+        values = missing_mass_curve(d, ts).values
+        assert calls == []
+        assert [v.hex() for v in values] == [w.hex() for w in want]
+
+
+def test_large_closed_forms_match_fsum():
+    """E[U_t] and every band of a 10^4-atom distribution, against fsum over
+    the same terms and bands taken by boolean masks."""
+    rng = np.random.default_rng(11)
+    d = ProbVector(rng.random(10 ** 4) ** 4, normalize=True)
+    for t in (1, 2, 63, 64, 1000, 10 ** 5):
+        terms = d.kernel_terms(t)
+        assert expected_missing_mass(d, t).hex() == math.fsum(terms.tolist()).hex()
+        j = np.maximum(np.frexp(d.m * (t + 1))[1] - 1, 0)
+        j[d.m < 1.0 / (t + 1)] = -1
+        want = [(int(b), int(d.c[j == b].sum()), math.fsum(terms[j == b].tolist()).hex())
+                for b in np.unique(j)]
+        assert [(b, c, v.hex()) for b, c, v in dyadic_bands(d, t)] == want
