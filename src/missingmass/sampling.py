@@ -9,6 +9,12 @@ one, and aggregation uses exactly rounded summation.
 Uniforms map to atoms by inverse CDF through a guide table (Chen & Asau,
 1974; Devroye 1986, III.2.4), which returns exactly the index of
 ``searchsorted(cum, u, side="right")`` at a fraction of its cost.
+
+Each call allocates its block buffers once: the uniforms, the atom indices,
+and for the missing-mass statistics a (rows, n) copy of the masses.  A
+block's missing masses are then a fill, a scatter of 0.0 at the drawn atoms
+and a row sum, which add the same summands in the same order as the dense
+count form they replaced, so no value changed.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from .mass import expected_missing_mass, gt_bias
 from .numerics import exact_sum
 
 BLOCK = 64  # replicates per substream; part of the seeded layout, so a constant
-# Uniforms drawn per call: a block at large t is drawn in consecutive row
-# slices, which continue the same stream, so memory stays bounded and the
-# values are unchanged.
+# Cells per call: a row of a block is max(t, n) cells (its uniforms, and its
+# masses in the statistics' buffer), and a block with more than
+# DRAWS_PER_CALL cells is drawn in consecutive row slices, which continue the
+# same stream, so memory stays bounded and the values are unchanged.
 DRAWS_PER_CALL = 1 << 16
 # Relative slack of a verdict: a mean that matches its closed form up to a few
 # ulps is no violation, even when the standard error is 0.
@@ -86,23 +93,36 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
 
     Block b of BLOCK replicates draws a (rows, t) array of uniforms from the
     substream (seed, spawn_key=(b,)) and maps it to atom indices by inverse
-    CDF; stat turns that index block (or a slice of its rows, at large t)
-    into one value or one row of values per replicate.  Results are
-    concatenated in replicate order.
+    CDF; stat turns that index block (or a slice of its rows, when a block
+    holds more than DRAWS_PER_CALL cells) into one value or one row of values
+    per replicate.  The uniforms and indices live in buffers allocated once
+    per call, so stat must not keep its argument; its results are copied out
+    in replicate order.
     """
     t, replicates = require_t(t), require_int(replicates, "replicates", 1)
     cum = np.cumsum(masses)
     cum[-1] = 1.0  # guard: float cumsum may land a hair under 1
     lo = _guide_table(cum)
-    step = max(1, DRAWS_PER_CALL // t)
-    out = []
+    step = _rows_per_call(t, len(cum), replicates)
+    u = np.empty((step, t))
+    idx, scratch = np.empty((2, step, t), np.intp)
+    out = None
     for b, start in enumerate(range(0, replicates, BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         rows = min(BLOCK, replicates - start)
         for r in range(0, rows, step):
-            u = rng.random((min(step, rows - r), t))
-            out.append(stat(_inverse_cdf(cum, lo, u)))
-    return np.concatenate(out)
+            k = min(step, rows - r)
+            values = stat(_inverse_cdf(cum, lo, rng.random(out=u[:k]), idx[:k], scratch[:k]))
+            if out is None:
+                out = np.empty((replicates,) + values.shape[1:], values.dtype)
+            out[start + r:start + r + k] = values
+    return out
+
+
+def _rows_per_call(t: int, n: int, replicates: int) -> int:
+    """Rows drawn per call from n atoms: a whole block, or as many rows of
+    max(t, n) cells as fit in DRAWS_PER_CALL (at least one)."""
+    return min(BLOCK, replicates, max(1, DRAWS_PER_CALL // max(t, n)))
 
 
 def _guide_table(cum: np.ndarray) -> np.ndarray:
@@ -112,17 +132,23 @@ def _guide_table(cum: np.ndarray) -> np.ndarray:
     return np.searchsorted(cum, np.arange(buckets) / buckets, side="right")
 
 
-def _inverse_cdf(cum: np.ndarray, lo: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """searchsorted(cum, u, side="right") for uniforms u in [0, 1), by guide table.
+def _inverse_cdf(cum: np.ndarray, lo: np.ndarray, u: np.ndarray, out: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+    """searchsorted(cum, u, side="right") for uniforms u in [0, 1), by guide
+    table, written to out; out and scratch are intp arrays of u's shape.
 
     K = len(lo) is a power of two, so u*K and k/K are exact: the bucket
     start lo[floor(u*K)] never passes the answer, and stepping while
     cum[j] <= u stops at the first cum[j] > u, which is the answer by
     definition; cum[-1] = 1 > u bounds every walk.
     """
-    j = lo[(u * len(lo)).astype(np.intp)]
+    # Every bucket and atom index is in range; mode="clip" lets take write to
+    # out unbuffered.  scratch holds the buckets, then the cum values at j.
+    bucket = np.multiply(u, len(lo), out=scratch, casting="unsafe")
+    j = lo.take(bucket, out=out, mode="clip")
     flat_j, flat_u = j.reshape(-1), u.reshape(-1)
-    short = np.flatnonzero(cum[flat_j] <= flat_u)  # draws not yet at their atom
+    at_j = cum.take(flat_j, out=scratch.view(np.float64).reshape(-1), mode="clip")
+    short = np.flatnonzero(at_j <= flat_u)  # draws not yet at their atom
     for _ in range(GUIDE_PASSES):
         if not len(short):
             return j
@@ -133,27 +159,65 @@ def _inverse_cdf(cum: np.ndarray, lo: np.ndarray, u: np.ndarray) -> np.ndarray:
     return j
 
 
-def _counts(idx: np.ndarray, n: int) -> np.ndarray:
-    """(rows, n) occurrence counts of a (rows, t) index block, by one bincount."""
-    rows = idx.shape[0]
-    flat = (idx + n * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, minlength=rows * n).reshape(rows, n)
+class _BlockStats:
+    """Missing mass and Good-Turing bias of each row of the (rows, t) index
+    blocks of one monte_carlo call, in buffers allocated once for the call.
 
+    A block's missing masses are a fill, a scatter and a row sum: the masses
+    are copied into every row, the drawn atoms are set to 0.0 through the
+    flat index idx + n*row, and each row is summed.  The summands are those
+    of the dense form, each count == 0 times its mass (m, or +0.0 for a
+    drawn atom), in the same order, so numpy's pairwise sum returns the same
+    value without a (rows, n) count array.
+    """
 
-def _missing_rows(counts: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Missing mass of each row of a (rows, n) count block."""
-    return ((counts == 0) * masses).sum(axis=1)
+    def __init__(self, masses: np.ndarray, t: int, replicates: int):
+        rows, n = _rows_per_call(t, len(masses), replicates), len(masses)
+        self.masses = masses
+        self.kept = np.empty((rows, n))  # the masses of the atoms a row never drew
+        self.flat = np.empty((rows, t), np.intp)
+        self.offsets = n * np.arange(rows)[:, None]
 
+    def missing(self, idx: np.ndarray) -> np.ndarray:
+        """Mass of the atoms each row never drew."""
+        rows = len(idx)
+        kept, flat = self.kept[:rows], self.flat[:rows]
+        kept[...] = self.masses
+        np.add(idx, self.offsets[:rows], out=flat)
+        kept.reshape(-1)[flat.reshape(-1)] = 0.0
+        return kept.sum(axis=1)
 
-def _bias_rows(idx: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Good-Turing estimate minus missing mass of each row of an index block."""
-    counts = _counts(idx, len(masses))
-    return np.count_nonzero(counts == 1, axis=1) / idx.shape[1] - _missing_rows(counts, masses)
+    def bias(self, idx: np.ndarray) -> np.ndarray:
+        """Good-Turing estimate minus missing mass.
+
+        The singletons (atoms drawn exactly once) are counted exactly.  From
+        t = n up, by a bincount of the flat index, no larger than the draws.
+        Below t = n the counts would outgrow the draws, so each row is sorted
+        in kept, which then has room for it, and a singleton is a value equal
+        to neither neighbour; 16 bits is the narrowest type numpy sorts fast.
+        """
+        missing = self.missing(idx)  # also writes the block's flat index
+        (rows, t), n = idx.shape, len(self.masses)
+        if t >= n:
+            counts = np.bincount(self.flat[:rows].reshape(-1), minlength=rows * n)
+            singletons = np.count_nonzero(counts.reshape(rows, n) == 1, axis=1)
+        else:
+            dtype = np.result_type(np.min_scalar_type(n - 1), np.uint16)
+            drawn = self.kept.reshape(-1).view(dtype)[:rows * t].reshape(rows, t)
+            drawn[...] = idx
+            drawn.sort(axis=1)
+            same = drawn[:, 1:] == drawn[:, :-1]
+            repeated = np.zeros((rows, t), bool)
+            repeated[:, 1:] = same
+            repeated[:, :-1] |= same
+            singletons = t - np.count_nonzero(repeated, axis=1)
+        return singletons / t - missing
 
 
 def draw_sample(d: ProbVector, t: int, seed: int) -> SampleCounts:
     """t i.i.d. draws from d, aggregated to per-atom counts; deterministic per seed."""
-    counts = monte_carlo(d.masses, t, 1, seed, lambda idx: _counts(idx, d.n))[0]
+    idx = monte_carlo(np.repeat(d.m, d.c), t, 1, seed, lambda idx: idx)[0]
+    counts = np.bincount(idx, minlength=d.n)
     return SampleCounts(
         t=t,
         counts=tuple(int(c) for c in counts),
@@ -214,8 +278,9 @@ def verify_bias(d: ProbVector, t: int, replicates: int, seed: int) -> McReport:
     outside three standard errors of the estimate (see is_violation).
     """
     require_int(replicates, "bias verification replicates", 1000)
-    masses = np.asarray(d.masses)
-    values = monte_carlo(masses, t, replicates, seed, lambda idx: _bias_rows(idx, masses))
+    t = require_t(t)
+    masses = np.repeat(d.m, d.c)
+    values = monte_carlo(masses, t, replicates, seed, _BlockStats(masses, t, replicates).bias)
     return mean_report(values, gt_bias(d, t), seed)
 
 
@@ -230,10 +295,9 @@ def verify_concentration(
     """
     require_int(replicates, "concentration verification replicates", 10_000)
     require_real(eps, "deviation eps", 0.0, 1.0, "(]")
-    masses = np.asarray(d.masses)
-    missing = monte_carlo(
-        masses, t, replicates, seed, lambda idx: _missing_rows(_counts(idx, len(masses)), masses)
-    )
+    t = require_t(t)
+    masses = np.repeat(d.m, d.c)
+    missing = monte_carlo(masses, t, replicates, seed, _BlockStats(masses, t, replicates).missing)
     mean, se = _mean_se(missing)
     freq = np.count_nonzero(np.abs(missing - expected_missing_mass(d, t)) >= eps) / replicates
     freq_se = math.sqrt(freq * (1.0 - freq) / replicates)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,11 +30,9 @@ from missingmass.cover import _eps_missing_rows
 from missingmass.sampling import (
     BLOCK,
     GUIDE_CELLS,
-    _bias_rows,
-    _counts,
+    _BlockStats,
     _guide_table,
     _inverse_cdf,
-    _missing_rows,
 )
 
 
@@ -147,8 +146,7 @@ class TestMonteCarlo:
 
     def _missing(self, replicates, seed):
         masses = np.asarray(self.D.masses)
-        stat = lambda idx: _missing_rows(_counts(idx, self.D.n), masses)  # noqa: E731
-        return monte_carlo(masses, 6, replicates, seed, stat)
+        return monte_carlo(masses, 6, replicates, seed, _BlockStats(masses, 6, replicates).missing)
 
     def test_deterministic_at_partial_block(self):
         assert 1000 % BLOCK != 0
@@ -190,8 +188,9 @@ class TestMonteCarlo:
         t, seed = 7, 11
         masses = np.asarray(self.D.masses)
         idx = monte_carlo(masses, t, BLOCK, seed, lambda idx: idx)
-        missing = _missing_rows(_counts(idx, self.D.n), masses)
-        bias = _bias_rows(idx, masses)
+        stats = _BlockStats(masses, t, BLOCK)
+        missing = stats.missing(idx)
+        bias = stats.bias(idx)
         coords = [[0.0], [0.3], [0.5], [1.1], [1.2]]
         cloud = PointCloud(masses, coords=coords)
         near = cloud.distances() <= 0.25
@@ -222,6 +221,12 @@ def _reference_indices(masses, t, replicates, seed):
         u = rng.random((min(BLOCK, replicates - start), t))
         blocks.append(np.searchsorted(cum, u, side="right"))
     return np.concatenate(blocks)
+
+
+def _search(cum, lo, u):
+    """_inverse_cdf into fresh buffers."""
+    out, scratch = np.empty((2,) + u.shape, np.intp)
+    return _inverse_cdf(cum, lo, u, out, scratch)
 
 
 def _adversarial_uniforms(cum, buckets):
@@ -290,9 +295,73 @@ class TestGuideTable:
         u = _adversarial_uniforms(cum, len(lo))
         assert u.max() == np.nextafter(1.0, 0.0)
         ref = np.searchsorted(cum, u, side="right")
-        assert np.array_equal(_inverse_cdf(cum, lo, u), ref)
+        assert np.array_equal(_search(cum, lo, u), ref)
         rows = u[: len(u) // 3 * 3].reshape(3, -1)
-        assert np.array_equal(_inverse_cdf(cum, lo, rows), np.searchsorted(cum, rows, side="right"))
+        assert np.array_equal(_search(cum, lo, rows), np.searchsorted(cum, rows, side="right"))
+
+
+def _dense_rows(idx, masses):
+    """The dense count forms the block statistics replaced: missing mass and
+    singletons of each row of an index block."""
+    rows, n = len(idx), len(masses)
+    flat = (idx + n * np.arange(rows)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=rows * n).reshape(rows, n)
+    return ((counts == 0) * masses).sum(axis=1), np.count_nonzero(counts == 1, axis=1)
+
+
+class TestBlockStats:
+    """The fill-scatter-sum missing mass and the bias equal the dense count
+    forms bit for bit, on every block and row slice of a run."""
+
+    @pytest.mark.parametrize("d, t, replicates, draws", [
+        (_random_support(2000, seed=3), 100, 70, None),  # t < n, rows sliced by n
+        (GEOMETRIC, 30, 130, None),  # t < n, many repeats
+        (_random_support(5, seed=4), 40, 130, None),  # t > n
+        (_random_support(50, seed=5), 50, 100, None),  # t = n
+        (_random_support(50, seed=6), 1, 100, None),  # t = 1
+        (_random_support(20, seed=7), 120, 70, 500),  # t > n, 4 rows per call
+        (_random_support(300, seed=8), 120, 70, 1000),  # t < n, 3 rows per call
+    ], ids=["t<n-2000", "t<n-geometric", "t>n", "t=n", "t=1", "t>n-sliced", "t<n-sliced"])
+    def test_rows_match_dense_reference(self, monkeypatch, d, t, replicates, draws):
+        if draws is not None:
+            monkeypatch.setattr(sampling, "DRAWS_PER_CALL", draws)
+        masses = np.repeat(d.m, d.c)
+        stats = _BlockStats(masses, t, replicates)
+        slices = []
+
+        def stat(idx):
+            slices.append(len(idx))
+            missing, singletons = _dense_rows(idx, masses)
+            return np.column_stack(
+                [stats.missing(idx), missing, stats.bias(idx), singletons / t - missing])
+
+        rows = monte_carlo(masses, t, replicates, 9, stat)
+        assert min(slices) < max(slices)  # a partial block or row slice
+        assert [x.hex() for x in rows[:, 0]] == [x.hex() for x in rows[:, 1]]
+        assert [x.hex() for x in rows[:, 2]] == [x.hex() for x in rows[:, 3]]
+
+    def test_reports_do_not_read_the_masses_tuple(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("ProbVector.masses builds a Python tuple of every atom")
+
+        d = _random_support(40)
+        expected = [verify_bias(d, 30, 1000, 1), verify_concentration(d, 30, 0.1, 10_000, 2),
+                    draw_sample(d, 30, 3)]
+        monkeypatch.setattr(ProbVector, "masses", property(refuse))
+        assert [verify_bias(d, 30, 1000, 1), verify_concentration(d, 30, 0.1, 10_000, 2),
+                draw_sample(d, 30, 3)] == expected
+
+    def test_concentration_memory_bounded(self):
+        # a dense (rows, n) int64 count array and its float product would
+        # take 2 MB per block here; the buffers are allocated once per call
+        d = _random_support(2000, seed=9)
+        tracemalloc.start()
+        try:
+            verify_concentration(d, 500, 0.1, 10_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2e6
 
 
 class TestPinnedValues:
