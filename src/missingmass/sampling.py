@@ -14,7 +14,10 @@ Each call allocates its block buffers once: the uniforms, the atom indices,
 and for the missing-mass statistics a (rows, n) copy of the masses.  A
 block's missing masses are then a fill, a scatter of 0.0 at the drawn atoms
 and a row sum, which add the same summands in the same order as the dense
-count form they replaced, so no value changed.
+count form they replaced, so no value changed.  The Good-Turing singletons
+are counted exactly: from t = n up by a bincount, whose zero counts times
+the masses, written into the same copy, also give the missing masses; below
+t = n by sorting each row.
 """
 
 from __future__ import annotations
@@ -161,7 +164,8 @@ def _inverse_cdf(cum: np.ndarray, lo: np.ndarray, u: np.ndarray, out: np.ndarray
 
 class _BlockStats:
     """Missing mass and Good-Turing bias of each row of the (rows, t) index
-    blocks of one monte_carlo call, in buffers allocated once for the call.
+    blocks of one monte_carlo call, in buffers allocated once for the call:
+    at the first block, which has the call's full row count.
 
     A block's missing masses are a fill, a scatter and a row sum: the masses
     are copied into every row, the drawn atoms are set to 0.0 through the
@@ -171,19 +175,26 @@ class _BlockStats:
     value without a (rows, n) count array.
     """
 
-    def __init__(self, masses: np.ndarray, t: int, replicates: int):
-        rows, n = _rows_per_call(t, len(masses), replicates), len(masses)
+    def __init__(self, masses: np.ndarray):
         self.masses = masses
-        self.kept = np.empty((rows, n))  # the masses of the atoms a row never drew
-        self.flat = np.empty((rows, t), np.intp)
-        self.offsets = n * np.arange(rows)[:, None]
+        # kept (rows, n): the masses of the atoms a row never drew; flat
+        # (rows, t): the block's flat index; offsets (rows, 1): n*row
+        self.kept = self.flat = self.offsets = None
+
+    def _flat_index(self, idx: np.ndarray) -> np.ndarray:
+        """idx + n*row, the index of each draw in the flattened (rows, n) block."""
+        rows, n = len(idx), len(self.masses)
+        if self.kept is None:
+            self.kept = np.empty((rows, n))
+            self.flat = np.empty(idx.shape, np.intp)
+            self.offsets = n * np.arange(rows)[:, None]
+        return np.add(idx, self.offsets[:rows], out=self.flat[:rows])
 
     def missing(self, idx: np.ndarray) -> np.ndarray:
         """Mass of the atoms each row never drew."""
-        rows = len(idx)
-        kept, flat = self.kept[:rows], self.flat[:rows]
+        flat = self._flat_index(idx)
+        kept = self.kept[:len(idx)]
         kept[...] = self.masses
-        np.add(idx, self.offsets[:rows], out=flat)
         kept.reshape(-1)[flat.reshape(-1)] = 0.0
         return kept.sum(axis=1)
 
@@ -191,27 +202,30 @@ class _BlockStats:
         """Good-Turing estimate minus missing mass.
 
         The singletons (atoms drawn exactly once) are counted exactly.  From
-        t = n up, by a bincount of the flat index, no larger than the draws.
-        Below t = n the counts would outgrow the draws, so each row is sorted
-        in kept, which then has room for it, and a singleton is a value equal
-        to neither neighbour; 16 bits is the narrowest type numpy sorts fast.
+        t = n up, a bincount of the flat index is no larger than the draws;
+        its zero counts times the masses, written into kept, are the
+        missing-mass summands, so no scatter is needed.  Below t = n the
+        counts would outgrow the draws, so the rows are scattered for the
+        missing mass, then sorted in kept, which has room for them, and a
+        singleton is a value equal to neither neighbour; 16 bits is the
+        narrowest type numpy sorts fast.
         """
-        missing = self.missing(idx)  # also writes the block's flat index
         (rows, t), n = idx.shape, len(self.masses)
         if t >= n:
-            counts = np.bincount(self.flat[:rows].reshape(-1), minlength=rows * n)
-            singletons = np.count_nonzero(counts.reshape(rows, n) == 1, axis=1)
-        else:
-            dtype = np.result_type(np.min_scalar_type(n - 1), np.uint16)
-            drawn = self.kept.reshape(-1).view(dtype)[:rows * t].reshape(rows, t)
-            drawn[...] = idx
-            drawn.sort(axis=1)
-            same = drawn[:, 1:] == drawn[:, :-1]
-            repeated = np.zeros((rows, t), bool)
-            repeated[:, 1:] = same
-            repeated[:, :-1] |= same
-            singletons = t - np.count_nonzero(repeated, axis=1)
-        return singletons / t - missing
+            counts = np.bincount(self._flat_index(idx).reshape(-1), minlength=rows * n)
+            counts = counts.reshape(rows, n)
+            missing = np.multiply(counts == 0, self.masses, out=self.kept[:rows]).sum(axis=1)
+            return np.count_nonzero(counts == 1, axis=1) / t - missing
+        missing = self.missing(idx)
+        dtype = np.result_type(np.min_scalar_type(n - 1), np.uint16)
+        drawn = self.kept.reshape(-1).view(dtype)[:rows * t].reshape(rows, t)
+        drawn[...] = idx
+        drawn.sort(axis=1)
+        same = drawn[:, 1:] == drawn[:, :-1]
+        repeated = np.zeros((rows, t), bool)
+        repeated[:, 1:] = same
+        repeated[:, :-1] |= same
+        return (t - np.count_nonzero(repeated, axis=1)) / t - missing
 
 
 def draw_sample(d: ProbVector, t: int, seed: int) -> SampleCounts:
@@ -280,7 +294,7 @@ def verify_bias(d: ProbVector, t: int, replicates: int, seed: int) -> McReport:
     require_int(replicates, "bias verification replicates", 1000)
     t = require_t(t)
     masses = np.repeat(d.m, d.c)
-    values = monte_carlo(masses, t, replicates, seed, _BlockStats(masses, t, replicates).bias)
+    values = monte_carlo(masses, t, replicates, seed, _BlockStats(masses).bias)
     return mean_report(values, gt_bias(d, t), seed)
 
 
@@ -297,7 +311,7 @@ def verify_concentration(
     require_real(eps, "deviation eps", 0.0, 1.0, "(]")
     t = require_t(t)
     masses = np.repeat(d.m, d.c)
-    missing = monte_carlo(masses, t, replicates, seed, _BlockStats(masses, t, replicates).missing)
+    missing = monte_carlo(masses, t, replicates, seed, _BlockStats(masses).missing)
     mean, se = _mean_se(missing)
     freq = np.count_nonzero(np.abs(missing - expected_missing_mass(d, t)) >= eps) / replicates
     freq_se = math.sqrt(freq * (1.0 - freq) / replicates)

@@ -146,7 +146,7 @@ class TestMonteCarlo:
 
     def _missing(self, replicates, seed):
         masses = np.asarray(self.D.masses)
-        return monte_carlo(masses, 6, replicates, seed, _BlockStats(masses, 6, replicates).missing)
+        return monte_carlo(masses, 6, replicates, seed, _BlockStats(masses).missing)
 
     def test_deterministic_at_partial_block(self):
         assert 1000 % BLOCK != 0
@@ -188,7 +188,7 @@ class TestMonteCarlo:
         t, seed = 7, 11
         masses = np.asarray(self.D.masses)
         idx = monte_carlo(masses, t, BLOCK, seed, lambda idx: idx)
-        stats = _BlockStats(masses, t, BLOCK)
+        stats = _BlockStats(masses)
         missing = stats.missing(idx)
         bias = stats.bias(idx)
         coords = [[0.0], [0.3], [0.5], [1.1], [1.2]]
@@ -326,7 +326,7 @@ class TestBlockStats:
         if draws is not None:
             monkeypatch.setattr(sampling, "DRAWS_PER_CALL", draws)
         masses = np.repeat(d.m, d.c)
-        stats = _BlockStats(masses, t, replicates)
+        stats = _BlockStats(masses)
         slices = []
 
         def stat(idx):
