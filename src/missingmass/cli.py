@@ -156,7 +156,7 @@ def _cmd_bounds(args) -> int:
         for t in ts:
             lo, hi = mass.expected_missing_mass_interval(trunc, t)
             bound = mass.bound_countable(ell, t)
-            ok = hi <= bound + 1e-12
+            ok = not sampling.is_violation(hi - bound, 0.0, hi, bound)
             ok_all &= ok
             rows.append({"t": t, "lower": lo, "upper": hi, "ell": ell,
                          "c": DEFAULT_COUNTABLE_C, "bound_countable": bound, "ok": ok})
@@ -165,7 +165,7 @@ def _cmd_bounds(args) -> int:
         for t in ts:
             value = mass.expected_missing_mass(d, t)
             bound = mass.bound_finite(n, t)
-            ok = value <= bound + 1e-12
+            ok = not sampling.is_violation(value - bound, 0.0, value, bound)
             ok_all &= ok
             rows.append({"t": t, "value": value, "n": n,
                          "bound_finite": bound, "ok": ok})

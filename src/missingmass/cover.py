@@ -26,7 +26,7 @@ import numpy as np
 from .distributions import MassSumError, validate_masses
 from .errors import InvalidInputError, require_int, require_real, require_reals, require_t
 from .numerics import SLICE_CELLS, exact_sum, pow_one_minus
-from .sampling import McReport, mean_report, monte_carlo
+from .sampling import McReport, is_violation, mean_report, monte_carlo
 
 MATRIX_TOL = 1e-9
 # Largest cloud that exact_covering_number's branch-and-bound accepts, and
@@ -238,7 +238,9 @@ def expected_eps_missing_mass(cloud: PointCloud, t: int, eps: float) -> float:
 
 def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
     """Expected eps-missing mass against net_size/(e t); not a valid bound in
-    general (see the module docstring), so ``ok`` may be False.
+    general (see the module docstring), so ``ok`` may be False.  ``ok`` is
+    the package's one verdict rule, sampling.is_violation, with no standard
+    error.
 
     The greedy net certifies N_hat(eps) >= N(eps) on any cloud; on clouds
     small enough for exhaustive set cover the exact covering number replaces
@@ -257,7 +259,7 @@ def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
         "net_size": size,
         "greedy_size": net.size,
         "bound": bound,
-        "ok": bool(expected <= bound + 1e-12),
+        "ok": not is_violation(expected - bound, 0.0, expected, bound),
     }
 
 

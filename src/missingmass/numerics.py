@@ -2,21 +2,37 @@
 kernel terms of one distribution, and the cap on the temporaries of sliced
 array evaluations.
 
-Powers (1-p)^t and b^t underflow or lose accuracy when evaluated naively
-for large t.  One elementwise rule decides every power: log space,
-exp(t*log1p(-p)) or exp(t*log b), when t >= POW_EXPONENT_SWITCH, and for
-(1-p)^t also when p < POW_TINY_MASS; the direct power otherwise, on numpy's
-array loop for scalars too.  So a power depends on its own base and
-exponent only, whatever its neighbours and whether it comes alone:
+Powers.  One elementwise rule decides every power (1-p)^t and b^t: its
+exponent alone.  From t = POW_EXPONENT_SWITCH on, a power is taken in log
+space, exp(t*log1p(-p)) or exp(t*log b), so that it neither underflows early
+nor lets the rounding of its base grow with t.  Below the switch b^t is the
+direct power, on numpy's array loop for scalars too, and (1-p)^t is
+Graillat's compensated power ("Accurate floating-point product and
+exponentiation", IEEE Trans. Computers 58(7), 2009), with u = 2^-53:
+
+1. Split.  hi = fl(1 - p) and lo = (1 - hi) - p give 1 - p = hi + lo
+   exactly (Dekker's Fast2Sum, as 1 >= p), with |lo| <= u hi.  For p >= 1/2,
+   1 - p is a float (Sterbenz), so lo = 0; r = lo / max(hi, 1/2) is then
+   lo/hi, rounded once, for every p in [0, 1], and 0, not 0/0, at p = 1.
+2. Correct.  (1-p)^t = hi^t (1 + lo/hi)^t = P (1 + t r) + O(t^2 u^2) with
+   P = hi^t, so the power is P + P (t r): the error of P (under 1 ulp where
+   the platform's pow is) plus the final rounding (1/2 ulp) plus terms of
+   order t u^2.  The direct power of fl(1 - p) would carry up to about t/2
+   ulps instead; against 60-digit references the compensated form stays
+   within about 1.1 ulps at every t below the switch.  For p < 2^-54, hi = 1
+   and the form is 1 - t p, so tiny masses need no rule of their own.
+
+So a power depends on its own base and exponent only, whatever its
+neighbours and whether it comes alone:
 
 * ``pow_one_minus`` and ``pow_unit`` take arrays or scalars of bases and
   exponents (the extremal solvers, the eps-ball masses, the scalar kernel);
 * ``KernelTerms`` takes one distribution's sorted masses and a scalar
   exponent (every closed form in ``mass``) and gives pow_one_minus's values
-  bit for bit: all atoms past the exponent switch, else the prefix of tiny
-  masses, take log space.  What depends only on the distribution (its
-  weights c m^k, 1 - m, log1p(-m) and the tiny prefix) is built on first
-  use and cached per distribution, by ``_Runs.kernel_terms``.
+  bit for bit, as both take the same split and the same compensated step.
+  What depends only on the distribution (its weights c m^k, the split hi
+  and r, and log1p(-m)) is built on first use and cached per distribution,
+  by ``_Runs.kernel_terms``.
 
 Sums.  Every sum the package reports as one number (the closed forms, the
 bands, the eps-missing masses, a Monte Carlo mean and variance, the mass
@@ -70,12 +86,10 @@ import math
 
 import numpy as np
 
-# Log space from this exponent on, and for (1-p)^t whenever p is below
-# POW_TINY_MASS, where it keeps about 1 ulp.  Below the switch the direct
-# power rounds 1 - p first, so it carries up to about t/2 ulps; past it,
-# that error would keep growing with t.
+# Every power takes log space from this exponent on, and one of the direct
+# powers (compensated for (1-p)^t, within about 1 ulp) below it; see the
+# module docstring.  Past it, the direct power's error would grow with t.
 POW_EXPONENT_SWITCH = 64
-POW_TINY_MASS = 1e-8
 
 # Cap on the cells of one temporary array in a sliced evaluation (the
 # extremal scan over t, the rows of the eps-ball matrix, the simplex grid
@@ -86,11 +100,28 @@ SLICE_CELLS = 1 << 16
 def pow_one_minus(p, t):
     """(1 - p)^t elementwise for p in [0, 1] and t >= 0, safe for large t and tiny p."""
     p = np.asarray(p, dtype=float)
-    log_space = np.asarray(t >= POW_EXPONENT_SWITCH)
-    if not log_space.all():  # the masses matter only where some exponent is small
-        log_space = log_space | (p < POW_TINY_MASS)
-    return _by_policy(log_space, p, t, lambda p, t: np.exp(t * np.log1p(-p)),
-                      lambda p, t: _direct(1.0 - p, t))
+    return _by_policy(np.asarray(t >= POW_EXPONENT_SWITCH), p, t,
+                      lambda p, t: np.exp(t * np.log1p(-p)),
+                      lambda p, t: _compensated(*_split_one_minus(p), t))
+
+
+def _split_one_minus(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, r) with hi = fl(1 - p) and r = lo/hi rounded, 1 - p = hi + lo
+    exactly (Fast2Sum); r = 0 for p >= 1/2, where lo is 0."""
+    hi = 1.0 - p
+    r = 1.0 - hi
+    r -= p
+    r /= np.maximum(hi, 0.5)
+    return hi, r
+
+
+def _compensated(hi, r, t):
+    """(hi + hi r)^t as P + P (t r), P = hi^t: (1 - p)^t below the switch."""
+    P = _direct(hi, t)
+    out = r * t
+    out *= P
+    out += P
+    return out
 
 
 class KernelTerms:
@@ -102,11 +133,11 @@ class KernelTerms:
     so a distribution evaluated once pays only for its own branch.
     """
 
-    __slots__ = ("m", "c", "_w1", "_w2", "_q", "_log", "_tiny")
+    __slots__ = ("m", "c", "_w1", "_w2", "_split", "_log")
 
     def __init__(self, m: np.ndarray, c: np.ndarray):
         self.m, self.c = m, c
-        self._w1 = self._w2 = self._q = self._log = self._tiny = None
+        self._w1 = self._w2 = self._split = self._log = None
 
     def __call__(self, e: int, k: int = 1) -> np.ndarray:
         if k == 1:
@@ -124,17 +155,10 @@ class KernelTerms:
         if e >= POW_EXPONENT_SWITCH:
             log = self._log  # the slot, not the property: this runs for every closed form
             return np.exp(e * (self.log if log is None else log))
-        tiny = self._tiny
-        if tiny is None:  # m is sorted, so the masses below POW_TINY_MASS are a prefix
-            m = self.m
-            tiny = 0 if m[0] >= POW_TINY_MASS else int(np.searchsorted(m, POW_TINY_MASS))
-            self._tiny = tiny
-        q = self._q  # 1 - m
-        if q is None:
-            q = self._q = 1.0 - self.m
-        if not tiny:
-            return q ** e
-        return np.concatenate((np.exp(e * self.log[:tiny]), q[tiny:] ** e))
+        split = self._split  # (hi, r) of 1 - m
+        if split is None:
+            split = self._split = _split_one_minus(self.m)
+        return _compensated(*split, e)
 
     @property
     def log(self) -> np.ndarray:
@@ -157,7 +181,7 @@ def _direct(b, t):
     for an array of them, an array squares its 2s too."""
     b = np.asarray(b)
     out = b ** t
-    if np.ndim(t) and (two := t == 2).any():
+    if isinstance(t, np.ndarray) and t.ndim and (two := t == 2).any():
         out = np.where(two, b * b, out)
     return out
 

@@ -39,8 +39,8 @@ BLOCK = 64  # replicates per substream; part of the seeded layout, so a constant
 # DRAWS_PER_CALL cells is drawn in consecutive row slices, which continue the
 # same stream, so memory stays bounded and the values are unchanged.
 DRAWS_PER_CALL = 1 << 16
-# Relative slack of a verdict: a mean that matches its closed form up to a few
-# ulps is no violation, even when the standard error is 0.
+# Relative slack of a verdict: a value that matches its closed form or bound
+# up to a few ulps is no violation, even when the standard error is 0.
 RHO = 1e-12
 # Guide table: at most GUIDE_CELLS buckets, and at most GUIDE_PASSES
 # vectorised steps from a bucket's first atom before the draws left over
@@ -256,8 +256,9 @@ def good_turing(sc: SampleCounts) -> float:
 
 
 def is_violation(excess: float, se: float, estimate: float, reference: float) -> bool:
-    """The verdict rule of every Monte Carlo check: excess beyond three standard
-    errors plus a relative rounding slack RHO."""
+    """The one verdict rule: excess beyond three standard errors plus a
+    relative rounding slack RHO.  A deterministic comparison of a value with
+    its bound (``mml bounds``, the covering report) passes se = 0."""
     scale = max(abs(estimate), abs(reference), sys.float_info.min)
     return bool(excess > 3.0 * se + RHO * scale)
 
@@ -290,6 +291,14 @@ def verify_bias(d: ProbVector, t: int, replicates: int, seed: int) -> McReport:
     Estimates E[GT estimate - missing mass] and compares it against the
     closed form; the report flags a violation when the closed form falls
     outside three standard errors of the estimate (see is_violation).
+
+    That rule needs a near-normal mean, which this one is not on a large
+    support at small t: the bias sum p^2 (1-p)^(t-1) is carried by the rare
+    replicates in which some atom is drawn twice, about replicates * C(t, 2)
+    * sum p^2 of them.  Unless that count is well above 1, a run usually
+    holds none, its standard error misses the bias, and the report can flag
+    a violation that is not there (2*10^5 random atoms, t = 10, 1000
+    replicates).
     """
     require_int(replicates, "bias verification replicates", 1000)
     t = require_t(t)

@@ -377,6 +377,28 @@ class TestOptions:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, bound_fn, key", [
+        (["--family", "uniform", "--n", "10", "--t", "66"], "bound_finite", "value"),
+        (["--family", "geometric", "--t", "700"], "bound_countable", "upper"),
+    ], ids=["finite", "countable"])
+    def test_bounds_verdict_is_relative(self, capsys, monkeypatch, argv, bound_fn, key):
+        """A bound 1e-13 below its value is a violation (exit 3) where the
+        value is far below 1: the verdict is sampling.is_violation with a
+        standard error of 0, not value <= bound + 1e-12."""
+        from missingmass import cli as climod
+
+        _, out, _ = run_cli(capsys, "bounds", *argv)
+        value = json.loads(out)[key]
+        assert value < 0.003
+        monkeypatch.setattr(climod.mass, bound_fn, lambda *a, **k: value - 1e-13)
+        code, out, _ = run_cli(capsys, "bounds", *argv)
+        assert code == 3
+        assert json.loads(out)["ok"] is False
+        monkeypatch.setattr(climod.mass, bound_fn, lambda *a, **k: value)
+        code, out, _ = run_cli(capsys, "bounds", *argv)
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
     def test_countable_rows_keep_the_proven_constant(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--family", "geometric", "--t", "5")
         assert code == 0

@@ -245,6 +245,21 @@ class TestCoveringBound:
         assert report["bound"] == pytest.approx(1 / math.e)
         assert report["ok"]
 
+    def test_ok_takes_the_relative_verdict_rule(self, line3, monkeypatch):
+        """An expected mass 1e-13 above a bound near 1e-3 is a violation: the
+        slack is relative (sampling.is_violation with a standard error of
+        0), not an absolute 1e-12."""
+        from missingmass import cover
+
+        t = 368  # bound = 1/(e t) = 1.0e-3 with the exact cover of size 1
+        bound = 1 / (math.e * t)
+        monkeypatch.setattr(cover, "expected_eps_missing_mass", lambda *a: bound + 1e-13)
+        report = covering_bound_report(line3, t, 1.0)
+        assert report["bound"] == bound
+        assert report["ok"] is False
+        monkeypatch.setattr(cover, "expected_eps_missing_mass", lambda *a: bound)
+        assert covering_bound_report(line3, t, 1.0)["ok"] is True
+
     def test_random_grid(self, rng):
         for _ in range(10):
             cloud = random_cloud(rng, int(rng.integers(5, 80)), int(rng.integers(1, 4)),

@@ -375,8 +375,8 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-# masses spread over 2^-45..2^0, so masses below POW_TINY_MASS sit beside
-# ordinary ones and every small exponent takes the mixed branch
+# masses spread over 2^-45..2^0, so tiny masses, whose 1 - m rounding the
+# compensated power puts back below the exponent switch, sit beside ordinary ones
 _spread_weights = st.builds(math.ldexp, st.floats(1.0, 2.0), st.integers(-45, 0))
 
 

@@ -11,6 +11,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -289,3 +290,66 @@ class TestPowerPolicy:
                 assert one_minus[i, j] == pytest.approx(
                     decimal_pow(b, t, one_minus=True), rel=1e-13, abs=0.0)
                 assert unit[i, j] == pytest.approx(decimal_pow(b, t), rel=1e-13, abs=0.0)
+
+
+def ulps_off(value: float, ref) -> float:
+    """|value - ref| in units of the last place of ref rounded to a float;
+    ref is an mpmath number."""
+    return float(abs(mpmath.mpf(value) - ref) / math.ulp(float(ref)))
+
+
+# a seeded sample of masses: log-uniform over [1e-300, 1], uniform in (0, 1),
+# and log-uniform over [1e-12, 1e-6], where the rounding of 1 - p loses most
+_rng = np.random.default_rng(4500)
+ACCURACY_BASES = np.concatenate([10.0 ** _rng.uniform(-300.0, 0.0, 1500), _rng.random(1500),
+                                 10.0 ** _rng.uniform(-12.0, -6.0, 1500)])
+ACCURACY_T = [1, 2, 3, 7, 31, 63]
+
+
+def accuracy_distributions():
+    """Seeded distributions of 20-400 atoms; half spread log-uniformly down
+    to 1e-12, half uniform weights with ten atoms near 1e-12..1e-9."""
+    rng = np.random.default_rng(1213)
+    out = []
+    for i in range(12):
+        n = int(rng.integers(20, 401))
+        if i % 2:
+            weights = 10.0 ** rng.uniform(-12.0, 0.0, n)
+        else:
+            weights = np.concatenate([rng.random(n - 10), 10.0 ** rng.uniform(-12.0, -9.0, 10)])
+        out.append(ProbVector(weights, normalize=True))
+    return out
+
+
+class TestCompensatedPowers:
+    """Below the log-space switch, (1-p)^t is the compensated power: within
+    about 1 ulp of a 60-digit reference for every mass, tiny ones included,
+    where the direct power of fl(1 - p) would carry up to t/2 ulps."""
+
+    @pytest.mark.parametrize("t", ACCURACY_T)
+    def test_power_within_one_and_a_quarter_ulps(self, t):
+        array = pow_one_minus(ACCURACY_BASES, t).tolist()
+        with mpmath.workdps(60):
+            worst = max(ulps_off(g, (1 - mpmath.mpf(p)) ** t)
+                        for p, g in zip(ACCURACY_BASES.tolist(), array))
+        assert worst <= 1.25
+        # and a scalar gives its array element, bit for bit
+        scalars = [float(pow_one_minus(p, t)) for p in ACCURACY_BASES.tolist()]
+        assert [s.hex() for s in scalars] == [a.hex() for a in array]
+
+    @pytest.mark.parametrize("t", ACCURACY_T)
+    def test_closed_forms_within_one_and_a_half_ulps(self, t):
+        """E[U_t], the Good-Turing expectation and the singleton mass, each a
+        sum of compensated powers, within 1.5 ulps of their 60-digit sums."""
+        for d in accuracy_distributions():
+            assert d.m[0] < 1e-8
+            with mpmath.workdps(60):
+                m = [mpmath.mpf(x) for x in d.m.tolist()]
+                c = d.c.tolist()
+                emm = mpmath.fsum(k * x * (1 - x) ** t for x, k in zip(m, c))
+                gt = mpmath.fsum(k * x * (1 - x) ** (t - 1) for x, k in zip(m, c))
+                singleton = t * mpmath.fsum(k * x * x * (1 - x) ** (t - 1) for x, k in zip(m, c))
+                errors = [ulps_off(expected_missing_mass(d, t), emm),
+                          ulps_off(gt_expected_estimate(d, t), gt),
+                          ulps_off(singleton_mass_expectation(d, t), singleton)]
+            assert max(errors) <= 1.5, (d.n, errors)

@@ -140,6 +140,20 @@ class TestVerifyBias:
         assert abs(rep.estimate - rep.bound) <= 1e-12
         assert rep.violated is False
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the 3-SE rule misses a bias carried by rare replicates; "
+        "replicates * C(t, 2) * sum p^2 is about 0.3 here"))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_false_violation_on_a_large_support_at_small_t(self, seed):
+        """About 1 replicate in 3300 draws an atom twice and lowers the
+        Good-Turing estimate by 2/t, and those replicates carry the bias: a
+        1000-replicate run usually holds none, so its mean sits near
+        t sum p^2, ten times the closed form, with a standard error that
+        misses the rare term."""
+        d = ProbVector(np.random.default_rng(0).random(200_000), normalize=True)
+        rep = verify_bias(d, 10, replicates=1000, seed=seed)
+        assert rep.violated is False
+
 
 class TestMonteCarlo:
     D = ProbVector([0.05, 0.1, 0.15, 0.2, 0.5])
