@@ -379,12 +379,13 @@ class TestOptions:
 
     @pytest.mark.parametrize("argv, bound_fn, key", [
         (["--family", "uniform", "--n", "10", "--t", "66"], "bound_finite", "value"),
-        (["--family", "geometric", "--t", "700"], "bound_countable", "upper"),
+        (["--family", "geometric", "--t", "700"], "bound_countable", "lower"),
     ], ids=["finite", "countable"])
     def test_bounds_verdict_is_relative(self, capsys, monkeypatch, argv, bound_fn, key):
-        """A bound 1e-13 below its value is a violation (exit 3) where the
-        value is far below 1: the verdict is sampling.is_violation with a
-        standard error of 0, not value <= bound + 1e-12."""
+        """A bound 1e-13 below its value (for a countable family, the lower
+        end of its enclosure) is a violation (exit 3) where the value is far
+        below 1: the verdict is sampling.is_violation with a standard error
+        of 0, not value <= bound + 1e-12."""
         from missingmass import cli as climod
 
         _, out, _ = run_cli(capsys, "bounds", *argv)
@@ -398,6 +399,18 @@ class TestOptions:
         code, out, _ = run_cli(capsys, "bounds", *argv)
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_countable_truncation_tail_is_no_violation(self, capsys):
+        """At the default tol the geometric(1/2) truncation keeps a tail of
+        about 9e-13; at t = 2e11 that lifts the enclosure's upper end above
+        ell/(0.69 t), which still holds since 0.69 < c*.  Only a lower end
+        above the bound is a violation."""
+        code, out, _ = run_cli(capsys, "bounds", "--family", "geometric",
+                               "--t", "200000000000")
+        row = json.loads(out)
+        assert row["lower"] <= row["bound_countable"] < row["upper"]
+        assert row["ok"] is True
+        assert code == 0
 
     def test_countable_rows_keep_the_proven_constant(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--family", "geometric", "--t", "5")
