@@ -9,6 +9,8 @@ input or usage, 3 when a verification subcommand detects a bound violation.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -108,15 +110,17 @@ def _emit(args, obj, csv_text: str | None = None) -> None:
 
 
 def _dict_to_csv(obj) -> str:
+    """Rows of dicts (never empty) as a header and one line per row, or one
+    dict as key,value lines; a cell holding a comma is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     if isinstance(obj, list):
-        if not obj:
-            return "\n"
         keys = list(obj[0].keys())
-        lines = [",".join(keys)]
-        lines += [",".join(_csv_cell(row.get(k)) for k in keys) for row in obj]
-        return "\n".join(lines) + "\n"
-    lines = [f"{k},{_csv_cell(v)}" for k, v in obj.items()]
-    return "\n".join(lines) + "\n"
+        writer.writerow(keys)
+        writer.writerows([_csv_cell(row.get(k)) for k in keys] for row in obj)
+    else:
+        writer.writerows((k, _csv_cell(v)) for k, v in obj.items())
+    return buf.getvalue()
 
 
 def _csv_cell(v) -> str:
@@ -249,7 +253,6 @@ def _cmd_simulate(args) -> int:
         d = _load_distribution(args)
         if isinstance(d, CountableFamily):
             raise MissingMassError("simulation needs a finite distribution")
-        d = d.to_prob_vector()  # the sampler visits every atom: cap the support
         if args.mode == "bias":
             report = sampling.verify_bias(d, args.t, args.replicates, args.seed)
         else:

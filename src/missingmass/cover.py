@@ -25,17 +25,13 @@ import numpy as np
 
 from .distributions import MassSumError, validate_masses
 from .errors import InvalidInputError, require_int, require_real, require_reals, require_t
-from .numerics import SLICE_CELLS, exact_sum, pow_one_minus
+from .numerics import exact_sum, pow_one_minus, rows_per_slice
 from .sampling import McReport, is_violation, mean_report, monte_carlo
 
 MATRIX_TOL = 1e-9
 # Largest cloud that exact_covering_number's branch-and-bound accepts, and
 # below which covering_bound_report uses it instead of the greedy net.
 EXACT_COVER_LIMIT = 20
-# Cap on the cells of one (rows, t, n) gather of eps-ball hits: a block's rows
-# are reduced in chunks of at most this many cells, so memory stays bounded
-# at any cloud size and t, and the values do not depend on the chunking.
-GATHER_CELLS = 1 << 22
 
 
 class PointCloud:
@@ -201,7 +197,11 @@ def eps_missing_mass(cloud: PointCloud, sample_indices, eps: float) -> float:
         raise InvalidInputError("sample must contain at least one point")
     if max(idx) >= cloud.n:
         raise InvalidInputError("sample index out of range")
-    min_dist = cloud.distances()[idx].min(axis=0)
+    # a running minimum over slices of sample rows, each within SLICE_BYTES
+    d, step = cloud.distances(), rows_per_slice(8 * cloud.n)
+    min_dist = d[idx[:step]].min(axis=0)
+    for r in range(step, len(idx), step):
+        np.minimum(min_dist, d[idx[r:r + step]].min(axis=0), out=min_dist)
     return exact_sum(cloud.masses[min_dist > eps])
 
 
@@ -210,14 +210,14 @@ def ball_masses(cloud: PointCloud, eps: float) -> np.ndarray:
     that the cloud keeps until it is asked for another eps.
 
     Each row's masses are summed over its hits (numpy's pairwise sum), in
-    slices of at most SLICE_CELLS cells, so the value of a row depends on
+    slices of whole rows within SLICE_BYTES, so the value of a row depends on
     neither the slicing nor the BLAS build or its thread count.
     """
     require_real(eps, "radius eps", 0.0, math.inf, "(]")
     if cloud._balls is not None and cloud._balls[0] == eps:
         return cloud._balls[1]
     d = cloud.distances()
-    step = max(1, SLICE_CELLS // cloud.n)
+    step = rows_per_slice(8 * cloud.n)
     balls = np.concatenate([np.where(d[r:r + step] <= eps, cloud.masses, 0.0).sum(axis=1)
                             for r in range(0, cloud.n, step)])
     balls.setflags(write=False)
@@ -264,9 +264,16 @@ def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
 
 
 def _eps_missing_rows(near: np.ndarray, masses: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """eps-missing mass of each row of a (rows, t) index block; near = d <= eps."""
-    step = max(1, GATHER_CELLS // (idx.shape[1] * near.shape[0]))
-    hit = np.concatenate([near[idx[r:r + step]].any(axis=1) for r in range(0, len(idx), step)])
+    """eps-missing mass of each row of a (rows, t) index block; near = d <= eps.
+
+    The draws are gathered in chunks of columns, each a (rows, columns, n)
+    bool array within SLICE_BYTES (at least one column), and OR-ed into one
+    (rows, n) hit mask, which does not depend on the chunking.
+    """
+    step = rows_per_slice(idx.shape[0] * near.shape[0])
+    hit = near[idx[:, :step]].any(axis=1)
+    for c in range(step, idx.shape[1], step):
+        hit |= near[idx[:, c:c + step]].any(axis=1)
     return (~hit * masses).sum(axis=1)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -147,15 +146,6 @@ class _Runs:
     @property
     def blocks(self) -> MassBlocks:
         return tuple(zip(self.m.tolist(), self.c.tolist()))
-
-    def to_prob_vector(self, max_atoms: int = 2_000_000) -> "ProbVector":
-        """This distribution as a ProbVector, refused past max_atoms atoms: the
-        cap for code that visits every atom, such as the samplers."""
-        if self.n > max_atoms:
-            raise InvalidInputError(
-                f"support size {self.n} exceeds max_atoms={max_atoms}"
-            )
-        return ProbVector._of_runs(self.m, self.c)
 
     def _key(self) -> tuple:
         return self.blocks
@@ -363,10 +353,6 @@ class CountableFamily:
         if "masses" in params and not isinstance(params["masses"], list):
             raise InvalidInputError("family 'masses' must be a JSON array of numbers")
         return CountableFamily(obj["family"], params)
-
-    @staticmethod
-    def from_json_text(text: str) -> "CountableFamily":
-        return CountableFamily.from_json_obj(json.loads(text))
 
 
 def truncate(family: CountableFamily, tol: float) -> Truncation:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import ProbVector
 from .errors import MissingMassError, ThresholdNotFoundError, require_int, require_real, require_t
-from .numerics import SLICE_CELLS, pow_one_minus, pow_unit
+from .numerics import pow_one_minus, pow_unit, rows_per_slice
 
 # Cells per sign scan of the derivative when locating the interior maximum.
 CRITICAL_SCAN_POINTS = 64
@@ -251,13 +251,14 @@ def maximize_missing_mass(n: int, t: int) -> ExtremalSolution:
 def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
     """Scan t = n+1, n+2, ... for the first strict win of an interior light
     mass over the uniform distribution, verifying the win persists through
-    the rest of the scan.  The scan is solved in slices of at most
-    SLICE_CELLS derivative samples, so its memory does not grow with n.
+    the rest of the scan.  The scan is solved in slices of t whose
+    derivative samples (len(_SCAN) floats per t) fit in SLICE_BYTES, so its
+    memory does not grow with n.
     """
     n = _require(n)[0]
     budget = n + max(10, math.ceil(10.0 * math.sqrt(n)))
     t_max = budget if t_max is None else require_int(t_max, f"t_max for n={n}", budget)
-    step = max(1, SLICE_CELLS // len(_SCAN))
+    step = rows_per_slice(8 * len(_SCAN))
     tau, margin = None, None
     for start in range(n + 1, t_max + 1, step):
         t = np.arange(start, min(start + step, t_max + 1))
@@ -292,17 +293,17 @@ def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[f
 
     Independent of the one-variable reduction: sweeps (p1, p2) on a square
     grid, takes p3 = 1 - p1 - p2, then refines once around the best cell.
-    Each sweep runs over slices of whole rows of at most SLICE_CELLS cells
-    and keeps the first maximum in row-major order, so its memory does not
-    grow with the grid.  Returns the best value and its point, coordinates
-    sorted nondecreasing.
+    Each sweep runs over slices of whole grid rows of floats, at most
+    SLICE_BYTES, and keeps the first maximum in row-major order, so its
+    memory does not grow with the grid.  Returns the best value and its
+    point, coordinates sorted nondecreasing.
     """
     require_t(t)
     require_real(grid_step, "grid step", 0.0, 1e-2, "(]")
 
     def sweep(p1_vals: np.ndarray, p2_vals: np.ndarray) -> tuple[float, float, float]:
         p2 = p2_vals[None, :]
-        rows = max(1, SLICE_CELLS // p2.size)
+        rows = rows_per_slice(8 * p2.size)
         best, bi, bj = -math.inf, 0, 0
         for start in range(0, p1_vals.size, rows):
             p1 = p1_vals[start:start + rows, None]

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -108,10 +109,15 @@ def kernel(x: float, t: int) -> float:
 
 
 def kernel_prime(x: float, t: int) -> float:
-    """Derivative of the kernel: (1 - x)^(t-1) (1 - (t+1) x)."""
+    """Derivative of the kernel: (1 - x)^(t-1) (1 - (t+1) x).
+
+    The factor 1 - (t+1) x is taken exactly and rounded once, so its sign is
+    right at every float, also next to the peak 1/(t+1), where rounding
+    (t+1) x first would cancel to 0 or flip it.
+    """
     require_real(x, "kernel argument", 0.0, 1.0)
-    require_t(t)
-    return float(pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x))
+    t = require_t(t)
+    return float(pow_one_minus(x, t - 1) * float(1 - (t + 1) * Fraction(float(x))))
 
 
 def kernel_peak(t: int) -> float:

@@ -91,10 +91,16 @@ import numpy as np
 # module docstring.  Past it, the direct power's error would grow with t.
 POW_EXPONENT_SWITCH = 64
 
-# Cap on the cells of one temporary array in a sliced evaluation (the
-# extremal scan over t, the rows of the eps-ball matrix, the simplex grid
-# oracle); slicing never changes a value.
-SLICE_CELLS = 1 << 16
+# Cap on the bytes of one temporary array in a sliced evaluation (the
+# extremal scan over t, the simplex grid oracle, the eps-ball sums and
+# gathers, the Monte Carlo blocks); slicing never changes a value.
+SLICE_BYTES = 1 << 19
+
+
+def rows_per_slice(row_bytes: int) -> int:
+    """Rows of row_bytes bytes per slice: as many as fit in SLICE_BYTES, at
+    least one."""
+    return max(1, SLICE_BYTES // row_bytes)
 
 
 def pow_one_minus(p, t):

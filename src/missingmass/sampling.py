@@ -28,17 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProbVector
+from .distributions import BlockVector, ProbVector
 from .errors import InvalidInputError, require_int, require_real, require_t
 from .mass import expected_missing_mass, gt_bias
-from .numerics import exact_sum
+from .numerics import exact_sum, rows_per_slice
 
 BLOCK = 64  # replicates per substream; part of the seeded layout, so a constant
-# Cells per call: a row of a block is max(t, n) cells (its uniforms, and its
-# masses in the statistics' buffer), and a block with more than
-# DRAWS_PER_CALL cells is drawn in consecutive row slices, which continue the
-# same stream, so memory stays bounded and the values are unchanged.
-DRAWS_PER_CALL = 1 << 16
+# A row of a block holds max(t, n) cells for t draws from n atoms (its
+# uniforms, and its masses in the statistics' buffer).  A block is drawn in
+# row slices within numerics.SLICE_BYTES, which continue its stream, so no
+# value depends on them; a row cannot be split, so past this it is refused.
+MAX_ROW_CELLS = 2_000_000
 # Relative slack of a verdict: a value that matches its closed form or bound
 # up to a few ulps is no violation, even when the standard error is 0.
 RHO = 1e-12
@@ -97,16 +97,18 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     Block b of BLOCK replicates draws a (rows, t) array of uniforms from the
     substream (seed, spawn_key=(b,)) and maps it to atom indices by inverse
     CDF; stat turns that index block (or a slice of its rows, when a block
-    holds more than DRAWS_PER_CALL cells) into one value or one row of values
-    per replicate.  The uniforms and indices live in buffers allocated once
-    per call, so stat must not keep its argument; its results are copied out
-    in replicate order.
+    of 8-byte cells outgrows numerics.SLICE_BYTES) into one value or one row
+    of values per replicate.  A row of max(t, n) cells past MAX_ROW_CELLS is
+    refused before anything is allocated.  The uniforms and indices live in
+    buffers allocated once per call, so stat must not keep its argument; its
+    results are copied out in replicate order.
     """
     t, replicates = require_t(t), require_int(replicates, "replicates", 1)
+    _require_row(t, len(masses))
     cum = np.cumsum(masses)
     cum[-1] = 1.0  # guard: float cumsum may land a hair under 1
     lo = _guide_table(cum)
-    step = _rows_per_call(t, len(cum), replicates)
+    step = min(BLOCK, replicates, rows_per_slice(8 * max(t, len(cum))))
     u = np.empty((step, t))
     idx, scratch = np.empty((2, step, t), np.intp)
     out = None
@@ -122,10 +124,20 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     return out
 
 
-def _rows_per_call(t: int, n: int, replicates: int) -> int:
-    """Rows drawn per call from n atoms: a whole block, or as many rows of
-    max(t, n) cells as fit in DRAWS_PER_CALL (at least one)."""
-    return min(BLOCK, replicates, max(1, DRAWS_PER_CALL // max(t, n)))
+def _require_row(t: int, n: int) -> None:
+    """Refuse t draws from n atoms when a row of max(t, n) cells passes
+    MAX_ROW_CELLS."""
+    if max(t, n) > MAX_ROW_CELLS:
+        raise InvalidInputError(
+            f"a Monte Carlo row of max(t={t}, n={n}) cells exceeds MAX_ROW_CELLS={MAX_ROW_CELLS}"
+        )
+
+
+def _atom_masses(d: ProbVector | BlockVector, t: int) -> np.ndarray:
+    """d's masses atom by atom, for a sample of t draws; a row past
+    MAX_ROW_CELLS is refused before the runs are expanded."""
+    _require_row(t, d.n)
+    return np.repeat(d.m, d.c)
 
 
 def _guide_table(cum: np.ndarray) -> np.ndarray:
@@ -228,9 +240,10 @@ class _BlockStats:
         return (t - np.count_nonzero(repeated, axis=1)) / t - missing
 
 
-def draw_sample(d: ProbVector, t: int, seed: int) -> SampleCounts:
+def draw_sample(d: ProbVector | BlockVector, t: int, seed: int) -> SampleCounts:
     """t i.i.d. draws from d, aggregated to per-atom counts; deterministic per seed."""
-    idx = monte_carlo(np.repeat(d.m, d.c), t, 1, seed, lambda idx: idx)[0]
+    t = require_t(t)
+    idx = monte_carlo(_atom_masses(d, t), t, 1, seed, lambda idx: idx)[0]
     counts = np.bincount(idx, minlength=d.n)
     return SampleCounts(
         t=t,
@@ -240,13 +253,13 @@ def draw_sample(d: ProbVector, t: int, seed: int) -> SampleCounts:
     )
 
 
-def empirical_missing_mass(d: ProbVector, sc: SampleCounts) -> float:
+def empirical_missing_mass(d: ProbVector | BlockVector, sc: SampleCounts) -> float:
     """Total mass of the atoms that the sample never hit."""
     if len(sc.counts) != d.n:
         raise InvalidInputError(
             f"counts cover {len(sc.counts)} atoms but the distribution has {d.n}"
         )
-    return exact_sum(np.repeat(d.m, d.c)[np.asarray(sc.counts) == 0])
+    return exact_sum(_atom_masses(d, sc.t)[np.asarray(sc.counts) == 0])
 
 
 def good_turing(sc: SampleCounts) -> float:
@@ -285,7 +298,7 @@ def mean_report(values: np.ndarray, closed: float, seed: int) -> McReport:
     )
 
 
-def verify_bias(d: ProbVector, t: int, replicates: int, seed: int) -> McReport:
+def verify_bias(d: ProbVector | BlockVector, t: int, replicates: int, seed: int) -> McReport:
     """Monte Carlo check of the bias identity for the Good-Turing estimate.
 
     Estimates E[GT estimate - missing mass] and compares it against the
@@ -302,13 +315,13 @@ def verify_bias(d: ProbVector, t: int, replicates: int, seed: int) -> McReport:
     """
     require_int(replicates, "bias verification replicates", 1000)
     t = require_t(t)
-    masses = np.repeat(d.m, d.c)
+    masses = _atom_masses(d, t)
     values = monte_carlo(masses, t, replicates, seed, _BlockStats(masses).bias)
     return mean_report(values, gt_bias(d, t), seed)
 
 
 def verify_concentration(
-    d: ProbVector, t: int, eps: float, replicates: int, seed: int
+    d: ProbVector | BlockVector, t: int, eps: float, replicates: int, seed: int
 ) -> McReport:
     """Empirical tail frequency of |U_t - E U_t| >= eps against 2 exp(-t eps^2).
 
@@ -319,7 +332,7 @@ def verify_concentration(
     require_int(replicates, "concentration verification replicates", 10_000)
     require_real(eps, "deviation eps", 0.0, 1.0, "(]")
     t = require_t(t)
-    masses = np.repeat(d.m, d.c)
+    masses = _atom_masses(d, t)
     missing = monte_carlo(masses, t, replicates, seed, _BlockStats(masses).missing)
     mean, se = _mean_se(missing)
     freq = np.count_nonzero(np.abs(missing - expected_missing_mass(d, t)) >= eps) / replicates

@@ -1,10 +1,12 @@
 import argparse
+import csv
+import io
 import json
 
 import pytest
 
-from missingmass import McReport
-from missingmass.cli import build_parser, main
+from missingmass import CountableFamily, McReport, PointCloud, mc_eps_missing_mass
+from missingmass.cli import _dict_to_csv, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -326,7 +328,8 @@ class TestHugeUniform:
                                  "--n", self.N, "--t", "10", "--replicates", "1000")
         assert code == 2
         assert out == ""
-        assert err == f"mml simulate: support size {self.N} exceeds max_atoms=2000000\n"
+        assert err == (f"mml simulate: a Monte Carlo row of max(t=10, n={self.N}) cells "
+                       "exceeds MAX_ROW_CELLS=2000000\n")
 
 
 class TestOracle:
@@ -432,3 +435,129 @@ class TestOutput:
         obj = json.loads(out)
         _, out2, _ = run_cli(capsys, "extremal", "--n", "10", "--t", "1000")
         assert json.loads(out2) == obj
+
+
+LINE3 = {"points": [[0], [1], [2]], "masses": [0.5, 0.25, 0.25]}
+GEOMETRIC_FAMILY = {"family": "geometric", "params": {"ratio": 0.5}}
+
+
+@pytest.fixture
+def files(tmp_path):
+    """A three-point cloud, a family file and a rate file that is no array."""
+    paths = {"cloud": tmp_path / "line3.json", "family": tmp_path / "family.json",
+             "rates": tmp_path / "rates.json"}
+    paths["cloud"].write_text(json.dumps(LINE3))
+    paths["family"].write_text(json.dumps(GEOMETRIC_FAMILY))
+    paths["rates"].write_text('{"rates": [0.5, 0.25]}')
+    return {k: str(v) for k, v in paths.items()}
+
+
+class TestUsageBranches:
+    """Each invalid combination of flags is exit 2 with one line on stderr."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ("emm --family uniform --t 3", "mml emm: --family uniform needs --n"),
+        ("emm --family dyadic-blocks --t 3", "mml emm: --family dyadic-blocks needs --a"),
+        ("emm --family uniform --n 4", "mml emm: give --t or --t-grid"),
+        ("construct --kind tight-finite --n 3", "mml construct: tight-finite needs --n and --t"),
+        ("construct --kind tight-finite --t 5", "mml construct: tight-finite needs --n and --t"),
+        ("construct --kind tight-countable", "mml construct: tight-countable needs --a"),
+        ("construct --kind rate-lb", "mml construct: rate-lb needs --t-max (or --r-file)"),
+        ("construct --kind rate-lb --r-file {rates}",
+         "mml construct: --r-file must hold a JSON array of rates"),
+        ("gt --dist {family} --t 3", "mml gt: gt needs a finite distribution"),
+        ("simulate --mode bias --dist {family} --t 3 --replicates 1000",
+         "mml simulate: simulation needs a finite distribution"),
+        ("simulate --mode concentration --family uniform --n 5 --t 3 --replicates 10000",
+         "mml simulate: concentration needs --eps"),
+        ("simulate --mode eps-mass --cloud {cloud} --t 3 --replicates 1000",
+         "mml simulate: eps-mass needs --cloud and --eps"),
+        ("simulate --mode eps-mass --eps 0.5 --t 3 --replicates 1000",
+         "mml simulate: eps-mass needs --cloud and --eps"),
+        ("simulate --mode bias --family uniform --n 50 --t 1000000000 --replicates 1000",
+         "mml simulate: a Monte Carlo row of max(t=1000000000, n=50) cells "
+         "exceeds MAX_ROW_CELLS=2000000"),
+    ])
+    def test_usage_error(self, capsys, files, argv, message):
+        code, out, err = run_cli(capsys, *argv.format(**files).split())
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
+
+    def test_dyadic_blocks_with_a(self, capsys):
+        code, out, _ = run_cli(capsys, "emm", "--family", "dyadic-blocks", "--a", "3",
+                               "--t", "5")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["lower"] <= obj["value"] <= obj["upper"]
+
+    def test_comma_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "emm", "--family", "uniform", "--n", "4",
+                               "--t-grid", "3,1,2")
+        assert code == 0
+        assert json.loads(out)["t"] == [3, 1, 2]
+
+    def test_eps_mass_is_the_library_report(self, capsys, files):
+        code, out, _ = run_cli(capsys, "simulate", "--mode", "eps-mass", "--cloud",
+                               files["cloud"], "--eps", "0.5", "--t", "2",
+                               "--replicates", "1000", "--seed", "4")
+        report = mc_eps_missing_mass(PointCloud.from_json_obj(LINE3), 2, 0.5, 1000, 4)
+        assert code == 0
+        assert json.loads(out) == report.to_json_obj()
+
+
+class TestCsvOutput:
+    """Every subcommand's --format csv output parses with csv.reader: a
+    JSON object as key,value pairs, anything else as rows of one width."""
+
+    @pytest.mark.parametrize("argv", [
+        "emm --family uniform --n 10 --t 10",
+        "emm --family dyadic-blocks --a 3 --t-grid 1:100:10",
+        "bounds --family uniform --n 20 --t 5",
+        "bounds --family uniform --n 20 --t-grid 5,20,80",
+        "bounds --dist {family} --t-grid 1,10",
+        "extremal --n 10 --t 1000",
+        "tau --n 3",
+        "tau --n 3,10",
+        "construct --kind tight-finite --n 3 --t 5",
+        "construct --kind tight-countable --a 3",
+        "construct --kind rate-lb --t-max 20",
+        "gt --family uniform --n 2 --t 2",
+        "simulate --mode bias --family uniform --n 5 --t 10 --replicates 1000",
+        "simulate --mode concentration --family uniform --n 5 --t 10 --eps 0.3"
+        " --replicates 10000",
+        "simulate --mode eps-mass --cloud {cloud} --eps 0.5 --t 2 --replicates 1000",
+        "cover --cloud {cloud} --eps 1 --t 1 --exact",
+        "oracle --t 4 --grid-step 0.01",
+    ])
+    def test_parses(self, capsys, files, argv):
+        argv = argv.format(**files).split()
+        _, out, _ = run_cli(capsys, *argv)
+        obj = json.loads(out)
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code in (0, 3)
+        rows = list(csv.reader(io.StringIO(out)))
+        if isinstance(obj, dict) and [row[0] for row in rows] == list(obj):
+            assert all(len(row) == 2 for row in rows)
+        else:
+            assert rows and {len(row) for row in rows} == {len(rows[0])}
+
+    def test_list_cells_are_quoted(self, capsys):
+        argv = ("construct", "--kind", "rate-lb", "--t-max", "20")
+        _, out, _ = run_cli(capsys, *argv)
+        _, text, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert text.startswith('blocks,"[')
+        [[key, cell]] = list(csv.reader(io.StringIO(text)))
+        assert key == "blocks"
+        assert cell == " ".join(repr(pair) for pair in json.loads(out)["blocks"])
+
+    def test_explicit_family_params(self):
+        fam = CountableFamily("explicit", {"masses": [0.5, 0.25], "tail_bound": 0.25})
+        rows = list(csv.reader(io.StringIO(_dict_to_csv(fam.to_json_obj()))))
+        assert rows == [["family", "explicit"], ["params", str(fam.to_json_obj()["params"])]]
+
+    def test_cells_without_commas_are_unquoted(self, capsys):
+        _, out, _ = run_cli(capsys, "oracle", "--t", "4", "--grid-step", "0.01",
+                            "--format", "csv")
+        assert out == ("t,4\nvalue,0.197530856293135\n"
+                       "point,0.3332 0.33340000000000003 0.33340000000000003\n")

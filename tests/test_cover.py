@@ -18,6 +18,7 @@ from missingmass import (
     greedy_eps_net,
     mc_eps_missing_mass,
 )
+from missingmass import numerics
 from missingmass.cover import ball_masses
 
 
@@ -159,6 +160,21 @@ class TestEpsMissingMass:
             eps_missing_mass(line3, [], 1.0)
         with pytest.raises(InvalidInputError):
             eps_missing_mass(line3, [7], 1.0)
+
+    @pytest.mark.parametrize("budget", [None, 1, 8 * 400 * 7])
+    def test_sliced_sample_equals_one_gather(self, monkeypatch, budget):
+        # 3000 draws from the first 100 of 400 points: many slices of
+        # sample rows, and a value strictly between 0 and 1
+        if budget is not None:
+            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
+        rng = np.random.default_rng(3)
+        cloud = random_cloud(rng, 400, 2, skewed=True)
+        sample = rng.integers(0, 100, size=3000).tolist()
+        min_dist = cloud.distances()[sample].min(axis=0)
+        for eps in (0.005, 0.02, 0.05):
+            whole = math.fsum(cloud.masses[min_dist > eps])
+            assert 0.0 < whole < 1.0
+            assert eps_missing_mass(cloud, sample, eps) == whole
 
 
 class TestExpectedEpsMissingMass:
@@ -324,7 +340,8 @@ class TestMcEpsMissingMass:
         assert a == b
 
     def test_memory_bounded_on_large_cloud(self):
-        # a whole block's (rows, t, n) gather of ball hits would be 32 MB here
+        # a whole block's (rows, t, n) gather of ball hits would be 32 MB
+        # here; the 1 MB ball matrix and 512 KB gathers fit in 4 MB
         cloud = random_cloud(np.random.default_rng(5), 1000, 2)
         cloud.distances()  # cached before tracing: the 8 MB matrix is the input
         tracemalloc.start()
@@ -333,7 +350,7 @@ class TestMcEpsMissingMass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert peak < 4 * 2 ** 20
         assert rep.violated is False
 
 

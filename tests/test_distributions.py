@@ -18,6 +18,7 @@ from missingmass import (
     expected_missing_mass_interval,
     plateau_length,
     truncate,
+    verify_bias,
 )
 
 from conftest import prob_vectors
@@ -96,12 +97,12 @@ class TestBlockVector:
 
     def test_expansion_matches(self):
         b = BlockVector([(0.125, 4), (0.5, 1)])
-        assert b.to_prob_vector().masses == (0.125, 0.125, 0.125, 0.125, 0.5)
+        assert b.masses == (0.125, 0.125, 0.125, 0.125, 0.5)
 
     def test_expansion_cap(self):
-        b = BlockVector([(2.0 ** -20, 2 ** 20)])
+        b = BlockVector([(2.0 ** -21, 2 ** 21)])  # past sampling.MAX_ROW_CELLS atoms
         with pytest.raises(InvalidInputError):
-            b.to_prob_vector(max_atoms=1000)
+            verify_bias(b, 10, 1000, 0)
 
     def test_json_roundtrip(self):
         b = BlockVector([(0.25, 2), (0.5, 1)])
@@ -122,7 +123,7 @@ class TestRunLengthCore:
             assert d.c.tolist() == [2, 1, 1][: len(d.c)]
             assert not d.m.flags.writeable and not d.c.flags.writeable
         assert dense.blocks == blocks.blocks
-        assert dense.masses == blocks.to_prob_vector().masses == (0.125, 0.125, 0.25, 0.5)
+        assert dense.masses == blocks.masses == (0.125, 0.125, 0.25, 0.5)
         assert dense != blocks and dense == ProbVector(list(reversed(dense.masses)))
 
     def test_dyadic_prefix_is_one_run_per_block(self):

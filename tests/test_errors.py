@@ -134,7 +134,7 @@ class TestLoadersDoNotCoerce:
 
         monkeypatch.setattr(distributions, "require_int", per_element)
         assert doubling_operator(d).blocks == ((2.0 ** -41, 2 ** 41),)
-        assert d.to_prob_vector(max_atoms=2 ** 40).n == 2 ** 40
+        assert ProbVector._of_runs(d.m, d.c).n == 2 ** 40
 
 
 def test_point_cloud_masses_keep_point_order():

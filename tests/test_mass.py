@@ -162,6 +162,20 @@ class TestKernel:
             analytic = kernel_prime(x, t)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
+    def test_prime_sign_next_to_the_peak(self):
+        # the floats within 3 spacings of 1/(t+1): rounding (t+1) x before
+        # subtracting it from 1 gave a false 0 or the wrong sign at 238 of them
+        for t in range(1, 200):
+            xs, lo, hi = {1.0 / (t + 1)}, 1.0 / (t + 1), 1.0 / (t + 1)
+            for _ in range(3):
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+                xs |= {lo, hi}
+            for x in xs:
+                exact = 1 - (t + 1) * Fraction(x)
+                value = kernel_prime(x, t)
+                assert (value > 0, value < 0) == (exact > 0, exact < 0), (x, t)
+        assert kernel_prime(1 / 3, 2) == pytest.approx(3.7e-17, rel=1e-2)
+
     def test_peak_is_maximum_on_grid(self):
         t = 25
         peak_val = kernel(kernel_peak(t), t)

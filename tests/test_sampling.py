@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from missingmass import (
+    BlockVector,
     InvalidInputError,
     PointCloud,
     ProbVector,
@@ -25,11 +26,12 @@ from missingmass import (
     verify_bias,
     verify_concentration,
 )
-from missingmass import sampling
+from missingmass import numerics, sampling
 from missingmass.cover import _eps_missing_rows
 from missingmass.sampling import (
     BLOCK,
     GUIDE_CELLS,
+    MAX_ROW_CELLS,
     _BlockStats,
     _guide_table,
     _inverse_cdf,
@@ -195,7 +197,7 @@ class TestMonteCarlo:
 
     def test_row_slices_continue_the_block_stream(self, monkeypatch):
         whole = self._missing(200, 8)
-        monkeypatch.setattr(sampling, "DRAWS_PER_CALL", 20)  # 3 rows of t=6 per call
+        monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * 20)  # 3 rows of t=6 per call
         assert np.array_equal(self._missing(200, 8), whole)
 
     def test_rows_match_per_sample_functions(self):
@@ -214,6 +216,52 @@ class TestMonteCarlo:
             assert abs(missing[i] - empirical_missing_mass(self.D, sc)) <= 1e-15
             assert abs(bias[i] - (good_turing(sc) - empirical_missing_mass(self.D, sc))) <= 1e-15
             assert abs(eps_missing[i] - eps_missing_mass(cloud, row, 0.25)) <= 1e-15
+
+    def test_eps_rows_do_not_depend_on_column_chunks(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        cloud = PointCloud(rng.exponential(size=40), coords=rng.random((40, 2)), normalize=True)
+        near = cloud.distances() <= 0.1
+        idx = monte_carlo(cloud.masses, 30, BLOCK, 5, lambda idx: idx.copy())
+        whole = _eps_missing_rows(near, cloud.masses, idx)
+        for budget in (1, BLOCK * 40 * 7):  # one draw column per gather, then seven
+            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
+            assert _eps_missing_rows(near, cloud.masses, idx).tolist() == whole.tolist()
+
+
+UNIFORM_50 = ProbVector.uniform(50)
+HUGE_SUPPORT = BlockVector([(2.0 ** -21, 2 ** 21)])
+
+
+class TestRowCap:
+    """A Monte Carlo row of max(t, n) cells past MAX_ROW_CELLS is refused
+    before the engine allocates a buffer or a sampler expands the runs."""
+
+    @pytest.mark.parametrize("d, t", [
+        (UNIFORM_50, MAX_ROW_CELLS + 1), (HUGE_SUPPORT, 10),
+    ], ids=["t", "n"])
+    @pytest.mark.parametrize("entry", [
+        "verify_bias", "verify_concentration", "draw_sample", "monte_carlo",
+    ])
+    def test_refused_before_allocating(self, d, t, entry):
+        masses = np.repeat(d.m, d.c) if entry == "monte_carlo" else None  # the input
+        calls = {
+            "verify_bias": lambda: verify_bias(d, t, 1000, 0),
+            "verify_concentration": lambda: verify_concentration(d, t, 0.1, 10_000, 0),
+            "draw_sample": lambda: draw_sample(d, t, 0),
+            "monte_carlo": lambda: monte_carlo(masses, t, 1000, 0, lambda idx: idx),
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="MAX_ROW_CELLS"):
+                calls[entry]()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_largest_row_is_accepted(self):
+        sc = draw_sample(ProbVector.uniform(2), MAX_ROW_CELLS, seed=0)
+        assert sc.t == MAX_ROW_CELLS
 
 
 def _random_support(n, seed=0):
@@ -338,7 +386,7 @@ class TestBlockStats:
     ], ids=["t<n-2000", "t<n-geometric", "t>n", "t=n", "t=1", "t>n-sliced", "t<n-sliced"])
     def test_rows_match_dense_reference(self, monkeypatch, d, t, replicates, draws):
         if draws is not None:
-            monkeypatch.setattr(sampling, "DRAWS_PER_CALL", draws)
+            monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * draws)
         masses = np.repeat(d.m, d.c)
         stats = _BlockStats(masses)
         slices = []
