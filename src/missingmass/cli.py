@@ -128,7 +128,7 @@ def _csv_cell(v) -> str:
         return repr(v)
     if isinstance(v, (list, tuple)):
         return " ".join(repr(x) for x in v)
-    return str(v)
+    return json.dumps(v) if isinstance(v, dict) else str(v)
 
 
 # -- subcommand handlers ----------------------------------------------------

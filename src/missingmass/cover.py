@@ -1,17 +1,13 @@
 """Missing mass in finite metric spaces: eps-balls, greedy nets, and the
-covering-number bound.
+covering bound.
 
 A point is eps-missed by a sample when no draw lands within distance eps of
 it (closed balls, so boundary points count as covered).  The expected
-eps-missing mass is compared against N(eps)/(e t), where N(eps) is the
-covering number; a greedy farthest-point net gives the certified upper bound
-N_hat(eps) >= N(eps), and an exact set-cover search is available for small
-clouds.
-
-Caveat: with closed radius-eps balls that comparison is not a valid bound in
-general.  Two clusters under one ball break it, since the argument needs
-cells of diameter eps, and covering_bound_report's ``ok`` is False on about
-1 in 6 seeded random clouds of the acceptance criterion C10's kind.
+eps-missing mass is bounded by the finite theorem, mass.bound_finite(K, t),
+where K is the size of a greedy radius-eps/2 net: its nearest-center cells
+have diameter at most eps (covering_bound_report gives the argument).  A
+farthest-point greedy net certifies N_hat(eps) >= N(eps), and an exact
+set-cover search gives the covering number N(eps) on small clouds.
 """
 
 from __future__ import annotations
@@ -25,12 +21,12 @@ import numpy as np
 
 from .distributions import MassSumError, validate_masses
 from .errors import InvalidInputError, require_int, require_real, require_reals, require_t
+from .mass import bound_finite
 from .numerics import exact_sum, pow_one_minus, rows_per_slice
 from .sampling import McReport, is_violation, mean_report, monte_carlo
 
 MATRIX_TOL = 1e-9
-# Largest cloud that exact_covering_number's branch-and-bound accepts, and
-# below which covering_bound_report uses it instead of the greedy net.
+# Largest cloud that exact_covering_number's branch-and-bound accepts.
 EXACT_COVER_LIMIT = 20
 
 
@@ -237,27 +233,34 @@ def expected_eps_missing_mass(cloud: PointCloud, t: int, eps: float) -> float:
 
 
 def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
-    """Expected eps-missing mass against net_size/(e t); not a valid bound in
-    general (see the module docstring), so ``ok`` may be False.  ``ok`` is
-    the package's one verdict rule, sampling.is_violation, with no standard
-    error.
+    """Expected eps-missing mass against bound_finite(K, t), K the size of a
+    greedy radius-eps/2 net (``cells``).  ``ok`` is the package's one verdict
+    rule, sampling.is_violation, with no standard error; it is False only on
+    a bug.
 
-    The greedy net certifies N_hat(eps) >= N(eps) on any cloud; on clouds
-    small enough for exhaustive set cover the exact covering number replaces
-    it, tightening the bound all the way to N(eps)/(e t).
+    Why the bound holds, for a sample of t i.i.d. draws from the cloud:
+
+    1. Assign each point to its nearest eps/2-net center.  That gives K
+       cells of diameter <= eps, by the triangle inequality.
+    2. A draw in x's cell is within eps of x, so for every sample the
+       eps-missing mass is at most the missing mass of the cell
+       distribution q (each cell's total mass), pointwise, not only in
+       expectation.
+    3. E[U_t(q)] <= bound_finite(K, t): exp(-t/K) for t <= K, K/(e t) after.
+
+    The argument assumes the distances form an exact metric.  A distance
+    matrix is accepted within MATRIX_TOL of the triangle inequality, and
+    step 1 inherits that slack (as it does the rounding of eps / 2, which
+    is exact unless eps is below 2^-1021).
     """
-    net = greedy_eps_net(cloud, eps)
-    size = net.size
-    if cloud.n <= EXACT_COVER_LIMIT:
-        size = exact_covering_number(cloud, eps)
-    expected = expected_eps_missing_mass(cloud, t, eps)
-    bound = size / (math.e * t)
+    expected = expected_eps_missing_mass(cloud, t, eps)  # checks t and eps
+    cells = greedy_eps_net(cloud, eps / 2).size
+    bound = bound_finite(cells, t)
     return {
         "t": t,
         "eps": eps,
         "expected": expected,
-        "net_size": size,
-        "greedy_size": net.size,
+        "cells": cells,
         "bound": bound,
         "ok": not is_violation(expected - bound, 0.0, expected, bound),
     }

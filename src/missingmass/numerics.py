@@ -4,8 +4,16 @@ array evaluations.
 
 Powers.  One elementwise rule decides every power (1-p)^t and b^t: its
 exponent alone.  From t = POW_EXPONENT_SWITCH on, a power is taken in log
-space, exp(t*log1p(-p)) or exp(t*log b), so that it neither underflows early
-nor lets the rounding of its base grow with t.  Below the switch b^t is the
+space, exp(t*log1p(-p)) or exp(t*log b).  The switch trades accuracy for
+speed.  exp turns the rounding of the exponent x = t*log into about |x|
+ulps: against 60-digit references on 4,500 seeded bases at t from 64 to
+10^9, the log-space powers were off by up to about 900 ulps, within
+1.5 (|x| + 1) ulps, where the compensated (1-p)^t below stayed within 1.14
+ulps up to t = 10^7 (13.8 at 10^9, its t^2 u^2 term) and the direct b^t
+within 0.69.  But on 10^4 atoms the compensated power costs 2.9 to 4.6
+times the log-space one (t = 64 to 10^5), and one compensated path for
+every t raised the closed-form benchmark's wall time from 0.338 s to
+0.426 s (seed 1, one pair, a 2-vCPU Xeon).  Below the switch b^t is the
 direct power, on numpy's array loop for scalars too, and (1-p)^t is
 Graillat's compensated power ("Accurate floating-point product and
 exponentiation", IEEE Trans. Computers 58(7), 2009), with u = 2^-53:
@@ -88,7 +96,9 @@ import numpy as np
 
 # Every power takes log space from this exponent on, and one of the direct
 # powers (compensated for (1-p)^t, within about 1 ulp) below it; see the
-# module docstring.  Past it, the direct power's error would grow with t.
+# module docstring.  The switch is for speed, not accuracy: the log-space
+# power is off by up to 1.5 (|t log| + 1) ulps, where the compensated one
+# stays within about 1 ulp, but it costs a third to a fifth as much.
 POW_EXPONENT_SWITCH = 64
 
 # Cap on the bytes of one temporary array in a sliced evaluation (the

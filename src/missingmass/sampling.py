@@ -248,7 +248,7 @@ def draw_sample(d: ProbVector | BlockVector, t: int, seed: int) -> SampleCounts:
     return SampleCounts(
         t=t,
         counts=tuple(int(c) for c in counts),
-        source=f"ProbVector(n={d.n})",
+        source=f"{type(d).__name__}(n={d.n})",
         seed=seed,
     )
 

@@ -214,8 +214,9 @@ def test_c09_concentration():
 
 
 def test_c10_metric_covering_bound():
-    """Expected eps-missing mass <= net_size/(e t) across random clouds, with
-    Monte Carlo cross-checks and exact set-cover agreement on small clouds."""
+    """Expected eps-missing mass <= bound_finite(K, t), K the size of a
+    radius-eps/2 net (greedy, and exact on small clouds), across random
+    clouds, with Monte Carlo cross-checks."""
     rng = np.random.default_rng(SEED + 5)
     failures = []
     exact_checked = 0
@@ -236,18 +237,19 @@ def test_c10_metric_covering_bound():
         for eps in (float(e) for e in eps_grid):
             if eps <= 0.0:
                 continue
-            net = mm.greedy_eps_net(cloud, eps)
+            cells = mm.greedy_eps_net(cloud, eps / 2).size
             exact = None
             if n <= 20:
-                exact = mm.exact_covering_number(cloud, eps)
+                # exact eps/2 centers give cells of diameter eps too
+                exact = mm.exact_covering_number(cloud, eps / 2)
                 exact_checked += 1
-                if exact > net.size:
+                if exact > cells:
                     failures.append((cloud_idx, eps, "exact>greedy"))
             for t in (1, 10, 100):
                 value = mm.expected_eps_missing_mass(cloud, t, eps)
-                if value > net.size / (math.e * t) + 1e-12:
+                if value > mm.bound_finite(cells, t):
                     failures.append((cloud_idx, eps, t, "greedy-bound"))
-                if exact is not None and value > exact / (math.e * t) + 1e-12:
+                if exact is not None and value > mm.bound_finite(exact, t):
                     failures.append((cloud_idx, eps, t, "exact-bound"))
         if cloud_idx % 10 == 0:
             eps = float(eps_grid[2])

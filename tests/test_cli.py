@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -235,9 +236,33 @@ class TestCover:
         assert code == 0
         obj = json.loads(out)
         assert obj["expected"] == pytest.approx(0.25)
-        assert obj["net_size"] == 1
-        assert obj["bound"] == pytest.approx(0.36787944117144233)
+        assert obj["cells"] == 3
+        assert obj["bound"] == pytest.approx(math.exp(-1 / 3))
         assert obj["ok"] is True
+        assert obj["centers"] == [0, 2]  # the radius-eps greedy net
+
+    def test_two_clusters_under_one_ball(self, tmp_path, capsys):
+        """E = 0.4802 is above N(1)/e = 0.3679 here, so the radius-eps
+        comparison would report a violation; the eps/2 cells bound holds."""
+        f = tmp_path / "two_clusters.json"
+        f.write_text(json.dumps({"points": [[-1], [0], [1]], "masses": [0.49, 0.02, 0.49]}))
+        code, out, _ = run_cli(capsys, "cover", "--cloud", str(f), "--eps", "1", "--t", "1",
+                               "--exact")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["expected"] == pytest.approx(0.4802)
+        assert obj["exact_cover"] == 1 and obj["expected"] > 1 / math.e
+        assert obj["cells"] == 3
+        assert obj["ok"] is True
+
+    def test_one_dimensional_points(self, tmp_path, capsys):
+        f = tmp_path / "flat.json"
+        f.write_text(json.dumps({"points": [0, 1, 2], "masses": [0.5, 0.25, 0.25]}))
+        code, out, _ = run_cli(capsys, "cover", "--cloud", str(f), "--eps", "1", "--t", "1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["expected"] == pytest.approx(0.25)
+        assert obj["cells"] == 3 and obj["centers"] == [0, 2]
 
     def test_csv_cloud_and_exact(self, tmp_path, capsys):
         f = tmp_path / "cloud.csv"
@@ -278,10 +303,26 @@ class TestInvalidFiles:
          ["cover", "--eps", "1", "--t", "1"], "masses"),
         ("rates.json", json.dumps([0.5, 0.25, "0.125"] + [0.5 ** t for t in range(4, 31)]),
          ["construct", "--kind", "rate-lb"], "target rates"),
+        ("norates.json", "[]", ["construct", "--kind", "rate-lb"], "nonempty"),
+        ("number.json", "0.5", ["emm", "--t", "3"], "array of numbers"),
+        ("nomass.json", '{"points": [[0], [1]]}', ["cover", "--eps", "1", "--t", "1"],
+         "'masses'"),
+        ("nogeometry.json", '{"masses": [0.5, 0.5]}', ["cover", "--eps", "1", "--t", "1"],
+         "'points' or 'matrix'"),
+        ("cloudmassnum.json", '{"points": [[0]], "masses": 1.0}',
+         ["cover", "--eps", "1", "--t", "1"], "masses"),
+        ("shape.json", '{"masses": [0.5, 0.5], "matrix": [[0, 1, 1], [1, 0, 1]]}',
+         ["cover", "--eps", "1", "--t", "1"], "matrix must be (2, 2)"),
+        ("header.csv", "id,mass,x1\n", ["cover", "--eps", "1", "--t", "1"],
+         "header and data rows"),
+        ("badheader.csv", "name,mass,x1\na,1.0,0\n", ["cover", "--eps", "1", "--t", "1"],
+         "id,mass"),
     ], ids=["fractional-count", "fractional-a", "nan-coordinate", "inf-coordinate",
             "unpaired-blocks", "one-cell-row", "params-array", "masses-number",
             "string-masses", "string-block-mass", "string-family-masses", "string-bool-points",
-            "string-cloud-mass", "string-rate"])
+            "string-cloud-mass", "string-rate", "empty-rates", "dist-number",
+            "cloud-no-masses", "cloud-no-geometry", "cloud-masses-number",
+            "cloud-matrix-shape", "cloud-csv-header-only", "cloud-csv-bad-header"])
     def test_rejected(self, tmp_path, capsys, name, text, argv, field):
         f = tmp_path / name
         f.write_text(text)
@@ -554,7 +595,15 @@ class TestCsvOutput:
     def test_explicit_family_params(self):
         fam = CountableFamily("explicit", {"masses": [0.5, 0.25], "tail_bound": 0.25})
         rows = list(csv.reader(io.StringIO(_dict_to_csv(fam.to_json_obj()))))
-        assert rows == [["family", "explicit"], ["params", str(fam.to_json_obj()["params"])]]
+        assert rows == [["family", "explicit"], ["params", json.dumps(fam.to_json_obj()["params"])]]
+        assert json.loads(rows[1][1]) == {"masses": [0.5, 0.25], "tail_bound": 0.25}
+
+    def test_dict_cells_are_json(self, capsys):
+        _, text, _ = run_cli(capsys, "construct", "--kind", "tight-countable", "--a", "3",
+                             "--format", "csv")
+        assert 'params,"{""a"": 3}"' in text.splitlines()
+        params = dict(csv.reader(io.StringIO(text)))["params"]
+        assert json.loads(params) == {"a": 3}
 
     def test_cells_without_commas_are_unquoted(self, capsys):
         _, out, _ = run_cli(capsys, "oracle", "--t", "4", "--grid-step", "0.01",

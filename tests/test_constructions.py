@@ -91,6 +91,10 @@ class TestRateTargets:
 
 
 class TestRateLb:
+    def test_rejects_empty_targets(self):
+        with pytest.raises(InvalidInputError, match="nonempty"):
+            rate_lb([])
+
     def test_dominates_inverse_log_horizon_sixty(self):
         targets = inverse_log_targets(60)
         d = rate_lb(targets)

@@ -10,6 +10,7 @@ from missingmass import (
     InvalidInputError,
     PointCloud,
     ProbVector,
+    bound_finite,
     covering_bound_report,
     eps_missing_mass,
     exact_covering_number,
@@ -101,6 +102,43 @@ class TestPointCloud:
         cloud = PointCloud.from_csv_text(text)
         assert np.allclose(cloud.masses, line3.masses)
         assert np.allclose(cloud.distances(), line3.distances())
+
+    def test_one_dimensional_coords(self, line3):
+        cloud = PointCloud([0.5, 0.25, 0.25], coords=[0.0, 1.0, 2.0])
+        assert cloud.coords.shape == (3, 1)
+        assert cloud.distances().tolist() == line3.distances().tolist()
+
+    def test_wrong_shapes_rejected(self):
+        with pytest.raises(InvalidInputError, match="matrix must be"):
+            PointCloud([0.5, 0.5], matrix=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        with pytest.raises(InvalidInputError, match="coords must be"):
+            PointCloud([0.5, 0.5], coords=[[[0.0]], [[1.0]]])
+
+    def test_coordinate_json_roundtrip(self, line3):
+        obj = line3.to_json_obj()
+        assert obj == {"masses": [0.5, 0.25, 0.25], "points": [[0.0], [1.0], [2.0]]}
+        again = PointCloud.from_json_obj(obj)
+        assert again.metric == "euclidean"
+        assert again.distances().tolist() == line3.distances().tolist()
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"points": [[0.0], [1.0]]}, "masses"),
+        ([0.5, 0.5], "masses"),
+        ({"masses": [0.5, 0.5]}, "'points' or 'matrix'"),
+        ({"masses": 0.5, "points": [[0.0]]}, "list of numbers"),
+    ], ids=["no-masses", "not-an-object", "no-geometry", "masses-number"])
+    def test_json_object_rejected(self, obj, message):
+        with pytest.raises(InvalidInputError, match=message):
+            PointCloud.from_json_obj(obj)
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,mass,x1\n", "header and data rows"),
+        ("", "header and data rows"),
+        ("name,mass,x1\na,1.0,0\n", "must start id,mass"),
+    ], ids=["header-only", "empty", "bad-header"])
+    def test_csv_text_rejected(self, text, message):
+        with pytest.raises(InvalidInputError, match=message):
+            PointCloud.from_csv_text(text)
 
 
 class TestGreedyNet:
@@ -253,12 +291,21 @@ class TestBallMasses:
         assert peak < 2 ** 20
 
 
+@pytest.fixture
+def two_clusters():
+    """Two heavy points 2 apart and a light one between them: one closed
+    ball of radius 1 covers all three, but the heavy points are not within
+    1 of each other."""
+    return PointCloud([0.49, 0.02, 0.49], coords=[[-1.0], [0.0], [1.0]])
+
+
 class TestCoveringBound:
     def test_line_example(self, line3):
         report = covering_bound_report(line3, 1, 1.0)
+        assert set(report) == {"t", "eps", "expected", "cells", "bound", "ok"}
         assert report["expected"] == pytest.approx(0.25)
-        assert report["net_size"] == 1  # exact cover on a tiny cloud
-        assert report["bound"] == pytest.approx(1 / math.e)
+        assert report["cells"] == 3  # radius-1/2 net: no two points share a cell
+        assert report["bound"] == bound_finite(3, 1) == pytest.approx(math.exp(-1 / 3))
         assert report["ok"]
 
     def test_ok_takes_the_relative_verdict_rule(self, line3, monkeypatch):
@@ -267,8 +314,9 @@ class TestCoveringBound:
         0), not an absolute 1e-12."""
         from missingmass import cover
 
-        t = 368  # bound = 1/(e t) = 1.0e-3 with the exact cover of size 1
-        bound = 1 / (math.e * t)
+        t = 1104  # bound = 3/(e t) = 1.0e-3 with the 3 cells of the line
+        bound = bound_finite(3, t)
+        assert bound == pytest.approx(1e-3, rel=1e-3)
         monkeypatch.setattr(cover, "expected_eps_missing_mass", lambda *a: bound + 1e-13)
         report = covering_bound_report(line3, t, 1.0)
         assert report["bound"] == bound
@@ -286,9 +334,41 @@ class TestCoveringBound:
                 if eps <= 0:
                     continue
                 for t in (1, 10, 100):
-                    net = greedy_eps_net(cloud, eps)
+                    cells = greedy_eps_net(cloud, eps / 2).size
                     value = expected_eps_missing_mass(cloud, t, eps)
-                    assert value <= net.size / (math.e * t) + 1e-12
+                    assert value <= bound_finite(cells, t)
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, True, "1"])
+    def test_rejects_bad_eps_as_given(self, line3, eps):
+        with pytest.raises(InvalidInputError, match=f"radius eps .* got {eps!r}"):
+            covering_bound_report(line3, 1, eps)
+
+    def test_two_clusters_under_one_ball(self, two_clusters):
+        """The radius-eps comparison E <= N(eps)/(e t) fails here, and the
+        eps/2 cells bound it."""
+        value = expected_eps_missing_mass(two_clusters, 1, 1.0)
+        assert value == pytest.approx(0.4802)
+        assert exact_covering_number(two_clusters, 1.0) == 1
+        assert value > exact_covering_number(two_clusters, 1.0) / math.e
+        report = covering_bound_report(two_clusters, 1, 1.0)
+        assert report["cells"] == 3
+        assert report["bound"] == pytest.approx(math.exp(-1 / 3))
+        assert report["ok"] is True
+
+    def test_seed_sweep_of_small_clouds(self):
+        """300 small clouds like those of C10, 5 eps quantiles, t in
+        {1, 10, 100}: ok on every cell."""
+        failures = []
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            cloud = random_cloud(rng, int(rng.integers(5, 21)), int(rng.integers(1, 6)),
+                                 skewed=bool(rng.integers(0, 2)))
+            dists = cloud.distances()[np.triu_indices(cloud.n, k=1)]
+            for eps in np.quantile(dists, [0.1, 0.25, 0.5, 0.75, 0.9]).tolist():
+                for t in (1, 10, 100):
+                    if eps > 0 and not covering_bound_report(cloud, t, eps)["ok"]:
+                        failures.append((seed, eps, t))
+        assert failures == []
 
 
 class TestExactCover:

@@ -20,6 +20,7 @@ from missingmass import (
     truncate,
     verify_bias,
 )
+from missingmass.distributions import validate_masses
 
 from conftest import prob_vectors
 
@@ -156,6 +157,54 @@ class TestRunLengthCore:
         with pytest.raises(InvalidInputError):
             doubling_operator(near_cap)
 
+    def test_non_iterable_masses(self):
+        with pytest.raises(InvalidInputError, match="list of numbers"):
+            validate_masses(0.5)
+        with pytest.raises(InvalidInputError, match="list of numbers"):
+            ProbVector(None)
+
+    def test_normalize_all_zero(self):
+        with pytest.raises(InvalidInputError, match="not positive"):
+            validate_masses([0.0, 0.0], normalize=True)
+        with pytest.raises(InvalidInputError, match="not positive"):
+            ProbVector([0.0, 0.0, 0.0], normalize=True)
+
+    def test_hash_follows_equality(self):
+        dense = ProbVector([0.5, 0.25, 0.25])
+        assert hash(dense) == hash(ProbVector([0.25, 0.5, 0.25]))
+        assert len({dense, ProbVector([0.25, 0.25, 0.5])}) == 1
+        blocks = BlockVector([(0.25, 2), (0.5, 1)])
+        assert hash(blocks) == hash(BlockVector([(0.5, 1), (0.25, 2)]))
+        assert len({dense, blocks}) == 2  # equal runs, different types
+        trunc = Truncation((0.5, 0.25), 0.25)
+        assert hash(trunc) == hash(Truncation((0.25, 0.5), 0.25))
+        assert len({trunc, Truncation((0.5, 0.25), 0.25)}) == 1
+
+    def test_truncation_equality_reads_every_field(self):
+        trunc = Truncation((0.5, 0.25), 0.25)
+        assert trunc == Truncation((0.5, 0.25), 0.25)
+        assert trunc != Truncation((0.5, 0.25, 0.125), 0.125)  # other atoms
+        assert trunc != Truncation((0.5, 0.25), 0.5)  # same atoms, other tail
+        assert trunc != ProbVector([0.5, 0.25, 0.25])
+        from_family = truncate(CountableFamily.geometric(0.5), 0.25)
+        assert from_family.blocks == ((0.25, 1), (0.5, 1)) and from_family.tail == 0.25
+        assert from_family != trunc  # the source and the plateau flag differ
+        assert from_family._key() == (trunc.blocks, 0.25, "geometric(ratio=0.5)",
+                                      from_family.plateau_adequate)
+
+    @pytest.mark.parametrize("loader, obj, message", [
+        (ProbVector.from_json_obj, {"masses": [1.0]}, "array of numbers"),
+        (ProbVector.from_json_obj, 1.0, "array of numbers"),
+        (BlockVector.from_json_obj, {"atoms": [[1.0, 1]]}, "blocks"),
+        (BlockVector.from_json_obj, [[1.0, 1]], "blocks"),
+        (CountableFamily.from_json_obj, {"params": {"ratio": 0.5}}, "'family' key"),
+        (CountableFamily.from_json_obj, ["geometric"], "'family' key"),
+    ], ids=["prob-object", "prob-number", "block-no-key", "block-list", "family-no-key",
+            "family-list"])
+    def test_json_shape_rejected(self, loader, obj, message):
+        with pytest.raises(InvalidInputError, match=message):
+            loader(obj)
+
 
 class TestPlateauLength:
     @pytest.mark.parametrize("n", [1, 2, 5, 17])
@@ -212,6 +261,11 @@ class TestDoubling:
     def test_block_vector_doubling(self):
         b = BlockVector([(0.5, 2)])
         assert doubling_operator(b).blocks == ((0.25, 4),)
+
+    def test_truncation_rejected(self):
+        trunc = truncate(CountableFamily.geometric(0.5), 1e-3)
+        with pytest.raises(InvalidInputError, match="cannot double a Truncation"):
+            doubling_operator(trunc)
 
 
 class TestCountableFamily:

@@ -132,6 +132,10 @@ class TestRatioBound:
             assert q > 0.0
             assert math.isfinite(q)
 
+    def test_overflow_is_infinite(self):
+        # t log r1 is about 10^4 here, far past the largest finite exp
+        assert bivalent_ratio_bound(1000, 10 ** 7) == math.inf
+
 
 class TestMaximize:
     def test_uniform_regime(self):

@@ -388,3 +388,25 @@ class TestCompensatedPowers:
                                           (singleton_mass_expectation(d, t), singleton,
                                            singleton_extra)]:
                     assert abs(value - ref) <= 1.5 * math.ulp(float(ref)) + extra, (d.n, t)
+
+
+class TestLogSpacePowers:
+    """From the switch on, a power is exp(t log1p(-p)) or exp(t log b).  The
+    roundings of the log and of its product with t leave the exponent x =
+    t log off by about |x| u, which exp turns into about |x| ulps of the
+    power: the error grows with |x|, up to some 900 ulps on these bases.
+    At most 1.5 (|x| + 1) ulps were measured here; the limit of 4 (|x| + 1)
+    ulps leaves headroom for other platforms' exp and log loops."""
+
+    @pytest.mark.parametrize("t", [64, 1000, 10 ** 5, 10 ** 9])
+    def test_within_its_log_bound(self, t):
+        import mpmath
+
+        unit_bases = np.concatenate([ACCURACY_BASES, 1.0 - ACCURACY_BASES])
+        with mpmath.workdps(60):
+            for p, g in zip(ACCURACY_BASES.tolist(), pow_one_minus(ACCURACY_BASES, t).tolist()):
+                error = abs(g - (1 - mpmath.mpf(p)) ** t)
+                assert error <= 4 * (abs(t * math.log1p(-p)) + 1) * math.ulp(g), (p, t)
+            for b, g in zip(unit_bases.tolist(), pow_unit(unit_bases, t).tolist()):
+                error = abs(g - mpmath.mpf(b) ** t)
+                assert error <= 4 * (abs(t * math.log(b)) + 1) * math.ulp(g), (b, t)

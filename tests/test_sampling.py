@@ -65,6 +65,12 @@ class TestDrawSample:
         with pytest.raises(InvalidInputError):
             draw_sample(ProbVector.uniform(2), 0, seed=0)
 
+    def test_source_names_the_input_type(self):
+        assert draw_sample(ProbVector.uniform(3), 5, seed=0).source == "ProbVector(n=3)"
+        sc = draw_sample(BlockVector([(0.25, 2), (0.125, 4)]), 5, seed=0)
+        assert sc.source == "BlockVector(n=6)"
+        assert len(sc.counts) == 6
+
 
 class TestEmpiricalMissingMass:
     def test_all_observed(self):
