@@ -250,11 +250,16 @@ def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
 
     The argument assumes the distances form an exact metric.  A distance
     matrix is accepted within MATRIX_TOL of the triangle inequality, and
-    step 1 inherits that slack (as it does the rounding of eps / 2, which
-    is exact unless eps is below 2^-1021).
+    step 1 inherits that slack.  Step 1 also needs eps / 2 exactly, so an
+    eps whose half is not an exact positive float (an odd multiple of
+    2^-1074, which only an eps below 2^-1021 can be) is refused.
     """
     expected = expected_eps_missing_mass(cloud, t, eps)  # checks t and eps
-    cells = greedy_eps_net(cloud, eps / 2).size
+    half = eps / 2
+    if not (half > 0.0 and 2 * half == eps):
+        raise InvalidInputError(
+            f"radius eps must halve to an exact positive float for the eps/2 net, got {eps!r}")
+    cells = greedy_eps_net(cloud, half).size
     bound = bound_finite(cells, t)
     return {
         "t": t,

@@ -2,17 +2,28 @@
 
 Reproducibility contract: replicates run in blocks of BLOCK, and block b
 draws from its own substream, derived from the master seed by a
-counter-based split (block index -> spawn key).  Every seeded report is
-therefore bit-for-bit reproducible, a shorter run is a prefix of a longer
-one, and aggregation uses exactly rounded summation.
+counter-based split (block index -> spawn key; Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011, over O'Neill's PCG64).
+Every seeded report is therefore bit-for-bit reproducible, a shorter run is
+a prefix of a longer one, and aggregation uses exactly rounded summation.
+The substreams' PCG64 states are computed in bulk, on uint32 arrays of
+block indices, by numpy's own SeedSequence hash and PCG64 seeding (a test
+checks them against numpy's), and one reused generator is moved to each
+block's state: a block costs a state assignment, not a seeded generator.
+
+Rows run in slices that span blocks, sized by the one memory budget,
+numerics.SLICE_BYTES: rows_per_slice(8 max(3t, n)) rows, so a row's three
+draw buffers (3t cells) and the statistics' row of n masses fit in it.  A
+slice's uniforms are filled block by block from each block's stream, then
+the inverse CDF and the statistic run once on the whole slice.
 
 Uniforms map to atoms by inverse CDF through a guide table (Chen & Asau,
 1974; Devroye 1986, III.2.4), which returns exactly the index of
 ``searchsorted(cum, u, side="right")`` at a fraction of its cost.
 
-Each call allocates its block buffers once: the uniforms, the atom indices,
+Each call allocates its slice buffers once: the uniforms, the atom indices,
 and for the missing-mass statistics a (rows, n) copy of the masses.  A
-block's missing masses are then a fill, a scatter of 0.0 at the drawn atoms
+slice's missing masses are then a fill, a scatter of 0.0 at the drawn atoms
 and a row sum, which add the same summands in the same order as the dense
 count form they replaced, so no value changed.  The Good-Turing singletons
 are counted exactly: from t = n up by a bincount, whose zero counts times
@@ -34,10 +45,10 @@ from .mass import expected_missing_mass, gt_bias
 from .numerics import exact_sum, rows_per_slice
 
 BLOCK = 64  # replicates per substream; part of the seeded layout, so a constant
-# A row of a block holds max(t, n) cells for t draws from n atoms (its
-# uniforms, and its masses in the statistics' buffer).  A block is drawn in
-# row slices within numerics.SLICE_BYTES, which continue its stream, so no
-# value depends on them; a row cannot be split, so past this it is refused.
+# A row holds max(t, n) cells for t draws from n atoms (its uniforms, and its
+# masses in the statistics' buffer).  Rows run in slices within
+# numerics.SLICE_BYTES, which continue each block's stream, so no value
+# depends on them; a row cannot be split, so past this it is refused.
 MAX_ROW_CELLS = 2_000_000
 # Relative slack of a verdict: a value that matches its closed form or bound
 # up to a few ulps is no violation, even when the standard error is 0.
@@ -94,34 +105,104 @@ class McReport:
 def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     """Per-replicate statistics of seeded samples of t i.i.d. draws from masses.
 
-    Block b of BLOCK replicates draws a (rows, t) array of uniforms from the
-    substream (seed, spawn_key=(b,)) and maps it to atom indices by inverse
-    CDF; stat turns that index block (or a slice of its rows, when a block
-    of 8-byte cells outgrows numerics.SLICE_BYTES) into one value or one row
-    of values per replicate.  A row of max(t, n) cells past MAX_ROW_CELLS is
-    refused before anything is allocated.  The uniforms and indices live in
-    buffers allocated once per call, so stat must not keep its argument; its
-    results are copied out in replicate order.
+    Replicate r draws its t uniforms from the substream of its block
+    b = r // BLOCK (spawn key (b,) under seed), in row order, and maps them
+    to atom indices by inverse CDF.  Rows run in slices of
+    rows_per_slice(8 max(3t, n)) rows, at most replicates, which span
+    blocks: a slice's uniforms are filled block by block, each block's
+    stream going on where the last slice left it, and stat turns the
+    slice's (rows, t) index array into one value or one row of values per
+    replicate, so no value depends on the slicing.  A row's three draw
+    buffers (uniforms, indices, scratch) and stat's row of n masses fit in
+    numerics.SLICE_BYTES; the buffers are allocated once per call, so stat
+    must not keep its argument, and its results are copied out in
+    replicate order.  A row of max(t, n) cells past MAX_ROW_CELLS, a seed
+    that is not an integer >= 0, and more than BLOCK * 2^32 replicates (a
+    block index is one 32-bit word) are refused before anything is
+    allocated.
     """
     t, replicates = require_t(t), require_int(replicates, "replicates", 1)
+    seed = require_int(seed, "seed", 0)
+    if replicates > BLOCK << 32:
+        raise InvalidInputError(
+            f"replicates must be at most BLOCK * 2^32 = {BLOCK << 32}, got {replicates}")
     _require_row(t, len(masses))
     cum = np.cumsum(masses)
     cum[-1] = 1.0  # guard: float cumsum may land a hair under 1
     lo = _guide_table(cum)
-    step = min(BLOCK, replicates, rows_per_slice(8 * max(t, len(cum))))
+    step = min(replicates, rows_per_slice(8 * max(3 * t, len(cum))))
     u = np.empty((step, t))
     idx, scratch = np.empty((2, step, t), np.intp)
+    states = _block_states(seed, range(-(-replicates // BLOCK)))
+    bits = np.random.PCG64(0)  # every block sets its own state
+    rng = np.random.Generator(bits)
     out = None
-    for b, start in enumerate(range(0, replicates, BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        rows = min(BLOCK, replicates - start)
-        for r in range(0, rows, step):
-            k = min(step, rows - r)
-            values = stat(_inverse_cdf(cum, lo, rng.random(out=u[:k]), idx[:k], scratch[:k]))
-            if out is None:
-                out = np.empty((replicates,) + values.shape[1:], values.dtype)
-            out[start + r:start + r + k] = values
+    for start in range(0, replicates, step):
+        stop = min(start + step, replicates)
+        edges = [start, *range(start - start % BLOCK + BLOCK, stop, BLOCK), stop]
+        for a, b in zip(edges, edges[1:]):  # the slice's rows, block by block
+            if a % BLOCK == 0:
+                bits.state = next(states)
+            rng.random(out=u[a - start:b - start])
+        k = stop - start
+        values = stat(_inverse_cdf(cum, lo, u[:k], idx[:k], scratch[:k]))
+        if out is None:
+            out = np.empty((replicates,) + values.shape[1:], values.dtype)
+        out[start:stop] = values
     return out
+
+
+def _block_states(seed: int, blocks: range):
+    """Yield, for each block index b in blocks (a range of step 1 below
+    2^32), the state numpy's PCG64 takes from a SeedSequence of entropy seed
+    and spawn key (b,), computed for many blocks at once.
+
+    This is numpy's SeedSequence hash (O'Neill's seed_seq_fe, in
+    numpy/random/bit_generator.pyx) and PCG64's seeding, written out.  The
+    entropy is the seed's 32-bit words, least significant first, padded
+    with zeros to the pool size 4, then b as one word.  Only that last word
+    differs between blocks, so the pool is hashed by scalar steps up to it
+    and finished on a uint32 array of block indices, a chunk of blocks
+    within numerics.SLICE_BYTES at a time.  Each pool gives four 64-bit
+    words, the initial state and the stream (high word first), and PCG64
+    takes inc = 2 stream + 1 and state = (inc + initial) MULT + inc, modulo
+    2^128, with MULT its 128-bit multiplier.
+    """
+    mask, mult, low128 = 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+    def hasher(const, factor):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ const  # not in place: value may be an array
+            const = const * factor & mask
+            value = value * const & mask
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x & mask) - (0x4973F715 * y & mask) & mask
+        return r ^ r >> 16
+
+    words = [seed >> s & mask for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    chunk = rows_per_slice(512)  # a block takes about 260 bytes: words, 4 Python ints
+    for first in range(blocks.start, blocks.stop, chunk):
+        hashmix = hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(w) for w in words[:4]]
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    pool[j] = mix(pool[j], hashmix(pool[i]))
+        for w in [*words[4:], first + np.arange(min(chunk, blocks.stop - first), dtype=np.uint32)]:
+            pool = [mix(p, hashmix(w)) for p in pool]
+        hashmix = hasher(0x8B51F9DD, 0x58F38DED)
+        words32 = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+        for hi, lo, inc_hi, inc_lo in zip(*(
+                (words32[i] | words32[i + 1] << 32).tolist() for i in range(0, 8, 2))):
+            inc = (inc_hi << 65 | inc_lo << 1 | 1) & low128
+            yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                   "state": {"state": ((inc + (hi << 64 | lo)) * mult + inc) & low128,
+                             "inc": inc}}
 
 
 def _require_row(t: int, n: int) -> None:
@@ -176,10 +257,10 @@ def _inverse_cdf(cum: np.ndarray, lo: np.ndarray, u: np.ndarray, out: np.ndarray
 
 class _BlockStats:
     """Missing mass and Good-Turing bias of each row of the (rows, t) index
-    blocks of one monte_carlo call, in buffers allocated once for the call:
-    at the first block, which has the call's full row count.
+    slices of one monte_carlo call, in buffers allocated once for the call:
+    at the first slice, which has the call's full row count.
 
-    A block's missing masses are a fill, a scatter and a row sum: the masses
+    A slice's missing masses are a fill, a scatter and a row sum: the masses
     are copied into every row, the drawn atoms are set to 0.0 through the
     flat index idx + n*row, and each row is summed.  The summands are those
     of the dense form, each count == 0 times its mass (m, or +0.0 for a
@@ -190,11 +271,11 @@ class _BlockStats:
     def __init__(self, masses: np.ndarray):
         self.masses = masses
         # kept (rows, n): the masses of the atoms a row never drew; flat
-        # (rows, t): the block's flat index; offsets (rows, 1): n*row
+        # (rows, t): the slice's flat index; offsets (rows, 1): n*row
         self.kept = self.flat = self.offsets = None
 
     def _flat_index(self, idx: np.ndarray) -> np.ndarray:
-        """idx + n*row, the index of each draw in the flattened (rows, n) block."""
+        """idx + n*row, the index of each draw in the flattened (rows, n) slice."""
         rows, n = len(idx), len(self.masses)
         if self.kept is None:
             self.kept = np.empty((rows, n))

@@ -518,6 +518,8 @@ class TestUsageBranches:
         ("simulate --mode bias --family uniform --n 50 --t 1000000000 --replicates 1000",
          "mml simulate: a Monte Carlo row of max(t=1000000000, n=50) cells "
          "exceeds MAX_ROW_CELLS=2000000"),
+        ("simulate --mode bias --family uniform --n 5 --t 10 --replicates 1000 --seed -1",
+         "mml simulate: seed must be an integer >= 0, got -1"),
     ])
     def test_usage_error(self, capsys, files, argv, message):
         code, out, err = run_cli(capsys, *argv.format(**files).split())

@@ -343,6 +343,14 @@ class TestCoveringBound:
         with pytest.raises(InvalidInputError, match=f"radius eps .* got {eps!r}"):
             covering_bound_report(line3, 1, eps)
 
+    @pytest.mark.parametrize("eps", [5e-324, 3 * 5e-324])
+    def test_rejects_eps_without_an_exact_half(self, line3, eps):
+        """5e-324 halves to 0.0, and 3 * 2^-1074 halves to 2 * 2^-1074 (ties
+        to even), whose cells could be eps + 2^-1074 wide."""
+        with pytest.raises(InvalidInputError, match=f"radius eps .* got {eps!r}"):
+            covering_bound_report(line3, 1, eps)
+        assert covering_bound_report(line3, 1, 2 * 5e-324)["cells"] == 3
+
     def test_two_clusters_under_one_ball(self, two_clusters):
         """The radius-eps comparison E <= N(eps)/(e t) fails here, and the
         eps/2 cells bound it."""

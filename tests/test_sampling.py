@@ -33,6 +33,7 @@ from missingmass.sampling import (
     GUIDE_CELLS,
     MAX_ROW_CELLS,
     _BlockStats,
+    _block_states,
     _guide_table,
     _inverse_cdf,
 )
@@ -203,8 +204,55 @@ class TestMonteCarlo:
 
     def test_row_slices_continue_the_block_stream(self, monkeypatch):
         whole = self._missing(200, 8)
-        monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * 20)  # 3 rows of t=6 per call
+        monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * 18 * 3)  # 3 rows of 3t = 18 cells
         assert np.array_equal(self._missing(200, 8), whole)
+
+    @pytest.mark.parametrize("n, t, replicates, slices", [
+        (50, 20, 1000, [1000]),  # one slice of 1000 rows spans 16 blocks
+        (2000, 500, 100, [32, 32, 32, 4]),  # 8 max(3t, n) = 16000 bytes a row
+        (5, 40_000, 3, [1, 1, 1]),  # a row's 3t cells pass the budget: a row a slice
+    ])
+    def test_slices_span_blocks(self, n, t, replicates, slices):
+        seen = []
+
+        def stat(idx):
+            seen.append(len(idx))
+            return idx[:, 0]
+
+        monte_carlo(np.full(n, 1.0 / n), t, replicates, 0, stat)
+        assert seen == slices
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 10 ** 30])
+    def test_bulk_states_equal_numpy_seeding(self, seed):
+        for b in (0, 1, 63, 2 ** 16, 2 ** 32 - 1):
+            expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))).state
+            assert list(_block_states(seed, range(b, b + 1))) == [expected]
+        # a run of blocks, across the chunks the states are computed in
+        states = list(_block_states(seed, range(3000)))
+        for b in (0, 1, 1023, 1024, 2999):
+            assert states[b] == np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))).state
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"])
+    @pytest.mark.parametrize("entry", ["verify_bias", "mc_eps_missing_mass", "monte_carlo"])
+    def test_rejects_bad_seed(self, entry, seed):
+        cloud = PointCloud([0.5, 0.5], coords=[[0.0], [1.0]])
+        calls = {
+            "verify_bias": lambda: verify_bias(self.D, 10, 1000, seed),
+            "mc_eps_missing_mass": lambda: mc_eps_missing_mass(cloud, 3, 0.5, 1000, seed),
+            "monte_carlo": lambda: monte_carlo(self.D.masses, 10, 100, seed, lambda idx: idx),
+        }
+        with pytest.raises(InvalidInputError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            calls[entry]()
+
+    def test_refuses_block_index_past_one_word(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="replicates must be at most"):
+                monte_carlo(self.D.masses, 1, BLOCK * 2 ** 32 + 1, 0, lambda idx: idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_rows_match_per_sample_functions(self):
         t, seed = 7, 11
@@ -379,21 +427,21 @@ def _dense_rows(idx, masses):
 
 class TestBlockStats:
     """The fill-scatter-sum missing mass and the bias equal the dense count
-    forms bit for bit, on every block and row slice of a run."""
+    forms bit for bit, on every slice of a run, whether it starts, ends or
+    spans a block."""
 
-    @pytest.mark.parametrize("d, t, replicates, draws", [
-        (_random_support(2000, seed=3), 100, 70, None),  # t < n, rows sliced by n
-        (GEOMETRIC, 30, 130, None),  # t < n, many repeats
-        (_random_support(5, seed=4), 40, 130, None),  # t > n
-        (_random_support(50, seed=5), 50, 100, None),  # t = n
-        (_random_support(50, seed=6), 1, 100, None),  # t = 1
-        (_random_support(20, seed=7), 120, 70, 500),  # t > n, 4 rows per call
-        (_random_support(300, seed=8), 120, 70, 1000),  # t < n, 3 rows per call
+    @pytest.mark.parametrize("d, t, replicates, rows", [
+        (_random_support(2000, seed=3), 100, 70, 24),  # t < n, rows sliced by n
+        (GEOMETRIC, 30, 130, 24),  # t < n, many repeats
+        (_random_support(5, seed=4), 40, 130, 40),  # t > n
+        (_random_support(50, seed=5), 50, 100, 30),  # t = n
+        (_random_support(50, seed=6), 1, 100, 30),  # t = 1
+        (_random_support(20, seed=7), 120, 70, 6),  # t > n, rows sliced by 3t
+        (_random_support(300, seed=8), 120, 70, 3),  # t < n, rows sliced by 3t
     ], ids=["t<n-2000", "t<n-geometric", "t>n", "t=n", "t=1", "t>n-sliced", "t<n-sliced"])
-    def test_rows_match_dense_reference(self, monkeypatch, d, t, replicates, draws):
-        if draws is not None:
-            monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * draws)
+    def test_rows_match_dense_reference(self, monkeypatch, d, t, replicates, rows):
         masses = np.repeat(d.m, d.c)
+        monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * max(3 * t, len(masses)) * rows)
         stats = _BlockStats(masses)
         slices = []
 
@@ -403,10 +451,14 @@ class TestBlockStats:
             return np.column_stack(
                 [stats.missing(idx), missing, stats.bias(idx), singletons / t - missing])
 
-        rows = monte_carlo(masses, t, replicates, 9, stat)
-        assert min(slices) < max(slices)  # a partial block or row slice
-        assert [x.hex() for x in rows[:, 0]] == [x.hex() for x in rows[:, 1]]
-        assert [x.hex() for x in rows[:, 2]] == [x.hex() for x in rows[:, 3]]
+        values = monte_carlo(masses, t, replicates, 9, stat)
+        edges = np.cumsum([0] + slices).tolist()
+        assert slices[0] == rows > slices[-1]  # a partial last slice
+        assert any(e % BLOCK for e in edges[1:-1])  # a slice boundary inside a block
+        assert any(a // BLOCK < (b - 1) // BLOCK  # a block boundary inside a slice
+                   for a, b in zip(edges, edges[1:]))
+        assert [x.hex() for x in values[:, 0]] == [x.hex() for x in values[:, 1]]
+        assert [x.hex() for x in values[:, 2]] == [x.hex() for x in values[:, 3]]
 
     def test_reports_do_not_read_the_masses_tuple(self, monkeypatch):
         def refuse(self):
