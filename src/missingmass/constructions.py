@@ -37,7 +37,7 @@ def tight_finite(n: int, t: int) -> ProbVector:
     n = require_int(n, "support size n", 2)
     t = require_t(t, n + 1)
     x = 1.0 / (t + 1)
-    return ProbVector([x] * (n - 1) + [1.0 - (n - 1) * x])
+    return ProbVector._of_runs([x, 1.0 - (n - 1) * x], [n - 1, 1])
 
 
 def tight_countable(a: int) -> CountableFamily:
@@ -63,7 +63,7 @@ def geometric_targets(t_max: int, ratio: float = 0.5, scale: float = 0.9) -> lis
     return [scale * ratio ** t for t in range(1, t_max + 1)]
 
 
-def rate_lb(targets, max_doublings: int = MAX_DOUBLINGS) -> BlockVector:
+def rate_lb(targets) -> BlockVector:
     """Distribution whose expected missing mass beats every target rate.
 
     ``targets`` lists real numbers r_1 > r_2 > ... > r_T in (0, 1).  The
@@ -71,8 +71,9 @@ def rate_lb(targets, max_doublings: int = MAX_DOUBLINGS) -> BlockVector:
     10 with r_tau < 0.9), a block of equal atoms below 1/(t+1)^2 carrying mass
     r_{t-1} - r_t for each tau < t <= T, and a final fine block carrying
     r_T.  Atom doubling is then applied until E[U_t] > r_t holds for every
-    t on the horizon; each doubling strictly raises E[U_t] at every t, so
-    the smallest sufficient count is found by direct scan.
+    t on the horizon, at most MAX_DOUBLINGS times; each doubling strictly
+    raises E[U_t] at every t, so the smallest sufficient count is found by
+    direct scan.
 
     Returns a run-length encoded distribution: doubling multiplies the
     support by 2 per round, so dense storage would not survive the cap.
@@ -103,10 +104,10 @@ def rate_lb(targets, max_doublings: int = MAX_DOUBLINGS) -> BlockVector:
     blocks.append((final_total / count, count))
 
     d = BlockVector(blocks)
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         if all(expected_missing_mass(d, t) > r[t - 1] for t in range(1, t_max + 1)):
             return d
         d = doubling_operator(d)
     raise ConstructionFailedError(
-        f"targets not dominated within {max_doublings} doublings"
+        f"targets not dominated within {MAX_DOUBLINGS} doublings"
     )

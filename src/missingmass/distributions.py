@@ -110,7 +110,9 @@ def _runs(masses, counts=None, *, normalize: bool = False, tail: float | None = 
 
 
 class _Runs:
-    """The run-length core every finite distribution type shares."""
+    """The run-length core every finite distribution type shares: the runs
+    ``m`` and ``c``, ``n``, the cached ``kernel_terms``, ``min_mass``,
+    ``masses``, ``blocks``, equality, hash and repr."""
 
     __slots__ = ("m", "c", "_kernel_terms")
 

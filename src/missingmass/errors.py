@@ -68,10 +68,15 @@ def require_t(t, minimum: int = 1) -> int:
 def require_real(value, name: str, low: float, high: float, bounds: str = "[]"):
     """The one real-range rule: value is a real number (bool excluded) between
     low and high, each end closed or open as bounds says ("[]", "(]", "[)"
-    or "()").  NaN fails every comparison, so it never passes."""
+    or "()").  NaN fails every comparison, so it never passes; an int or
+    fraction past the float range (10**400 <= inf) fails its conversion."""
     if (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and (low < value if bounds[0] == "(" else low <= value)
             and (value < high if bounds[1] == ")" else value <= high)):
+        try:
+            float(value)
+        except OverflowError:
+            raise InvalidInputError(f"{name} must fit in a float, got one past its range") from None
         return value
     raise InvalidInputError(
         f"{name} must lie in {bounds[0]}{low:g}, {high:g}{bounds[1]}, got {value!r}"

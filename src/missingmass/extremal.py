@@ -136,7 +136,7 @@ class ExtremalSolution:
     is_uniform: bool
 
     def to_prob_vector(self) -> ProbVector:
-        return ProbVector([self.x_star] * (self.n - 1) + [self.heavy])
+        return ProbVector._of_runs([self.x_star, self.heavy], [self.n - 1, 1])
 
     def to_json_obj(self) -> dict:
         return {

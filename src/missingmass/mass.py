@@ -77,10 +77,10 @@ def _kernel_sum(terms: KernelTerms, t: int, k: int = 1, s: int = 0) -> float:
     return exact_sum(terms(t - s, k))
 
 
-def expected_missing_mass(d: ProbVector | BlockVector, t: int, *, allow_zero: bool = False) -> float:
+def expected_missing_mass(d: ProbVector | BlockVector, t: int) -> float:
     """Exact E[U_t] = sum_i p_i (1 - p_i)^t."""
     _require_distribution(d)
-    return _kernel_sum(d.kernel_terms, require_t(t, 0 if allow_zero else 1))
+    return _kernel_sum(d.kernel_terms, require_t(t))
 
 
 def expected_missing_mass_interval(
@@ -138,17 +138,17 @@ def bound_finite(n: int, t: int) -> float:
     return min(1.0, n / (math.e * t))
 
 
-def bound_countable(ell: int, t: int, c: float = DEFAULT_COUNTABLE_C) -> float:
-    """Plateau-length upper bound ell/(c*t) for countable supports.
+def bound_countable(ell: int, t: int) -> float:
+    """Plateau-length upper bound ell/(c*t) for countable supports, with
+    c = DEFAULT_COUNTABLE_C.
 
     E[U_t] <= ell C*/t with C* = 1.44270930 (the theorem and its proof
     sketch are in the module docstring), so the bound holds for every
-    c <= c* = 1/C* = 0.69314033; the default 0.69 keeps a 0.45 % margin.
+    c <= c* = 1/C* = 0.69314033; 0.69 keeps a 0.45 % margin.
     """
     ell = require_int(ell, "plateau length", 1)
     t = require_t(t)
-    require_real(c, "constant c", 0.0, math.inf, "(]")
-    return ell / (c * t)
+    return ell / (DEFAULT_COUNTABLE_C * t)
 
 
 def dyadic_bands(d: ProbVector | BlockVector, t: int) -> list[tuple[int, int, float]]:

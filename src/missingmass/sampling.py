@@ -1,21 +1,17 @@
 """Seeded i.i.d. sampling and Monte Carlo verification.
 
-Reproducibility contract: replicates run in blocks of BLOCK, and block b
-draws from its own substream, derived from the master seed by a
-counter-based split (block index -> spawn key; Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011, over O'Neill's PCG64).
-Every seeded report is therefore bit-for-bit reproducible, a shorter run is
-a prefix of a longer one, and aggregation uses exactly rounded summation.
-The substreams' PCG64 states are computed in bulk, on uint32 arrays of
-block indices, by numpy's own SeedSequence hash and PCG64 seeding (a test
-checks them against numpy's), and one reused generator is moved to each
-block's state: a block costs a state assignment, not a seeded generator.
+Reproducibility contract: each Monte Carlo call draws from one generator,
+np.random.default_rng(seed), and replicate r takes the uniforms r*t ...
+(r+1)*t - 1 of its stream.  Every seeded report is therefore bit-for-bit
+reproducible, a shorter run is a prefix of a longer one, and aggregation
+uses exactly rounded summation.
 
-Rows run in slices that span blocks, sized by the one memory budget,
-numerics.SLICE_BYTES: rows_per_slice(8 max(3t, n)) rows, so a row's three
-draw buffers (3t cells) and the statistics' row of n masses fit in it.  A
-slice's uniforms are filled block by block from each block's stream, then
-the inverse CDF and the statistic run once on the whole slice.
+Rows run in slices sized by the one memory budget, numerics.SLICE_BYTES:
+rows_per_slice(8 max(3t, n)) rows, so a row's three draw buffers (3t cells)
+and the statistics' row of n masses fit in it.  A slice's uniforms are one
+fill from the stream, then the inverse CDF and the statistic run once on the
+whole slice.  A float64 uniform takes exactly one 64-bit output, so no value
+depends on the slicing.
 
 Uniforms map to atoms by inverse CDF through a guide table (Chen & Asau,
 1974; Devroye 1986, III.2.4), which returns exactly the index of
@@ -41,13 +37,12 @@ import numpy as np
 
 from .distributions import BlockVector, ProbVector
 from .errors import InvalidInputError, require_int, require_real, require_t
-from .mass import expected_missing_mass, gt_bias
+from .mass import _require_distribution, expected_missing_mass, gt_bias
 from .numerics import exact_sum, rows_per_slice
 
-BLOCK = 64  # replicates per substream; part of the seeded layout, so a constant
 # A row holds max(t, n) cells for t draws from n atoms (its uniforms, and its
 # masses in the statistics' buffer).  Rows run in slices within
-# numerics.SLICE_BYTES, which continue each block's stream, so no value
+# numerics.SLICE_BYTES, which continue the call's one stream, so no value
 # depends on them; a row cannot be split, so past this it is refused.
 MAX_ROW_CELLS = 2_000_000
 # Relative slack of a verdict: a value that matches its closed form or bound
@@ -105,27 +100,22 @@ class McReport:
 def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     """Per-replicate statistics of seeded samples of t i.i.d. draws from masses.
 
-    Replicate r draws its t uniforms from the substream of its block
-    b = r // BLOCK (spawn key (b,) under seed), in row order, and maps them
-    to atom indices by inverse CDF.  Rows run in slices of
-    rows_per_slice(8 max(3t, n)) rows, at most replicates, which span
-    blocks: a slice's uniforms are filled block by block, each block's
-    stream going on where the last slice left it, and stat turns the
-    slice's (rows, t) index array into one value or one row of values per
-    replicate, so no value depends on the slicing.  A row's three draw
-    buffers (uniforms, indices, scratch) and stat's row of n masses fit in
-    numerics.SLICE_BYTES; the buffers are allocated once per call, so stat
-    must not keep its argument, and its results are copied out in
-    replicate order.  A row of max(t, n) cells past MAX_ROW_CELLS, a seed
-    that is not an integer >= 0, and more than BLOCK * 2^32 replicates (a
-    block index is one 32-bit word) are refused before anything is
-    allocated.
+    One generator, np.random.default_rng(seed), serves the call: replicate r
+    takes uniforms r*t ... (r+1)*t - 1 of its stream, row after row, and maps
+    them to atom indices by inverse CDF.  Rows run in slices of
+    rows_per_slice(8 max(3t, n)) rows, at most replicates; a float64 uniform
+    takes exactly one 64-bit output of the stream, so filling a slice at once
+    equals filling its rows one by one, and no value depends on the slicing.
+    stat turns the slice's (rows, t) index array into one value or one row of
+    values per replicate.  A row's three draw buffers (uniforms, indices,
+    scratch) and stat's row of n masses fit in numerics.SLICE_BYTES; the
+    buffers are allocated once per call, so stat must not keep its argument,
+    and its results are copied out in replicate order.  A row of max(t, n)
+    cells past MAX_ROW_CELLS and a seed that is not an integer >= 0 are
+    refused before anything is allocated.
     """
     t, replicates = require_t(t), require_int(replicates, "replicates", 1)
     seed = require_int(seed, "seed", 0)
-    if replicates > BLOCK << 32:
-        raise InvalidInputError(
-            f"replicates must be at most BLOCK * 2^32 = {BLOCK << 32}, got {replicates}")
     _require_row(t, len(masses))
     cum = np.cumsum(masses)
     cum[-1] = 1.0  # guard: float cumsum may land a hair under 1
@@ -133,76 +123,16 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     step = min(replicates, rows_per_slice(8 * max(3 * t, len(cum))))
     u = np.empty((step, t))
     idx, scratch = np.empty((2, step, t), np.intp)
-    states = _block_states(seed, range(-(-replicates // BLOCK)))
-    bits = np.random.PCG64(0)  # every block sets its own state
-    rng = np.random.Generator(bits)
+    rng = np.random.default_rng(seed)
     out = None
     for start in range(0, replicates, step):
-        stop = min(start + step, replicates)
-        edges = [start, *range(start - start % BLOCK + BLOCK, stop, BLOCK), stop]
-        for a, b in zip(edges, edges[1:]):  # the slice's rows, block by block
-            if a % BLOCK == 0:
-                bits.state = next(states)
-            rng.random(out=u[a - start:b - start])
-        k = stop - start
+        k = min(step, replicates - start)
+        rng.random(out=u[:k])
         values = stat(_inverse_cdf(cum, lo, u[:k], idx[:k], scratch[:k]))
         if out is None:
             out = np.empty((replicates,) + values.shape[1:], values.dtype)
-        out[start:stop] = values
+        out[start:start + k] = values
     return out
-
-
-def _block_states(seed: int, blocks: range):
-    """Yield, for each block index b in blocks (a range of step 1 below
-    2^32), the state numpy's PCG64 takes from a SeedSequence of entropy seed
-    and spawn key (b,), computed for many blocks at once.
-
-    This is numpy's SeedSequence hash (O'Neill's seed_seq_fe, in
-    numpy/random/bit_generator.pyx) and PCG64's seeding, written out.  The
-    entropy is the seed's 32-bit words, least significant first, padded
-    with zeros to the pool size 4, then b as one word.  Only that last word
-    differs between blocks, so the pool is hashed by scalar steps up to it
-    and finished on a uint32 array of block indices, a chunk of blocks
-    within numerics.SLICE_BYTES at a time.  Each pool gives four 64-bit
-    words, the initial state and the stream (high word first), and PCG64
-    takes inc = 2 stream + 1 and state = (inc + initial) MULT + inc, modulo
-    2^128, with MULT its 128-bit multiplier.
-    """
-    mask, mult, low128 = 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-
-    def hasher(const, factor):
-        def hashmix(value):
-            nonlocal const
-            value = value ^ const  # not in place: value may be an array
-            const = const * factor & mask
-            value = value * const & mask
-            return value ^ value >> 16
-        return hashmix
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x & mask) - (0x4973F715 * y & mask) & mask
-        return r ^ r >> 16
-
-    words = [seed >> s & mask for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    chunk = rows_per_slice(512)  # a block takes about 260 bytes: words, 4 Python ints
-    for first in range(blocks.start, blocks.stop, chunk):
-        hashmix = hasher(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(w) for w in words[:4]]
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    pool[j] = mix(pool[j], hashmix(pool[i]))
-        for w in [*words[4:], first + np.arange(min(chunk, blocks.stop - first), dtype=np.uint32)]:
-            pool = [mix(p, hashmix(w)) for p in pool]
-        hashmix = hasher(0x8B51F9DD, 0x58F38DED)
-        words32 = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-        for hi, lo, inc_hi, inc_lo in zip(*(
-                (words32[i] | words32[i + 1] << 32).tolist() for i in range(0, 8, 2))):
-            inc = (inc_hi << 65 | inc_lo << 1 | 1) & low128
-            yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                   "state": {"state": ((inc + (hi << 64 | lo)) * mult + inc) & low128,
-                             "inc": inc}}
 
 
 def _require_row(t: int, n: int) -> None:
@@ -215,8 +145,10 @@ def _require_row(t: int, n: int) -> None:
 
 
 def _atom_masses(d: ProbVector | BlockVector, t: int) -> np.ndarray:
-    """d's masses atom by atom, for a sample of t draws; a row past
-    MAX_ROW_CELLS is refused before the runs are expanded."""
+    """d's masses atom by atom, for a sample of t draws; any other type than a
+    finite distribution, and a row past MAX_ROW_CELLS, are refused before the
+    runs are expanded."""
+    _require_distribution(d)
     _require_row(t, d.n)
     return np.repeat(d.m, d.c)
 
@@ -336,11 +268,12 @@ def draw_sample(d: ProbVector | BlockVector, t: int, seed: int) -> SampleCounts:
 
 def empirical_missing_mass(d: ProbVector | BlockVector, sc: SampleCounts) -> float:
     """Total mass of the atoms that the sample never hit."""
-    if len(sc.counts) != d.n:
+    masses = _atom_masses(d, sc.t)
+    if len(sc.counts) != len(masses):
         raise InvalidInputError(
-            f"counts cover {len(sc.counts)} atoms but the distribution has {d.n}"
+            f"counts cover {len(sc.counts)} atoms but the distribution has {len(masses)}"
         )
-    return exact_sum(_atom_masses(d, sc.t)[np.asarray(sc.counts) == 0])
+    return exact_sum(masses[np.asarray(sc.counts) == 0])
 
 
 def good_turing(sc: SampleCounts) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -11,12 +12,14 @@ from missingmass import (
     expected_missing_mass_interval,
     geometric_targets,
     inverse_log_targets,
+    maximize_missing_mass,
     plateau_length,
     rate_lb,
     tight_countable,
     tight_finite,
     truncate,
 )
+from missingmass import constructions
 
 
 class TestTightFinite:
@@ -44,6 +47,19 @@ class TestTightFinite:
         d = tight_finite(9, 40)
         assert len(set(d.masses)) == 2
         assert d.blocks[0][1] == 8
+
+    def test_huge_support_is_built_as_runs(self):
+        tracemalloc.start()
+        try:
+            d = tight_finite(2 ** 40, 2 ** 40 + 1)
+            e = maximize_missing_mass(2 ** 40, 2 ** 41).to_prob_vector()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert d.n == e.n == 2 ** 40
+        assert d.blocks[0] == (1.0 / (2 ** 40 + 2), 2 ** 40 - 1)
+        assert [c for _, c in e.blocks] == [2 ** 40 - 1, 1]
 
     def test_requires_t_above_n(self):
         with pytest.raises(InvalidInputError):
@@ -131,9 +147,10 @@ class TestRateLb:
         with pytest.raises(InvalidInputError):
             rate_lb([0.5, 0.4, 0.3])  # horizon never passes t=10
 
-    def test_doubling_cap_enforced(self):
-        with pytest.raises(ConstructionFailedError):
-            rate_lb(inverse_log_targets(30), max_doublings=0)
+    def test_doubling_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(constructions, "MAX_DOUBLINGS", 0)
+        with pytest.raises(ConstructionFailedError, match="within 0 doublings"):
+            rate_lb(inverse_log_targets(30))
 
     def test_run_length_encoding_survives_scale(self):
         # the doubled support would be enormous dense, tiny as blocks

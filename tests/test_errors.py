@@ -54,6 +54,24 @@ def test_require_real_rejects_nan_bool_and_non_numbers(value):
         require_real(value, "y", -math.inf, math.inf)
 
 
+@pytest.mark.parametrize("value", [10 ** 400, 2 ** 1024])
+@pytest.mark.parametrize("entry", [
+    "covering_bound_report", "ball_masses", "eps_missing_mass", "mc_eps_missing_mass",
+])
+def test_radius_past_the_float_range_is_refused(entry, value):
+    # 10**400 <= inf holds, so the range check alone lets it through
+    cloud = PointCloud([0.5, 0.5], coords=[[0.0], [1.0]])
+    calls = {
+        "covering_bound_report": lambda eps: cover.covering_bound_report(cloud, 3, eps),
+        "ball_masses": lambda eps: cover.ball_masses(cloud, eps),
+        "eps_missing_mass": lambda eps: eps_missing_mass(cloud, [0], eps),
+        "mc_eps_missing_mass": lambda eps: cover.mc_eps_missing_mass(cloud, 3, eps, 1000, 0),
+    }
+    with pytest.raises(InvalidInputError, match="radius eps must fit in a float"):
+        calls[entry](value)
+    calls[entry](math.inf)  # the bound allows inf itself
+
+
 def test_require_reals_applies_the_real_type_rule_to_each_item():
     items = [0.5, 1, np.float64(0.25), np.int64(2), math.inf]
     assert require_reals(items, "z") is items

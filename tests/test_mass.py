@@ -99,10 +99,11 @@ class TestExpectedMissingMass:
         )
 
     def test_t_zero_needs_flag(self):
+        # no flag admits t = 0; exponent 0 is gt_expected_estimate(d, 1)
         d = ProbVector.uniform(3)
         with pytest.raises(InvalidInputError):
             expected_missing_mass(d, 0)
-        assert expected_missing_mass(d, 0, allow_zero=True) == pytest.approx(1.0, abs=1e-12)
+        assert gt_expected_estimate(d, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_noninteger_t(self):
         with pytest.raises(InvalidInputError):
@@ -196,10 +197,10 @@ class TestBounds:
         assert expected_missing_mass(ProbVector([1.0]), 1) <= bound_finite(1, 1)
 
     def test_bound_countable_examples(self):
-        assert bound_countable(1, 10, 1.0) == pytest.approx(0.1)
-        assert bound_countable(7, 7, 1.0) == pytest.approx(1.0)
+        assert bound_countable(1, 10) == pytest.approx(1 / (DEFAULT_COUNTABLE_C * 10))
+        assert bound_countable(7, 7) == pytest.approx(1 / DEFAULT_COUNTABLE_C)
         with pytest.raises(InvalidInputError):
-            bound_countable(1, 10, 0.0)
+            bound_countable(0, 10)
 
     def test_bound_countable_on_dyadic_family(self):
         # default c must keep the bound valid on the family that calibrated it
@@ -404,7 +405,8 @@ def spread_distributions(draw):
     return BlockVector([(w / total, c) for w, c in pairs])
 
 
-# t = 0 (allow_zero), exponents 63 and 64 with s = 0 and with s = 1, and
+# t = 0 (exponent 0, through gt_expected_estimate at t = 1), exponents 63
+# and 64 with s = 0 and with s = 1, and
 # both sides of the switch far out
 kernel_t = st.one_of(st.sampled_from([0, 1, 2, 3, 63, 64, 65]), st.integers(0, 300),
                      st.sampled_from([10 ** 3, 10 ** 5, 10 ** 9]))
@@ -418,8 +420,8 @@ class TestCachedKernelTerms:
     def _check(self, d, ts):
         for t in ts:
             want = _reference_sum(d.m, d.c, t)
-            assert _bits([expected_missing_mass(d, t, allow_zero=True)]) == _bits([want])
-            if t == 0:
+            if t == 0:  # the Good-Turing expectation at t = 1 has exponent 0
+                assert _bits([gt_expected_estimate(d, 1)]) == _bits([want])
                 continue
             gt = _reference_sum(d.m, d.c, t - 1)
             singleton = t * _reference_sum(d.m, d.c, t - 1, k=2)

@@ -10,10 +10,12 @@ import pytest
 
 from missingmass import (
     BlockVector,
+    CountableFamily,
     InvalidInputError,
     PointCloud,
     ProbVector,
     SampleCounts,
+    Truncation,
     draw_sample,
     empirical_missing_mass,
     eps_missing_mass,
@@ -29,11 +31,9 @@ from missingmass import (
 from missingmass import numerics, sampling
 from missingmass.cover import _eps_missing_rows
 from missingmass.sampling import (
-    BLOCK,
     GUIDE_CELLS,
     MAX_ROW_CELLS,
     _BlockStats,
-    _block_states,
     _guide_table,
     _inverse_cdf,
 )
@@ -172,7 +172,6 @@ class TestMonteCarlo:
         return monte_carlo(masses, 6, replicates, seed, _BlockStats(masses).missing)
 
     def test_deterministic_at_partial_block(self):
-        assert 1000 % BLOCK != 0
         a = verify_bias(self.D, 5, replicates=1000, seed=42)
         b = verify_bias(self.D, 5, replicates=1000, seed=42)
         assert a == b
@@ -199,6 +198,23 @@ class TestMonteCarlo:
             outs.append(run.stdout)
         assert outs[0] == outs[1]
 
+    def test_indices_do_not_depend_on_the_slicing(self, monkeypatch):
+        d, t, replicates = _random_support(50, seed=3), 40, 100
+        runs = []
+        # one row a slice, 7 rows a slice (a partial last slice), one slice
+        for rows in (1, 7, replicates):
+            monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * 3 * t * rows)
+            seen = []
+
+            def stat(idx):
+                seen.append(len(idx))
+                return idx.copy()
+
+            runs.append(monte_carlo(d.masses, t, replicates, 6, stat))
+            assert seen[0] == rows
+        assert all(np.array_equal(run, runs[0]) for run in runs)
+        assert np.array_equal(runs[0], _reference_indices(d.masses, t, replicates, 6))
+
     def test_shorter_run_is_prefix(self):
         assert np.array_equal(self._missing(128, 4), self._missing(1000, 4)[:128])
 
@@ -208,7 +224,7 @@ class TestMonteCarlo:
         assert np.array_equal(self._missing(200, 8), whole)
 
     @pytest.mark.parametrize("n, t, replicates, slices", [
-        (50, 20, 1000, [1000]),  # one slice of 1000 rows spans 16 blocks
+        (50, 20, 1000, [1000]),  # one slice of 1000 rows
         (2000, 500, 100, [32, 32, 32, 4]),  # 8 max(3t, n) = 16000 bytes a row
         (5, 40_000, 3, [1, 1, 1]),  # a row's 3t cells pass the budget: a row a slice
     ])
@@ -222,16 +238,6 @@ class TestMonteCarlo:
         monte_carlo(np.full(n, 1.0 / n), t, replicates, 0, stat)
         assert seen == slices
 
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 10 ** 30])
-    def test_bulk_states_equal_numpy_seeding(self, seed):
-        for b in (0, 1, 63, 2 ** 16, 2 ** 32 - 1):
-            expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))).state
-            assert list(_block_states(seed, range(b, b + 1))) == [expected]
-        # a run of blocks, across the chunks the states are computed in
-        states = list(_block_states(seed, range(3000)))
-        for b in (0, 1, 1023, 1024, 2999):
-            assert states[b] == np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))).state
-
     @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"])
     @pytest.mark.parametrize("entry", ["verify_bias", "mc_eps_missing_mass", "monte_carlo"])
     def test_rejects_bad_seed(self, entry, seed):
@@ -244,20 +250,10 @@ class TestMonteCarlo:
         with pytest.raises(InvalidInputError, match=f"seed must be an integer >= 0, got {seed!r}"):
             calls[entry]()
 
-    def test_refuses_block_index_past_one_word(self):
-        tracemalloc.start()
-        try:
-            with pytest.raises(InvalidInputError, match="replicates must be at most"):
-                monte_carlo(self.D.masses, 1, BLOCK * 2 ** 32 + 1, 0, lambda idx: idx)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
-
     def test_rows_match_per_sample_functions(self):
         t, seed = 7, 11
         masses = np.asarray(self.D.masses)
-        idx = monte_carlo(masses, t, BLOCK, seed, lambda idx: idx)
+        idx = monte_carlo(masses, t, 64, seed, lambda idx: idx)
         stats = _BlockStats(masses)
         missing = stats.missing(idx)
         bias = stats.bias(idx)
@@ -275,11 +271,37 @@ class TestMonteCarlo:
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.exponential(size=40), coords=rng.random((40, 2)), normalize=True)
         near = cloud.distances() <= 0.1
-        idx = monte_carlo(cloud.masses, 30, BLOCK, 5, lambda idx: idx.copy())
+        idx = monte_carlo(cloud.masses, 30, 64, 5, lambda idx: idx.copy())
         whole = _eps_missing_rows(near, cloud.masses, idx)
-        for budget in (1, BLOCK * 40 * 7):  # one draw column per gather, then seven
+        for budget in (1, 64 * 40 * 7):  # one draw column per gather, then seven
             monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
             assert _eps_missing_rows(near, cloud.masses, idx).tolist() == whole.tolist()
+
+
+class TestTypeCheck:
+    """Every sampling front door refuses a countable family or a truncation
+    with InvalidInputError before it draws."""
+
+    @pytest.mark.parametrize("d", [
+        CountableFamily.geometric(0.5), Truncation((0.5, 0.25), 0.25),
+    ], ids=["family", "truncation"])
+    @pytest.mark.parametrize("entry", [
+        "verify_bias", "verify_concentration", "draw_sample", "empirical_missing_mass",
+    ])
+    def test_refused_before_drawing(self, monkeypatch, d, entry):
+        def refuse(*args):
+            raise AssertionError("sampled before the type check")
+
+        monkeypatch.setattr(sampling, "monte_carlo", refuse)
+        calls = {
+            "verify_bias": lambda: verify_bias(d, 10, 1000, 0),
+            "verify_concentration": lambda: verify_concentration(d, 10, 0.1, 10_000, 0),
+            "draw_sample": lambda: draw_sample(d, 10_000, 1),
+            "empirical_missing_mass": lambda: empirical_missing_mass(
+                d, SampleCounts(2, (1, 1), "d", 0)),
+        }
+        with pytest.raises(InvalidInputError, match="expected a ProbVector or BlockVector"):
+            calls[entry]()
 
 
 UNIFORM_50 = ProbVector.uniform(50)
@@ -328,15 +350,10 @@ GEOMETRIC = ProbVector([0.5 ** k for k in range(1, 60)] + [0.5 ** 59])
 
 
 def _reference_indices(masses, t, replicates, seed):
-    """The plain inverse CDF: searchsorted on the same substream uniforms."""
+    """The plain inverse CDF: searchsorted on the call's one stream of uniforms."""
     cum = np.cumsum(masses)
     cum[-1] = 1.0
-    blocks = []
-    for b, start in enumerate(range(0, replicates, BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        u = rng.random((min(BLOCK, replicates - start), t))
-        blocks.append(np.searchsorted(cum, u, side="right"))
-    return np.concatenate(blocks)
+    return np.searchsorted(cum, np.random.default_rng(seed).random((replicates, t)), "right")
 
 
 def _search(cum, lo, u):
@@ -376,7 +393,7 @@ class TestGuideTable:
     def test_engine_on_skewed_support_uses_fallback(self):
         cum = np.cumsum(GEOMETRIC.masses)
         lo = _guide_table(cum)
-        u = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,))).random((BLOCK, 1000))
+        u = np.random.default_rng(5).random((100, 1000))  # the engine's uniforms below
         steps = np.searchsorted(cum, u, side="right") - lo[(u * len(lo)).astype(np.intp)]
         assert steps.max() > sampling.GUIDE_PASSES  # some draws reach searchsorted
         self._check_engine(GEOMETRIC, t=1000)
@@ -427,8 +444,7 @@ def _dense_rows(idx, masses):
 
 class TestBlockStats:
     """The fill-scatter-sum missing mass and the bias equal the dense count
-    forms bit for bit, on every slice of a run, whether it starts, ends or
-    spans a block."""
+    forms bit for bit, on every slice of a run, full or partial."""
 
     @pytest.mark.parametrize("d, t, replicates, rows", [
         (_random_support(2000, seed=3), 100, 70, 24),  # t < n, rows sliced by n
@@ -452,11 +468,7 @@ class TestBlockStats:
                 [stats.missing(idx), missing, stats.bias(idx), singletons / t - missing])
 
         values = monte_carlo(masses, t, replicates, 9, stat)
-        edges = np.cumsum([0] + slices).tolist()
-        assert slices[0] == rows > slices[-1]  # a partial last slice
-        assert any(e % BLOCK for e in edges[1:-1])  # a slice boundary inside a block
-        assert any(a // BLOCK < (b - 1) // BLOCK  # a block boundary inside a slice
-                   for a, b in zip(edges, edges[1:]))
+        assert len(slices) >= 2 and slices[0] == rows > slices[-1]  # a partial last slice
         assert [x.hex() for x in values[:, 0]] == [x.hex() for x in values[:, 1]]
         assert [x.hex() for x in values[:, 2]] == [x.hex() for x in values[:, 3]]
 
@@ -473,7 +485,7 @@ class TestBlockStats:
 
     def test_concentration_memory_bounded(self):
         # a dense (rows, n) int64 count array and its float product would
-        # take 2 MB per block here; the buffers are allocated once per call
+        # take 2 MB per 64 rows here; the buffers are allocated once per call
         d = _random_support(2000, seed=9)
         tracemalloc.start()
         try:
@@ -485,35 +497,37 @@ class TestBlockStats:
 
 
 class TestPinnedValues:
-    """Seeded values recorded under the plain searchsorted sampler; any change
-    to the sampler that moves a draw moves one of them."""
+    """Seeded values of the one-stream engine, each checked when recorded
+    against the per-sample functions on plain searchsorted indices (equal up
+    to the last digits of the sums' order); any change to the sampler that
+    moves a draw moves one of them."""
 
     def test_verify_bias(self):
         w = np.random.default_rng(2024).random(2000)
         rep = verify_bias(ProbVector(w / w.sum(), normalize=True), 500, 1000, 17)
         assert json.dumps(rep.to_json_obj()) == (
-            '{"estimate": 0.0002647216180160227, "std_error": 0.0008911429979292482, '
+            '{"estimate": 0.0006328452758564241, "std_error": 0.0009343727903423329, '
             '"replicates": 1000, "seed": 17, "bound": 0.00045873017100606095, '
             '"violated": false}')
 
     def test_verify_concentration(self):
         rep = verify_concentration(GEOMETRIC, 100, 0.05, 10_000, 23)
         assert json.dumps(rep.to_json_obj()) == (
-            '{"estimate": 0.014276977908611297, "std_error": 0.00010269657216745863, '
-            '"replicates": 10000, "seed": 23, "exceed_freq": 0.0022, '
+            '{"estimate": 0.014297691535949708, "std_error": 0.00010052917361609696, '
+            '"replicates": 10000, "seed": 23, "exceed_freq": 0.0014, '
             '"bound": 1.5576015661428098, "violated": false}')
 
     def test_mc_eps_missing_mass(self):
         coords = np.random.default_rng(5).random((300, 2))
         rep = mc_eps_missing_mass(PointCloud([1 / 300] * 300, coords=coords), 100, 0.08, 1000, 31)
         assert json.dumps(rep.to_json_obj()) == (
-            '{"estimate": 0.14261333333333334, "std_error": 0.0009254814388584188, '
+            '{"estimate": 0.14266, "std_error": 0.0009174054171226768, '
             '"replicates": 1000, "seed": 31, "bound": 0.14205957414632403, '
             '"violated": false}')
 
     def test_draw_sample(self):
         counts = draw_sample(GEOMETRIC, 1000, 43).counts
-        assert counts == (0,) * 44 + (1, 0, 0, 1, 0, 0, 0, 2, 8, 5, 11, 37, 70, 126, 230, 509)
+        assert counts == (0,) * 51 + (2, 7, 6, 17, 40, 58, 108, 267, 495)
 
 
 class TestVerifyConcentration:
