@@ -7,6 +7,8 @@ NaN never passing).  Both reject ``bool`` and never coerce: a value that is
 not already an integer or a real is an ``InvalidInputError``, not a rounded
 number.  ``require_reals`` applies require_real's type rule to every item of
 a list of numbers read from a file, so "0.5" or true in one is an error too.
+A refused value is quoted by its repr, except an int too long for Python to
+print (past its 4300-digit limit), which is quoted by its sign and bit length.
 Distribution masses are arrays, not scalars; they have their own validator,
 ``distributions.validate_masses``, shared by every distribution type and by
 ``cover.PointCloud``.
@@ -43,6 +45,18 @@ class ThresholdNotFoundError(MissingMassError):
         )
 
 
+def _shown(value) -> str:
+    """repr(value), or, when Python refuses to print it (an int past the
+    4300-digit limit, or a fraction of such ints), its sign and bit length or
+    its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<int of {abs(value).bit_length()} bits>"
+        return f"<{type(value).__name__} too long to print>"
+
+
 def require_int(value, name: str, minimum: int) -> int:
     """The one integer rule: value passes if operator.index accepts it, it is
     not a bool, and it is >= minimum; it comes back as a Python int."""
@@ -53,7 +67,7 @@ def require_int(value, name: str, minimum: int) -> int:
         except TypeError:
             index = None
     if index is None or index < minimum:
-        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     return index
 
 
@@ -79,7 +93,7 @@ def require_real(value, name: str, low: float, high: float, bounds: str = "[]"):
             raise InvalidInputError(f"{name} must fit in a float, got one past its range") from None
         return value
     raise InvalidInputError(
-        f"{name} must lie in {bounds[0]}{low:g}, {high:g}{bounds[1]}, got {value!r}"
+        f"{name} must lie in {bounds[0]}{low:g}, {high:g}{bounds[1]}, got {_shown(value)}"
     )
 
 
@@ -90,5 +104,5 @@ def require_reals(items: list, name: str) -> list:
     for kind in set(map(type, items)):
         if not issubclass(kind, numbers.Real) or issubclass(kind, bool):
             bad = next(v for v in items if type(v) is kind)
-            raise InvalidInputError(f"{name} must be real numbers, got {bad!r}")
+            raise InvalidInputError(f"{name} must be real numbers, got {_shown(bad)}")
     return items

@@ -14,7 +14,12 @@ whole slice.  A float64 uniform takes exactly one 64-bit output, so no value
 depends on the slicing.
 
 Uniforms map to atoms by inverse CDF through a guide table (Chen & Asau,
-1974; Devroye 1986, III.2.4), which returns exactly the index of
+1974; Devroye 1986, III.2.4) of K buckets, K the next power of two >= 64n,
+at most GUIDE_CELLS.  A bucket that no cumulative mass falls strictly
+inside is exact: every u in [k/K, (k+1)/K) has as many cumulative masses
+<= u as k/K has, so one table lookup resolves the draw.  The table flags
+the other buckets, 1-3 % of draws at 64 buckets an atom, and only their
+draws step or search.  The result is exactly the index of
 ``searchsorted(cum, u, side="right")`` at a fraction of its cost.
 
 Each call allocates its slice buffers once: the uniforms, the atom indices,
@@ -48,11 +53,12 @@ MAX_ROW_CELLS = 2_000_000
 # Relative slack of a verdict: a value that matches its closed form or bound
 # up to a few ulps is no violation, even when the standard error is 0.
 RHO = 1e-12
-# Guide table: at most GUIDE_CELLS buckets, and at most GUIDE_PASSES
-# vectorised steps from a bucket's first atom before the draws left over
-# (skewed masses piled into one bucket) go through searchsorted.
+# Guide table: K buckets, K the next power of two >= 64n, at most GUIDE_CELLS
+# (512 KiB of intp).  K is a power of two, so u*K and the edges k/K are
+# exact, and a bucket that no cumulative mass falls strictly inside resolves
+# its draws by one lookup.  At 64 buckets an atom 1-3 % of draws land in the
+# other, flagged buckets; past GUIDE_CELLS atoms nearly all of them do.
 GUIDE_CELLS = 1 << 16
-GUIDE_PASSES = 4
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,7 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     _require_row(t, len(masses))
     cum = np.cumsum(masses)
     cum[-1] = 1.0  # guard: float cumsum may land a hair under 1
-    lo = _guide_table(cum)
+    table = _guide_table(cum)
     step = min(replicates, rows_per_slice(8 * max(3 * t, len(cum))))
     u = np.empty((step, t))
     idx, scratch = np.empty((2, step, t), np.intp)
@@ -128,7 +134,7 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     for start in range(0, replicates, step):
         k = min(step, replicates - start)
         rng.random(out=u[:k])
-        values = stat(_inverse_cdf(cum, lo, u[:k], idx[:k], scratch[:k]))
+        values = stat(_inverse_cdf(cum, table, u[:k], idx[:k], scratch[:k]))
         if out is None:
             out = np.empty((replicates,) + values.shape[1:], values.dtype)
         out[start:start + k] = values
@@ -154,36 +160,52 @@ def _atom_masses(d: ProbVector | BlockVector, t: int) -> np.ndarray:
 
 
 def _guide_table(cum: np.ndarray) -> np.ndarray:
-    """lo[k] = searchsorted(cum, k/K, side="right") for K buckets, K a power of
-    two: the next one >= 4n, capped at GUIDE_CELLS."""
-    buckets = min(1 << (4 * len(cum) - 1).bit_length(), GUIDE_CELLS)
-    return np.searchsorted(cum, np.arange(buckets) / buckets, side="right")
+    """Exact-bucket guide table over K buckets, K a power of two: the next one
+    >= 64n, capped at GUIDE_CELLS.
 
-
-def _inverse_cdf(cum: np.ndarray, lo: np.ndarray, u: np.ndarray, out: np.ndarray,
-                 scratch: np.ndarray) -> np.ndarray:
-    """searchsorted(cum, u, side="right") for uniforms u in [0, 1), by guide
-    table, written to out; out and scratch are intp arrays of u's shape.
-
-    K = len(lo) is a power of two, so u*K and k/K are exact: the bucket
-    start lo[floor(u*K)] never passes the answer, and stepping while
-    cum[j] <= u stops at the first cum[j] > u, which is the answer by
-    definition; cum[-1] = 1 > u bounds every walk.
+    lo[k] = searchsorted(cum, k/K, side="right") counts the cum values <=
+    k/K.  Bucket k is exact when no cum value lies strictly inside (k/K,
+    (k+1)/K); it stores lo[k], and any other bucket stores -1 - lo[k].  Both
+    come from the n values e[i] = ceil(cum[i]*K), cum clipped to 1 and cum*K
+    exact: lo[k] = i on the run of buckets e[i-1] <= k < e[i], and a
+    cum[i]*K that is no integer lies strictly inside bucket e[i] - 1.  So the
+    table costs O(n + K), with no search.
     """
-    # Every bucket and atom index is in range; mode="clip" lets take write to
-    # out unbuffered.  scratch holds the buckets, then the cum values at j.
-    bucket = np.multiply(u, len(lo), out=scratch, casting="unsafe")
-    j = lo.take(bucket, out=out, mode="clip")
+    buckets = min(1 << (64 * len(cum) - 1).bit_length(), GUIDE_CELLS)
+    scaled = np.minimum(cum, 1.0) * buckets  # a float cumsum may pass 1 by a hair
+    ends = np.ceil(scaled)
+    lo = np.repeat(np.arange(len(cum)), np.diff(ends, prepend=0.0).astype(np.intp))
+    flagged = ends[ends != scaled].astype(np.intp) - 1
+    lo[flagged] = -1 - lo[flagged]
+    return lo
+
+
+def _inverse_cdf(cum: np.ndarray, table: np.ndarray, u: np.ndarray, out: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+    """searchsorted(cum, u, side="right") for uniforms u in [0, 1), by the
+    exact-bucket guide table, written to out; out and scratch are intp
+    arrays of u's shape.
+
+    K = len(table) is a power of two, so u*K and k/K are exact, and u lies in
+    [k/K, (k+1)/K) for its bucket k.  In an exact bucket no cum value lies in
+    (k/K, u], so the count of cum <= u is the count of cum <= k/K, the stored
+    lo[k]: one lookup.  A flagged draw starts at lo[k] and steps once if
+    cum[lo[k]] <= u; the draws still short (two or more boundaries at or
+    below u in their bucket) go through searchsorted, in ascending order of
+    u, which numpy resolves several times faster on a large support.
+    """
+    # Every bucket index is in range; mode="clip" lets take write to out
+    # unbuffered.  scratch holds the buckets.
+    bucket = np.multiply(u, len(table), out=scratch, casting="unsafe")
+    j = table.take(bucket, out=out, mode="clip")
     flat_j, flat_u = j.reshape(-1), u.reshape(-1)
-    at_j = cum.take(flat_j, out=scratch.view(np.float64).reshape(-1), mode="clip")
-    short = np.flatnonzero(at_j <= flat_u)  # draws not yet at their atom
-    for _ in range(GUIDE_PASSES):
-        if not len(short):
-            return j
-        flat_j[short] += 1
-        short = short[cum[flat_j[short]] <= flat_u[short]]
-    if len(short):
-        flat_j[short] = np.searchsorted(cum, flat_u[short], side="right")
+    flagged = np.flatnonzero(flat_j < 0)
+    at, at_u = -1 - flat_j[flagged], flat_u[flagged]
+    at += cum[at] <= at_u  # cum[at] <= u < 1 = cum[-1], so at + 1 < n
+    short = np.flatnonzero(cum[at] <= at_u)
+    short = short[np.argsort(at_u[short])]
+    at[short] = np.searchsorted(cum, at_u[short], side="right")
+    flat_j[flagged] = at
     return j
 
 

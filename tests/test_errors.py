@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from missingmass import (
     eps_missing_mass,
     maximize_missing_mass,
     rate_lb,
+    verify_bias,
 )
 from missingmass import cover, distributions
 from missingmass.errors import require_int, require_real, require_reals
@@ -70,6 +73,33 @@ def test_radius_past_the_float_range_is_refused(entry, value):
     with pytest.raises(InvalidInputError, match="radius eps must fit in a float"):
         calls[entry](value)
     calls[entry](math.inf)  # the bound allows inf itself
+
+
+HUGE = -10 ** 5000
+
+
+@pytest.mark.parametrize("entry, name, shown", [
+    ("require_int", "x", f"-<int of {HUGE.bit_length()} bits>"),
+    ("require_real", "x", f"-<int of {HUGE.bit_length()} bits>"),
+    ("require_real-fraction", "x", "<Fraction too long to print>"),
+    ("bound_finite", "support size n", f"-<int of {HUGE.bit_length()} bits>"),
+    ("verify_bias", "seed", f"-<int of {HUGE.bit_length()} bits>"),
+], ids=["require_int", "require_real", "require_real-fraction", "bound_finite", "verify_bias"])
+def test_int_too_long_to_print_is_refused(entry, name, shown):
+    # Python refuses to print an int of more than 4300 digits; the message
+    # names its sign and bit length instead
+    calls = {
+        "require_int": lambda: require_int(HUGE, "x", 1),
+        "require_real": lambda: require_real(HUGE, "x", 0.0, 1.0),
+        "require_real-fraction": lambda: require_real(Fraction(HUGE, 3), "x", 0.0, 1.0),
+        "bound_finite": lambda: bound_finite(HUGE, 3),
+        "verify_bias": lambda: verify_bias(ProbVector.uniform(3), 10, 1000, HUGE),
+    }
+    with pytest.raises(InvalidInputError, match=f"^{name} must ") as err:
+        calls[entry]()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if 0 < limit <= 5000:  # the int has 5001 digits
+        assert str(err.value).endswith(f"got {shown}")
 
 
 def test_require_reals_applies_the_real_type_rule_to_each_item():

@@ -347,6 +347,8 @@ def _random_support(n, seed=0):
 
 # 2^-1, ..., 2^-59 and a second 2^-59: the tiny atoms share one bucket
 GEOMETRIC = ProbVector([0.5 ** k for k in range(1, 60)] + [0.5 ** 59])
+# 300 atoms of 10^-9: hundreds of cumulative boundaries in the first bucket
+TINY = ProbVector([1e-9] * 300 + [1.0 - 3e-7])
 
 
 def _reference_indices(masses, t, replicates, seed):
@@ -360,6 +362,13 @@ def _search(cum, lo, u):
     """_inverse_cdf into fresh buffers."""
     out, scratch = np.empty((2,) + u.shape, np.intp)
     return _inverse_cdf(cum, lo, u, out, scratch)
+
+
+def _steps(cum, table, u):
+    """Each draw's table entry, and how many atoms its answer lies past the
+    first atom of its bucket."""
+    entry = table[(u * len(table)).astype(np.intp)]
+    return entry, np.searchsorted(cum, u, side="right") - np.where(entry < 0, -1 - entry, entry)
 
 
 def _adversarial_uniforms(cum, buckets):
@@ -392,15 +401,26 @@ class TestGuideTable:
 
     def test_engine_on_skewed_support_uses_fallback(self):
         cum = np.cumsum(GEOMETRIC.masses)
-        lo = _guide_table(cum)
+        cum[-1] = 1.0
+        table = _guide_table(cum)
         u = np.random.default_rng(5).random((100, 1000))  # the engine's uniforms below
-        steps = np.searchsorted(cum, u, side="right") - lo[(u * len(lo)).astype(np.intp)]
-        assert steps.max() > sampling.GUIDE_PASSES  # some draws reach searchsorted
+        entry, steps = _steps(cum, table, u)
+        assert (steps[entry >= 0] == 0).all()  # an exact bucket is one lookup
+        assert steps[entry < 0].max() > 1  # some flagged draws reach searchsorted
         self._check_engine(GEOMETRIC, t=1000)
 
     @pytest.mark.parametrize("passes", [0, 1, 64])
-    def test_any_pass_count(self, monkeypatch, passes):
-        monkeypatch.setattr(sampling, "GUIDE_PASSES", passes)
+    def test_any_pass_count(self, passes):
+        # draws `passes` atoms past their bucket's first atom: resolved by the
+        # lookup (0), by the one step (1), and by searchsorted (64 and more)
+        cum = np.cumsum(TINY.masses)
+        cum[-1] = 1.0
+        table = _guide_table(cum)
+        u = _adversarial_uniforms(cum, len(table))
+        steps = _steps(cum, table, u)[1]
+        u = u[steps == passes] if passes < 64 else u[steps >= passes]
+        assert len(u)
+        assert np.array_equal(_search(cum, table, u), np.searchsorted(cum, u, side="right"))
         self._check_engine(GEOMETRIC, t=200)
         self._check_engine(_random_support(50), t=200)
 
@@ -410,12 +430,44 @@ class TestGuideTable:
         assert len(_guide_table(cum)) == 4
         self._check_engine(_random_support(2000))
 
+    def test_cumsum_past_one_before_the_last_atom(self):
+        # the masses sum to 1 within the tolerance, and the cumsum passes 1
+        # one atom early; the last atom then has no draws
+        cloud = PointCloud([0.5, 0.5 + 1e-13, 1e-20], coords=[[0.0], [1.0], [2.0]])
+        assert np.cumsum(cloud.masses)[1] > 1.0
+        self._check_engine(cloud)
+
     @pytest.mark.parametrize("n, buckets", [
-        (1, 4), (2, 8), (3, 16), (1000, 4096), (16_384, GUIDE_CELLS), (20_000, GUIDE_CELLS),
+        (1, 64), (2, 128), (3, 256), (100, 8192), (1000, GUIDE_CELLS), (16_384, GUIDE_CELLS),
+        (20_000, GUIDE_CELLS),
     ])
     def test_table_size(self, n, buckets):
-        # the next power of two >= 4n, capped
+        # the next power of two >= 64n, capped
         assert len(_guide_table(np.linspace(1.0 / n, 1.0, n))) == buckets
+
+    @pytest.mark.parametrize("d, cells, on_edges", [
+        (_random_support(5), GUIDE_CELLS, False), (_random_support(2000), GUIDE_CELLS, False),
+        (ProbVector.uniform(4), GUIDE_CELLS, True), (ProbVector.uniform(64), GUIDE_CELLS, True),
+        (TINY, GUIDE_CELLS, False), (GEOMETRIC, GUIDE_CELLS, False),
+        (_random_support(50), 16, False), (ProbVector.uniform(64), 16, False),
+    ], ids=["random5", "random2000", "uniform4", "uniform64", "tiny", "geometric",
+            "random50-cap16", "uniform64-cap16"])
+    def test_entries_follow_the_definition(self, monkeypatch, d, cells, on_edges):
+        # lo and hi count the cum values <= k/K and < (k+1)/K; the bucket is
+        # exact when they agree, that is when no cum value lies inside it
+        monkeypatch.setattr(sampling, "GUIDE_CELLS", cells)
+        cum = np.cumsum(d.masses)
+        cum[-1] = 1.0
+        table = _guide_table(cum)
+        buckets = len(table)
+        assert buckets == min(1 << (64 * len(cum) - 1).bit_length(), cells)
+        lo = np.searchsorted(cum, np.arange(buckets) / buckets, side="right")
+        hi = np.searchsorted(cum, np.arange(1, buckets + 1) / buckets, side="left")
+        assert table.dtype == np.intp
+        assert np.array_equal(table, np.where(lo == hi, lo, -1 - lo))
+        # dyadic masses put every cum value on an edge k/K: no bucket is flagged
+        assert np.isin(cum, np.arange(buckets + 1) / buckets).all() == on_edges
+        assert (table >= 0).all() == on_edges
 
     @pytest.mark.parametrize("d", [
         ProbVector([1.0]), ProbVector.uniform(4), ProbVector.uniform(64),
@@ -579,3 +631,47 @@ class TestMcReportJson:
         obj = rep.to_json_obj()
         assert "exceed_freq" not in obj
         assert {"estimate", "std_error", "replicates", "seed"} <= set(obj)
+
+
+# The README's CLI tour, run in process by the import guard below.
+README_TOUR = [
+    "emm --family uniform --n 10 --t 10",
+    "emm --family dyadic-blocks --a 3 --t-grid 1:100:10 --format csv",
+    "bounds --family uniform --n 20 --t-grid 5,20,80",
+    "extremal --n 10 --t 1000",
+    "tau --n 3,10,100",
+    "construct --kind tight-finite --n 3 --t 5",
+    "construct --kind rate-lb --target inverse-log --t-max 200",
+    "gt --family uniform --n 2 --t 2",
+    "simulate --mode bias --family uniform --n 50 --t 100 --replicates 100000 --seed 1",
+    "simulate --mode concentration --family uniform --n 20 --t 100 --eps 0.3",
+    "cover --cloud cloud.json --eps 0.5 --t 10 --exact",
+    "oracle --t 40 --grid-step 0.001",
+]
+
+
+def test_no_lazy_numpy_ma_import(tmp_path):
+    # some numpy functions (np.unique among them) import numpy.ma on their
+    # first call, which costs every process milliseconds and memory
+    code = f"""
+import contextlib, io, sys
+import missingmass as mm
+from missingmass import cli
+d = mm.ProbVector([0.05, 0.1, 0.15, 0.2, 0.5])
+c = mm.PointCloud([0.25] * 4, coords=[[0.0], [0.3], [1.0], [1.2]])
+mm.verify_bias(d, 9, 1000, 3)
+mm.verify_concentration(d, 9, 0.3, 10000, 3)
+mm.draw_sample(d, 100, 3)
+mm.mc_eps_missing_mass(c, 3, 0.35, 1000, 4)
+with open("cloud.json", "w") as f:
+    f.write('{{"points": [[0], [0.3], [1], [1.2]], "masses": [0.25, 0.25, 0.25, 0.25]}}')
+for argv in {README_TOUR!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv.split()) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    package_root = os.path.dirname(os.path.dirname(sampling.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         cwd=tmp_path, check=True, capture_output=True, text=True)
+    assert run.stdout == "False\n"
