@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, cover, extremal, mass, sampling
-from .distributions import BlockVector, CountableFamily, ProbVector
+from .distributions import BlockVector, CountableFamily, ProbVector, Truncation
 from .errors import MissingMassError
 from .mass import DEFAULT_COUNTABLE_C, DEFAULT_TOL
 
@@ -46,12 +46,14 @@ def _dist_flags(sub: argparse.ArgumentParser, countable: bool = True) -> None:
                      help="distribution file (.json array / blocks object, or .csv)")
 
 
-def _load_distribution(args) -> ProbVector | BlockVector | CountableFamily:
+def _load_distribution(args) -> ProbVector | BlockVector | CountableFamily | Truncation:
     if args.dist is not None:
         text = args.dist.read_text()
         if args.dist.suffix.lower() == ".csv":
             return ProbVector.from_csv_text(text)
         obj = json.loads(text)
+        if isinstance(obj, dict) and obj.get("family") == "explicit":
+            return Truncation.from_json_obj(obj)
         if isinstance(obj, dict) and "family" in obj:
             return CountableFamily.from_json_obj(obj)
         if isinstance(obj, dict) and "blocks" in obj:
@@ -153,9 +155,10 @@ def _cmd_bounds(args) -> int:
     ts = _parse_t_values(args)
     rows = []
     ok_all = True
-    if isinstance(d, CountableFamily):
+    if isinstance(d, (CountableFamily, Truncation)):
         from .distributions import plateau_length, truncate
-        trunc = truncate(d, args.tol)
+        # listed atoms are used as they are; only a closed-form family is cut at --tol
+        trunc = truncate(d, args.tol) if isinstance(d, CountableFamily) else d
         ell = plateau_length(trunc)
         for t in ts:
             lo, hi = mass.expected_missing_mass_interval(trunc, t)
@@ -221,23 +224,20 @@ def _rate_targets(args) -> list[float]:
         raise MissingMassError("rate-lb needs --t-max (or --r-file)")
     if args.target == "inverse-log":
         return constructions.inverse_log_targets(args.t_max)
-    return constructions.geometric_targets(args.t_max, args.ratio, args.scale)
+    return constructions.geometric_targets(args.t_max)
 
 
 def _cmd_gt(args) -> int:
     d = _load_distribution(args)
-    if isinstance(d, CountableFamily):
+    if isinstance(d, (CountableFamily, Truncation)):
         raise MissingMassError("gt needs a finite distribution")
     t = args.t
-    est = mass.gt_expected_estimate(d, t)
-    emm = mass.expected_missing_mass(d, t)
-    single = mass.singleton_mass_expectation(d, t)
     _emit(args, {
         "t": t,
-        "gt_expected": est,
-        "expected_missing_mass": emm,
-        "bias": est - emm,
-        "singleton_over_t": single / t,
+        "gt_expected": mass.gt_expected_estimate(d, t),
+        "expected_missing_mass": mass.expected_missing_mass(d, t),
+        "bias": mass.gt_bias(d, t),
+        "singleton_over_t": mass.singleton_mass_expectation(d, t) / t,
     })
     return EXIT_OK
 
@@ -251,7 +251,7 @@ def _cmd_simulate(args) -> int:
         )
     else:
         d = _load_distribution(args)
-        if isinstance(d, CountableFamily):
+        if isinstance(d, (CountableFamily, Truncation)):
             raise MissingMassError("simulation needs a finite distribution")
         if args.mode == "bias":
             report = sampling.verify_bias(d, args.t, args.replicates, args.seed)
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--t-grid", help="START:STOP[:STEP] (inclusive) or comma list")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"truncation tolerance of a countable family (default {DEFAULT_TOL:g})")
+                   help=f"truncation tolerance of a closed-form family (default {DEFAULT_TOL:g})")
     _common_flags(p)
     p.set_defaults(handler=_cmd_emm)
 
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--t-grid")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"truncation tolerance of a countable family (default {DEFAULT_TOL:g})")
+                   help=f"truncation tolerance of a closed-form family (default {DEFAULT_TOL:g})")
     _common_flags(p)
     p.set_defaults(handler=_cmd_bounds)
 
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("inverse-log", "geometric"),
                    default="inverse-log")
     p.add_argument("--t-max", type=int)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--scale", type=float, default=0.9)
     p.add_argument("--r-file", type=Path, help="JSON array of target rates")
     _common_flags(p)
     p.set_defaults(handler=_cmd_construct)

@@ -55,12 +55,10 @@ def inverse_log_targets(t_max: int) -> list[float]:
     return [1.0 / math.log(t + 2) for t in range(1, t_max + 1)]
 
 
-def geometric_targets(t_max: int, ratio: float = 0.5, scale: float = 0.9) -> list[float]:
-    """Rapidly vanishing targets r_t = scale * ratio^t."""
+def geometric_targets(t_max: int) -> list[float]:
+    """Rapidly vanishing targets r_t = 0.9 * 0.5^t."""
     t_max = require_int(t_max, "horizon t_max", 1)
-    require_real(ratio, "ratio", 0.0, 1.0, "()")
-    require_real(scale, "scale", 0.0, 1.0, "()")
-    return [scale * ratio ** t for t in range(1, t_max + 1)]
+    return [0.9 * 0.5 ** t for t in range(1, t_max + 1)]
 
 
 def rate_lb(targets) -> BlockVector:

@@ -5,13 +5,14 @@ distinct masses ``m`` and their multiplicities ``c``, both read-only numpy
 arrays, built by one function from masses checked by one validator
 (``validate_masses``, which ``cover.PointCloud`` shares).  ``ProbVector`` (a probability
 vector given atom by atom), ``BlockVector`` (equal-mass blocks, for supports
-blown up by factors of 2^k) and ``Truncation`` (a finite prefix of a
-countable family plus its tail bound) are thin front doors onto that form:
-they differ in how they are built and serialized, not in how they are
-evaluated.  ``CountableFamily`` covers the built-in infinite families
-through an exact term function plus an analytic tail bound, so every
-downstream expectation can be reported as an interval rather than a silently
-truncated number.
+blown up by factors of 2^k) and ``Truncation`` (listed atoms plus a bound on
+the mass of the atoms not listed: a prefix ``truncate`` cut from a countable
+family, or an explicit list given directly or in a JSON file) are thin front
+doors onto that form: they differ in how they are built and serialized, not
+in how they are evaluated.  ``CountableFamily`` covers the built-in infinite
+families (geometric, dyadic-blocks) through an exact term function plus an
+analytic tail bound, so every downstream expectation can be reported as an
+interval rather than a silently truncated number.
 """
 
 from __future__ import annotations
@@ -225,23 +226,38 @@ class BlockVector(_Runs):
 
 
 class Truncation(_Runs):
-    """A finite prefix of a countable family plus its analytic tail bound.
+    """Listed atoms plus a bound ``tail`` on the total mass of the rest.
 
-    The prefix masses sum to at most 1; ``tail`` bounds everything omitted.
-    ``plateau_adequate`` records whether the prefix provably realizes the
-    family's plateau structure: ``truncate`` sets it, and a prefix built
-    directly takes the conservative rule tail <= smallest retained mass.
+    The listed masses sum to at most 1, and to at least 1 with the tail.
+    ``plateau_adequate`` records whether the listed atoms provably realize
+    the plateau length of the whole support.  ``truncate`` proves it for a
+    closed-form family's prefix.  Built directly, a Truncation is adequate
+    only when its tail is 0: atoms that are not listed, however little mass
+    they carry, can put any number of atoms into one band.
     """
 
-    __slots__ = ("tail", "source", "plateau_adequate")
+    __slots__ = ("tail", "plateau_adequate")
 
     def __init__(self, masses, tail: float):
         self.m, self.c = _runs(masses, tail=tail)
-        self.tail, self.source = tail, ""
-        self.plateau_adequate = tail <= self.min_mass
+        self.tail, self.plateau_adequate = tail, tail == 0
 
     def _key(self) -> tuple:
-        return (self.blocks, self.tail, self.source, self.plateau_adequate)
+        return (self.blocks, self.tail, self.plateau_adequate)
+
+    @staticmethod
+    def from_json_obj(obj) -> "Truncation":
+        """Every atom of ``{"family": "explicit", "params": {"masses": [...],
+        "tail_bound": b}}`` (``tail_bound`` 0 when not given)."""
+        if not isinstance(obj, dict) or obj.get("family") != "explicit":
+            raise InvalidInputError('Truncation JSON must carry "family": "explicit"')
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidInputError("explicit 'params' must be a JSON object")
+        masses = params.get("masses")
+        if not isinstance(masses, list):
+            raise InvalidInputError("explicit 'masses' must be a JSON array of numbers")
+        return Truncation(masses, params.get("tail_bound", 0.0))
 
 
 @dataclass(frozen=True)
@@ -249,16 +265,16 @@ class CountableFamily:
     """A built-in countably supported family with an exact tail bound.
 
     Only closed-form families are admitted (arbitrary user term functions
-    cannot guarantee a valid tail bound): ``geometric``, ``dyadic-blocks``,
-    and an ``explicit`` list-plus-tail-bound variant (``tail_bound`` 0 when
-    not given).  A truncation tolerance is passed with each call, not held.
+    cannot guarantee a valid tail bound): ``geometric`` and ``dyadic-blocks``.
+    Listed atoms with a tail bound are a ``Truncation``.  A truncation
+    tolerance is passed with each call, not held.
     Families are equal and hash alike by kind and canonical params.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    KINDS = ("geometric", "dyadic-blocks", "explicit")
+    KINDS = ("geometric", "dyadic-blocks")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -267,18 +283,12 @@ class CountableFamily:
         if self.kind == "geometric":
             ratio = require_real(self.params.get("ratio"), "geometric ratio", 0.0, 1.0, "()")
             params = {"ratio": float(ratio)}
-        elif self.kind == "dyadic-blocks":
-            params = {"a": require_int(self.params.get("a"), "dyadic-blocks width a", 2)}
         else:
-            # the listed masses are a truncation prefix, the tail bound its tail
-            tail = self.params.get("tail_bound", 0.0)
-            m, _ = validate_masses(self.params.get("masses") or (), tail=tail)
-            params = {"masses": tuple(m.tolist()), "tail_bound": float(tail)}
+            params = {"a": require_int(self.params.get("a"), "dyadic-blocks width a", 2)}
         object.__setattr__(self, "params", params)
 
     def __hash__(self) -> int:
-        # params is a dict, but canonical: the same keys in the same order,
-        # each value a float, an int or a tuple of floats
+        # params is a dict, but canonical: one key, a float or an int
         return hash((self.kind, tuple(self.params.items())))
 
     # -- constructors --
@@ -291,10 +301,6 @@ class CountableFamily:
     def dyadic_blocks(a: int) -> "CountableFamily":
         return CountableFamily("dyadic-blocks", {"a": a})
 
-    @staticmethod
-    def explicit(masses, tail_bound: float = 0.0) -> "CountableFamily":
-        return CountableFamily("explicit", {"masses": masses, "tail_bound": tail_bound})
-
     # -- the defining functions --
 
     def term(self, i: int) -> float:
@@ -303,46 +309,30 @@ class CountableFamily:
         if self.kind == "geometric":
             r = self.params["ratio"]
             return (1.0 - r) * r ** (i - 1)
-        if self.kind == "dyadic-blocks":
-            a = self.params["a"]
-            k = (i - 1) // a + 1
-            return 0.5 ** k / a
-        masses = self.params["masses"]
-        if i > len(masses):
-            raise InvalidInputError(
-                f"explicit family lists {len(masses)} atoms, atom {i} is unknown"
-            )
-        return masses[i - 1]
+        a = self.params["a"]
+        k = (i - 1) // a + 1
+        return 0.5 ** k / a
 
     def tail_mass(self, n_kept: int) -> float:
         """Upper bound on the total mass of atoms beyond the first ``n_kept``."""
         n_kept = require_int(n_kept, "truncation index", 0)
         if self.kind == "geometric":
             return self.params["ratio"] ** n_kept
-        if self.kind == "dyadic-blocks":
-            a = self.params["a"]
-            full, part = divmod(n_kept, a)
-            # remaining atoms of block full+1, then the 2^-(full+1) geometric tail
-            return (a - part) * 0.5 ** (full + 1) / a + 0.5 ** (full + 1)
-        masses = self.params["masses"]
-        bound = self.params["tail_bound"]
-        return exact_sum(np.array(masses[n_kept:], dtype=float)) + bound
+        a = self.params["a"]
+        full, part = divmod(n_kept, a)
+        # remaining atoms of block full+1, then the 2^-(full+1) geometric tail
+        return (a - part) * 0.5 ** (full + 1) / a + 0.5 ** (full + 1)
 
     @property
     def descriptor(self) -> str:
         if self.kind == "geometric":
             return f"geometric(ratio={self.params['ratio']})"
-        if self.kind == "dyadic-blocks":
-            return f"dyadic-blocks(a={self.params['a']})"
-        return f"explicit({len(self.params['masses'])} atoms)"
+        return f"dyadic-blocks(a={self.params['a']})"
 
     # -- serialization --
 
     def to_json_obj(self) -> dict:
-        params = dict(self.params)
-        if self.kind == "explicit":
-            params["masses"] = list(params["masses"])
-        return {"family": self.kind, "params": params}
+        return {"family": self.kind, "params": dict(self.params)}
 
     @staticmethod
     def from_json_obj(obj) -> "CountableFamily":
@@ -352,8 +342,6 @@ class CountableFamily:
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise InvalidInputError("family 'params' must be a JSON object")
-        if "masses" in params and not isinstance(params["masses"], list):
-            raise InvalidInputError("family 'masses' must be a JSON array of numbers")
         return CountableFamily(obj["family"], params)
 
 
@@ -369,16 +357,15 @@ def truncate(family: CountableFamily, tol: float) -> Truncation:
         raise InsufficientTruncationError(
             f"{family.descriptor}: tail does not reach {tol} within {TRUNCATE_MAX_ATOMS} atoms"
         )
-    lo, hi = 0, 1
-    while family.tail_mass(hi) > tol:
-        hi *= 2
-    while lo < hi:  # smallest N with tail_mass(N) <= tol
-        mid = (lo + hi) // 2
+    lo, n_kept = 1, 1  # tail_mass(0) is 1, above every tol
+    while family.tail_mass(n_kept) > tol:
+        n_kept *= 2
+    while lo < n_kept:  # smallest N with tail_mass(N) <= tol
+        mid = (lo + n_kept) // 2
         if family.tail_mass(mid) <= tol:
-            hi = mid
+            n_kept = mid
         else:
             lo = mid + 1
-    n_kept = max(hi, 1)
     # one run per block of equal atoms: a dyadic-blocks prefix is a few dozen
     # runs however many atoms it holds
     step = family.params["a"] if family.kind == "dyadic-blocks" else 1
@@ -390,11 +377,9 @@ def truncate(family: CountableFamily, tol: float) -> Truncation:
         # a prefix this long realizes the family's densest factor-2 band
         ratio = family.params["ratio"]
         adequate = n_kept >= math.ceil(math.log(2.0) / math.log(1.0 / ratio)) + 1
-    elif family.kind == "dyadic-blocks":
-        adequate = n_kept >= family.params["a"]  # first block fully retained
     else:
-        adequate = tail <= trunc.min_mass
-    trunc.tail, trunc.source, trunc.plateau_adequate = tail, family.descriptor, adequate
+        adequate = n_kept >= family.params["a"]  # first block fully retained
+    trunc.tail, trunc.plateau_adequate = tail, adequate
     return trunc
 
 
@@ -407,8 +392,8 @@ def plateau_length(d: ProbVector | BlockVector | Truncation) -> int:
     """
     if isinstance(d, Truncation) and not d.plateau_adequate:
         raise InsufficientTruncationError(
-            "truncation too coarse: the retained prefix does not provably "
-            "realize the family's plateau structure"
+            f"plateau length unproven: the atoms not listed (mass up to {d.tail!r}) "
+            "can put any number of atoms into one band"
         )
     prefix = np.concatenate(([0], np.cumsum(d.c)))
     hi = np.searchsorted(d.m, 2.0 * d.m, side="left")

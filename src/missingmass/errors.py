@@ -27,7 +27,8 @@ class InvalidInputError(MissingMassError, ValueError):
 
 
 class InsufficientTruncationError(InvalidInputError):
-    """A countable family was truncated too coarsely for the requested operation."""
+    """Listed atoms, or a countable family truncated at a tolerance, too coarse
+    for the requested operation."""
 
 
 class ConstructionFailedError(MissingMassError):

@@ -315,8 +315,6 @@ def is_violation(excess: float, se: float, estimate: float, reference: float) ->
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     r = len(values)
     mean = exact_sum(values) / r
-    if r < 2:
-        return mean, 0.0
     var = exact_sum((values - mean) ** 2) / (r - 1)
     return mean, math.sqrt(var / r)
 

@@ -102,6 +102,49 @@ class TestEmm:
         assert json.loads(out)["value"] == 0.5
 
 
+class TestListedAtoms:
+    """An explicit file loads as a Truncation: every listed atom is kept and
+    --tol is not applied; ell is claimed only when nothing is left unlisted."""
+
+    TINY = {"masses": [0.999999999999] + [1e-15] * 1000}  # 1000 atoms in one band
+    TAIL = {"masses": [0.5, 0.25], "tail_bound": 0.25}
+
+    @staticmethod
+    def _file(tmp_path, params):
+        f = tmp_path / "explicit.json"
+        f.write_text(json.dumps({"family": "explicit", "params": params}))
+        return str(f)
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "0.5"]], ids=["default-tol", "tol-0.5"])
+    def test_every_tiny_atom_counts(self, tmp_path, capsys, tol):
+        f = self._file(tmp_path, self.TINY)
+        code, out, _ = run_cli(capsys, "bounds", "--dist", f, "--t", str(10 ** 15), *tol)
+        assert code == 0
+        row = json.loads(out)
+        assert row["ell"] == 1000
+        assert row["bound_countable"] == 1000 / (0.69 * 10 ** 15)
+        # the 1000 atoms of 1e-15 are each missed with probability about 1/e
+        assert row["lower"] == row["upper"] == pytest.approx(1e-12 / math.e, rel=1e-9)
+        assert row["lower"] > 250 * row["bound_countable"] / 1000  # 250x what ell = 1 claims
+        code, out, _ = run_cli(capsys, "emm", "--dist", f, "--t", str(10 ** 15), *tol)
+        assert code == 0
+        assert json.loads(out) == {"t": 10 ** 15, "value": row["lower"]}
+
+    def test_tail_bound_gives_an_enclosure(self, tmp_path, capsys):
+        f = self._file(tmp_path, self.TAIL)
+        code, out, _ = run_cli(capsys, "emm", "--dist", f, "--t", "3")
+        assert code == 0
+        assert json.loads(out) == {"t": 3, "value": 0.29296875, "lower": 0.16796875,
+                                   "upper": 0.41796875}
+
+    def test_tail_bound_leaves_ell_unproven(self, tmp_path, capsys):
+        f = self._file(tmp_path, self.TAIL)
+        code, out, err = run_cli(capsys, "bounds", "--dist", f, "--t", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("mml bounds: plateau length unproven")
+
+
 class TestExtremalAndTau:
     def test_uniform_regime(self, capsys):
         code, out, _ = run_cli(capsys, "extremal", "--n", "10", "--t", "9")
@@ -389,7 +432,7 @@ class TestOptions:
         "bounds": "a dist family format n out ratio t t_grid tol",
         "extremal": "format n out t",
         "tau": "format n out t_max",
-        "construct": "a format kind n out r_file ratio scale t t_max target",
+        "construct": "a format kind n out r_file t t_max target",
         "gt": "dist family format n out t",
         "simulate": "cloud dist eps family format mode n out replicates seed t",
         "cover": "cloud eps exact format out t",
@@ -402,7 +445,7 @@ class TestOptions:
         got = {name: sorted(a.dest for a in p._actions if not isinstance(a, argparse._HelpAction))
                for name, p in sub.choices.items()}
         assert got == {name: dests.split() for name, dests in self.DESTS.items()}
-        assert sum(len(dests) for dests in got.values()) == 66
+        assert sum(len(dests) for dests in got.values()) == 64
 
     @pytest.mark.parametrize("argv,message", [
         (["tau", "--n", "3", "--seed", "1"], "unrecognized arguments"),
@@ -484,11 +527,13 @@ GEOMETRIC_FAMILY = {"family": "geometric", "params": {"ratio": 0.5}}
 
 @pytest.fixture
 def files(tmp_path):
-    """A three-point cloud, a family file and a rate file that is no array."""
+    """A three-point cloud, a family file, an explicit file and a rate file that
+    is no array."""
     paths = {"cloud": tmp_path / "line3.json", "family": tmp_path / "family.json",
-             "rates": tmp_path / "rates.json"}
+             "explicit": tmp_path / "explicit.json", "rates": tmp_path / "rates.json"}
     paths["cloud"].write_text(json.dumps(LINE3))
     paths["family"].write_text(json.dumps(GEOMETRIC_FAMILY))
+    paths["explicit"].write_text('{"family": "explicit", "params": {"masses": [0.5, 0.5]}}')
     paths["rates"].write_text('{"rates": [0.5, 0.25]}')
     return {k: str(v) for k, v in paths.items()}
 
@@ -508,6 +553,9 @@ class TestUsageBranches:
          "mml construct: --r-file must hold a JSON array of rates"),
         ("gt --dist {family} --t 3", "mml gt: gt needs a finite distribution"),
         ("simulate --mode bias --dist {family} --t 3 --replicates 1000",
+         "mml simulate: simulation needs a finite distribution"),
+        ("gt --dist {explicit} --t 3", "mml gt: gt needs a finite distribution"),
+        ("simulate --mode bias --dist {explicit} --t 3 --replicates 1000",
          "mml simulate: simulation needs a finite distribution"),
         ("simulate --mode concentration --family uniform --n 5 --t 3 --replicates 10000",
          "mml simulate: concentration needs --eps"),
@@ -595,10 +643,11 @@ class TestCsvOutput:
         assert cell == " ".join(repr(pair) for pair in json.loads(out)["blocks"])
 
     def test_explicit_family_params(self):
-        fam = CountableFamily("explicit", {"masses": [0.5, 0.25], "tail_bound": 0.25})
+        fam = CountableFamily("dyadic-blocks", {"a": 5})
         rows = list(csv.reader(io.StringIO(_dict_to_csv(fam.to_json_obj()))))
-        assert rows == [["family", "explicit"], ["params", json.dumps(fam.to_json_obj()["params"])]]
-        assert json.loads(rows[1][1]) == {"masses": [0.5, 0.25], "tail_bound": 0.25}
+        assert rows == [["family", "dyadic-blocks"],
+                        ["params", json.dumps(fam.to_json_obj()["params"])]]
+        assert json.loads(rows[1][1]) == {"a": 5}
 
     def test_dict_cells_are_json(self, capsys):
         _, text, _ = run_cli(capsys, "construct", "--kind", "tight-countable", "--a", "3",

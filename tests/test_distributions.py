@@ -188,9 +188,9 @@ class TestRunLengthCore:
         assert trunc != ProbVector([0.5, 0.25, 0.25])
         from_family = truncate(CountableFamily.geometric(0.5), 0.25)
         assert from_family.blocks == ((0.25, 1), (0.5, 1)) and from_family.tail == 0.25
-        assert from_family != trunc  # the source and the plateau flag differ
-        assert from_family._key() == (trunc.blocks, 0.25, "geometric(ratio=0.5)",
-                                      from_family.plateau_adequate)
+        assert from_family.plateau_adequate and not trunc.plateau_adequate
+        assert from_family != trunc  # only the plateau flag differs
+        assert from_family._key() == (trunc.blocks, 0.25, True)
 
     @pytest.mark.parametrize("loader, obj, message", [
         (ProbVector.from_json_obj, {"masses": [1.0]}, "array of numbers"),
@@ -199,8 +199,18 @@ class TestRunLengthCore:
         (BlockVector.from_json_obj, [[1.0, 1]], "blocks"),
         (CountableFamily.from_json_obj, {"params": {"ratio": 0.5}}, "'family' key"),
         (CountableFamily.from_json_obj, ["geometric"], "'family' key"),
+        (Truncation.from_json_obj, [0.5, 0.5], '"family": "explicit"'),
+        (Truncation.from_json_obj, {"family": "geometric", "params": {"ratio": 0.5}},
+         '"family": "explicit"'),
+        (Truncation.from_json_obj, {"family": "explicit", "params": [0.5, 0.5]},
+         "explicit 'params' must be a JSON object"),
+        (Truncation.from_json_obj, {"family": "explicit", "params": {}},
+         "explicit 'masses' must be a JSON array"),
+        (Truncation.from_json_obj, {"family": "explicit", "params": {"masses": 0.5}},
+         "explicit 'masses' must be a JSON array"),
     ], ids=["prob-object", "prob-number", "block-no-key", "block-list", "family-no-key",
-            "family-list"])
+            "family-list", "explicit-list", "explicit-other-family", "explicit-params-list",
+            "explicit-no-masses", "explicit-masses-number"])
     def test_json_shape_rejected(self, loader, obj, message):
         with pytest.raises(InvalidInputError, match=message):
             loader(obj)
@@ -239,6 +249,20 @@ class TestPlateauLength:
         assert not t.plateau_adequate
         with pytest.raises(InsufficientTruncationError):
             plateau_length(t)
+
+    def test_listed_atoms_are_all_counted(self):
+        # 1000 atoms of 1e-15 share one band; all of them are listed
+        trunc = Truncation.from_json_obj(
+            {"family": "explicit", "params": {"masses": [0.999999999999] + [1e-15] * 1000}})
+        assert trunc.n == 1001 and trunc.tail == 0.0 and trunc.plateau_adequate
+        assert plateau_length(trunc) == 1000
+
+    def test_direct_truncation_with_a_tail_is_refused(self):
+        # the unlisted 1e-13 could be any number of atoms in one band
+        trunc = Truncation((0.5, 0.5 - 1e-13), 1e-13)
+        assert not trunc.plateau_adequate
+        with pytest.raises(InsufficientTruncationError, match="plateau length unproven"):
+            plateau_length(trunc)
 
 
 class TestDoubling:
@@ -306,19 +330,22 @@ class TestCountableFamily:
             assert listed + tail >= 1.0 - 1e-12
 
     def test_explicit_family(self):
-        f = CountableFamily.explicit([0.5, 0.25, 0.125], tail_bound=0.125)
-        assert f.term(3) == 0.125
-        assert f.tail_mass(3) == 0.125
-        with pytest.raises(InvalidInputError):
-            f.term(4)
-        with pytest.raises(InvalidInputError):
-            CountableFamily.explicit([0.5], tail_bound=0.25)  # short of mass 1
+        # listed atoms with a tail bound load as a Truncation, every atom kept
+        obj = {"family": "explicit", "params": {"masses": [0.5, 0.25, 0.125], "tail_bound": 0.125}}
+        trunc = Truncation.from_json_obj(obj)
+        assert trunc == Truncation([0.5, 0.25, 0.125], 0.125)
+        assert trunc.masses == (0.125, 0.25, 0.5) and trunc.tail == 0.125
+        with pytest.raises(InvalidInputError, match="unknown family kind 'explicit'"):
+            CountableFamily("explicit", obj["params"])
+        with pytest.raises(InvalidInputError, match="bracket"):  # short of mass 1
+            Truncation.from_json_obj({"family": "explicit",
+                                      "params": {"masses": [0.5], "tail_bound": 0.25}})
 
     def test_json_roundtrip(self):
         for f in [
             CountableFamily.geometric(0.5),
             CountableFamily.dyadic_blocks(4),
-            CountableFamily.explicit([0.75, 0.25]),
+            CountableFamily.geometric(0.75),
         ]:
             assert CountableFamily.from_json_obj(json.loads(json.dumps(f.to_json_obj()))) == f
 
@@ -330,14 +357,14 @@ class TestCountableFamily:
         geo = CountableFamily.geometric(0.5)
         assert hash(geo) == hash(CountableFamily("geometric", {"ratio": 0.5, "unread": 1}))
         assert geo == CountableFamily.from_json_obj(json.loads(json.dumps(geo.to_json_obj())))
-        explicit = CountableFamily.explicit([0.75, 0.25])
-        assert explicit == CountableFamily.explicit((0.75, 0.25), tail_bound=0.0)
-        assert hash(explicit) == hash(CountableFamily.explicit((0.75, 0.25), tail_bound=0.0))
+        dyadic = CountableFamily.dyadic_blocks(3)
+        assert dyadic == CountableFamily("dyadic-blocks", {"a": 3, "unread": [1]})
+        assert hash(dyadic) == hash(CountableFamily("dyadic-blocks", {"a": 3, "unread": [1]}))
         assert geo != CountableFamily.geometric(0.25)
-        assert geo != CountableFamily.explicit([0.5, 0.5])
+        assert dyadic != CountableFamily.dyadic_blocks(4)
         families = {geo, CountableFamily.geometric(0.5), CountableFamily.geometric(0.25),
                     CountableFamily.dyadic_blocks(4), CountableFamily.dyadic_blocks(4),
-                    explicit, CountableFamily.explicit([0.75, 0.25])}
+                    dyadic, CountableFamily.dyadic_blocks(3)}
         assert len(families) == 4
         assert CountableFamily.dyadic_blocks(4) in families
         assert CountableFamily.dyadic_blocks(5) not in families
@@ -350,9 +377,10 @@ class TestTruncate:
         assert trunc.tail == 2.0 ** -20
 
     def test_single_atom_family(self):
-        trunc = truncate(CountableFamily.explicit([1.0]), 0.5)
-        assert trunc.masses == (1.0,)
-        assert trunc.tail == 0.0
+        trunc = truncate(CountableFamily.geometric(0.5), 0.5)
+        assert trunc.masses == (0.5,)
+        assert trunc.tail == 0.5
+        assert not trunc.plateau_adequate  # a band of geometric(0.5) holds up to 2 atoms
 
     def test_dyadic_prefix(self):
         trunc = truncate(CountableFamily.dyadic_blocks(2), 2.0 ** -10)
@@ -366,8 +394,8 @@ class TestTruncate:
             truncate(CountableFamily.geometric(0.5), -1e-3)
 
     def test_unreachable_tolerance(self):
-        f = CountableFamily.explicit([0.5, 0.25], tail_bound=0.25)
-        with pytest.raises(InsufficientTruncationError):
+        f = CountableFamily.geometric(1.0 - 1e-9)  # tail 0.99 after 10^7 atoms
+        with pytest.raises(InsufficientTruncationError, match="within 10000000 atoms"):
             truncate(f, 1e-3)
 
     @pytest.mark.parametrize("t", [1, 3, 7, 20])

@@ -14,6 +14,7 @@ from missingmass import (
     InvalidInputError,
     PointCloud,
     ProbVector,
+    Truncation,
     bound_finite,
     doubling_operator,
     eps_missing_mass,
@@ -148,9 +149,15 @@ class TestLoadersDoNotCoerce:
         with pytest.raises(InvalidInputError, match="masses must be real numbers"):
             BlockVector.from_json_obj({"blocks": [[mass, 1], [0.5, 1]]})
         with pytest.raises(InvalidInputError, match="masses must be real numbers"):
-            CountableFamily.explicit([mass, 0.5])
+            Truncation.from_json_obj({"family": "explicit", "params": {"masses": [mass, 0.5]}})
         with pytest.raises(InvalidInputError, match="masses must be real numbers"):
             PointCloud.from_json_obj({"points": [[0], [1]], "masses": [mass, 0.5]})
+
+    @pytest.mark.parametrize("tail", ["0.25", True])
+    def test_tail_bound(self, tail):
+        with pytest.raises(InvalidInputError, match="tail bound must lie in"):
+            Truncation.from_json_obj(
+                {"family": "explicit", "params": {"masses": [0.5, 0.25], "tail_bound": tail}})
 
     @pytest.mark.parametrize("value", ["0", True])
     def test_cloud_coordinates_and_matrix(self, value):

@@ -7,6 +7,7 @@ import pytest
 
 from missingmass import (
     InvalidInputError,
+    MissingMassError,
     ProbVector,
     ThresholdNotFoundError,
     bivalent_missing_mass,
@@ -21,6 +22,7 @@ from missingmass import (
     uniform_ratio,
     uniform_value,
 )
+from missingmass import extremal
 from missingmass.extremal import _prime, _prime_second, _solve
 from missingmass.numerics import pow_one_minus
 
@@ -299,6 +301,26 @@ class TestThreshold:
         err = ThresholdNotFoundError(7, 99)
         assert err.n == 7 and err.t_max == 99
         assert "n=7" in str(err)
+
+    def test_scan_without_a_win_raises(self, monkeypatch):
+        # a solver whose best value never beats the uniform one
+        monkeypatch.setattr(extremal, "_solve", lambda n, t: (t * 0.0, t * 0.0))
+        with pytest.raises(ThresholdNotFoundError, match="n=10 scanning t up to 60") as exc:
+            find_threshold(10, t_max=60)
+        assert exc.value.n == 10 and exc.value.t_max == 60
+
+    @pytest.mark.parametrize("rows", [None, 7], ids=["one-slice", "slices-of-7"])
+    def test_loss_after_a_win_raises(self, monkeypatch, rows):
+        # wins from t = 20 on, except at t = 30
+        def solve(n, t):
+            return t * 0.0, np.where((t >= 20) & (t != 30), 1.0, 0.0)
+
+        monkeypatch.setattr(extremal, "_solve", solve)
+        if rows is not None:
+            monkeypatch.setattr(extremal, "rows_per_slice", lambda row_bytes: rows)
+        with pytest.raises(MissingMassError, match="win indicator not monotone: "
+                                                   "n=10 wins at t=20 but loses at t=30"):
+            find_threshold(10, t_max=60)
 
     def test_wins_monotone_past_tau(self):
         """maximize_missing_mass agrees with the scan at every scanned t: its

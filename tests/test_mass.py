@@ -424,10 +424,10 @@ class TestCachedKernelTerms:
                 assert _bits([gt_expected_estimate(d, 1)]) == _bits([want])
                 continue
             gt = _reference_sum(d.m, d.c, t - 1)
-            singleton = t * _reference_sum(d.m, d.c, t - 1, k=2)
+            bias = _reference_sum(d.m, d.c, t - 1, k=2)
             got = [expected_missing_mass(d, t), gt_expected_estimate(d, t),
                    singleton_mass_expectation(d, t), gt_bias(d, t)]
-            assert _bits(got) == _bits([want, gt, singleton, gt - want])
+            assert _bits(got) == _bits([want, gt, t * bias, bias])
             got_bands, want_bands = dyadic_bands(d, t), _reference_bands(d, t)
             assert [b[:2] for b in got_bands] == [b[:2] for b in want_bands]
             assert _bits(b[2] for b in got_bands) == _bits(b[2] for b in want_bands)

@@ -200,7 +200,8 @@ class TestExtremeInputs:
         assert 0.0 < trunc.tail <= 5e-324
 
     def test_unsorted_explicit_masses(self):
-        trunc = truncate(CountableFamily.explicit([0.1, 0.5, 0.4]), 1e-9)
+        obj = {"family": "explicit", "params": {"masses": [0.1, 0.5, 0.4]}}
+        trunc = Truncation.from_json_obj(obj)
         assert trunc.blocks == ((0.1, 1), (0.4, 1), (0.5, 1))
         assert trunc.tail == 0.0
 

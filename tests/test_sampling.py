@@ -559,7 +559,7 @@ class TestPinnedValues:
         rep = verify_bias(ProbVector(w / w.sum(), normalize=True), 500, 1000, 17)
         assert json.dumps(rep.to_json_obj()) == (
             '{"estimate": 0.0006328452758564241, "std_error": 0.0009343727903423329, '
-            '"replicates": 1000, "seed": 17, "bound": 0.00045873017100606095, '
+            '"replicates": 1000, "seed": 17, "bound": 0.0004587301710060102, '
             '"violated": false}')
 
     def test_verify_concentration(self):
