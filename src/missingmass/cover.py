@@ -8,6 +8,11 @@ where K is the size of a greedy radius-eps/2 net: its nearest-center cells
 have diameter at most eps (covering_bound_report gives the argument).  A
 farthest-point greedy net certifies N_hat(eps) >= N(eps), and an exact
 set-cover search gives the covering number N(eps) on small clouds.
+
+The Monte Carlo check and the exact cover read the eps-ball mask d <= eps
+as bit rows (_near_words): point j is bit j % 8 of byte j // 8 of a row of
+64-bit words, 8x smaller than the bool mask.  A sample's hit mask is the
+OR of its draws' rows, one word per 64 points.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .distributions import MassSumError, validate_masses
 from .errors import InvalidInputError, require_int, require_real, require_reals, require_t
 from .mass import bound_finite
 from .numerics import exact_sum, pow_one_minus, rows_per_slice
-from .sampling import McReport, is_violation, mean_report, monte_carlo
+from .sampling import McReport, _require_row, is_violation, mean_report, monte_carlo
 
 MATRIX_TOL = 1e-9
 # Largest cloud that exact_covering_number's branch-and-bound accepts.
@@ -271,29 +276,59 @@ def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
     }
 
 
-def _eps_missing_rows(near: np.ndarray, masses: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """eps-missing mass of each row of a (rows, t) index block; near = d <= eps.
+def _near_words(near: np.ndarray) -> np.ndarray:
+    """An (n, n) bool mask as bit rows: an (n, ceil(n/64)) uint64 array.
 
-    The draws are gathered in chunks of columns, each a (rows, columns, n)
-    bool array within SLICE_BYTES (at least one column), and OR-ed into one
-    (rows, n) hit mask, which does not depend on the chunking.
+    Point j of a row is bit j % 8 of the row's byte j // 8 (np.packbits'
+    little bit order), and the padding bits past n are 0.  The words are
+    written and read through their bytes, so byte order does not matter.
     """
-    step = rows_per_slice(idx.shape[0] * near.shape[0])
-    hit = near[idx[:, :step]].any(axis=1)
-    for c in range(step, idx.shape[1], step):
-        hit |= near[idx[:, c:c + step]].any(axis=1)
-    return (~hit * masses).sum(axis=1)
+    n = near.shape[0]
+    words = np.zeros((n, -(-n // 64)), np.uint64)
+    words.view(np.uint8)[:, :-(-n // 8)] = np.packbits(near, axis=1, bitorder="little")
+    return words
+
+
+def _eps_missing_rows(words: np.ndarray, masses: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """eps-missing mass of each row of a (rows, t) index block; words =
+    _near_words(d <= eps).
+
+    The draws' bit rows are gathered in chunks of columns, each a
+    (columns, rows, words) array within SLICE_BYTES (at least one column),
+    and OR-ed into one (rows, words) hit mask, which does not depend on the
+    chunking.  OR and NOT act on each byte alone, so the missed points
+    unpacked from the mask's bytes do not depend on byte order.  Each row
+    then sums, in point order, m for a missed point and +0.0 for a hit one:
+    the summands, and their order, of a bool (rows, n) mask times the
+    masses, so the values are those of the bool mask bit for bit.
+    """
+    rows, t = idx.shape
+    step = rows_per_slice(rows * words.shape[1] * words.itemsize)
+    hit = np.bitwise_or.reduce(words[idx[:, :step].T], axis=0)
+    for c in range(step, t, step):
+        hit |= np.bitwise_or.reduce(words[idx[:, c:c + step].T], axis=0)
+    missed = np.unpackbits(~hit.view(np.uint8), axis=1, count=len(masses), bitorder="little")
+    values = missed.astype(float)
+    values *= masses
+    return values.sum(axis=1)
 
 
 def mc_eps_missing_mass(
     cloud: PointCloud, t: int, eps: float, replicates: int, seed: int
 ) -> McReport:
-    """Monte Carlo mean eps-missing mass, checked against the closed form."""
+    """Monte Carlo mean eps-missing mass, checked against the closed form.
+
+    The arguments, and a row of max(t, n) cells past MAX_ROW_CELLS, are
+    refused before the eps-ball mask is built.
+    """
     require_int(replicates, "eps-missing-mass replicates", 1000)
     require_real(eps, "radius eps", 0.0, math.inf, "(]")
-    near = cloud.distances() <= eps
+    require_t(t)
+    require_int(seed, "seed", 0)
+    _require_row(t, cloud.n)
+    words = _near_words(cloud.distances() <= eps)
     values = monte_carlo(
-        cloud.masses, t, replicates, seed, lambda idx: _eps_missing_rows(near, cloud.masses, idx)
+        cloud.masses, t, replicates, seed, lambda idx: _eps_missing_rows(words, cloud.masses, idx)
     )
     return mean_report(values, expected_eps_missing_mass(cloud, t, eps), seed)
 
@@ -307,13 +342,8 @@ def exact_covering_number(cloud: PointCloud, eps: float) -> int:
             f"exact cover is limited to {EXACT_COVER_LIMIT} points, cloud has {cloud.n}"
         )
     best = greedy_eps_net(cloud, eps).size  # valid upper bound to prune against
-    d = cloud.distances()
-    sets = []
-    for i in range(cloud.n):
-        mask = 0
-        for j in np.flatnonzero(d[i] <= eps):
-            mask |= 1 << int(j)
-        sets.append(mask)
+    sets = [int.from_bytes(row.tobytes(), "little")
+            for row in _near_words(cloud.distances() <= eps)]
     full = (1 << cloud.n) - 1
 
     def search(uncovered: int, depth: int) -> None:

@@ -429,7 +429,8 @@ class TestMcEpsMissingMass:
 
     def test_memory_bounded_on_large_cloud(self):
         # a whole block's (rows, t, n) gather of ball hits would be 32 MB
-        # here; the 1 MB ball matrix and 512 KB gathers fit in 4 MB
+        # here; the 1 MB ball mask, its 128 KB of bit rows and 512 KB
+        # gathers fit in 2 MB
         cloud = random_cloud(np.random.default_rng(5), 1000, 2)
         cloud.distances()  # cached before tracing: the 8 MB matrix is the input
         tracemalloc.start()
@@ -438,7 +439,7 @@ class TestMcEpsMissingMass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert peak < 2 * 2 ** 20
         assert rep.violated is False
 
 

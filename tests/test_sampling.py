@@ -29,7 +29,7 @@ from missingmass import (
     verify_concentration,
 )
 from missingmass import numerics, sampling
-from missingmass.cover import _eps_missing_rows
+from missingmass.cover import _eps_missing_rows, _near_words
 from missingmass.sampling import (
     GUIDE_CELLS,
     MAX_ROW_CELLS,
@@ -259,8 +259,8 @@ class TestMonteCarlo:
         bias = stats.bias(idx)
         coords = [[0.0], [0.3], [0.5], [1.1], [1.2]]
         cloud = PointCloud(masses, coords=coords)
-        near = cloud.distances() <= 0.25
-        eps_missing = _eps_missing_rows(near, cloud.masses, idx)
+        words = _near_words(cloud.distances() <= 0.25)
+        eps_missing = _eps_missing_rows(words, cloud.masses, idx)
         for i, row in enumerate(idx):
             sc = SampleCounts(t, tuple(np.bincount(row, minlength=self.D.n).tolist()), "d", seed)
             assert abs(missing[i] - empirical_missing_mass(self.D, sc)) <= 1e-15
@@ -270,12 +270,27 @@ class TestMonteCarlo:
     def test_eps_rows_do_not_depend_on_column_chunks(self, monkeypatch):
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.exponential(size=40), coords=rng.random((40, 2)), normalize=True)
-        near = cloud.distances() <= 0.1
+        words = _near_words(cloud.distances() <= 0.1)
         idx = monte_carlo(cloud.masses, 30, 64, 5, lambda idx: idx.copy())
-        whole = _eps_missing_rows(near, cloud.masses, idx)
-        for budget in (1, 64 * 40 * 7):  # one draw column per gather, then seven
+        whole = _eps_missing_rows(words, cloud.masses, idx)
+        for budget in (1, 64 * 8 * 7):  # one draw column per gather, then seven
             monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
-            assert _eps_missing_rows(near, cloud.masses, idx).tolist() == whole.tolist()
+            assert _eps_missing_rows(words, cloud.masses, idx).tolist() == whole.tolist()
+
+    @pytest.mark.parametrize("budget", [1, 64, None], ids=["1", "64", "default"])
+    @pytest.mark.parametrize("t", [1, 3, 30])
+    @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 127, 128, 129, 200])
+    def test_eps_rows_match_bool_mask_reference(self, monkeypatch, n, t, budget):
+        # bit rows across byte and word edges give the bool mask's sums bit for bit
+        rng = np.random.default_rng(n)
+        cloud = PointCloud(rng.exponential(size=n), coords=rng.random((n, 2)), normalize=True)
+        near = cloud.distances() <= 0.3
+        idx = monte_carlo(cloud.masses, t, 50, 3, lambda idx: idx.copy())
+        reference = (~near[idx].any(axis=1) * cloud.masses).sum(axis=1)
+        if budget is not None:
+            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
+        rows = _eps_missing_rows(_near_words(near), cloud.masses, idx)
+        assert rows.tolist() == reference.tolist()
 
 
 class TestTypeCheck:
@@ -312,19 +327,27 @@ class TestRowCap:
     """A Monte Carlo row of max(t, n) cells past MAX_ROW_CELLS is refused
     before the engine allocates a buffer or a sampler expands the runs."""
 
-    @pytest.mark.parametrize("d, t", [
-        (UNIFORM_50, MAX_ROW_CELLS + 1), (HUGE_SUPPORT, 10),
-    ], ids=["t", "n"])
-    @pytest.mark.parametrize("entry", [
-        "verify_bias", "verify_concentration", "draw_sample", "monte_carlo",
+    # a cloud cannot have the 2^21 points of the n case, so eps-mass has a t case only
+    @pytest.mark.parametrize("entry, case", [
+        pytest.param(entry, case, id=f"{entry}-{case}")
+        for entry in ("verify_bias", "verify_concentration", "draw_sample", "monte_carlo",
+                      "mc_eps_missing_mass")
+        for case in ("t", "n") if (entry, case) != ("mc_eps_missing_mass", "n")
     ])
-    def test_refused_before_allocating(self, d, t, entry):
+    def test_refused_before_allocating(self, entry, case):
+        d, t = {"t": (UNIFORM_50, MAX_ROW_CELLS + 1), "n": (HUGE_SUPPORT, 10)}[case]
         masses = np.repeat(d.m, d.c) if entry == "monte_carlo" else None  # the input
+        cloud = None
+        if entry == "mc_eps_missing_mass":
+            # 1500 points: a 2.25 MB eps-ball mask, if it were built
+            cloud = PointCloud([1 / 1500] * 1500, coords=np.random.default_rng(0).random((1500, 2)))
+            cloud.distances()  # cached before tracing: the matrix is the input
         calls = {
             "verify_bias": lambda: verify_bias(d, t, 1000, 0),
             "verify_concentration": lambda: verify_concentration(d, t, 0.1, 10_000, 0),
             "draw_sample": lambda: draw_sample(d, t, 0),
             "monte_carlo": lambda: monte_carlo(masses, t, 1000, 0, lambda idx: idx),
+            "mc_eps_missing_mass": lambda: mc_eps_missing_mass(cloud, t, 0.5, 1000, 0),
         }
         tracemalloc.start()
         try:
