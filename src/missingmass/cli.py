@@ -24,6 +24,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
 
+# The most sample counts one --t-grid may list or span; a longer grid is
+# refused before its list is built.
+MAX_T_GRID = 1 << 20
+
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json",
@@ -88,16 +92,23 @@ def _parse_t_values(args) -> list[int]:
     if not spec.strip():
         raise MissingMassError(f"t grid {spec!r} is empty")
     if ":" not in spec:
+        _require_grid(spec.count(",") + 1)
         return [int(p) for p in spec.split(",")]
     parts = [int(p) for p in spec.split(":")]
     if len(parts) > 3 or parts[2:] == [0]:
         raise MissingMassError(f"t grid {spec!r} is not START:STOP[:STEP] with STEP != 0")
     start, stop, step = parts + [1] if len(parts) == 2 else parts
-    # STOP is inclusive in either direction
-    ts = list(range(start, stop + (1 if step > 0 else -1), step))
-    if not ts:
+    stop += 1 if step > 0 else -1  # STOP is inclusive in either direction
+    count = max(0, -((start - stop) // step))  # len(range(...)), which overflows past 2^63
+    if not count:
         raise MissingMassError(f"t grid {spec!r} is empty")
-    return ts
+    _require_grid(count)
+    return list(range(start, stop, step))
+
+
+def _require_grid(count: int) -> None:
+    if count > MAX_T_GRID:
+        raise MissingMassError(f"t grid of {count} values exceeds MAX_T_GRID={MAX_T_GRID}")
 
 
 def _emit(args, obj, csv_text: str | None = None) -> None:

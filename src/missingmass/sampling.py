@@ -50,6 +50,10 @@ from .numerics import exact_sum, rows_per_slice
 # numerics.SLICE_BYTES, which continue the call's one stream, so no value
 # depends on them; a row cannot be split, so past this it is refused.
 MAX_ROW_CELLS = 2_000_000
+# The most replicates one Monte Carlo call takes: it keeps one value per
+# replicate (80 MB at the cap) and its mean and variance read them twice.
+# A count past it is refused before anything is allocated.
+MAX_REPLICATES = 10_000_000
 # Relative slack of a verdict: a value that matches its closed form or bound
 # up to a few ulps is no violation, even when the standard error is 0.
 RHO = 1e-12
@@ -117,10 +121,12 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     scratch) and stat's row of n masses fit in numerics.SLICE_BYTES; the
     buffers are allocated once per call, so stat must not keep its argument,
     and its results are copied out in replicate order.  A row of max(t, n)
-    cells past MAX_ROW_CELLS and a seed that is not an integer >= 0 are
-    refused before anything is allocated.
+    cells past MAX_ROW_CELLS, replicates past MAX_REPLICATES and a seed that
+    is not an integer >= 0 are refused before anything is allocated.
     """
     t, replicates = require_t(t), require_int(replicates, "replicates", 1)
+    if replicates > MAX_REPLICATES:
+        raise InvalidInputError(f"replicates={replicates} exceeds MAX_REPLICATES={MAX_REPLICATES}")
     seed = require_int(seed, "seed", 0)
     _require_row(t, len(masses))
     cum = np.cumsum(masses)

@@ -3,10 +3,12 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from missingmass import CountableFamily, McReport, PointCloud, mc_eps_missing_mass
+from missingmass import cli, sampling
 from missingmass.cli import _dict_to_csv, build_parser, main
 
 
@@ -536,6 +538,60 @@ def files(tmp_path):
     paths["explicit"].write_text('{"family": "explicit", "params": {"masses": [0.5, 0.5]}}')
     paths["rates"].write_text('{"rates": [0.5, 0.25]}')
     return {k: str(v) for k, v in paths.items()}
+
+
+class TestCaps:
+    """Each user-sized count past its cap is exit 2 with one line on stderr,
+    refused before anything of its size is allocated."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ("emm --family uniform --n 10 --t-grid 1:10000000000",
+         "mml emm: t grid of 10000000000 values exceeds MAX_T_GRID=1048576"),
+        ("bounds --family uniform --n 10 --t-grid 1:100000000000000000000000:3",
+         "mml bounds: t grid of 33333333333333333333334 values exceeds MAX_T_GRID=1048576"),
+        ("emm --family uniform --n 10 --t-grid 1:1048577",
+         "mml emm: t grid of 1048577 values exceeds MAX_T_GRID=1048576"),
+        ("simulate --mode bias --family uniform --n 5 --t 10 --replicates 1000000000000",
+         "mml simulate: replicates=1000000000000 exceeds MAX_REPLICATES=10000000"),
+        ("simulate --mode concentration --family uniform --n 5 --t 10 --eps 0.1 "
+         "--replicates 10000001",
+         "mml simulate: replicates=10000001 exceeds MAX_REPLICATES=10000000"),
+        ("simulate --mode eps-mass --cloud {cloud} --eps 0.5 --t 3 --replicates 1000000000000",
+         "mml simulate: replicates=1000000000000 exceeds MAX_REPLICATES=10000000"),
+        ("construct --kind rate-lb --target inverse-log --t-max 100000000",
+         "mml construct: horizon t_max=100000000 exceeds MAX_HORIZON=1048576"),
+        ("construct --kind rate-lb --target geometric --t-max 1048577",
+         "mml construct: horizon t_max=1048577 exceeds MAX_HORIZON=1048576"),
+    ])
+    def test_refused(self, capsys, files, argv, message):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv.format(**files).split())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", message + "\n")
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("grid, count", [
+        ("1:4", 4), ("4:1:-1", 4), ("1:10:3", 4), ("1,2,3,4", 4),
+        ("1:5", 5), ("5:1:-1", 5), ("1:13:3", 5), ("1,2,3,4,5", 5),
+    ])
+    def test_t_grid_at_the_cap(self, capsys, monkeypatch, grid, count):
+        monkeypatch.setattr(cli, "MAX_T_GRID", 4)
+        code, out, err = run_cli(capsys, "emm", "--family", "uniform", "--n", "4",
+                                 "--t-grid", grid)
+        if count <= 4:
+            assert code == 0 and len(json.loads(out)["t"]) == count
+        else:
+            assert (code, err) == (2, "mml emm: t grid of 5 values exceeds MAX_T_GRID=4\n")
+
+    def test_replicates_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(sampling, "MAX_REPLICATES", 1000)
+        argv = "simulate --mode bias --family uniform --n 5 --t 10 --seed 1 --replicates".split()
+        assert run_cli(capsys, *argv, "1000")[0] == 0
+        assert run_cli(capsys, *argv, "1001")[1:] == (
+            "", "mml simulate: replicates=1001 exceeds MAX_REPLICATES=1000\n")
 
 
 class TestUsageBranches:

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import tracemalloc
 
 import pytest
 
 from missingmass import (
+    BlockVector,
     ConstructionFailedError,
     InvalidInputError,
     ProbVector,
@@ -96,6 +98,12 @@ class TestTightCountable:
 
 
 class TestRateTargets:
+    @pytest.mark.parametrize("targets", [inverse_log_targets, geometric_targets])
+    def test_horizon_cap(self, targets):
+        assert len(targets(constructions.MAX_HORIZON)) == constructions.MAX_HORIZON
+        with pytest.raises(InvalidInputError, match=r"t_max=1048577 exceeds MAX_HORIZON=1048576"):
+            targets(constructions.MAX_HORIZON + 1)
+
     def test_inverse_log(self):
         r = inverse_log_targets(5)
         assert r[0] == pytest.approx(1 / math.log(3))
@@ -161,6 +169,96 @@ class TestRateLb:
         assert big.n == base.n * 2 ** 20
         assert len(big.blocks) == len(base.blocks)
         assert expected_missing_mass(big, 1) > expected_missing_mass(base, 1)
+
+
+# sha256 of m.tobytes() and c.tobytes() of rate_lb's result, as computed by the
+# per-t scan that checked every t = 1..T after each doubling
+RATE_LB_DIGESTS = {
+    ("inverse-log", 200): (
+        "d1c87c245e2019083666eaf50ee9b9d6ee6962c46abb183a6e19dad3e8d1259b",
+        "bc8d3c1b284eeec5e0c23d3759372a4d2b242ac2dc786c286b41f5b89a64bbf9"),
+    ("inverse-log", 1000): (
+        "0be7a0825783612cddf7f574e3c0ef12e816dd4db4555bd650744f285df69054",
+        "a7871d18f26ab0b198b6f5458cffe17c9d3a077a71c9a55983824bb2242ad6f2"),
+    ("inverse-log", 10_000): (
+        "2b64c0e0ab606dbf68aac9860548d1e33ca1bef70ed600fa187dc4f3c0da2176",
+        "2a8bae0f3004772719b6551123a1e0aadb7390d36e6b349deb9bf784ec6d0ecd"),
+    ("inverse-log", 30_000): (
+        "0ef2b876ad66923242b6fe13e9e6e4d757f9a48dbe0bb4d51e3d7bcb7bf1c995",
+        "a6c7d5bfc8eaf4539c3f6ab2308761f1211e45eb58a4e42af4a3d432c45723d3"),
+    ("geometric", 20): (
+        "c4b900c20cda08529134da5be7b09df724156ce97328034705e58333ff530c34",
+        "a83a694105f6ff8df3d4f68b0e5d59432804aba2640274cebc3ff81ad589ed08"),
+    ("geometric", 60): (
+        "859109b4d847069331e9939ec3e58100e638fb06021190d9a42b49ecc1984e49",
+        "2bbf88c43c0b792539c77363ffb716d6ce54cd170649422190224af15569c247"),
+}
+
+
+class TestRateLbIntervalCheck:
+    """rate_lb checks each doubling by intervals of t; its verdicts, and so its
+    result, are those of the per-t scan."""
+
+    @pytest.mark.parametrize("kind, t_max", sorted(RATE_LB_DIGESTS))
+    def test_result_is_pinned(self, kind, t_max):
+        targets = {"inverse-log": inverse_log_targets, "geometric": geometric_targets}[kind]
+        d = rate_lb(targets(t_max))
+        assert d.m.dtype == "float64" and d.c.dtype == "int64"
+        digests = (hashlib.sha256(d.m.tobytes()).hexdigest(),
+                   hashlib.sha256(d.c.tobytes()).hexdigest())
+        assert digests == RATE_LB_DIGESTS[kind, t_max]
+
+    @pytest.mark.parametrize("d, t_max", [
+        (BlockVector([(0.25, 1), (0.05, 5), (0.001, 500)]), 300),
+        # E[U_t] = 2^-t reaches the subnormal range, where only the absolute
+        # floor of the radius is left
+        (BlockVector([(0.5, 2)]), 1070),
+    ], ids=["three-runs", "subnormal"])
+    @pytest.mark.parametrize("where", ["none", "first", "middle", "last", "every"])
+    @pytest.mark.parametrize("step", [-1, 0, 1], ids=["ulp-below", "equal", "ulp-above"])
+    def test_near_ties_match_the_scan(self, d, t_max, where, step):
+        values = [expected_missing_mass(d, t) for t in range(1, t_max + 1)]
+        below = [math.nextafter(e, 0.0) for e in values]
+        tie = [e if step == 0 else math.nextafter(e, step) for e in values]
+        at = {"none": [], "first": [0], "middle": [t_max // 2], "last": [t_max - 1],
+              "every": range(t_max)}[where]
+        targets = [tie[i] if i in at else below[i] for i in range(t_max)]
+        assert all(a > b for a, b in zip(targets, targets[1:]))
+        scan = all(e > r for e, r in zip(values, targets))
+        assert scan == (where == "none" or step == -1)
+        assert constructions._dominated(d, targets) is scan
+
+    @pytest.mark.parametrize("dip", [1, 37, 64, 100])
+    def test_a_dip_inside_the_rounding_radius_is_found(self, monkeypatch, dip):
+        # float E[U_t] may dip below its later values by rounding; the radius
+        # keeps an endpoint that clears r_a by less than it from vouching for t
+        values = [0.5] * 100
+        values[dip - 1] = 0.5 - 2.0 ** -46
+        targets = [0.5 - 2.0 ** -47 - t * 2.0 ** -54 for t in range(1, 101)]
+        assert all(a > b > values[dip - 1] for a, b in zip(targets, targets[1:]))
+        monkeypatch.setattr(constructions, "expected_missing_mass",
+                            lambda d, t: values[t - 1])
+        assert not constructions._dominated(BlockVector([(0.5, 2)]), targets)
+        values[dip - 1] = 0.5
+        assert constructions._dominated(BlockVector([(0.5, 2)]), targets)
+
+    def test_few_kernel_sums(self, monkeypatch):
+        sums = []
+
+        def counted(d, t):
+            sums.append(t)
+            return expected_missing_mass(d, t)
+
+        monkeypatch.setattr(constructions, "expected_missing_mass", counted)
+        rate_lb(inverse_log_targets(10_000))
+        assert len(sums) < 200
+
+    def test_horizon_cap_comes_first(self, monkeypatch):
+        monkeypatch.setattr(constructions, "MAX_HORIZON", 20)
+        assert rate_lb(inverse_log_targets(20)).n > 0
+        # the count is refused before a single target is read
+        with pytest.raises(InvalidInputError, match="horizon t_max=21 exceeds MAX_HORIZON=20"):
+            rate_lb(["0.5"] * 21)
 
 
 class TestCrossChecks:
