@@ -93,7 +93,10 @@ def rate_lb(targets) -> BlockVector:
     raises E[U_t] at every t, so the smallest sufficient count is the first
     one that passes.  Each count is checked by ``_dominated``, which gives
     the verdict of the T per-t comparisons from a few dozen kernel sums (35
-    over all counts at T = 200 on inverse-log targets, 83 at T = 10^6).
+    over all counts at T = 200 on inverse-log targets, 83 at T = 10^6).  A
+    doubling that would halve the smallest mass to 0 (a final block of
+    2^-1074, from targets deep in the subnormal range) raises
+    ConstructionFailedError instead.
 
     Returns a run-length encoded distribution: doubling multiplies the
     support by 2 per round, so dense storage would not survive the cap.
@@ -123,9 +126,15 @@ def rate_lb(targets) -> BlockVector:
     counts = np.floor(totals * (edges * edges)).astype(np.int64) + 1
     d = BlockVector._of_runs(np.append(1.0 - r[tau - 1], totals / counts),
                              np.append(1, counts))
-    for _ in range(MAX_DOUBLINGS + 1):
+    for doublings in range(MAX_DOUBLINGS + 1):
         if _dominated(d, r):
             return d
+        smallest = float(d.m.min())
+        if not smallest / 2.0 > 0.0:
+            raise ConstructionFailedError(
+                f"targets not dominated after {doublings} doublings, and the atoms cannot "
+                f"be halved again: the smallest mass {smallest!r} halves to 0"
+            )
         d = doubling_operator(d)
     raise ConstructionFailedError(
         f"targets not dominated within {MAX_DOUBLINGS} doublings"

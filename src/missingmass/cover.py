@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +45,13 @@ class PointCloud:
     errors, never coerced); explicit matrices are validated (symmetry, zero
     diagonal, nonnegativity, triangle inequality within 1e-9) on
     construction.  The masses, kept in point order, pass the distributions'
-    mass validator.  The distance matrix is built once, and the ball masses
-    are kept for the last eps they were asked for.
+    mass validator.
+
+    The cloud caches what its queries share: the distance matrix, built
+    once; the ball masses for the last eps they were asked for; and the
+    farthest-point traversal that greedy_eps_net reads its nets from.  The
+    traversal's order of centers does not depend on eps, so it is walked
+    once per cloud, and only as far as the smallest eps asked for so far.
     """
 
     def __init__(self, masses, *, coords=None, matrix=None, normalize: bool = False):
@@ -79,6 +86,7 @@ class PointCloud:
             self.metric = "matrix"
             self._dist = d
         self._balls = None  # (eps, read-only ball_masses(self, eps))
+        self._far = None  # _FarthestPoints, built by the first greedy_eps_net
 
     @staticmethod
     def _validate_matrix(d: np.ndarray) -> None:
@@ -172,22 +180,51 @@ class EpsNet:
         return {"eps": self.eps, "centers": list(self.center_indices), "size": self.size}
 
 
+class _FarthestPoints:
+    """Gonzalez's farthest-point traversal of a cloud ("Clustering to minimize
+    the maximum intercluster distance", TCS 38, 1985), extended on demand.
+
+    centers[k] is the traversal's (k+1)-th point and radii[k] the covering
+    radius of centers[:k + 1], the largest distance from a cloud point to
+    its nearest one of them; min_dist holds those nearest distances for
+    the centers so far, and nxt the first point at radii[-1], the next
+    center.  The radii do not increase, as min_dist only falls.
+    """
+
+    def __init__(self, cloud: PointCloud):
+        self.dist = cloud.distances()
+        start = int(np.argmax(cloud.masses))
+        self.min_dist = self.dist[start].copy()
+        self.nxt = int(np.argmax(self.min_dist))
+        self.centers = [start]
+        self.radii = [float(self.min_dist[self.nxt])]
+
+    def prefix(self, eps: float) -> tuple[int, ...]:
+        """The shortest prefix of the centers whose covering radius is <= eps."""
+        while self.radii[-1] > eps:  # one argmax and one minimum per center
+            self.centers.append(self.nxt)
+            np.minimum(self.min_dist, self.dist[self.nxt], out=self.min_dist)
+            self.nxt = int(np.argmax(self.min_dist))
+            self.radii.append(float(self.min_dist[self.nxt]))
+        # the first radius <= eps, by bisection of the nonincreasing radii
+        return tuple(self.centers[:bisect_left(self.radii, -eps, key=operator.neg) + 1])
+
+
 def greedy_eps_net(cloud: PointCloud, eps: float) -> EpsNet:
     """Farthest-point greedy net: certified cover, size N_hat(eps) >= N(eps).
 
     Deterministic: starts at the largest-mass point (ties to the lowest
-    index) and repeatedly adds the point farthest from the current net.
+    index) and repeatedly adds the point farthest from the current net
+    (ties to the lowest index), until every point is within eps of it.
+    That order does not depend on eps, so the net for eps is the shortest
+    prefix of one traversal whose covering radius is <= eps; the cloud
+    keeps the traversal, and a later eps extends or bisects it instead of
+    walking it again.
     """
     require_real(eps, "radius eps", 0.0, math.inf, "(]")
-    d = cloud.distances()
-    start = int(np.argmax(cloud.masses))
-    centers = [start]
-    min_dist = d[start].copy()
-    while float(min_dist.max()) > eps:
-        nxt = int(np.argmax(min_dist))
-        centers.append(nxt)
-        np.minimum(min_dist, d[nxt], out=min_dist)
-    return EpsNet(eps=eps, center_indices=tuple(centers))
+    if cloud._far is None:
+        cloud._far = _FarthestPoints(cloud)
+    return EpsNet(eps=eps, center_indices=cloud._far.prefix(eps))
 
 
 def eps_missing_mass(cloud: PointCloud, sample_indices, eps: float) -> float:
@@ -219,7 +256,7 @@ def ball_masses(cloud: PointCloud, eps: float) -> np.ndarray:
         return cloud._balls[1]
     d = cloud.distances()
     step = rows_per_slice(8 * cloud.n)
-    balls = np.concatenate([np.where(d[r:r + step] <= eps, cloud.masses, 0.0).sum(axis=1)
+    balls = np.concatenate([np.multiply(d[r:r + step] <= eps, cloud.masses).sum(axis=1)
                             for r in range(0, cloud.n, step)])
     balls.setflags(write=False)
     cloud._balls = (eps, balls)

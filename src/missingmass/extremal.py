@@ -291,34 +291,44 @@ def light_mass_bounds(n: int, t: int) -> tuple[float, float]:
 def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[float, float, float]]:
     """Exhaustive grid maximization of E[U_t] over the 3-atom simplex.
 
-    Independent of the one-variable reduction: sweeps (p1, p2) on a square
-    grid, takes p3 = 1 - p1 - p2, then refines once around the best cell.
-    Each sweep runs over slices of whole grid rows of floats, at most
-    SLICE_BYTES, and keeps the first maximum in row-major order, so its
-    memory does not grow with the grid.  Returns the best value and its
-    point, coordinates sorted nondecreasing.
+    Independent of the one-variable reduction: sweeps (p1, p2) on a grid,
+    takes p3 = 1 - p1 - p2, then refines once around the best cell.  A cell
+    is in the simplex when (1 - p1) - p2 >= -1e-12.  Both axes are
+    nondecreasing and rounding is monotone, so the cells of a row that are
+    in form a prefix of its columns, and that prefix does not grow down the
+    rows: each sweep runs over bands of rows cut to their first row's
+    prefix, each band within SLICE_BYTES, and evaluates only the triangle
+    and the few cells of a band past a later row's prefix (marked -1).  It
+    keeps the first maximum in row-major order, as a sweep of the whole
+    square would, so its memory does not grow with the grid.  Returns the
+    best value and its point, coordinates sorted nondecreasing.
     """
     require_t(t)
     require_real(grid_step, "grid step", 0.0, 1e-2, "(]")
 
     def sweep(p1_vals: np.ndarray, p2_vals: np.ndarray) -> tuple[float, float, float]:
-        p2 = p2_vals[None, :]
-        rows = rows_per_slice(8 * p2.size)
+        column = p2_vals * (1.0 - p2_vals) ** t
         best, bi, bj = -math.inf, 0, 0
-        for start in range(0, p1_vals.size, rows):
-            p1 = p1_vals[start:start + rows, None]
-            p3 = 1.0 - p1 - p2
-            ok = p3 >= -1e-12
-            p3c = np.clip(p3, 0.0, 1.0)
-            f = (
-                p1 * (1.0 - p1) ** t
-                + p2 * (1.0 - p2) ** t
-                + p3c * (1.0 - p3c) ** t
-            )
-            f = np.where(ok, f, -1.0)
+        start = 0
+        while start < p1_vals.size:
+            width = int(np.count_nonzero((1.0 - p1_vals[start]) - p2_vals >= -1e-12))
+            if width == 0:  # nor any later row
+                break
+            stop = min(start + rows_per_slice(8 * width), p1_vals.size)
+            p1 = p1_vals[start:stop, None]
+            p3 = 1.0 - p1 - p2_vals[:width]
+            outside = p3 < -1e-12
+            np.clip(p3, 0.0, 1.0, out=p3)
+            term = 1.0 - p3  # p3 (1 - p3)^t, in place
+            term **= t
+            term *= p3
+            f = p1 * (1.0 - p1) ** t + column[:width]
+            f += term
+            f[outside] = -1.0
             i, j = np.unravel_index(int(np.argmax(f)), f.shape)
-            if f[i, j] > best:  # a later slice wins only strictly
+            if f[i, j] > best:  # a later band wins only strictly
                 best, bi, bj = f[i, j], start + i, j
+            start = stop
         return float(best), float(p1_vals[bi]), float(p2_vals[bj])
 
     m = int(round(1.0 / grid_step))

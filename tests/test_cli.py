@@ -215,6 +215,14 @@ class TestConstruct:
         assert out == ""
         assert err == "mml construct: targets not dominated within 40 doublings\n"
 
+    def test_rate_lb_atoms_that_halve_to_zero(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "--kind", "rate-lb",
+                                 "--target", "geometric", "--t-max", "1074")
+        assert code == 2
+        assert out == ""
+        assert err == ("mml construct: targets not dominated after 0 doublings, and the atoms "
+                       "cannot be halved again: the smallest mass 5e-324 halves to 0\n")
+
 
 class TestGt:
     def test_identity_in_output(self, capsys):

@@ -160,6 +160,22 @@ class TestRateLb:
         with pytest.raises(ConstructionFailedError, match="within 0 doublings"):
             rate_lb(inverse_log_targets(30))
 
+    def test_atoms_that_halve_to_zero_are_refused(self):
+        # the last target 0.9 * 2^-1074 rounds to 2^-1074, the final block's one
+        # atom, which has no positive half
+        with pytest.raises(ConstructionFailedError, match="cannot be halved again"):
+            rate_lb(geometric_targets(1074))
+
+    def test_geometric_horizons_below_the_halving_limit_are_pinned(self):
+        # sha256 over m.tobytes() and c.tobytes() of T = 1000..1073 in turn, as
+        # built before the halving check existed
+        h = hashlib.sha256()
+        for t_max in range(1000, 1074):
+            d = rate_lb(geometric_targets(t_max))
+            h.update(d.m.tobytes())
+            h.update(d.c.tobytes())
+        assert h.hexdigest() == "9913ff242c6261241ed1803ef334971b2b0d34ed7d8dccfb0add5957c6cca101"
+
     def test_run_length_encoding_survives_scale(self):
         # the doubled support would be enormous dense, tiny as blocks
         base = rate_lb(inverse_log_targets(100))

@@ -183,6 +183,64 @@ class TestGreedyNet:
             )
 
 
+def restart_per_eps_net(cloud, eps):
+    """The farthest-point net walked from the start for one eps."""
+    d = cloud.distances()
+    centers = [int(np.argmax(cloud.masses))]
+    min_dist = d[centers[0]].copy()
+    while float(min_dist.max()) > eps:
+        centers.append(int(np.argmax(min_dist)))
+        np.minimum(min_dist, d[centers[-1]], out=min_dist)
+    return tuple(centers)
+
+
+def traversal_clouds(rng):
+    """Seeded clouds: coordinates in 1-3 dimensions, one with duplicate
+    points, one as a distance matrix, and small ones for the exact cover."""
+    clouds = [random_cloud(rng, n, dim, skewed=dim != 2)
+              for n, dim in ((60, 1), (90, 2), (45, 3), (8, 2), (11, 3))]
+    coords = rng.random((40, 2))
+    coords[20:] = coords[:20]
+    clouds.append(PointCloud(rng.exponential(size=40), coords=coords, normalize=True))
+    base = random_cloud(rng, 50, 3, skewed=True)
+    clouds.append(PointCloud(base.masses, matrix=base.distances().tolist()))
+    return clouds
+
+
+class TestFarthestPointTraversal:
+    """The cloud keeps one farthest-point traversal; every net is a prefix of
+    it, equal to the net walked from the start for that eps alone."""
+
+    def test_nets_match_restart_per_eps(self, rng):
+        for cloud in traversal_clouds(rng):
+            d = cloud.distances()
+            radii = np.quantile(d[d > 0], np.linspace(0.0, 1.0, 25)).tolist()
+            radii += [1e-300, 2 * float(d.max()), math.inf]
+            for eps in rng.permutation(radii).tolist():
+                query = rng.integers(3)
+                if query == 0:
+                    assert greedy_eps_net(cloud, eps).center_indices \
+                        == restart_per_eps_net(cloud, eps)
+                elif query == 1 and eps < math.inf:
+                    cells = covering_bound_report(cloud, 10, eps)["cells"]
+                    assert cells == len(restart_per_eps_net(cloud, eps / 2))
+                elif query == 2 and cloud.n <= 11:
+                    exact = exact_covering_number(cloud, eps)
+                    assert exact == brute_min_cover(cloud, eps)
+            for eps in radii:  # every radius again, after the traversal grew
+                assert greedy_eps_net(cloud, eps).center_indices \
+                    == restart_per_eps_net(cloud, eps)
+
+    def test_one_call_walks_only_its_net(self, rng):
+        cloud = random_cloud(rng, 200, 2)
+        net = greedy_eps_net(cloud, float(np.quantile(cloud.distances(), 0.5)))
+        assert 1 < net.size < cloud.n
+        assert len(cloud._far.centers) <= net.size
+        # a larger eps is a shorter prefix, read without walking further
+        assert greedy_eps_net(cloud, 2 * net.eps).size <= net.size
+        assert len(cloud._far.centers) <= net.size
+
+
 class TestEpsMissingMass:
     def test_single_center_cases(self, line3):
         assert eps_missing_mass(line3, [0], 0.5) == 0.5

@@ -22,7 +22,7 @@ from missingmass import (
     uniform_ratio,
     uniform_value,
 )
-from missingmass import extremal
+from missingmass import extremal, numerics
 from missingmass.extremal import _prime, _prime_second, _solve
 from missingmass.numerics import pow_one_minus
 
@@ -387,6 +387,45 @@ class TestSimplexOracle:
     def test_grid_step_validation(self):
         with pytest.raises(InvalidInputError):
             simplex_grid_oracle(5, 0.5)
+
+    @staticmethod
+    def full_square_oracle(t, grid_step):
+        """The oracle with both sweeps over the whole square, invalid cells
+        set to -1, first maximum in row-major order."""
+        def sweep(p1_vals, p2_vals):
+            p1, p2 = p1_vals[:, None], p2_vals[None, :]
+            p3 = 1.0 - p1 - p2
+            p3c = np.clip(p3, 0.0, 1.0)
+            f = p1 * (1.0 - p1) ** t + p2 * (1.0 - p2) ** t + p3c * (1.0 - p3c) ** t
+            f = np.where(p3 >= -1e-12, f, -1.0)
+            i, j = np.unravel_index(int(np.argmax(f)), f.shape)
+            return float(f[i, j]), float(p1_vals[i]), float(p2_vals[j])
+
+        m = int(round(1.0 / grid_step))
+        coarse = np.linspace(0.0, 1.0, m + 1)
+        val, b1, b2 = sweep(coarse, coarse)
+        offsets = np.arange(-50, 51) * (grid_step / 50.0)
+        rval, r1, r2 = sweep(np.clip(b1 + offsets, 0.0, 1.0), np.clip(b2 + offsets, 0.0, 1.0))
+        if rval > val:
+            val, b1, b2 = rval, r1, r2
+        return val, tuple(sorted((b1, b2, max(0.0, 1.0 - b1 - b2))))
+
+    @pytest.mark.parametrize("grid_step", [1e-2, 5e-3])
+    def test_matches_full_square_sweep(self, grid_step):
+        for t in range(1, 41):
+            val, point = simplex_grid_oracle(t, grid_step)
+            ref_val, ref_point = self.full_square_oracle(t, grid_step)
+            assert [x.hex() for x in (val, *point)] == [x.hex() for x in (ref_val, *ref_point)]
+
+    def test_bands_do_not_change_the_argmax(self, monkeypatch):
+        # bands of one row, and of a few rows, cut at other places than the
+        # default's; a later band wins only strictly, so ties keep the first cell
+        results = set()
+        for budget in (8, 8 * 7 * 64, numerics.SLICE_BYTES):
+            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
+            val, point = simplex_grid_oracle(2, 1e-2)
+            results.add(tuple(x.hex() for x in (val, *point)))
+        assert len(results) == 1
 
     def test_memory_bounded(self):
         # one unsliced sweep of the 1001 x 1001 grid holds several 8 MB temporaries
