@@ -17,7 +17,6 @@ from .cover import (
     EpsNet,
     PointCloud,
     covering_bound_report,
-    eps_missing_mass,
     exact_covering_number,
     expected_eps_missing_mass,
     greedy_eps_net,
@@ -44,13 +43,9 @@ from .extremal import (
     ThresholdResult,
     bivalent_missing_mass,
     bivalent_missing_mass_prime,
-    bivalent_ratio_bound,
     find_threshold,
-    light_mass_bounds,
     maximize_missing_mass,
     simplex_grid_oracle,
-    uniform_ratio,
-    uniform_value,
 )
 from .mass import (
     DEFAULT_COUNTABLE_C,
@@ -63,17 +58,12 @@ from .mass import (
     gt_bias,
     gt_expected_estimate,
     kernel,
-    kernel_peak,
     kernel_prime,
     missing_mass_curve,
     singleton_mass_expectation,
 )
 from .sampling import (
     McReport,
-    SampleCounts,
-    draw_sample,
-    empirical_missing_mass,
-    good_turing,
     monte_carlo,
     verify_bias,
     verify_concentration,

@@ -115,7 +115,7 @@ def _emit(args, obj, csv_text: str | None = None) -> None:
     if args.format == "csv":
         text = csv_text if csv_text is not None else _dict_to_csv(obj)
     else:
-        text = json.dumps(obj, indent=2) + "\n"
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if args.out is not None:
         args.out.write_text(text)
     else:

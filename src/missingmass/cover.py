@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MassSumError, validate_masses
-from .errors import InvalidInputError, require_int, require_real, require_reals, require_t
+from .errors import InvalidInputError, require_real, require_reals, require_t
 from .mass import bound_finite
 from .numerics import exact_sum, pow_one_minus, rows_per_slice
-from .sampling import McReport, _require_row, is_violation, mean_report, monte_carlo
+from .sampling import McReport, is_violation, mean_report, monte_carlo, require_run
 
 MATRIX_TOL = 1e-9
 # Largest cloud that exact_covering_number's branch-and-bound accepts.
@@ -112,9 +112,6 @@ class PointCloud:
             self._dist = d
         return self._dist
 
-    def diameter(self) -> float:
-        return float(self.distances().max())
-
     # -- serialization --
 
     def to_json_obj(self) -> dict:
@@ -176,9 +173,6 @@ class EpsNet:
     def size(self) -> int:
         return len(self.center_indices)
 
-    def to_json_obj(self) -> dict:
-        return {"eps": self.eps, "centers": list(self.center_indices), "size": self.size}
-
 
 class _FarthestPoints:
     """Gonzalez's farthest-point traversal of a cloud ("Clustering to minimize
@@ -225,22 +219,6 @@ def greedy_eps_net(cloud: PointCloud, eps: float) -> EpsNet:
     if cloud._far is None:
         cloud._far = _FarthestPoints(cloud)
     return EpsNet(eps=eps, center_indices=cloud._far.prefix(eps))
-
-
-def eps_missing_mass(cloud: PointCloud, sample_indices, eps: float) -> float:
-    """Mass of the points left outside every closed eps-ball of the sample."""
-    require_real(eps, "radius eps", 0.0, math.inf, "(]")
-    idx = [require_int(i, "sample index", 0) for i in sample_indices]
-    if not idx:
-        raise InvalidInputError("sample must contain at least one point")
-    if max(idx) >= cloud.n:
-        raise InvalidInputError("sample index out of range")
-    # a running minimum over slices of sample rows, each within SLICE_BYTES
-    d, step = cloud.distances(), rows_per_slice(8 * cloud.n)
-    min_dist = d[idx[:step]].min(axis=0)
-    for r in range(step, len(idx), step):
-        np.minimum(min_dist, d[idx[r:r + step]].min(axis=0), out=min_dist)
-    return exact_sum(cloud.masses[min_dist > eps])
 
 
 def ball_masses(cloud: PointCloud, eps: float) -> np.ndarray:
@@ -355,14 +333,12 @@ def mc_eps_missing_mass(
 ) -> McReport:
     """Monte Carlo mean eps-missing mass, checked against the closed form.
 
-    The arguments, and a row of max(t, n) cells past MAX_ROW_CELLS, are
-    refused before the eps-ball mask is built.
+    The arguments (sampling.require_run) are refused before the eps-ball
+    mask is built.
     """
-    require_int(replicates, "eps-missing-mass replicates", 1000)
+    t, replicates, seed = require_run(t, replicates, seed, cloud.n,
+                                      "eps-missing-mass replicates", 1000)
     require_real(eps, "radius eps", 0.0, math.inf, "(]")
-    require_t(t)
-    require_int(seed, "seed", 0)
-    _require_row(t, cloud.n)
     words = _near_words(cloud.distances() <= eps)
     values = monte_carlo(
         cloud.masses, t, replicates, seed, lambda idx: _eps_missing_rows(words, cloud.masses, idx)

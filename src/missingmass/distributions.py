@@ -112,8 +112,8 @@ def _runs(masses, counts=None, *, normalize: bool = False, tail: float | None = 
 
 class _Runs:
     """The run-length core every finite distribution type shares: the runs
-    ``m`` and ``c``, ``n``, the cached ``kernel_terms``, ``min_mass``,
-    ``masses``, ``blocks``, equality, hash and repr."""
+    ``m`` and ``c``, ``n``, the cached ``kernel_terms``, ``masses``,
+    ``blocks``, equality, hash and repr."""
 
     __slots__ = ("m", "c", "_kernel_terms")
 
@@ -136,10 +136,6 @@ class _Runs:
         except AttributeError:  # an unset slot: the first use
             terms = self._kernel_terms = KernelTerms(self.m, self.c)
             return terms
-
-    @property
-    def min_mass(self) -> float:
-        return float(self.m[0])
 
     @property
     def masses(self) -> tuple[float, ...]:

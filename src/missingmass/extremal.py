@@ -29,8 +29,6 @@ from .numerics import pow_one_minus, pow_unit, rows_per_slice
 CRITICAL_SCAN_POINTS = 64
 _SCAN = np.arange(CRITICAL_SCAN_POINTS + 1) / CRITICAL_SCAN_POINTS
 
-_LOG_OVERFLOW = 700.0  # exp argument beyond which a ratio is reported as inf
-
 
 def _require(n, t=1, x=0.0) -> tuple[int, int]:
     """Check a support size n >= 2, a sample count t and a light mass x in
@@ -80,50 +78,6 @@ def _prime_second(n: int, t, x):
     return prime, second
 
 
-def uniform_value(n: int, t: int) -> float:
-    """E[U_t] of the uniform distribution on n atoms: (1 - 1/n)^t."""
-    _require(n, t)
-    return float(pow_one_minus(1.0 / n, t))
-
-
-def uniform_ratio(n: int, t: int, x: float) -> float:
-    """Bivalent value at x divided by the uniform value; > 1 means x wins.
-
-    Evaluated through ratio powers so that large t neither under- nor
-    overflows; a genuinely astronomical ratio comes back as inf.
-    """
-    _require(n, t, x)
-    # (1-x)/(1-1/n) >= 1 for x <= 1/n; its log via log1p of the increment
-    log_r1 = math.log1p((1.0 / n - x) / (1.0 - 1.0 / n))
-    if t * log_r1 > _LOG_OVERFLOW:
-        return math.inf
-    first = (n - 1) * x * math.exp(t * log_r1)
-    second = (1.0 - (n - 1) * x) * pow_unit(min(n * x, 1.0), t)
-    return float(first + second)
-
-
-def bivalent_ratio_bound(n: int, t: int) -> float:
-    """Upper bound on max-over-x uniform_ratio; a value < 1 certifies that
-    the uniform distribution still wins at this t (t below the threshold).
-
-    The bound caps the light part by the kernel peak at 1/(t+1) and the
-    heavy part by its value at light mass 1/t.
-    """
-    _require(n, t)
-    log_r1 = math.log1p((1.0 / n - 1.0 / (t + 1)) / (1.0 - 1.0 / n))
-    if t * log_r1 > _LOG_OVERFLOW:
-        return math.inf
-    first = (n - 1) / (t + 1) * math.exp(t * log_r1)
-    ratio2 = n / t
-    if ratio2 >= 1.0:
-        log_r2 = math.log(ratio2)
-        second_pow = math.inf if t * log_r2 > _LOG_OVERFLOW else math.exp(t * log_r2)
-    else:
-        second_pow = pow_unit(ratio2, t)
-    second = (1.0 - (n - 1) / t) * second_pow
-    return float(first + second)
-
-
 @dataclass(frozen=True)
 class ExtremalSolution:
     """Maximizer of E[U_t] over the n-simplex, in one-heavy form."""
@@ -165,7 +119,7 @@ class ThresholdResult:
 
 def _solve(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best interior light mass and its value for each sample count in t
-    (all > n); the family beats the uniform wherever value > uniform_value.
+    (all > n); the family beats the uniform wherever value > (1 - 1/n)^t.
 
     Interior local maxima can only live below 2/(t+1) (the derivative of the
     kernel decreases there and increases beyond).  One scan samples the
@@ -277,15 +231,6 @@ def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
     if tau is None:
         raise ThresholdNotFoundError(n, t_max)
     return ThresholdResult(n=n, tau=tau, margin_at_tau=margin, scan_range=(n + 1, t_max))
-
-
-def light_mass_bounds(n: int, t: int) -> tuple[float, float]:
-    """Localization interval for the winning light mass once t is past
-    n + sqrt(2n): (1/(t+1), 1/(t+1) + exp(-sqrt(n/2)))."""
-    _require(n)
-    require_t(t, math.ceil(n + math.sqrt(2.0 * n)))  # t >= n + sqrt(2n)
-    lo = 1.0 / (t + 1)
-    return lo, lo + math.exp(-math.sqrt(n / 2.0))
 
 
 def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[float, float, float]]:

@@ -122,12 +122,6 @@ def kernel_prime(x: float, t: int) -> float:
     return float(pow_one_minus(x, t - 1) * float(1 - (t + 1) * Fraction(float(x))))
 
 
-def kernel_peak(t: int) -> float:
-    """Location of the kernel maximum, 1/(t+1); the peak value is < 1/(e t)."""
-    require_t(t)
-    return 1.0 / (t + 1)
-
-
 def bound_finite(n: int, t: int) -> float:
     """Distribution-free upper bound on E[U_t] for support size n.
 

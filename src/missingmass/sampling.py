@@ -66,20 +66,6 @@ GUIDE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
-class SampleCounts:
-    """Occurrence counts of t i.i.d. draws, indexed like the source masses."""
-
-    t: int
-    counts: tuple[int, ...]
-    source: str
-    seed: int
-
-    def __post_init__(self):
-        if sum(self.counts) != self.t:
-            raise InvalidInputError("counts must sum to the sample size")
-
-
-@dataclass(frozen=True)
 class McReport:
     """Result of a seeded Monte Carlo experiment."""
 
@@ -120,15 +106,10 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     values per replicate.  A row's three draw buffers (uniforms, indices,
     scratch) and stat's row of n masses fit in numerics.SLICE_BYTES; the
     buffers are allocated once per call, so stat must not keep its argument,
-    and its results are copied out in replicate order.  A row of max(t, n)
-    cells past MAX_ROW_CELLS, replicates past MAX_REPLICATES and a seed that
-    is not an integer >= 0 are refused before anything is allocated.
+    and its results are copied out in replicate order.  The arguments are
+    checked by require_run before anything is allocated.
     """
-    t, replicates = require_t(t), require_int(replicates, "replicates", 1)
-    if replicates > MAX_REPLICATES:
-        raise InvalidInputError(f"replicates={replicates} exceeds MAX_REPLICATES={MAX_REPLICATES}")
-    seed = require_int(seed, "seed", 0)
-    _require_row(t, len(masses))
+    t, replicates, seed = require_run(t, replicates, seed, len(masses))
     cum = np.cumsum(masses)
     cum[-1] = 1.0  # guard: float cumsum may land a hair under 1
     table = _guide_table(cum)
@@ -147,22 +128,24 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
     return out
 
 
-def _require_row(t: int, n: int) -> None:
-    """Refuse t draws from n atoms when a row of max(t, n) cells passes
-    MAX_ROW_CELLS."""
+def require_run(t, replicates, seed, n: int, name: str = "replicates",
+                least: int = 1) -> tuple[int, int, int]:
+    """Check the arguments of a Monte Carlo run of t draws from n atoms and
+    return t, replicates and seed as ints: replicates an integer >= least
+    (``name`` in its message) and at most MAX_REPLICATES, t a sample count,
+    the seed an integer >= 0, and a row of max(t, n) cells within
+    MAX_ROW_CELLS.  Every Monte Carlo entry point runs it first, so a bad
+    argument is refused before anything of its size is expanded or
+    allocated."""
+    replicates = require_int(replicates, name, least)
+    if replicates > MAX_REPLICATES:
+        raise InvalidInputError(f"replicates={replicates} exceeds MAX_REPLICATES={MAX_REPLICATES}")
+    t, seed = require_t(t), require_int(seed, "seed", 0)
     if max(t, n) > MAX_ROW_CELLS:
         raise InvalidInputError(
             f"a Monte Carlo row of max(t={t}, n={n}) cells exceeds MAX_ROW_CELLS={MAX_ROW_CELLS}"
         )
-
-
-def _atom_masses(d: ProbVector | BlockVector, t: int) -> np.ndarray:
-    """d's masses atom by atom, for a sample of t draws; any other type than a
-    finite distribution, and a row past MAX_ROW_CELLS, are refused before the
-    runs are expanded."""
-    _require_distribution(d)
-    _require_row(t, d.n)
-    return np.repeat(d.m, d.c)
+    return t, replicates, seed
 
 
 def _guide_table(cum: np.ndarray) -> np.ndarray:
@@ -281,35 +264,6 @@ class _BlockStats:
         return (t - np.count_nonzero(repeated, axis=1)) / t - missing
 
 
-def draw_sample(d: ProbVector | BlockVector, t: int, seed: int) -> SampleCounts:
-    """t i.i.d. draws from d, aggregated to per-atom counts; deterministic per seed."""
-    t = require_t(t)
-    idx = monte_carlo(_atom_masses(d, t), t, 1, seed, lambda idx: idx)[0]
-    counts = np.bincount(idx, minlength=d.n)
-    return SampleCounts(
-        t=t,
-        counts=tuple(int(c) for c in counts),
-        source=f"{type(d).__name__}(n={d.n})",
-        seed=seed,
-    )
-
-
-def empirical_missing_mass(d: ProbVector | BlockVector, sc: SampleCounts) -> float:
-    """Total mass of the atoms that the sample never hit."""
-    masses = _atom_masses(d, sc.t)
-    if len(sc.counts) != len(masses):
-        raise InvalidInputError(
-            f"counts cover {len(sc.counts)} atoms but the distribution has {len(masses)}"
-        )
-    return exact_sum(masses[np.asarray(sc.counts) == 0])
-
-
-def good_turing(sc: SampleCounts) -> float:
-    """Good-Turing missing-mass estimate: fraction of the sample seen once."""
-    require_t(sc.t)
-    return sum(1 for c in sc.counts if c == 1) / sc.t
-
-
 def is_violation(excess: float, se: float, estimate: float, reference: float) -> bool:
     """The one verdict rule: excess beyond three standard errors plus a
     relative rounding slack RHO.  A deterministic comparison of a value with
@@ -353,9 +307,9 @@ def verify_bias(d: ProbVector | BlockVector, t: int, replicates: int, seed: int)
     a violation that is not there (2*10^5 random atoms, t = 10, 1000
     replicates).
     """
-    require_int(replicates, "bias verification replicates", 1000)
-    t = require_t(t)
-    masses = _atom_masses(d, t)
+    _require_distribution(d)
+    t, replicates, seed = require_run(t, replicates, seed, d.n, "bias verification replicates", 1000)
+    masses = np.repeat(d.m, d.c)
     values = monte_carlo(masses, t, replicates, seed, _BlockStats(masses).bias)
     return mean_report(values, gt_bias(d, t), seed)
 
@@ -369,10 +323,11 @@ def verify_concentration(
     exceeds the bound by more than three binomial standard errors (see
     is_violation).
     """
-    require_int(replicates, "concentration verification replicates", 10_000)
+    _require_distribution(d)
+    t, replicates, seed = require_run(t, replicates, seed, d.n,
+                                      "concentration verification replicates", 10_000)
     require_real(eps, "deviation eps", 0.0, 1.0, "(]")
-    t = require_t(t)
-    masses = _atom_masses(d, t)
+    masses = np.repeat(d.m, d.c)
     missing = monte_carlo(masses, t, replicates, seed, _BlockStats(masses).missing)
     mean, se = _mean_se(missing)
     freq = np.count_nonzero(np.abs(missing - expected_missing_mass(d, t)) >= eps) / replicates

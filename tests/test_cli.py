@@ -549,8 +549,9 @@ def files(tmp_path):
 
 
 class TestCaps:
-    """Each user-sized count past its cap is exit 2 with one line on stderr,
-    refused before anything of its size is allocated."""
+    """Each user-sized count past its cap, and a report that strict JSON
+    cannot hold, is exit 2 with one line on stderr, refused before anything
+    of its size is allocated."""
 
     @pytest.mark.parametrize("argv, message", [
         ("emm --family uniform --n 10 --t-grid 1:10000000000",
@@ -570,6 +571,9 @@ class TestCaps:
          "mml construct: horizon t_max=100000000 exceeds MAX_HORIZON=1048576"),
         ("construct --kind rate-lb --target geometric --t-max 1048577",
          "mml construct: horizon t_max=1048577 exceeds MAX_HORIZON=1048576"),
+        # strict JSON (RFC 8259) has no Infinity, so a report holding one is refused
+        ("cover --cloud {cloud} --eps inf --t 3",
+         "mml cover: Out of range float values are not JSON compliant: inf"),
     ])
     def test_refused(self, capsys, files, argv, message):
         tracemalloc.start()

@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 
 from missingmass import (
-    EpsNet,
     InvalidInputError,
     PointCloud,
     ProbVector,
     bound_finite,
     covering_bound_report,
-    eps_missing_mass,
     exact_covering_number,
     expected_eps_missing_mass,
     expected_missing_mass,
     greedy_eps_net,
     mc_eps_missing_mass,
 )
-from missingmass import numerics
 from missingmass.cover import ball_masses
 
 
@@ -73,7 +70,6 @@ class TestPointCloud:
         d = line3.distances()
         assert d[0, 2] == pytest.approx(2.0)
         assert d[0, 1] == pytest.approx(1.0)
-        assert line3.diameter() == pytest.approx(2.0)
 
     def test_explicit_matrix_roundtrip(self):
         m = [[0.0, 1.0], [1.0, 0.0]]
@@ -239,38 +235,6 @@ class TestFarthestPointTraversal:
         # a larger eps is a shorter prefix, read without walking further
         assert greedy_eps_net(cloud, 2 * net.eps).size <= net.size
         assert len(cloud._far.centers) <= net.size
-
-
-class TestEpsMissingMass:
-    def test_single_center_cases(self, line3):
-        assert eps_missing_mass(line3, [0], 0.5) == 0.5
-        assert eps_missing_mass(line3, [1], 1.0) == 0.0
-        assert eps_missing_mass(line3, [2], 2.5) == 0.0
-
-    def test_boundary_is_covered(self, line3):
-        # closed balls: a point at distance exactly eps counts as covered
-        assert eps_missing_mass(line3, [0], 1.0) == 0.25
-
-    def test_validation(self, line3):
-        with pytest.raises(InvalidInputError):
-            eps_missing_mass(line3, [], 1.0)
-        with pytest.raises(InvalidInputError):
-            eps_missing_mass(line3, [7], 1.0)
-
-    @pytest.mark.parametrize("budget", [None, 1, 8 * 400 * 7])
-    def test_sliced_sample_equals_one_gather(self, monkeypatch, budget):
-        # 3000 draws from the first 100 of 400 points: many slices of
-        # sample rows, and a value strictly between 0 and 1
-        if budget is not None:
-            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
-        rng = np.random.default_rng(3)
-        cloud = random_cloud(rng, 400, 2, skewed=True)
-        sample = rng.integers(0, 100, size=3000).tolist()
-        min_dist = cloud.distances()[sample].min(axis=0)
-        for eps in (0.005, 0.02, 0.05):
-            whole = math.fsum(cloud.masses[min_dist > eps])
-            assert 0.0 < whole < 1.0
-            assert eps_missing_mass(cloud, sample, eps) == whole
 
 
 class TestExpectedEpsMissingMass:
@@ -500,8 +464,3 @@ class TestMcEpsMissingMass:
         assert peak < 2 * 2 ** 20
         assert rep.violated is False
 
-
-class TestEpsNet:
-    def test_json(self):
-        net = EpsNet(0.5, (1, 4))
-        assert net.to_json_obj() == {"eps": 0.5, "centers": [1, 4], "size": 2}

@@ -39,7 +39,6 @@ class TestProbVector:
         d = ProbVector([0.5, 0.2, 0.3])
         assert d.masses == (0.2, 0.3, 0.5)
         assert d.n == 3
-        assert d.min_mass == 0.2
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):

@@ -17,7 +17,6 @@ from missingmass import (
     Truncation,
     bound_finite,
     doubling_operator,
-    eps_missing_mass,
     maximize_missing_mass,
     rate_lb,
     verify_bias,
@@ -60,7 +59,7 @@ def test_require_real_rejects_nan_bool_and_non_numbers(value):
 
 @pytest.mark.parametrize("value", [10 ** 400, 2 ** 1024])
 @pytest.mark.parametrize("entry", [
-    "covering_bound_report", "ball_masses", "eps_missing_mass", "mc_eps_missing_mass",
+    "covering_bound_report", "ball_masses", "mc_eps_missing_mass",
 ])
 def test_radius_past_the_float_range_is_refused(entry, value):
     # 10**400 <= inf holds, so the range check alone lets it through
@@ -68,7 +67,6 @@ def test_radius_past_the_float_range_is_refused(entry, value):
     calls = {
         "covering_bound_report": lambda eps: cover.covering_bound_report(cloud, 3, eps),
         "ball_masses": lambda eps: cover.ball_masses(cloud, eps),
-        "eps_missing_mass": lambda eps: eps_missing_mass(cloud, [0], eps),
         "mc_eps_missing_mass": lambda eps: cover.mc_eps_missing_mass(cloud, 3, eps, 1000, 0),
     }
     with pytest.raises(InvalidInputError, match="radius eps must fit in a float"):
@@ -136,12 +134,6 @@ class TestLoadersDoNotCoerce:
         with pytest.raises(InvalidInputError, match="width a"):
             CountableFamily.dyadic_blocks(a)
 
-    @pytest.mark.parametrize("index", [0.0, True, -1])
-    def test_sample_index(self, index):
-        cloud = PointCloud([0.5, 0.5], coords=[[0.0], [2.0]])
-        with pytest.raises(InvalidInputError, match="sample index"):
-            eps_missing_mass(cloud, [1, index], 1.0)
-
     @pytest.mark.parametrize("mass", ["0.5", True])
     def test_masses(self, mass):
         with pytest.raises(InvalidInputError, match="masses must be real numbers"):
@@ -179,7 +171,7 @@ class TestLoadersDoNotCoerce:
         monkeypatch.setattr(cover, "require_reals", per_element)
         assert doubling_operator(ProbVector(np.full(4, 0.25))).n == 8
         cloud = PointCloud(np.full(2, 0.5), coords=np.array([[0.0], [1.0]]))
-        assert PointCloud(cloud.masses, matrix=cloud.distances()).diameter() == 1.0
+        assert PointCloud(cloud.masses, matrix=cloud.distances()).distances().max() == 1.0
 
     def test_int64_counts_pass_by_dtype(self, monkeypatch):
         d = BlockVector([(2.0 ** -40, 2 ** 40)])

@@ -12,15 +12,10 @@ from missingmass import (
     ThresholdNotFoundError,
     bivalent_missing_mass,
     bivalent_missing_mass_prime,
-    bivalent_ratio_bound,
     expected_missing_mass,
     find_threshold,
-    kernel_peak,
-    light_mass_bounds,
     maximize_missing_mass,
     simplex_grid_oracle,
-    uniform_ratio,
-    uniform_value,
 )
 from missingmass import extremal, numerics
 from missingmass.extremal import _prime, _prime_second, _solve
@@ -97,48 +92,6 @@ class TestBivalentPrime:
         assert prime == pytest.approx(_prime(n, t_arr, x), rel=1e-12, abs=1e-12 * scale)
 
 
-class TestUniformRatio:
-    def test_one_at_uniform(self):
-        for n, t in [(3, 2), (10, 50), (200, 1000)]:
-            assert uniform_ratio(n, t, 1.0 / n) == pytest.approx(1.0, abs=1e-12)
-
-    def test_below_threshold_loses(self):
-        assert uniform_ratio(10, 10, 1 / 11) < 1.0
-
-    def test_far_above_threshold_wins(self):
-        assert find_threshold(10).tau <= 200
-        assert uniform_ratio(10, 200, 1 / 201) > 1.0
-
-    def test_no_overflow_for_huge_t(self):
-        assert uniform_ratio(5, 100000, 1 / 100001) == math.inf
-
-
-class TestRatioBound:
-    def test_certifies_below_threshold(self):
-        q = bivalent_ratio_bound(100, 105)
-        assert q < 1.0
-        assert find_threshold(100).tau > 105
-
-    def test_one_sided_certificate_along_scan(self):
-        # whenever the bound drops below 1 the threshold must lie above t
-        for n in [10, 100]:
-            tau = find_threshold(n).tau
-            assert tau > n
-            for t in range(n, tau + 5):
-                if bivalent_ratio_bound(n, t) < 1.0:
-                    assert t < tau
-
-    def test_finite_positive(self):
-        for n, t in [(10, 10), (100, 105), (100, 200), (1000, 1100)]:
-            q = bivalent_ratio_bound(n, t)
-            assert q > 0.0
-            assert math.isfinite(q)
-
-    def test_overflow_is_infinite(self):
-        # t log r1 is about 10^4 here, far past the largest finite exp
-        assert bivalent_ratio_bound(1000, 10 ** 7) == math.inf
-
-
 class TestMaximize:
     def test_uniform_regime(self):
         sol = maximize_missing_mass(10, 9)
@@ -167,7 +120,7 @@ class TestMaximize:
             sol = maximize_missing_mass(n, t)
             assert (n - 1) * sol.x_star + sol.heavy == pytest.approx(1.0, abs=1e-14)
             assert sol.x_star <= 1.0 / n <= sol.heavy
-            assert sol.value >= uniform_value(n, t)
+            assert sol.value >= pow_one_minus(1.0 / n, t)
 
     def test_value_consistent_with_expected_missing_mass(self):
         for n, t in [(10, 20), (50, 80)]:
@@ -345,26 +298,6 @@ class TestThreshold:
             sol = maximize_missing_mass(n, t)
             assert not sol.is_uniform
             assert 1.0 / (t + 1) < sol.x_star < 1.0 / t
-
-
-class TestLightMassBounds:
-    def test_localization_membership(self):
-        lo, hi = light_mass_bounds(100, 115)
-        sol = maximize_missing_mass(100, 115)
-        assert not sol.is_uniform
-        assert lo < sol.x_star < hi
-
-    def test_interval_width(self):
-        lo, hi = light_mass_bounds(200, 300)
-        assert hi - lo == pytest.approx(math.exp(-10.0), rel=1e-12)
-
-    def test_lower_end_is_kernel_peak(self):
-        lo, _ = light_mass_bounds(100, 130)
-        assert lo == kernel_peak(130)
-
-    def test_precondition(self):
-        with pytest.raises(InvalidInputError):
-            light_mass_bounds(100, 100)
 
 
 class TestSimplexOracle:

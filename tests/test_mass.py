@@ -22,7 +22,6 @@ from missingmass import (
     gt_bias,
     gt_expected_estimate,
     kernel,
-    kernel_peak,
     kernel_prime,
     missing_mass_curve,
     plateau_length,
@@ -30,7 +29,7 @@ from missingmass import (
     truncate,
 )
 
-from missingmass import PointCloud, expected_eps_missing_mass, monte_carlo, uniform_value
+from missingmass import PointCloud, expected_eps_missing_mass, maximize_missing_mass, monte_carlo
 
 from missingmass.numerics import pow_one_minus
 
@@ -42,7 +41,7 @@ from conftest import block_vectors, prob_vectors, sample_counts_t
     "entry",
     [
         lambda t: expected_missing_mass(ProbVector.uniform(3), t),
-        lambda t: uniform_value(5, t),
+        lambda t: maximize_missing_mass(5, t),
         lambda t: monte_carlo([0.5, 0.5], t, 10, 0, lambda idx: idx[:, 0]),
         lambda t: expected_eps_missing_mass(PointCloud([0.5, 0.5], coords=[[0.0], [1.0]]), t, 0.5),
     ],
@@ -119,7 +118,7 @@ class TestExpectedMissingMass:
 
     @given(prob_vectors(), sample_counts_t)
     def test_trivial_estimate(self, d, t):
-        trivial = (1.0 - d.min_mass) ** t
+        trivial = (1.0 - min(d.masses)) ** t
         assert expected_missing_mass(d, t) <= trivial + 1e-12
 
 
@@ -145,7 +144,7 @@ class TestKernel:
     def test_endpoints_and_peak_bound(self, t):
         assert kernel(0.0, t) == 0.0
         assert kernel(1.0, t) == 0.0
-        assert kernel(kernel_peak(t), t) < 1.0 / (math.e * t)
+        assert kernel(1.0 / (t + 1), t) < 1.0 / (math.e * t)
 
     @pytest.mark.parametrize("t", [2, 10, 100])
     def test_prime_minimum_location(self, t):
@@ -179,7 +178,7 @@ class TestKernel:
 
     def test_peak_is_maximum_on_grid(self):
         t = 25
-        peak_val = kernel(kernel_peak(t), t)
+        peak_val = kernel(1.0 / (t + 1), t)
         assert all(kernel(i / 500, t) <= peak_val for i in range(501))
 
     def test_domain_validation(self):

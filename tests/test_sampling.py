@@ -14,13 +14,8 @@ from missingmass import (
     InvalidInputError,
     PointCloud,
     ProbVector,
-    SampleCounts,
     Truncation,
-    draw_sample,
-    empirical_missing_mass,
-    eps_missing_mass,
     expected_missing_mass,
-    good_turing,
     gt_bias,
     gt_expected_estimate,
     mc_eps_missing_mass,
@@ -39,76 +34,23 @@ from missingmass.sampling import (
 )
 
 
-class TestDrawSample:
-    def test_point_mass(self):
-        sc = draw_sample(ProbVector([1.0]), 7, seed=3)
-        assert sc.counts == (7,)
-        assert sc.t == 7
-
-    def test_deterministic(self):
-        d = ProbVector([0.2, 0.3, 0.5])
-        assert draw_sample(d, 50, seed=11) == draw_sample(d, 50, seed=11)
-        assert draw_sample(d, 50, seed=11) != draw_sample(d, 50, seed=12)
-
-    def test_binomial_scale_at_large_t(self):
-        t = 10 ** 6
-        sc = draw_sample(ProbVector.uniform(2), t, seed=0)
-        sd = math.sqrt(t * 0.25)
-        for c in sc.counts:
-            assert abs(c - t / 2) <= 5 * sd
-
-    def test_counts_cover_all_atoms(self):
-        sc = draw_sample(ProbVector.uniform(5), 9, seed=1)
-        assert len(sc.counts) == 5
-        assert sum(sc.counts) == 9
-
-    def test_rejects_bad_t(self):
-        with pytest.raises(InvalidInputError):
-            draw_sample(ProbVector.uniform(2), 0, seed=0)
-
-    def test_source_names_the_input_type(self):
-        assert draw_sample(ProbVector.uniform(3), 5, seed=0).source == "ProbVector(n=3)"
-        sc = draw_sample(BlockVector([(0.25, 2), (0.125, 4)]), 5, seed=0)
-        assert sc.source == "BlockVector(n=6)"
-        assert len(sc.counts) == 6
-
-
 class TestEmpiricalMissingMass:
-    def test_all_observed(self):
-        d = ProbVector([0.5, 0.5])
-        sc = SampleCounts(2, (1, 1), "d", 0)
-        assert empirical_missing_mass(d, sc) == 0.0
-
-    def test_unseen_atom(self):
-        d = ProbVector([0.5, 0.5])
-        sc = SampleCounts(3, (3, 0), "d", 0)
-        assert empirical_missing_mass(d, sc) == 0.5
-
-    def test_size_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            empirical_missing_mass(ProbVector.uniform(3), SampleCounts(2, (1, 1), "d", 0))
-
     def test_mc_mean_matches_closed_form(self):
         d = ProbVector([0.1, 0.2, 0.3, 0.4])
         t, reps = 6, 4000
+        masses = np.asarray(d.masses)
         vals = []
         for i in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(i,)))
             u = rng.random(t)
-            idx = np.searchsorted(np.cumsum(d.masses), u, side="right")
-            counts = tuple(np.bincount(idx, minlength=4))
-            vals.append(empirical_missing_mass(d, SampleCounts(t, counts, "d", 99)))
+            idx = np.searchsorted(np.cumsum(masses), u, side="right")
+            vals.append(math.fsum(masses[np.bincount(idx, minlength=4) == 0]))
         mean = sum(vals) / reps
         se = np.std(vals, ddof=1) / math.sqrt(reps)
         assert abs(mean - expected_missing_mass(d, t)) <= 5 * se
 
 
 class TestGoodTuring:
-    def test_examples(self):
-        assert good_turing(SampleCounts(4, (1, 1, 2), "d", 0)) == 0.5
-        assert good_turing(SampleCounts(3, (3,), "d", 0)) == 0.0
-        assert good_turing(SampleCounts(3, (1, 1, 1), "d", 0)) == 1.0
-
     def test_mc_mean_matches_expectation(self):
         d = ProbVector.uniform(6)
         t, reps = 4, 4000
@@ -250,23 +192,6 @@ class TestMonteCarlo:
         with pytest.raises(InvalidInputError, match=f"seed must be an integer >= 0, got {seed!r}"):
             calls[entry]()
 
-    def test_rows_match_per_sample_functions(self):
-        t, seed = 7, 11
-        masses = np.asarray(self.D.masses)
-        idx = monte_carlo(masses, t, 64, seed, lambda idx: idx)
-        stats = _BlockStats(masses)
-        missing = stats.missing(idx)
-        bias = stats.bias(idx)
-        coords = [[0.0], [0.3], [0.5], [1.1], [1.2]]
-        cloud = PointCloud(masses, coords=coords)
-        words = _near_words(cloud.distances() <= 0.25)
-        eps_missing = _eps_missing_rows(words, cloud.masses, idx)
-        for i, row in enumerate(idx):
-            sc = SampleCounts(t, tuple(np.bincount(row, minlength=self.D.n).tolist()), "d", seed)
-            assert abs(missing[i] - empirical_missing_mass(self.D, sc)) <= 1e-15
-            assert abs(bias[i] - (good_turing(sc) - empirical_missing_mass(self.D, sc))) <= 1e-15
-            assert abs(eps_missing[i] - eps_missing_mass(cloud, row, 0.25)) <= 1e-15
-
     def test_eps_rows_do_not_depend_on_column_chunks(self, monkeypatch):
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.exponential(size=40), coords=rng.random((40, 2)), normalize=True)
@@ -301,7 +226,7 @@ class TestTypeCheck:
         CountableFamily.geometric(0.5), Truncation((0.5, 0.25), 0.25),
     ], ids=["family", "truncation"])
     @pytest.mark.parametrize("entry", [
-        "verify_bias", "verify_concentration", "draw_sample", "empirical_missing_mass",
+        "verify_bias", "verify_concentration",
     ])
     def test_refused_before_drawing(self, monkeypatch, d, entry):
         def refuse(*args):
@@ -311,9 +236,6 @@ class TestTypeCheck:
         calls = {
             "verify_bias": lambda: verify_bias(d, 10, 1000, 0),
             "verify_concentration": lambda: verify_concentration(d, 10, 0.1, 10_000, 0),
-            "draw_sample": lambda: draw_sample(d, 10_000, 1),
-            "empirical_missing_mass": lambda: empirical_missing_mass(
-                d, SampleCounts(2, (1, 1), "d", 0)),
         }
         with pytest.raises(InvalidInputError, match="expected a ProbVector or BlockVector"):
             calls[entry]()
@@ -324,14 +246,14 @@ HUGE_SUPPORT = BlockVector([(2.0 ** -21, 2 ** 21)])
 
 
 class TestRowCap:
-    """A Monte Carlo row of max(t, n) cells past MAX_ROW_CELLS is refused
-    before the engine allocates a buffer or a sampler expands the runs."""
+    """A Monte Carlo row of max(t, n) cells past MAX_ROW_CELLS, and every
+    other bad argument, is refused before the engine allocates a buffer or a
+    sampler expands the runs."""
 
     # a cloud cannot have the 2^21 points of the n case, so eps-mass has a t case only
     @pytest.mark.parametrize("entry, case", [
         pytest.param(entry, case, id=f"{entry}-{case}")
-        for entry in ("verify_bias", "verify_concentration", "draw_sample", "monte_carlo",
-                      "mc_eps_missing_mass")
+        for entry in ("verify_bias", "verify_concentration", "monte_carlo", "mc_eps_missing_mass")
         for case in ("t", "n") if (entry, case) != ("mc_eps_missing_mass", "n")
     ])
     def test_refused_before_allocating(self, entry, case):
@@ -345,7 +267,6 @@ class TestRowCap:
         calls = {
             "verify_bias": lambda: verify_bias(d, t, 1000, 0),
             "verify_concentration": lambda: verify_concentration(d, t, 0.1, 10_000, 0),
-            "draw_sample": lambda: draw_sample(d, t, 0),
             "monte_carlo": lambda: monte_carlo(masses, t, 1000, 0, lambda idx: idx),
             "mc_eps_missing_mass": lambda: mc_eps_missing_mass(cloud, t, 0.5, 1000, 0),
         }
@@ -359,8 +280,27 @@ class TestRowCap:
         assert peak < 2 ** 20
 
     def test_largest_row_is_accepted(self):
-        sc = draw_sample(ProbVector.uniform(2), MAX_ROW_CELLS, seed=0)
-        assert sc.t == MAX_ROW_CELLS
+        counts = monte_carlo([0.5, 0.5], MAX_ROW_CELLS, 1, 0,
+                             lambda idx: np.bincount(idx[0], minlength=2)[None])
+        assert counts.sum() == MAX_ROW_CELLS
+
+    @pytest.mark.parametrize("entry", ["verify_bias", "verify_concentration"])
+    def test_other_arguments_refused_before_expanding(self, entry):
+        # 2^20 atoms in one run: 8 MB of atom masses, if they were expanded
+        d = BlockVector([(2.0 ** -20, 2 ** 20)])
+        call, message = {
+            "verify_bias": (lambda: verify_bias(d, 10, 1000, -1), "seed must be"),
+            "verify_concentration": (lambda: verify_concentration(d, 10, 0.1, 10 ** 12, 0),
+                                     "exceeds MAX_REPLICATES"),
+        }[entry]
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=message):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def _random_support(n, seed=0):
@@ -552,11 +492,9 @@ class TestBlockStats:
             raise AssertionError("ProbVector.masses builds a Python tuple of every atom")
 
         d = _random_support(40)
-        expected = [verify_bias(d, 30, 1000, 1), verify_concentration(d, 30, 0.1, 10_000, 2),
-                    draw_sample(d, 30, 3)]
+        expected = [verify_bias(d, 30, 1000, 1), verify_concentration(d, 30, 0.1, 10_000, 2)]
         monkeypatch.setattr(ProbVector, "masses", property(refuse))
-        assert [verify_bias(d, 30, 1000, 1), verify_concentration(d, 30, 0.1, 10_000, 2),
-                draw_sample(d, 30, 3)] == expected
+        assert [verify_bias(d, 30, 1000, 1), verify_concentration(d, 30, 0.1, 10_000, 2)] == expected
 
     def test_concentration_memory_bounded(self):
         # a dense (rows, n) int64 count array and its float product would
@@ -572,9 +510,9 @@ class TestBlockStats:
 
 
 class TestPinnedValues:
-    """Seeded values of the one-stream engine, each checked when recorded
-    against the per-sample functions on plain searchsorted indices (equal up
-    to the last digits of the sums' order); any change to the sampler that
+    """Seeded values of the one-stream engine, whose indices equal plain
+    searchsorted ones (TestGuideTable) and whose row statistics equal the
+    dense reference forms (TestBlockStats); any change to the sampler that
     moves a draw moves one of them."""
 
     def test_verify_bias(self):
@@ -599,11 +537,6 @@ class TestPinnedValues:
             '{"estimate": 0.14266, "std_error": 0.0009174054171226768, '
             '"replicates": 1000, "seed": 31, "bound": 0.14205957414632403, '
             '"violated": false}')
-
-    def test_draw_sample(self):
-        counts = draw_sample(GEOMETRIC, 1000, 43).counts
-        assert counts == (0,) * 51 + (2, 7, 6, 17, 40, 58, 108, 267, 495)
-
 
 class TestVerifyConcentration:
     def test_impossible_event(self):
@@ -642,12 +575,6 @@ class TestVerifyConcentration:
         assert a == b
 
 
-class TestSampleCounts:
-    def test_sum_invariant(self):
-        with pytest.raises(InvalidInputError):
-            SampleCounts(5, (1, 1), "d", 0)
-
-
 class TestMcReportJson:
     def test_optional_fields_elided(self):
         rep = verify_bias(ProbVector([1.0]), 2, replicates=1000, seed=0)
@@ -684,7 +611,6 @@ d = mm.ProbVector([0.05, 0.1, 0.15, 0.2, 0.5])
 c = mm.PointCloud([0.25] * 4, coords=[[0.0], [0.3], [1.0], [1.2]])
 mm.verify_bias(d, 9, 1000, 3)
 mm.verify_concentration(d, 9, 0.3, 10000, 3)
-mm.draw_sample(d, 100, 3)
 mm.mc_eps_missing_mass(c, 3, 0.35, 1000, 4)
 with open("cloud.json", "w") as f:
     f.write('{{"points": [[0], [0.3], [1], [1.2]], "masses": [0.25, 0.25, 0.25, 0.25]}}')
