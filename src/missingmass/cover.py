@@ -13,6 +13,9 @@ The Monte Carlo check and the exact cover read the eps-ball mask d <= eps
 as bit rows (_near_words): point j is bit j % 8 of byte j // 8 of a row of
 64-bit words, 8x smaller than the bool mask.  A sample's hit mask is the
 OR of its draws' rows, one word per 64 points.
+
+The distance matrix and the ball masses are computed in row slices within
+numerics.SLICE_BYTES, through slice buffers allocated once per call.
 """
 
 from __future__ import annotations
@@ -105,9 +108,22 @@ class PointCloud:
                 )
 
     def distances(self) -> np.ndarray:
+        """The (n, n) distance matrix, built once.  Euclidean rows are filled
+        in slices, each through one (rows, n, dim) scratch within SLICE_BYTES
+        allocated once, so the build holds little more than the matrix; every
+        distance is the square root of the same sum, in the same order, as
+        over one (n, n, dim) difference array."""
         if self._dist is None:
-            diff = self.coords[:, None, :] - self.coords[None, :, :]
-            d = np.sqrt(np.sum(diff * diff, axis=2))
+            pts = self.coords
+            step = min(rows_per_slice(8 * pts.size), self.n)
+            scratch = np.empty((step,) + pts.shape)
+            d = np.empty((self.n, self.n))
+            for r in range(0, self.n, step):
+                k = min(step, self.n - r)
+                diff = np.subtract(pts[r:r + k, None, :], pts, out=scratch[:k])
+                diff *= diff
+                np.sum(diff, axis=2, out=d[r:r + k])
+            np.sqrt(d, out=d)
             np.fill_diagonal(d, 0.0)
             self._dist = d
         return self._dist
@@ -227,15 +243,20 @@ def ball_masses(cloud: PointCloud, eps: float) -> np.ndarray:
 
     Each row's masses are summed over its hits (numpy's pairwise sum), in
     slices of whole rows within SLICE_BYTES, so the value of a row depends on
-    neither the slicing nor the BLAS build or its thread count.
+    neither the slicing nor the BLAS build or its thread count.  The slices'
+    hit mask and products are buffers allocated once per call.
     """
     require_real(eps, "radius eps", 0.0, math.inf, "(]")
     if cloud._balls is not None and cloud._balls[0] == eps:
         return cloud._balls[1]
-    d = cloud.distances()
-    step = rows_per_slice(8 * cloud.n)
-    balls = np.concatenate([np.multiply(d[r:r + step] <= eps, cloud.masses).sum(axis=1)
-                            for r in range(0, cloud.n, step)])
+    d, n = cloud.distances(), cloud.n
+    step = min(rows_per_slice(8 * n), n)
+    hits, terms = np.empty((step, n), bool), np.empty((step, n))
+    balls = np.empty(n)
+    for r in range(0, n, step):
+        k = min(step, n - r)
+        np.multiply(np.less_equal(d[r:r + k], eps, out=hits[:k]), cloud.masses,
+                    out=terms[:k]).sum(axis=1, out=balls[r:r + k])
     balls.setflags(write=False)
     cloud._balls = (eps, balls)
     return balls

@@ -11,7 +11,9 @@ with x = 1/n recovering the uniform distribution.  Small sample counts are
 won by the uniform; past an integer threshold (strictly above n) a strictly
 interior light mass wins, and its location is pinned inside (1/(t+1), 1/t).
 The threshold is found by one array scan over t, and an exhaustive grid oracle
-over the 3-atom simplex cross-checks the one-variable reduction.
+over the 3-atom simplex cross-checks the one-variable reduction.  Both run in
+slices within numerics.SLICE_BYTES, through slice buffers allocated once per
+call, so no slice allocates or faults in memory of its own.
 """
 
 from __future__ import annotations
@@ -22,12 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProbVector
-from .errors import MissingMassError, ThresholdNotFoundError, require_int, require_real, require_t
+from .errors import (InvalidInputError, MissingMassError, ThresholdNotFoundError, require_int,
+                     require_real, require_t)
 from .numerics import pow_one_minus, pow_unit, rows_per_slice
 
 # Cells per sign scan of the derivative when locating the interior maximum.
 CRITICAL_SCAN_POINTS = 64
 _SCAN = np.arange(CRITICAL_SCAN_POINTS + 1) / CRITICAL_SCAN_POINTS
+# The most values of t one threshold scan takes (1.3-3 us each on 2 vCPUs, so
+# about 7 s at the cap); the default budget n + 10 sqrt(n) fits under it for
+# every n up to 1.7e11.
+MAX_SCAN = 1 << 22
 
 
 def _require(n, t=1, x=0.0) -> tuple[int, int]:
@@ -48,7 +55,7 @@ def bivalent_missing_mass(n: int, t: int, x: float) -> float:
 def bivalent_missing_mass_prime(n: int, t: int, x: float) -> float:
     """Analytic derivative of bivalent_missing_mass in the light mass."""
     _require(n, t, x)
-    return float(_prime(n, t, x))
+    return float(_prime(n, t, float(x)))
 
 
 def _value(n: int, t, x):
@@ -57,12 +64,19 @@ def _value(n: int, t, x):
     return u * pow_one_minus(x, t) + (1.0 - u) * pow_unit(u, t)
 
 
-def _prime(n: int, t, x):
-    """bivalent_missing_mass_prime elementwise over arrays of t and x, unchecked."""
-    u = (n - 1) * x
-    light_part = pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x)
-    heavy_part = pow_unit(u, t - 1) * (t - (t + 1) * u)
-    return (n - 1) * (light_part + heavy_part)
+def _prime(n: int, t, x, work=None):
+    """bivalent_missing_mass_prime elementwise over arrays of t and x, unchecked.
+
+    work, if given, is three float arrays of the result's shape, which hold
+    every intermediate; the derivative is returned in the second.
+    """
+    a, b, c = (None, None, None) if work is None else work
+    u = np.multiply(n - 1, x, out=a)
+    light_part = np.multiply(pow_one_minus(x, t - 1, out=b),
+                             np.subtract(1.0, np.multiply(t + 1, x, out=c), out=c), out=b)
+    heavy_part = np.multiply(pow_unit(u, t - 1, out=c),
+                             np.subtract(t, np.multiply(t + 1, u, out=a), out=a), out=c)
+    return np.multiply(n - 1, np.add(light_part, heavy_part, out=b), out=b)
 
 
 def _prime_second(n: int, t, x):
@@ -117,9 +131,11 @@ class ThresholdResult:
         return {"n": self.n, "tau": self.tau, "margin_at_tau": self.margin_at_tau}
 
 
-def _solve(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve(n: int, t: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Best interior light mass and its value for each sample count in t
     (all > n); the family beats the uniform wherever value > (1 - 1/n)^t.
+    work, if given, is a (4, len(t), len(_SCAN)) float array for the
+    derivative samples, which a caller solving many slices allocates once.
 
     Interior local maxima can only live below 2/(t+1) (the derivative of the
     kernel decreases there and increases beyond).  One scan samples the
@@ -141,14 +157,17 @@ def _solve(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on the other t solved with it.  The peak stays a candidate: it wins where
     its value is strictly larger.
     """
+    if work is None:
+        work = np.empty((4, len(t), len(_SCAN)))
     lo = 1.0 / (t + 1)
     peak = np.nextafter(lo, 1.0)
     end = np.minimum(lo + lo, (1.0 - 1e-9) / n)
     # a cell within a factor 2 of 1/(t+1) has an exact width, so the samples
     # stay inside it; the first one is the peak
-    x = lo[:, None] + (end - lo)[:, None] * _SCAN
+    x = np.multiply((end - lo)[:, None], _SCAN, out=work[0])
+    x += lo[:, None]
     x[:, 0] = peak
-    rising = _prime(n, t[:, None], x) > 0.0
+    rising = _prime(n, t[:, None], x, work[1:]) > 0.0
     turn = rising[:, :-1] & ~rising[:, 1:]
     i = np.argmax(turn, axis=1)
     live = np.flatnonzero(turn[np.arange(len(t)), i] & (end > lo))
@@ -206,17 +225,24 @@ def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
     """Scan t = n+1, n+2, ... for the first strict win of an interior light
     mass over the uniform distribution, verifying the win persists through
     the rest of the scan.  The scan is solved in slices of t whose
-    derivative samples (len(_SCAN) floats per t) fit in SLICE_BYTES, so its
-    memory does not grow with n.
+    derivative samples (len(_SCAN) floats per t) fit in SLICE_BYTES, and
+    their workspace is allocated once per call, so its memory does not grow
+    with n and no slice allocates a buffer of that size.  A scan of more
+    than MAX_SCAN values of t is refused before it starts.
     """
     n = _require(n)[0]
     budget = n + max(10, math.ceil(10.0 * math.sqrt(n)))
     t_max = budget if t_max is None else require_int(t_max, f"t_max for n={n}", budget)
+    if t_max - n > MAX_SCAN:
+        raise InvalidInputError(
+            f"threshold scan of {t_max - n} values of t (n={n}, t_max={t_max}) "
+            f"exceeds MAX_SCAN={MAX_SCAN}")
     step = rows_per_slice(8 * len(_SCAN))
+    work = np.empty((4, min(step, t_max - n), len(_SCAN)))
     tau, margin = None, None
     for start in range(n + 1, t_max + 1, step):
         t = np.arange(start, min(start + step, t_max + 1))
-        _, values = _solve(n, t)
+        _, values = _solve(n, t, work[:, :len(t)])
         uval = pow_one_minus(1.0 / n, t)
         win = values > uval
         if tau is None and win.any():
@@ -243,9 +269,10 @@ def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[f
     in form a prefix of its columns, and that prefix does not grow down the
     rows: each sweep runs over bands of rows cut to their first row's
     prefix, each band within SLICE_BYTES, and evaluates only the triangle
-    and the few cells of a band past a later row's prefix (marked -1).  It
-    keeps the first maximum in row-major order, as a sweep of the whole
-    square would, so its memory does not grow with the grid.  Returns the
+    and the few cells of a band past a later row's prefix (marked -1).  The
+    band arrays are views of buffers allocated once per call.  It keeps the
+    first maximum in row-major order, as a sweep of the whole square would,
+    so its memory does not grow with the grid.  Returns the
     best value and its point, coordinates sorted nondecreasing.
     """
     require_t(t)
@@ -260,14 +287,16 @@ def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[f
             if width == 0:  # nor any later row
                 break
             stop = min(start + rows_per_slice(8 * width), p1_vals.size)
+            shape = (stop - start, width)
+            band = shape[0] * width
             p1 = p1_vals[start:stop, None]
-            p3 = 1.0 - p1 - p2_vals[:width]
-            outside = p3 < -1e-12
+            p3 = np.subtract(1.0 - p1, p2_vals[:width], out=p3_buf[:band].reshape(shape))
+            outside = np.less(p3, -1e-12, out=outside_buf[:band].reshape(shape))
             np.clip(p3, 0.0, 1.0, out=p3)
-            term = 1.0 - p3  # p3 (1 - p3)^t, in place
-            term **= t
+            term = np.subtract(1.0, p3, out=term_buf[:band].reshape(shape))
+            term **= t  # p3 (1 - p3)^t, in place
             term *= p3
-            f = p1 * (1.0 - p1) ** t + column[:width]
+            f = np.add(p1 * (1.0 - p1) ** t, column[:width], out=f_buf[:band].reshape(shape))
             f += term
             f[outside] = -1.0
             i, j = np.unravel_index(int(np.argmax(f)), f.shape)
@@ -278,6 +307,12 @@ def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[f
 
     m = int(round(1.0 / grid_step))
     coarse = np.linspace(0.0, 1.0, m + 1)
+    # a band holds at most max(SLICE_BYTES / 8, one row) cells, and the
+    # refinement's 101 x 101 grid is no larger than the coarse one (m >= 100):
+    # the band buffers are allocated once per call, each band a prefix of them
+    cells = min(coarse.size ** 2, max(rows_per_slice(8), coarse.size))
+    p3_buf, term_buf, f_buf = (np.empty(cells) for _ in range(3))
+    outside_buf = np.empty(cells, bool)
     val, b1, b2 = sweep(coarse, coarse)
 
     fine_step = grid_step / 50.0

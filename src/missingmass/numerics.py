@@ -1,6 +1,6 @@
 """Floating-point helpers: the shared power-evaluation policy, the cached
-kernel terms of one distribution, and the cap on the temporaries of sliced
-array evaluations.
+kernel terms of one distribution, and the cap on the slice buffers of sliced
+array evaluations, which each call allocates once.
 
 Powers.  One elementwise rule decides every power (1-p)^t and b^t: its
 exponent alone.  From t = POW_EXPONENT_SWITCH on, a power is taken in log
@@ -101,9 +101,12 @@ import numpy as np
 # stays within about 1 ulp, but it costs a third to a fifth as much.
 POW_EXPONENT_SWITCH = 64
 
-# Cap on the bytes of one temporary array in a sliced evaluation (the
-# extremal scan over t, the simplex grid oracle, the eps-ball sums and
-# gathers, the Monte Carlo blocks); slicing never changes a value.
+# Cap on the bytes of one slice buffer in a sliced evaluation (the extremal
+# scan over t, the simplex grid oracle, the distance matrix, the eps-ball
+# sums and gathers, the Monte Carlo blocks); slicing never changes a value.
+# Each call allocates its slice buffers once and reuses them for every
+# slice: a fresh buffer of this size per slice is mapped and faulted in anew
+# whenever the allocator has returned the last one to the system.
 SLICE_BYTES = 1 << 19
 
 
@@ -113,12 +116,24 @@ def rows_per_slice(row_bytes: int) -> int:
     return max(1, SLICE_BYTES // row_bytes)
 
 
-def pow_one_minus(p, t):
-    """(1 - p)^t elementwise for p in [0, 1] and t >= 0, safe for large t and tiny p."""
+def pow_one_minus(p, t, out=None):
+    """(1 - p)^t elementwise for p in [0, 1] and t >= 0, safe for large t and tiny p.
+
+    out, if given, is a float array of the result's shape that receives the
+    result and is returned; where every exponent takes log space, the power
+    is computed in it, with no temporary.
+    """
     p = np.asarray(p, dtype=float)
     return _by_policy(np.asarray(t >= POW_EXPONENT_SWITCH), p, t,
-                      lambda p, t: np.exp(t * np.log1p(-p)),
-                      lambda p, t: _compensated(*_split_one_minus(p), t))
+                      _log_one_minus, lambda p, t: _compensated(*_split_one_minus(p), t), out)
+
+
+def _log_one_minus(p, t, out=None):
+    """exp(t log1p(-p)), each step written into out when it is given."""
+    v = np.negative(p, out=out)
+    v = np.log1p(v, out=out)
+    v = np.multiply(t, v, out=out)
+    return np.exp(v, out=out)
 
 
 def _split_one_minus(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,10 +200,18 @@ class KernelTerms:
         return self._log
 
 
-def pow_unit(b, t):
-    """b^t elementwise for b in [0, 1] and t >= 0; underflow rounds to 0."""
+def pow_unit(b, t, out=None):
+    """b^t elementwise for b in [0, 1] and t >= 0; underflow rounds to 0.
+    out as for pow_one_minus."""
     return _by_policy(np.asarray(t >= POW_EXPONENT_SWITCH), np.asarray(b, dtype=float), t,
-                      lambda b, t: np.exp(t * np.log(b)), _direct)
+                      _log_unit, _direct, out)
+
+
+def _log_unit(b, t, out=None):
+    """exp(t log b), each step written into out when it is given."""
+    v = np.log(b, out=out)
+    v = np.multiply(t, v, out=out)
+    return np.exp(v, out=out)
 
 
 def _direct(b, t):
@@ -202,19 +225,24 @@ def _direct(b, t):
     return out
 
 
-def _by_policy(mask, x, t, when_true, when_false):
-    """when_true(x, t) where mask holds and when_false(x, t) elsewhere,
-    evaluating only the branches some element needs.  when_true is the
-    branch that may take the log of 0: it runs with that warning off."""
+def _by_policy(mask, x, t, when_true, when_false, out=None):
+    """when_true(x, t, out) where mask holds and when_false(x, t) elsewhere,
+    evaluating only the branches some element needs, into out if it is
+    given.  when_true is the branch that may take the log of 0: it runs with
+    that warning off, and in out when it covers every element."""
     logs = np.count_nonzero(mask)
     if not logs:
-        return when_false(x, t)
+        if out is None:
+            return when_false(x, t)
+        out[...] = when_false(x, t)
+        return out
     with np.errstate(divide="ignore"):
         if logs == mask.size:
-            return when_true(x, t)
+            return when_true(x, t, out)
         x, t, mask = np.broadcast_arrays(x, t, mask)
-        out = np.empty(mask.shape)
-        out[mask] = when_true(x[mask], t[mask])
+        if out is None:
+            out = np.empty(mask.shape)
+        out[mask] = when_true(x[mask], t[mask], None)
         out[~mask] = when_false(x[~mask], t[~mask])
         return out
 

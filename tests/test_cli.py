@@ -571,6 +571,9 @@ class TestCaps:
          "mml construct: horizon t_max=100000000 exceeds MAX_HORIZON=1048576"),
         ("construct --kind rate-lb --target geometric --t-max 1048577",
          "mml construct: horizon t_max=1048577 exceeds MAX_HORIZON=1048576"),
+        ("tau --n 10 --t-max 1000000000000",
+         "mml tau: threshold scan of 999999999990 values of t (n=10, t_max=1000000000000) "
+         "exceeds MAX_SCAN=4194304"),
         # strict JSON (RFC 8259) has no Infinity, so a report holding one is refused
         ("cover --cloud {cloud} --eps inf --t 3",
          "mml cover: Out of range float values are not JSON compliant: inf"),

@@ -17,6 +17,7 @@ from missingmass import (
     greedy_eps_net,
     mc_eps_missing_mass,
 )
+from missingmass import numerics
 from missingmass.cover import ball_masses
 
 
@@ -135,6 +136,57 @@ class TestPointCloud:
     def test_csv_text_rejected(self, text, message):
         with pytest.raises(InvalidInputError, match=message):
             PointCloud.from_csv_text(text)
+
+
+class TestDistances:
+    """distances() fills the matrix in row slices through one scratch; each
+    entry is bit for bit that of one (n, n, dim) difference array."""
+
+    @staticmethod
+    def one_shot(coords):
+        diff = coords[:, None, :] - coords[None, :, :]
+        d = np.sqrt(np.sum(diff * diff, axis=2))
+        np.fill_diagonal(d, 0.0)
+        return d
+
+    @pytest.mark.parametrize("dim", range(1, 12))
+    def test_matches_one_shot_reference(self, dim):
+        # 512 points fill whole slices for dim 1, 2, 4 and 8; the other sizes
+        # end in a partial slice or fit in one
+        rng = np.random.default_rng(dim)
+        for n in (1, 2, 5, 64, 257, 512, 700):
+            coords = rng.random((n, dim)) * 10.0 ** rng.integers(-3, 4)
+            if n > 2 and n % 2:
+                coords[rng.integers(0, n, n // 3)] = coords[n // 2]  # duplicate points
+            d = PointCloud([1.0 / n] * n, coords=coords).distances()
+            assert d.tobytes() == self.one_shot(coords).tobytes(), (n, dim)
+
+    def test_duplicate_points(self):
+        coords = np.repeat([[0.5, 0.25], [1.5, -2.0]], [3, 2], axis=0)
+        d = PointCloud([0.2] * 5, coords=coords).distances()
+        assert d.tobytes() == self.one_shot(coords).tobytes()
+        assert (d[:3, :3] == 0.0).all() and (d[3:, 3:] == 0.0).all()
+        assert d[0, 4] == math.sqrt(1.0 + 2.25 * 2.25)
+
+    def test_independent_of_the_slicing(self, monkeypatch):
+        coords = np.random.default_rng(11).random((97, 3))
+        results = set()
+        for budget in (8, 8 * 3 * 97 * 5, numerics.SLICE_BYTES):
+            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
+            results.add(PointCloud([1.0 / 97] * 97, coords=coords).distances().tobytes())
+        assert results == {self.one_shot(coords).tobytes()}
+
+    def test_memory_near_the_matrix(self):
+        # the 8 MB matrix and one slice; a (n, n, dim) difference array and its
+        # square would add 32 MB
+        cloud = random_cloud(np.random.default_rng(7), 1000, 2)
+        tracemalloc.start()
+        try:
+            cloud.distances()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2 ** 20
 
 
 class TestGreedyNet:

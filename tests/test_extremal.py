@@ -1,4 +1,8 @@
 import math
+import mmap
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -257,7 +261,7 @@ class TestThreshold:
 
     def test_scan_without_a_win_raises(self, monkeypatch):
         # a solver whose best value never beats the uniform one
-        monkeypatch.setattr(extremal, "_solve", lambda n, t: (t * 0.0, t * 0.0))
+        monkeypatch.setattr(extremal, "_solve", lambda n, t, work: (t * 0.0, t * 0.0))
         with pytest.raises(ThresholdNotFoundError, match="n=10 scanning t up to 60") as exc:
             find_threshold(10, t_max=60)
         assert exc.value.n == 10 and exc.value.t_max == 60
@@ -265,7 +269,7 @@ class TestThreshold:
     @pytest.mark.parametrize("rows", [None, 7], ids=["one-slice", "slices-of-7"])
     def test_loss_after_a_win_raises(self, monkeypatch, rows):
         # wins from t = 20 on, except at t = 30
-        def solve(n, t):
+        def solve(n, t, work):
             return t * 0.0, np.where((t >= 20) & (t != 30), 1.0, 0.0)
 
         monkeypatch.setattr(extremal, "_solve", solve)
@@ -274,6 +278,32 @@ class TestThreshold:
         with pytest.raises(MissingMassError, match="win indicator not monotone: "
                                                    "n=10 wins at t=20 but loses at t=30"):
             find_threshold(10, t_max=60)
+
+    def test_scan_cap(self, monkeypatch):
+        # refused before the workspace is allocated or a slice is solved
+        over = extremal.MAX_SCAN + 1
+        with pytest.raises(InvalidInputError, match=(
+                rf"^threshold scan of {over} values of t \(n=10, t_max={10 + over}\) "
+                rf"exceeds MAX_SCAN={extremal.MAX_SCAN}$")):
+            find_threshold(10, t_max=10 + over)
+        with pytest.raises(InvalidInputError, match="MAX_SCAN"):
+            find_threshold(2 * 10 ** 11)  # the default budget: 4.47e6 values of t
+
+        class Reached(Exception):
+            pass
+
+        def solve(n, t, work):
+            raise Reached
+
+        # the default budget of n = 1.7e11 (4.12e6 values of t) is under the cap
+        monkeypatch.setattr(extremal, "_solve", solve)
+        with pytest.raises(Reached):
+            find_threshold(17 * 10 ** 10)
+        monkeypatch.undo()
+        monkeypatch.setattr(extremal, "MAX_SCAN", 50)
+        assert find_threshold(10, t_max=60).tau == 15
+        with pytest.raises(InvalidInputError, match="^threshold scan of 51 values of t"):
+            find_threshold(10, t_max=61)
 
     def test_wins_monotone_past_tau(self):
         """maximize_missing_mass agrees with the scan at every scanned t: its
@@ -369,3 +399,39 @@ class TestSimplexOracle:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+def _minor_faults(call: str) -> int:
+    """Minor page faults of one call in a fresh interpreter, after one small
+    call of each solver; a fresh allocator maps every buffer of SLICE_BYTES
+    anew, so a buffer allocated per slice shows up as its pages per slice."""
+    code = ("import resource; import missingmass as mm\n"
+            "mm.find_threshold(10); mm.simplex_grid_oracle(2, 1e-2)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"{call}\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    package_root = os.path.dirname(os.path.dirname(extremal.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         check=True, capture_output=True, text=True)
+    return int(run.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+class TestSliceBuffers:
+    """The sliced solvers allocate their slice buffers once per call, so
+    their page faults do not grow with the number of slices."""
+
+    def test_threshold_scan(self):
+        # 10 slices of t against 1 (about 8 000 faults against 900 when each
+        # slice allocated its own derivative samples)
+        many = _minor_faults("mm.find_threshold(10 ** 6)")
+        one = _minor_faults("mm.find_threshold(10 ** 4)")
+        assert many <= 1.5 * one + 256, (many, one)
+
+    def test_oracle(self):
+        # three float band buffers and one bool (about 1 600 faults when each
+        # band allocated its own)
+        pages = (3 * numerics.SLICE_BYTES + numerics.SLICE_BYTES // 8) // mmap.PAGESIZE
+        faults = _minor_faults("mm.simplex_grid_oracle(40, 1e-3)")
+        assert faults <= pages + 256, (faults, pages)
