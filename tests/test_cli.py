@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from missingmass import CountableFamily, McReport, PointCloud, mc_eps_missing_mass
-from missingmass import cli, sampling
+from missingmass import cli, cover, sampling
 from missingmass.cli import _dict_to_csv, build_parser, main
 
 
@@ -600,6 +600,17 @@ class TestCaps:
             assert code == 0 and len(json.loads(out)["t"]) == count
         else:
             assert (code, err) == (2, "mml emm: t grid of 5 values exceeds MAX_T_GRID=4\n")
+
+    @pytest.mark.parametrize("argv", [
+        "cover --cloud {cloud} --eps 0.5 --t 3",
+        "simulate --mode eps-mass --cloud {cloud} --eps 0.5 --t 3 --replicates 1000",
+    ])
+    def test_cloud_past_the_cap(self, capsys, monkeypatch, files, argv):
+        argv = argv.format(**files).split()
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cover, "MAX_CLOUD_POINTS", 2)
+        assert run_cli(capsys, *argv) == (
+            2, "", f"mml {argv[0]}: cloud of 3 points exceeds MAX_CLOUD_POINTS=2\n")
 
     def test_replicates_at_the_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(sampling, "MAX_REPLICATES", 1000)

@@ -17,7 +17,7 @@ from missingmass import (
     greedy_eps_net,
     mc_eps_missing_mass,
 )
-from missingmass import numerics
+from missingmass import cover, numerics
 from missingmass.cover import ball_masses
 
 
@@ -94,6 +94,19 @@ class TestPointCloud:
         with pytest.raises(InvalidInputError):
             PointCloud([1 / 3] * 3, matrix=bad_triangle, normalize=True)
 
+    def test_size_cap(self, monkeypatch):
+        # both geometries are refused by their point count, before the
+        # matrix or the coordinates are read
+        monkeypatch.setattr(cover, "MAX_CLOUD_POINTS", 4)
+        assert PointCloud([0.25] * 4, coords=np.arange(4.0)).distances().shape == (4, 4)
+        assert PointCloud([0.25] * 4, matrix=np.zeros((4, 4))).n == 4
+        message = "cloud of 5 points exceeds MAX_CLOUD_POINTS=4"
+        for geometry in ({"coords": "not read"}, {"matrix": "not read"}):
+            with pytest.raises(InvalidInputError, match=message):
+                PointCloud([0.2] * 5, **geometry)
+        with pytest.raises(InvalidInputError, match=message):
+            PointCloud.from_csv_text("id,mass,x1\n" + "p,0.2,0.0\n" * 5)
+
     def test_csv_roundtrip(self, line3):
         text = "id,mass,x1\np0,0.5,0.0\np1,0.25,1.0\np2,0.25,2.0\n"
         cloud = PointCloud.from_csv_text(text)
@@ -139,8 +152,9 @@ class TestPointCloud:
 
 
 class TestDistances:
-    """distances() fills the matrix in row slices through one scratch; each
-    entry is bit for bit that of one (n, n, dim) difference array."""
+    """distances() fills the matrix one coordinate column at a time, in row
+    slices through buffers allocated once; each entry is bit for bit that of
+    one (n, n, dim) difference array summed by np.sum."""
 
     @staticmethod
     def one_shot(coords):
@@ -161,6 +175,18 @@ class TestDistances:
             d = PointCloud([1.0 / n] * n, coords=coords).distances()
             assert d.tobytes() == self.one_shot(coords).tobytes(), (n, dim)
 
+    @pytest.mark.parametrize("dim", [15, 16, 17, 23, 64, 127, 128, 129, 136, 200, 257, 300])
+    def test_matches_one_shot_reference_across_blocks(self, dim):
+        # numpy adds 8 to 128 terms in eight lanes and splits more in halves;
+        # these dims cross both edges and end in leftover terms
+        rng = np.random.default_rng(dim)
+        for n in (1, 2, 5, 33, 97):
+            coords = rng.random((n, dim)) * 10.0 ** rng.integers(-3, 4)
+            if n > 2 and n % 2:
+                coords[rng.integers(0, n, n // 3)] = coords[n // 2]  # duplicate points
+            d = PointCloud([1.0 / n] * n, coords=coords).distances()
+            assert d.tobytes() == self.one_shot(coords).tobytes(), (n, dim)
+
     def test_duplicate_points(self):
         coords = np.repeat([[0.5, 0.25], [1.5, -2.0]], [3, 2], axis=0)
         d = PointCloud([0.2] * 5, coords=coords).distances()
@@ -169,24 +195,30 @@ class TestDistances:
         assert d[0, 4] == math.sqrt(1.0 + 2.25 * 2.25)
 
     def test_independent_of_the_slicing(self, monkeypatch):
-        coords = np.random.default_rng(11).random((97, 3))
-        results = set()
-        for budget in (8, 8 * 3 * 97 * 5, numerics.SLICE_BYTES):
-            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
-            results.add(PointCloud([1.0 / 97] * 97, coords=coords).distances().tobytes())
-        assert results == {self.one_shot(coords).tobytes()}
+        # the in-order sum at dim 3 and the eight lanes at dim 12; 5 rows of
+        # the lanes' buffers end dim 12 in a partial slice
+        for dim in (3, 12):
+            coords = np.random.default_rng(11).random((97, dim))
+            results = set()
+            for budget in (8, 8 * 8 * 97 * 5, numerics.SLICE_BYTES):
+                monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
+                results.add(PointCloud([1.0 / 97] * 97, coords=coords).distances().tobytes())
+            monkeypatch.undo()
+            assert results == {self.one_shot(coords).tobytes()}, dim
 
     def test_memory_near_the_matrix(self):
-        # the 8 MB matrix and one slice; a (n, n, dim) difference array and its
-        # square would add 32 MB
-        cloud = random_cloud(np.random.default_rng(7), 1000, 2)
-        tracemalloc.start()
-        try:
-            cloud.distances()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 9 * 2 ** 20
+        # the 8 MB matrix and its slice buffers, the eight lanes of dim 12
+        # among them; a (n, n, dim) difference array and its square would
+        # add 32 MB in 2-D
+        for dim in (2, 12):
+            cloud = random_cloud(np.random.default_rng(7), 1000, dim)
+            tracemalloc.start()
+            try:
+                cloud.distances()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 9 * 2 ** 20, dim
 
 
 class TestGreedyNet:
