@@ -4,7 +4,22 @@ that two checkouts can be compared bit for bit.
 
 A float prints as ``float.hex``, an array (or a tuple of indices) as its
 dtype, shape and the SHA-256 of its ``tobytes()``, an int or a bool as
-itself.  Only the cloud section exists so far:
+itself.  Two sections so far.
+
+The closed-form section (keys ``closed/...``), on seeded distributions of
+1-2000 runs (masses down to 1e-300), BlockVectors with counts up to 2^40,
+uniforms and truncated countable families:
+
+- sequential scans of ``expected_missing_mass``, ``gt_expected_estimate``
+  and ``gt_bias``, each form on its own, from t = 1, from t = 60 (across
+  the exponent switch at 64), and near 10^6 and 10^9;
+- sorted random sparse t-grids, with the three forms interleaved at each t;
+- ``missing_mass_curve`` on the same distributions and on truncated
+  geometric and dyadic-block families, over a scan from t = 1, a sparse
+  grid and grids near 10^6 and 10^9;
+- ``dyadic_bands`` at a few t.
+
+The cloud section (keys ``cloud/...`` and ``mc/...``):
 
 - ``distances()`` on seeded coordinate clouds of dims 1-12 and 130, odd
   sizes with duplicate points, every other cloud with skewed masses, plus
@@ -33,6 +48,7 @@ checkouts on one machine; the full audit is not a test gate.
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -112,9 +128,64 @@ def cloud_section(cover, quick: bool):
                 yield f"mc/d{dim}/n{n}/s{seed}/{field.name}", value
 
 
+SCAN_STARTS = (1, 60, 10 ** 6 - 5, 10 ** 9 - 5)
+
+
+def seeded_distributions(mm, quick: bool):
+    """(name, distribution) pairs of the closed-form section."""
+    for n in (1, 5, 50) if quick else (1, 2, 5, 50, 300, 2000):
+        rng = np.random.default_rng([n, 1])
+        yield f"exp{n}", mm.ProbVector(rng.exponential(size=n), normalize=True)
+        yield f"tiny{n}", mm.ProbVector(10.0 ** rng.uniform(-300, 0, n), normalize=True)
+    for blocks in (3, 12) if quick else (3, 12, 40):
+        rng = np.random.default_rng([blocks, 2])
+        w, c = rng.exponential(size=blocks), rng.integers(1, 2 ** 40, blocks, endpoint=True)
+        total = math.fsum((w * c).tolist())
+        yield f"blocks{blocks}", mm.BlockVector(list(zip((w / total).tolist(), c.tolist())))
+    for n in (1, 10, 2 ** 40):
+        yield f"uniform{n}", mm.ProbVector.uniform(n)
+
+
+def closed_form_section(mm, quick: bool):
+    forms = (("emm", mm.expected_missing_mass), ("gt", mm.gt_expected_estimate),
+             ("bias", mm.gt_bias))
+    length = 70 if quick else 150
+    for name, d in seeded_distributions(mm, quick):
+        key = f"closed/{name}"
+        for start in SCAN_STARTS:
+            for form, f in forms:
+                for t in range(start, start + length):
+                    yield f"{key}/scan{start}/{form}/t{t}", f(d, t)
+        rng = np.random.default_rng(list(key.encode()))
+        for i, t in enumerate(sorted(rng.integers(1, 3000, 40).tolist())):  # with repeats
+            for form, f in forms:
+                yield f"{key}/sparse/{i}/{form}/t{t}", f(d, t)
+        for t in (1, 7, 64, 1000, 10 ** 6):
+            for band, atoms, value in mm.dyadic_bands(d, t):
+                yield f"{key}/bands/t{t}/j{band}/atoms", atoms
+                yield f"{key}/bands/t{t}/j{band}/mass", value
+    curves = list(seeded_distributions(mm, quick))
+    for ratio in (0.3, 0.5, 0.9):
+        curves.append((f"geometric{ratio}", mm.truncate(mm.CountableFamily.geometric(ratio), 1e-12)))
+    for a in (2, 3, 17):
+        curves.append((f"dyadic{a}", mm.truncate(mm.CountableFamily.dyadic_blocks(a), 1e-12)))
+    rng = np.random.default_rng(3)
+    grids = {"scan": range(1, 200), "sparse": sorted(rng.integers(1, 10 ** 5, 60).tolist()),
+             "1e6": range(10 ** 6 - 70, 10 ** 6 + 70), "1e9": range(10 ** 9 - 70, 10 ** 9 + 70)}
+    for name, d in curves:
+        for grid, ts in grids.items():
+            curve = mm.missing_mass_curve(d, ts)
+            for i, t in enumerate(curve.t_values):
+                for field in ("values", "lower", "upper"):
+                    yield f"closed/curve/{name}/{grid}/{i}/{field}/t{t}", getattr(curve, field)[i]
+
+
 def audit(quick: bool) -> None:
+    import missingmass as mm
     from missingmass import cover
 
+    for key, value in closed_form_section(mm, quick):
+        print(key, fmt(value))
     for key, value in cloud_section(cover, quick):
         print(key, fmt(value))
 

@@ -171,8 +171,8 @@ def _cmd_bounds(args) -> int:
         # listed atoms are used as they are; only a closed-form family is cut at --tol
         trunc = truncate(d, args.tol) if isinstance(d, CountableFamily) else d
         ell = plateau_length(trunc)
-        for t in ts:
-            lo, hi = mass.expected_missing_mass_interval(trunc, t)
+        curve = mass.missing_mass_curve(trunc, ts)
+        for t, lo, hi in zip(ts, curve.lower, curve.upper):
             bound = mass.bound_countable(ell, t)
             # E[U_t] lies in [lo, hi], and hi carries the truncation tail (up
             # to tol), which can exceed the rounding slack of a small bound:
@@ -183,8 +183,7 @@ def _cmd_bounds(args) -> int:
                          "c": DEFAULT_COUNTABLE_C, "bound_countable": bound, "ok": ok})
     else:
         n = d.n
-        for t in ts:
-            value = mass.expected_missing_mass(d, t)
+        for t, value in zip(ts, mass.missing_mass_curve(d, ts).values):
             bound = mass.bound_finite(n, t)
             ok = not sampling.is_violation(value - bound, 0.0, value, bound)
             ok_all &= ok

@@ -20,7 +20,8 @@ coordinate cloud's matrix is filled one coordinate column at a time, each
 entry's squared differences added in numpy's own pairwise order, so it is
 bit for bit the matrix np.sum gives over an (n, n, dim) difference array.
 A cloud of more than MAX_CLOUD_POINTS points is refused before its n x n
-matrix is allocated.
+matrix is allocated, and a distance matrix input of more than
+MAX_MATRIX_POINTS points before it is read.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ from .sampling import McReport, is_violation, mean_report, monte_carlo, require_
 MATRIX_TOL = 1e-9
 # Largest cloud a PointCloud accepts: its n x n distance matrix is 512 MiB.
 MAX_CLOUD_POINTS = 1 << 13
+# Largest distance matrix a PointCloud accepts as input.  Its triangle check
+# takes one pass over two n x n temporaries per point, so its time grows as
+# n^3: 2.35 s at this cap (0.28 s at 512 points; 2-vCPU Xeon, numpy 2.4),
+# and about 20 minutes it would take at MAX_CLOUD_POINTS.
+MAX_MATRIX_POINTS = 1 << 10
 # Largest cloud that exact_covering_number's branch-and-bound accepts.
 EXACT_COVER_LIMIT = 20
 
@@ -56,7 +62,9 @@ class PointCloud:
     diagonal, nonnegativity, triangle inequality within 1e-9) on
     construction.  The masses, kept in point order, pass the distributions'
     mass validator.  A cloud of more than MAX_CLOUD_POINTS points is
-    refused before anything n x n is built.
+    refused before anything n x n is built, and a matrix of more than
+    MAX_MATRIX_POINTS points, whose triangle check takes time n^3, before
+    it is read.
 
     The cloud caches what its queries share: the distance matrix, built
     once; the ball masses for the last eps they were asked for; and the
@@ -76,6 +84,9 @@ class PointCloud:
         if self.n > MAX_CLOUD_POINTS:
             raise InvalidInputError(
                 f"cloud of {self.n} points exceeds MAX_CLOUD_POINTS={MAX_CLOUD_POINTS}")
+        if matrix is not None and self.n > MAX_MATRIX_POINTS:
+            raise InvalidInputError(f"distance matrix of {self.n} points exceeds "
+                                    f"MAX_MATRIX_POINTS={MAX_MATRIX_POINTS}")
         if coords is not None:
             pts = _real_array(coords, "coordinates")
             if pts.ndim == 1:

@@ -72,9 +72,10 @@ def _kernel_sum(terms: KernelTerms, t: int, k: int = 1, s: int = 0) -> float:
     numerics.exact_sum, so the result is the correctly rounded sum of the
     rounded terms whatever their number or order (pairwise summation would
     carry an O(eps log n) bound instead: Higham, SIAM J. Sci. Comput. 14(4),
-    1993).
+    1993).  So a scan over consecutive t, which KernelTerms.total serves
+    from blocks of exponents, gives the bits of isolated calls.
     """
-    return exact_sum(terms(t - s, k))
+    return terms.total(t - s, k)
 
 
 def expected_missing_mass(d: ProbVector | BlockVector, t: int) -> float:
@@ -227,9 +228,11 @@ def missing_mass_curve(
         d = truncate(d, tol)
     elif not isinstance(d, Truncation):
         _require_distribution(d)
-    terms = d.kernel_terms
-    lower = tuple(_kernel_sum(terms, t) for t in ts)
+    lower = d.kernel_terms.totals(ts)  # each _kernel_sum(terms, t), bit for bit
     if not isinstance(d, Truncation):
+        lower = tuple(lower)
         return MassCurve(ts, lower, lower, lower)
-    upper = tuple(lo + d.tail for lo in lower)
-    return MassCurve(ts, tuple((lo + hi) / 2.0 for lo, hi in zip(lower, upper)), lower, upper)
+    lower = np.array(lower)
+    upper = lower + d.tail  # float64 arithmetic, elementwise as in Python
+    return MassCurve(ts, tuple(((lower + upper) / 2.0).tolist()), tuple(lower.tolist()),
+                     tuple(upper.tolist()))

@@ -40,7 +40,13 @@ neighbours and whether it comes alone:
   bit for bit, as both take the same split and the same compensated step.
   What depends only on the distribution (its weights c m^k, the split hi
   and r, and log1p(-m)) is built on first use and cached per distribution,
-  by ``_Runs.kernel_terms``.
+  by ``_Runs.kernel_terms``.  For a t-grid, or a scan over consecutive
+  exponents, it builds the terms of up to 64 exponents as one (exponents,
+  runs) block, in one pass of each elementwise step.  That these 2-D
+  exp and pow loops round each cell as the 1-D loops do is an observed
+  fact of numpy's builds, which the tests check, not a theorem; exponent 2,
+  which numpy squares for a scalar and may send to pow in an array, is
+  squared in both.
 
 Sums.  Every sum the package reports as one number (the closed forms, the
 bands, the eps-missing masses, a Monte Carlo mean and variance, the mass
@@ -88,6 +94,11 @@ filter proves it equal to fsum's.  With u = 2^-53, n terms x_i and
    sign of zero), non-finite terms (fsum's inf, nan and ValueError), and
    sigma outside 2^-900..2^1021 (fsum's OverflowError; B and the grids
    stay exact floats inside), the sum is math.fsum's.
+
+``exact_row_sums`` is the row form, for the blocks of KernelTerms: every
+step above is taken for all rows of a 2-D array at once, each row with its
+own sigma, filter and fsum fallback, so each row's sum is exact_sum's.
+Below EXACT_ROWS_MIN cells it hands each row to math.fsum instead.
 """
 
 import math
@@ -158,38 +169,65 @@ def _compensated(hi, r, t):
 class KernelTerms:
     """The terms c m^k (1 - m)^e, k in {1, 2}, of one run-length distribution
     (masses m sorted ascending, counts c; both read-only) for a scalar
-    exponent e >= 0, with pow_one_minus's powers.
+    exponent e >= 0, with pow_one_minus's powers, and their exact sums.
 
     Each ingredient is built the first time a branch needs it and then kept,
     so a distribution evaluated once pays only for its own branch.
+
+    ``totals`` sums the terms of many exponents in blocks: one (rows, runs)
+    array of terms per block, at most ``width`` exponents, all on one side of
+    POW_EXPONENT_SWITCH, summed row by row by exact_row_sums.  ``total``
+    serves one exponent.  It keeps, per k, the last block it evaluated, and
+    evaluates one when a request for e follows requests for e - 2 and e - 1
+    (a scan over consecutive exponents): the aligned block of width
+    exponents that holds e, which, as width divides the switch, lies on one
+    side of it.  The scan's next requests read from that block.  Any other
+    request takes the one-exponent path.  A block's sums are the correctly
+    rounded sums of the same terms, so both paths give the same bits.
     """
 
-    __slots__ = ("m", "c", "_w1", "_w2", "_split", "_log")
+    __slots__ = ("m", "c", "_w1", "_w2", "_split", "_log", "_kept", "_seen")
 
     def __init__(self, m: np.ndarray, c: np.ndarray):
         self.m, self.c = m, c
         self._w1 = self._w2 = self._split = self._log = None
+        self._kept = [(0, ()), (0, ())]  # per k: (first exponent, sums) of the last block
+        self._seen = [(None, None), (None, None)]  # per k: the last two exponents asked for
+
+    @property
+    def width(self) -> int:
+        """Exponents per block: a power of two up to 64, so a block's cells
+        fit in SLICE_BYTES, and an aligned block never straddles the switch."""
+        return 1 << min(6, rows_per_slice(8 * self.m.size).bit_length() - 1)
 
     def __call__(self, e: int, k: int = 1) -> np.ndarray:
+        return self.weights(k) * self.powers(e)
+
+    def weights(self, k: int) -> np.ndarray:
+        """c m^k."""
         if k == 1:
-            w = self._w1
-            if w is None:
-                w = self._w1 = self.c * self.m
-        else:
-            w = self._w2
-            if w is None:
-                w = self._w2 = self.c * self.m * self.m
-        return w * self.powers(e)
+            if self._w1 is None:
+                self._w1 = self.c * self.m
+            return self._w1
+        if self._w2 is None:
+            self._w2 = self.c * self.m * self.m
+        return self._w2
 
     def powers(self, e: int) -> np.ndarray:
         """(1 - m)^e."""
+        # numpy converts a Python int e to this float too, but more slowly
+        x = float(e)
         if e >= POW_EXPONENT_SWITCH:
             log = self._log  # the slot, not the property: this runs for every closed form
-            return np.exp(e * (self.log if log is None else log))
-        split = self._split  # (hi, r) of 1 - m
-        if split is None:
-            split = self._split = _split_one_minus(self.m)
-        return _compensated(*split, e)
+            return np.exp(x * (self.log if log is None else log))
+        return _compensated(*(self._split or self.split), x)
+
+    @property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(hi, r) of 1 - m, as _split_one_minus gives them."""
+        if self._split is None:
+            self._split = _split_one_minus(self.m)
+        return self._split
 
     @property
     def log(self) -> np.ndarray:
@@ -198,6 +236,62 @@ class KernelTerms:
             with np.errstate(divide="ignore"):
                 self._log = np.log1p(-self.m)
         return self._log
+
+    def total(self, e: int, k: int = 1) -> float:
+        """exact_sum(self(e, k)).  A request for e just after e - 1 (of the
+        same k) reads it from the block kept for k when that holds e, or,
+        when e - 2 came before e - 1, from a new aligned block."""
+        seen = self._seen
+        last, before = seen[k - 1]
+        seen[k - 1] = e, last
+        if last == e - 1:  # a step of a scan
+            start, sums = self._kept[k - 1]
+            if 0 <= e - start < len(sums):
+                return sums[e - start]
+            width = self.width
+            if before == e - 2 and width > 1:
+                start = e - e % width
+                sums = self.totals(range(start, start + width), k)
+                self._kept[k - 1] = start, sums
+                return sums[e - start]
+        w = self._w1 if k == 1 else self._w2  # self(e, k) in fewer calls
+        return exact_sum((self.weights(k) if w is None else w) * self.powers(e))
+
+    def totals(self, es, k: int = 1) -> list[float]:
+        """[exact_sum(self(e, k)) for e in es], bit for bit, in blocks of up
+        to width consecutive entries of es on one side of the switch, through
+        four (width, runs) buffers allocated once per call."""
+        e = np.array(es, dtype=float)  # each exponent rounded as powers rounds it
+        rows = min(self.width, e.size) or 1
+        buffers = np.empty((4, rows, self.m.size))
+        block, work = buffers[0], buffers[1:]  # the terms, and exact_row_sums' work
+        w = self.weights(k)
+        side = e >= POW_EXPONENT_SWITCH
+        cuts = [0, *(np.flatnonzero(side[1:] != side[:-1]) + 1).tolist(), e.size]
+        sums = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            for i in range(lo, hi, rows):
+                col = e[i:min(i + rows, hi), None]
+                x = block[:col.size]
+                if side[i]:
+                    np.multiply(col, self.log, out=x)
+                    np.exp(x, out=x)
+                else:
+                    self._compensated_rows(col, x, work[0][:col.size])
+                x *= w
+                sums += exact_row_sums(x, work[:, :col.size])
+        return sums
+
+    def _compensated_rows(self, col: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+        """_compensated(hi, r, e) for each exponent e of the column col, one
+        row each, into out; exponent 2 squares, as _direct does."""
+        hi, r = self.split
+        np.power(hi, col, out=out)
+        for i in np.flatnonzero(col == 2.0).tolist():
+            np.multiply(hi, hi, out=out[i])
+        np.multiply(r, col, out=tmp)
+        tmp *= out
+        out += tmp
 
 
 def pow_unit(b, t, out=None):
@@ -255,6 +349,14 @@ def _by_policy(mask, x, t, when_true, when_false, out=None):
 EXACT_SUM_MIN = 512
 
 
+# Below this many cells exact_row_sums hands each row to math.fsum.  Taken
+# for all rows at once, the extraction's and the filter's steps cost about
+# 50 us whatever the rows (up to 64 of them, on the machine above), where one
+# tolist and fsum over each row take about 34 ns a cell; they cross between
+# 1300 and 1900 cells.
+EXACT_ROWS_MIN = 1536
+
+
 def exact_sum(x: np.ndarray) -> float:
     """The correctly rounded sum of a 1-D float array x: math.fsum(x.tolist())
     bit for bit, with fsum's special values and errors.
@@ -273,32 +375,73 @@ def exact_sum(x: np.ndarray) -> float:
     # past these exponents a step could overflow, or the bound below underflow
     if not (math.isfinite(top) and -900 <= e <= 1021):
         return math.fsum(x.tolist())
-    sigma = math.ldexp(1.0, e)
-    q = x + sigma
-    q -= sigma
-    p = x - q
-    hi = float(q.sum())
-    sigma = math.ldexp(1.0, e + m - 53)  # 2^m u 2^e, and |p_i| <= u 2^e
-    np.add(p, sigma, out=q)
-    q -= sigma
-    p -= q
-    lo = float(q.sum())
-    rest = float(p.sum())
-    h = hi + lo
-    l = _two_sum_err(hi, lo, h)
-    c = l + rest
-    r = h + c
+    hi, lo, rest = _extract(x, math.ldexp(1.0, e), math.ldexp(1.0, e + m - 53),
+                            np.empty((3, n))).tolist()
+    r, err = _rounded(hi, lo, rest, math.ldexp(1.0, e + 3 * m - 158))
     a = abs(r)
-    # the exact sum is r + (h + c - r) + (l + rest - c) + (sum(p) - rest),
-    # and the rounding of rest is at most 2 n u (n u sigma) < 2^(2m - 105) sigma
-    err = abs(_two_sum_err(h, c, r)) + 2.0 * (abs(_two_sum_err(l, rest, c))
-                                              + math.ldexp(1.0, e + 3 * m - 158))
     if a and err < 0.5 * (a - math.nextafter(a, 0.0)):
         return r
     return math.fsum(x.tolist())
 
 
-def _two_sum_err(a: float, b: float, s: float) -> float:
-    """(a + b) - s exactly, for s = fl(a + b) (Knuth's TwoSum)."""
+def exact_row_sums(x: np.ndarray, work=None) -> list[float]:
+    """[exact_sum(row) for row in x] for a 2-D float array x, bit for bit:
+    the same extractions and filter, each step taken for every row at once,
+    with each row's own sigma, and math.fsum for the rows the filter cannot
+    certify.  work, if given, is a float array of shape (3, *x.shape) for
+    the extractions to write into; x is left as it is.
+    """
+    if x.size < EXACT_ROWS_MIN:
+        return [math.fsum(row) for row in x.tolist()]
+    if work is None:
+        work = np.empty((3, *x.shape))
+    top = np.abs(x, out=work[0]).max(axis=1)
+    m = (x.shape[1] + 1).bit_length()
+    e = np.frexp(top)[1] + m
+    ok = np.isfinite(top) & (e >= -900) & (e <= 1021)
+    y = x
+    if not ok.all():  # such rows fall back; zeros keep the steps finite
+        y, e = np.where(ok[:, None], x, 0.0), np.where(ok, e, 0)
+    sigma = np.ldexp(1.0, e)[:, None]
+    hi, lo, rest = _extract(y, sigma, sigma * 2.0 ** (m - 53), work)
+    r, err = _rounded(hi, lo, rest, np.ldexp(1.0, e + (3 * m - 158)))
+    a = np.abs(r)
+    certified = ok & (err < 0.5 * (a - np.nextafter(a, 0.0)))  # r = 0 fails too
+    out = r.tolist()
+    if not certified.all():
+        for i in np.flatnonzero(~certified).tolist():
+            out[i] = math.fsum(x[i].tolist())
+    return out
+
+
+def _extract(x, sigma, sigma2, work):
+    """Steps 1 to 3 of the module docstring along x's last axis, with
+    sigma = 2^e and sigma2 = 2^m u sigma (scalars, or a column of one per
+    row), in work, of shape (3, *x.shape): the exact sums hi and lo and the
+    sum rest, as one array of shape (3, *x.shape[:-1])."""
+    q, q2, p = work
+    np.add(x, sigma, out=q)
+    q -= sigma
+    np.subtract(x, q, out=p)
+    np.add(p, sigma2, out=q2)
+    q2 -= sigma2
+    p -= q2
+    return work.sum(axis=-1)
+
+
+def _rounded(hi, lo, rest, bound):
+    """Step 4's (r, err), floats or arrays: r = fl(hi + lo + rest), and the
+    exact sum lies within err of r, given that rest is within bound of its
+    exact value, 2^(2m - 105) sigma' = 2^(e + 3m - 158)."""
+    h = hi + lo
+    l = _two_sum_err(hi, lo, h)
+    c = l + rest
+    r = h + c
+    # the exact sum is r + (h + c - r) + (l + rest - c) + (sum(p) - rest)
+    return r, abs(_two_sum_err(h, c, r)) + 2.0 * (abs(_two_sum_err(l, rest, c)) + bound)
+
+
+def _two_sum_err(a, b, s):
+    """(a + b) - s exactly, for s = fl(a + b) (Knuth's TwoSum), elementwise."""
     bb = s - a
     return (a - (s - bb)) + (b - bb)

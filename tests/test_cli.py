@@ -612,6 +612,23 @@ class TestCaps:
         assert run_cli(capsys, *argv) == (
             2, "", f"mml {argv[0]}: cloud of 3 points exceeds MAX_CLOUD_POINTS=2\n")
 
+    @pytest.mark.parametrize("argv", [
+        "cover --cloud {matrix} --eps 0.5 --t 3",
+        "simulate --mode eps-mass --cloud {matrix} --eps 0.5 --t 3 --replicates 1000",
+    ])
+    def test_matrix_past_the_cap(self, capsys, monkeypatch, tmp_path, files, argv):
+        matrix = tmp_path / "line3-matrix.json"
+        matrix.write_text(json.dumps({"masses": LINE3["masses"],
+                                      "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+        argv = argv.format(matrix=matrix).split()
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cover, "MAX_MATRIX_POINTS", 2)
+        assert run_cli(capsys, *argv) == (
+            2, "", f"mml {argv[0]}: distance matrix of 3 points exceeds MAX_MATRIX_POINTS=2\n")
+        # a coordinate cloud of as many points is no matrix input
+        coords = [files["cloud"] if a == str(matrix) else a for a in argv]
+        assert run_cli(capsys, *coords)[0] == 0
+
     def test_replicates_at_the_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(sampling, "MAX_REPLICATES", 1000)
         argv = "simulate --mode bias --family uniform --n 5 --t 10 --seed 1 --replicates".split()

@@ -107,6 +107,16 @@ class TestPointCloud:
         with pytest.raises(InvalidInputError, match=message):
             PointCloud.from_csv_text("id,mass,x1\n" + "p,0.2,0.0\n" * 5)
 
+    def test_matrix_cap(self, monkeypatch):
+        # a matrix input is refused by its point count before it is read;
+        # coordinates of the same count are not
+        monkeypatch.setattr(cover, "MAX_MATRIX_POINTS", 3)
+        assert PointCloud([0.25] * 3 + [0.25], coords=np.arange(4.0)).n == 4
+        assert PointCloud([1 / 3] * 3, matrix=np.zeros((3, 3))).n == 3
+        with pytest.raises(InvalidInputError,
+                           match="distance matrix of 4 points exceeds MAX_MATRIX_POINTS=3"):
+            PointCloud([0.25] * 4, matrix="not read")
+
     def test_csv_roundtrip(self, line3):
         text = "id,mass,x1\np0,0.5,0.0\np1,0.25,1.0\np2,0.25,2.0\n"
         cloud = PointCloud.from_csv_text(text)

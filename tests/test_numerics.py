@@ -1,9 +1,12 @@
-"""numerics.exact_sum against math.fsum, bit for bit.
+"""numerics.exact_sum and its row form against math.fsum, bit for bit, and
+KernelTerms' blocks of exponents against its one-exponent path.
 
 exact_sum promises fsum's value (and its special values and errors) for
 every input; from EXACT_SUM_MIN terms on it gets there without fsum's
 per-term loop, and it must not quietly fall back to that loop on the sums
-the package makes.
+the package makes.  exact_row_sums promises the same for every row of a
+2-D array, and a block's sums are the one-exponent sums, whatever order the
+requests come in.
 """
 
 import math
@@ -14,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from missingmass import ProbVector, dyadic_bands, expected_missing_mass, missing_mass_curve
+from missingmass import (ProbVector, dyadic_bands, expected_missing_mass, gt_bias,
+                         gt_expected_estimate, missing_mass_curve)
 from missingmass import numerics
-from missingmass.numerics import EXACT_SUM_MIN, exact_sum
+from missingmass.numerics import (EXACT_ROWS_MIN, EXACT_SUM_MIN, POW_EXPONENT_SWITCH,
+                                  KernelTerms, exact_row_sums, exact_sum)
 
 # sizes on both sides of the switch to the extraction
 sizes = st.integers(EXACT_SUM_MIN - 4, EXACT_SUM_MIN + 700)
@@ -28,15 +33,37 @@ large_inputs = settings(max_examples=30,
 
 
 def outcome(fn, x):
-    """fn(x) as its float's hex, or the type and message of what it raised."""
+    """fn(x) as its float's hex (a list of them for a list of floats), or the
+    type and message of what it raised."""
     try:
-        return fn(x).hex()
+        got = fn(x)
     except (ValueError, OverflowError) as exc:
         return type(exc).__name__, str(exc)
+    return [v.hex() for v in got] if isinstance(got, list) else got.hex()
+
+
+def fsum_rows(block: np.ndarray) -> list[float]:
+    return [math.fsum(row) for row in block.tolist()]
+
+
+def rows_around(x: np.ndarray) -> np.ndarray:
+    """x as the first row of a block whose other rows take the fallback, or
+    lie next to it: a tie (2^j pairs [1, 2^-53] sum to halfway between 2^j
+    and the float above), an all-zero row, negative zeros, x scaled toward
+    the subnormals, and -x."""
+    n = x.size
+    ties = np.zeros(n)
+    k = 1 << ((n // 2).bit_length() - 1)
+    ties[:2 * k] = np.tile([1.0, 2.0 ** -53], k)
+    return np.stack([x, ties, np.zeros(n), np.full(n, -0.0), x * 2.0 ** -1000, -x])
 
 
 def same_as_fsum(x: np.ndarray) -> None:
     assert outcome(exact_sum, x) == outcome(lambda v: math.fsum(v.tolist()), x)
+    # the row form, by one extraction over a block of rows
+    block = rows_around(x)
+    assert block.size >= EXACT_ROWS_MIN
+    assert outcome(exact_row_sums, block) == outcome(fsum_rows, block)
 
 
 @st.composite
@@ -126,6 +153,69 @@ class TestExactSum:
         values = missing_mass_curve(d, ts).values
         assert calls == []
         assert [v.hex() for v in values] == [w.hex() for w in want]
+
+
+def seeded_terms(runs: int, seed: int) -> KernelTerms:
+    """KernelTerms over runs sorted masses spread down to 1e-300 (a mass of 1
+    on one run), with counts up to 2^40."""
+    rng = np.random.default_rng([runs, seed])
+    m = np.sort(10.0 ** rng.uniform(-300, 0, runs))
+    m[-1] = 1.0 if runs % 3 == 1 else m[-1]
+    return KernelTerms(m, rng.integers(1, 2 ** 40, runs, endpoint=True))
+
+
+class TestExponentBlocks:
+    """KernelTerms.totals and the scans of KernelTerms.total against the
+    one-exponent sum exact_sum(terms(e, k)), by float.hex."""
+
+    EXPONENTS = [*range(131), *range(10 ** 6 - 70, 10 ** 6 + 70),
+                 *range(10 ** 9 - 3, 10 ** 9 + 66)]
+
+    @pytest.mark.parametrize("runs", [1, 2, 7, 50, 300, 2000])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_blocks_equal_one_exponent_sums(self, runs, k, monkeypatch):
+        terms = seeded_terms(runs, 0)
+        want = [exact_sum(terms(e, k)).hex() for e in self.EXPONENTS]
+        assert [v.hex() for v in terms.totals(self.EXPONENTS, k)] == want
+        # a scan: its first two exponents in each window take the one-exponent
+        # path, and the rest are read from aligned blocks
+        scan = seeded_terms(runs, 0)
+        alone = []
+        monkeypatch.setattr(numerics, "exact_sum", lambda x: alone.append(1) or exact_sum(x))
+        assert [scan.total(e, k).hex() for e in self.EXPONENTS] == want
+        assert len(alone) == 6
+
+    @pytest.mark.parametrize("runs", [1, 2, 7, 50, 300, 2000, 10 ** 4, 10 ** 5])
+    def test_block_width(self, runs):
+        """At most 64 exponents, whose cells fit in a slice buffer (or one
+        exponent), and a power of two, so an aligned block never straddles
+        the switch."""
+        width = seeded_terms(runs, 1).width
+        assert 1 <= width <= 64 and POW_EXPONENT_SWITCH % width == 0
+        assert width == 1 or 8 * width * runs <= numerics.SLICE_BYTES
+        assert width == 64 or 16 * width * runs > numerics.SLICE_BYTES  # the widest that fits
+
+    def test_no_block_leaks_across_requests(self):
+        """Scans of one form after another over the same exponents, scans
+        that jump back, and scans that alternate between two distributions
+        read no sum of another exponent, k or distribution."""
+        rng = np.random.default_rng(4)
+        dists = [ProbVector(rng.exponential(size=n), normalize=True) for n in (30, 31)]
+        forms = [(expected_missing_mass, 1, 0), (gt_expected_estimate, 1, 1), (gt_bias, 2, 1)]
+        scans = [(0, range(1, 80)), (2, range(60, 90)), (1, range(60, 90)), (0, range(90, 60, -1)),
+                 (2, range(1, 140)), (0, range(5, 140)), (1, range(10 ** 6, 10 ** 6 + 80))]
+        for alternate in (False, True):
+            for form, ts in scans:
+                f, k, s = forms[form]
+                for i, t in enumerate(ts):
+                    d = dists[i // 7 % 2 if alternate else 0]  # runs of seven on each
+                    want = exact_sum(d.kernel_terms(t - s, k))
+                    assert f(d, t).hex() == want.hex(), (f.__name__, t, alternate)
+        # one distribution, the three forms interleaved at each t
+        d = dists[1]
+        for t in [*range(1, 140), 70, 71, 72, *range(30, 0, -1)]:
+            got = [f(d, t).hex() for f, _, _ in forms]
+            assert got == [exact_sum(d.kernel_terms(t - s, k)).hex() for _, k, s in forms], t
 
 
 def test_large_closed_forms_match_fsum():
