@@ -12,7 +12,7 @@ import argparse
 
 from missingmass import (
     expected_missing_mass,
-    expected_missing_mass_interval,
+    missing_mass_curve,
     tight_countable,
     tight_finite,
     truncate,
@@ -36,13 +36,10 @@ def countable_table(a_values, multipliers) -> None:
     print(f"{'a':>5}", *(f"{m:>9}" for m in multipliers))
     worst = 0.0
     for a in a_values:
-        trunc = truncate(tight_countable(a), 1e-12)
-        cells = []
-        for m in multipliers:
-            t = m * a
-            lo, hi = expected_missing_mass_interval(trunc, t)
-            cells.append(t * hi / a)
-            worst = max(worst, t * hi / a)
+        ts = [m * a for m in multipliers]
+        upper = missing_mass_curve(truncate(tight_countable(a), 1e-12), ts).upper
+        cells = [t * hi / a for t, hi in zip(ts, upper)]
+        worst = max(worst, *cells)
         print(f"{a:>5}", *(f"{c:>9.4f}" for c in cells))
     print(f"(floor 4/27 = {4 / 27:.4f}; grid max {worst:.4f} -> c = {1 / worst:.4f})")
 

@@ -4,7 +4,7 @@ that two checkouts can be compared bit for bit.
 
 A float prints as ``float.hex``, an array (or a tuple of indices) as its
 dtype, shape and the SHA-256 of its ``tobytes()``, an int or a bool as
-itself.  Two sections so far.
+itself.  Three sections so far.
 
 The closed-form section (keys ``closed/...``), on seeded distributions of
 1-2000 runs (masses down to 1e-300), BlockVectors with counts up to 2^40,
@@ -29,6 +29,19 @@ The cloud section (keys ``cloud/...`` and ``mc/...``):
   eps-missing mass at t = 1 and 1000, and, up to EXACT_COVER_LIMIT points,
   ``exact_covering_number``;
 - seeded ``mc_eps_missing_mass`` reports.
+
+The extremal section (keys ``extremal/...``), which reads every branch of
+the power policy, ``pow_unit``'s included:
+
+- ``find_threshold``'s tau and ``margin_at_tau`` for n = 2..119 and 41
+  log-spaced n from 120 to 10^6;
+- ``maximize_missing_mass`` on acceptance cell C7's grid and at t = 1..63
+  for n = 2, 10 and 100;
+- ``pow_one_minus`` and ``pow_unit`` on seeded bases (down to 1e-300, near
+  1, and 0, 2^-54, 1/2 and 1) at exponents 0..130, 10^6 and 10^9, each
+  given as a scalar (to the bases as an array, with and without ``out=``,
+  and to each base alone), and as a column of exponents below the switch,
+  above it and on both sides, with and without ``out=``.
 
 Usage::
 
@@ -180,6 +193,62 @@ def closed_form_section(mm, quick: bool):
                     yield f"closed/curve/{name}/{grid}/{i}/{field}/t{t}", getattr(curve, field)[i]
 
 
+# C7's seed in tests/test_acceptance.py, so the grid below is that cell's
+C7_SEED = 20260808 + 3
+POW_TOPS = (10 ** 6, 10 ** 9)
+
+
+def c7_grid():
+    """(n, t) pairs of acceptance cell C7, drawn as the cell draws them."""
+    rng = np.random.default_rng(C7_SEED)
+    for n in (10, 100, 1000):
+        t_lo = math.ceil(n + math.sqrt(2 * n))
+        ts = {t_lo, t_lo + 1, 5 * n}
+        ts.update(int(v) for v in rng.integers(t_lo, 5 * n + 1, size=20))
+        for t in sorted(ts):
+            yield n, t
+
+
+def pow_bases() -> np.ndarray:
+    """Seeded bases in [0, 1]: uniform, spread down to 1e-300, near 1, and
+    the edges 0, 2^-54, 1/2 and 1."""
+    rng = np.random.default_rng(4)
+    return np.concatenate((rng.random(40), 10.0 ** rng.uniform(-300, 0, 40),
+                           1.0 - 10.0 ** rng.uniform(-16, -1, 20), [0.0, 2.0 ** -54, 0.5, 1.0]))
+
+
+def extremal_section(mm, quick: bool):
+    from missingmass.numerics import pow_one_minus, pow_unit
+
+    ns = (2, 3, 10, 64, 10 ** 4) if quick else (
+        *range(2, 120), *sorted(set(np.geomspace(120, 10 ** 6, 41).round().astype(int).tolist())))
+    for n in ns:
+        res = mm.find_threshold(n)
+        yield f"extremal/tau/n{n}/tau", res.tau
+        yield f"extremal/tau/n{n}/margin", res.margin_at_tau
+    grid = {(n, t) for n, t in c7_grid() if not quick or n == 10}
+    grid.update((n, t) for n in ((2, 10) if quick else (2, 10, 100)) for t in range(1, 64))
+    for n, t in sorted(grid):
+        for field, value in mm.maximize_missing_mass(n, t).to_json_obj().items():
+            if field not in ("n", "t"):
+                yield f"extremal/max/n{n}/t{t}/{field}", value
+    bases = pow_bases()
+    below = list(range(64))
+    above = [*range(64, 131), *POW_TOPS]
+    if quick:
+        below, above = [0, 1, 2, 3, 63], [64, 65, 130, *POW_TOPS]
+    for name, f in (("one_minus", pow_one_minus), ("unit", pow_unit)):
+        key = f"extremal/pow/{name}"
+        for t in below + above:
+            yield f"{key}/scalar/t{t}", f(bases, t)
+            yield f"{key}/each/t{t}", np.array([float(f(b, t)) for b in bases.tolist()])
+            yield f"{key}/out/t{t}", f(bases, t, out=np.empty(bases.size))
+        for side, ts in (("below", below), ("above", above), ("mixed", below + above)):
+            col = np.array(ts)[:, None]
+            yield f"{key}/{side}", f(bases, col)
+            yield f"{key}/{side}/out", f(bases, col, out=np.empty((col.size, bases.size)))
+
+
 def audit(quick: bool) -> None:
     import missingmass as mm
     from missingmass import cover
@@ -187,6 +256,8 @@ def audit(quick: bool) -> None:
     for key, value in closed_form_section(mm, quick):
         print(key, fmt(value))
     for key, value in cloud_section(cover, quick):
+        print(key, fmt(value))
+    for key, value in extremal_section(mm, quick):
         print(key, fmt(value))
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .distributions import BlockVector, CountableFamily, ProbVector, Truncation, truncate
 from .errors import InvalidInputError, require_int, require_real, require_t
-from .numerics import KernelTerms, exact_sum, pow_one_minus
+from .numerics import exact_sum, pow_one_minus
 
 # The constant c of the countable-support bound ell/(c*t).  The bound holds for
 # every c <= c* = 1/C* = 0.69314033 (the theorem in the module docstring);
@@ -64,24 +64,10 @@ def _require_distribution(d) -> None:
         )
 
 
-def _kernel_sum(terms: KernelTerms, t: int, k: int = 1, s: int = 0) -> float:
-    """sum over the runs of c m^k (1 - m)^(t - s), exactly rounded.
-
-    Every closed form in this module is one such sum, over a distribution's
-    cached ``kernel_terms``.  The powers are taken elementwise; the sum is
-    numerics.exact_sum, so the result is the correctly rounded sum of the
-    rounded terms whatever their number or order (pairwise summation would
-    carry an O(eps log n) bound instead: Higham, SIAM J. Sci. Comput. 14(4),
-    1993).  So a scan over consecutive t, which KernelTerms.total serves
-    from blocks of exponents, gives the bits of isolated calls.
-    """
-    return terms.total(t - s, k)
-
-
 def expected_missing_mass(d: ProbVector | BlockVector, t: int) -> float:
     """Exact E[U_t] = sum_i p_i (1 - p_i)^t."""
     _require_distribution(d)
-    return _kernel_sum(d.kernel_terms, require_t(t))
+    return d.kernel_terms.total(require_t(t))
 
 
 def expected_missing_mass_interval(
@@ -100,7 +86,7 @@ def expected_missing_mass_interval(
         f = truncate(f, tol)
     elif not isinstance(f, Truncation):
         raise InvalidInputError(f"expected a CountableFamily or Truncation, got {type(f).__name__}")
-    lower = _kernel_sum(f.kernel_terms, t)
+    lower = f.kernel_terms.total(t)
     return lower, lower + f.tail
 
 
@@ -171,7 +157,7 @@ def dyadic_bands(d: ProbVector | BlockVector, t: int) -> list[tuple[int, int, fl
 def gt_expected_estimate(d: ProbVector | BlockVector, t: int) -> float:
     """Exact expectation of the Good-Turing estimate: sum_i p_i (1 - p_i)^(t-1)."""
     _require_distribution(d)
-    return _kernel_sum(d.kernel_terms, require_t(t), s=1)
+    return d.kernel_terms.total(require_t(t) - 1)
 
 
 def singleton_mass_expectation(d: ProbVector | BlockVector, t: int) -> float:
@@ -188,7 +174,7 @@ def gt_bias(d: ProbVector | BlockVector, t: int) -> float:
     cancels (to 1e-9 relative on uniform(2^40) at t = 1000).
     """
     _require_distribution(d)
-    return _kernel_sum(d.kernel_terms, require_t(t), k=2, s=1)
+    return d.kernel_terms.total(require_t(t) - 1, 2)
 
 
 @dataclass(frozen=True)
@@ -228,7 +214,7 @@ def missing_mass_curve(
         d = truncate(d, tol)
     elif not isinstance(d, Truncation):
         _require_distribution(d)
-    lower = d.kernel_terms.totals(ts)  # each _kernel_sum(terms, t), bit for bit
+    lower = d.kernel_terms.totals(ts)  # each kernel_terms.total(t), bit for bit
     if not isinstance(d, Truncation):
         lower = tuple(lower)
         return MassCurve(ts, lower, lower, lower)

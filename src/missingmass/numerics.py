@@ -30,23 +30,23 @@ exponentiation", IEEE Trans. Computers 58(7), 2009), with u = 2^-53:
    within about 1.1 ulps at every t below the switch.  For p < 2^-54, hi = 1
    and the form is 1 - t p, so tiny masses need no rule of their own.
 
-So a power depends on its own base and exponent only, whatever its
-neighbours and whether it comes alone:
+One routine takes each side of the switch, whatever the shape of the
+call: ``_compensated`` every power below it (step 2, or with no r the
+direct b^t), squaring every exponent of 2, and ``_exp_times`` every power
+from it on.  So a power depends on its own base and exponent only, whatever
+its neighbours and whether it comes alone.  The callers only pick the side:
 
 * ``pow_one_minus`` and ``pow_unit`` take arrays or scalars of bases and
-  exponents (the extremal solvers, the eps-ball masses, the scalar kernel);
-* ``KernelTerms`` takes one distribution's sorted masses and a scalar
-  exponent (every closed form in ``mass``) and gives pow_one_minus's values
-  bit for bit, as both take the same split and the same compensated step.
-  What depends only on the distribution (its weights c m^k, the split hi
-  and r, and log1p(-m)) is built on first use and cached per distribution,
-  by ``_Runs.kernel_terms``.  For a t-grid, or a scan over consecutive
-  exponents, it builds the terms of up to 64 exponents as one (exponents,
-  runs) block, in one pass of each elementwise step.  That these 2-D
-  exp and pow loops round each cell as the 1-D loops do is an observed
-  fact of numpy's builds, which the tests check, not a theorem; exponent 2,
-  which numpy squares for a scalar and may send to pow in an array, is
-  squared in both.
+  exponents (the extremal solvers, the eps-ball masses, the scalar kernel),
+  and ``_by_policy`` sends each element to its side;
+* ``KernelTerms`` takes one distribution's sorted masses and one exponent
+  (every closed form in ``mass``), or up to 64 exponents on one side of the
+  switch as one (exponents, runs) block (a t-grid, or a scan).  What
+  depends only on the distribution (its weights c m^k, the split hi and r,
+  and log1p(-m)) is built on first use and cached per distribution, by
+  ``_Runs.kernel_terms``.  That the 2-D exp and pow loops round each cell
+  as the 1-D loops do is an observed fact of numpy's builds, which the
+  tests check, not a theorem.
 
 Sums.  Every sum the package reports as one number (the closed forms, the
 bands, the eps-missing masses, a Monte Carlo mean and variance, the mass
@@ -131,20 +131,21 @@ def pow_one_minus(p, t, out=None):
     """(1 - p)^t elementwise for p in [0, 1] and t >= 0, safe for large t and tiny p.
 
     out, if given, is a float array of the result's shape that receives the
-    result and is returned; where every exponent takes log space, the power
-    is computed in it, with no temporary.
+    result and is returned; the power is computed in it where every
+    exponent lies on one side of the switch.
     """
-    p = np.asarray(p, dtype=float)
-    return _by_policy(np.asarray(t >= POW_EXPONENT_SWITCH), p, t,
-                      _log_one_minus, lambda p, t: _compensated(*_split_one_minus(p), t), out)
+    return _by_policy(np.asarray(p, dtype=float), t, _log_one_minus, _split_one_minus, out)
 
 
-def _log_one_minus(p, t, out=None):
-    """exp(t log1p(-p)), each step written into out when it is given."""
-    v = np.negative(p, out=out)
-    v = np.log1p(v, out=out)
-    v = np.multiply(t, v, out=out)
-    return np.exp(v, out=out)
+def pow_unit(b, t, out=None):
+    """b^t elementwise for b in [0, 1] and t >= 0; underflow rounds to 0.
+    out as for pow_one_minus."""
+    return _by_policy(np.asarray(b, dtype=float), t, np.log, lambda b: (b, None), out)
+
+
+def _log_one_minus(p, out=None):
+    """log1p(-p), written into out when it is given."""
+    return np.log1p(np.negative(p, out=out), out=out)
 
 
 def _split_one_minus(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,19 +158,54 @@ def _split_one_minus(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, r
 
 
-def _compensated(hi, r, t):
-    """(hi + hi r)^t as P + P (t r), P = hi^t: (1 - p)^t below the switch."""
-    P = _direct(hi, t)
-    out = r * t
-    out *= P
-    out += P
-    return out
+def _by_policy(x, t, log, split, out=None):
+    """x's power t elementwise: _exp_times(log(x), t) where t >= the switch
+    and _compensated(*split(x), t) elsewhere, evaluating only the sides some
+    element needs, into out if it is given.  The log of 0 does not warn."""
+    above = np.asarray(t >= POW_EXPONENT_SWITCH)
+    logs = np.count_nonzero(above)
+    if not logs:
+        return _compensated(*split(x), t, out)
+    with np.errstate(divide="ignore"):
+        if logs == above.size:
+            return _exp_times(log(x, out), t, out)
+        x, t, above = np.broadcast_arrays(x, t, above)
+        if out is None:
+            out = np.empty(above.shape)
+        out[above] = _exp_times(log(x[above]), t[above])
+        out[~above] = _compensated(*split(x[~above]), t[~above])
+        return out
+
+
+def _compensated(hi, r, t, out=None, tmp=None):
+    """hi^t (1 + t r) as P + P (t r), P = hi^t, into out when it is given,
+    with tmp (of out's shape) for P (t r); with r = None, P itself.  Every
+    exponent equal to 2 squares, scalar or array: numpy's pow need not."""
+    P = np.power(hi, t, out=out)
+    two = t == 2.0
+    if isinstance(two, np.ndarray):  # an array of exponents
+        if two.any():
+            np.multiply(hi, hi, out=P, where=two)
+    elif two:
+        P = np.multiply(hi, hi, out=out)
+    if r is not None:
+        tmp = np.multiply(r, t, out=tmp)
+        tmp *= P
+        P += tmp  # a numpy scalar, for 0-d inputs, is rebound instead
+    return P
+
+
+def _exp_times(log, t, out=None):
+    """exp(t log), into out when it is given: a power from the switch on."""
+    v = np.multiply(t, log, out=out)
+    return np.exp(v, out=v if isinstance(v, np.ndarray) else None)
 
 
 class KernelTerms:
     """The terms c m^k (1 - m)^e, k in {1, 2}, of one run-length distribution
     (masses m sorted ascending, counts c; both read-only) for a scalar
-    exponent e >= 0, with pow_one_minus's powers, and their exact sums.
+    exponent e >= 0, with pow_one_minus's powers (the same two routines,
+    for one exponent or a block), and their exact sums.
 
     Each ingredient is built the first time a branch needs it and then kept,
     so a distribution evaluated once pays only for its own branch.
@@ -219,7 +255,7 @@ class KernelTerms:
         x = float(e)
         if e >= POW_EXPONENT_SWITCH:
             log = self._log  # the slot, not the property: this runs for every closed form
-            return np.exp(x * (self.log if log is None else log))
+            return _exp_times(self.log if log is None else log, x)
         return _compensated(*(self._split or self.split), x)
 
     @property
@@ -234,13 +270,17 @@ class KernelTerms:
         """log1p(-m); a mass of 1 gives -inf, and its power exp(-inf) = 0."""
         if self._log is None:
             with np.errstate(divide="ignore"):
-                self._log = np.log1p(-self.m)
+                self._log = _log_one_minus(self.m)
         return self._log
 
     def total(self, e: int, k: int = 1) -> float:
-        """exact_sum(self(e, k)).  A request for e just after e - 1 (of the
-        same k) reads it from the block kept for k when that holds e, or,
-        when e - 2 came before e - 1, from a new aligned block."""
+        """exact_sum(self(e, k)), the sum behind every closed form in
+        ``mass``, correctly rounded whatever the number or order of its terms
+        (pairwise summation would carry an O(eps log n) bound instead:
+        Higham, SIAM J. Sci. Comput. 14(4), 1993).  A request for e just
+        after e - 1 (of the same k) reads e from the block kept for k, or,
+        after e - 2 and e - 1, from a new aligned block: the same sum of the
+        same terms, so a scan gives the bits of isolated calls."""
         seen = self._seen
         last, before = seen[k - 1]
         seen[k - 1] = e, last
@@ -274,71 +314,12 @@ class KernelTerms:
                 col = e[i:min(i + rows, hi), None]
                 x = block[:col.size]
                 if side[i]:
-                    np.multiply(col, self.log, out=x)
-                    np.exp(x, out=x)
+                    _exp_times(self.log, col, x)
                 else:
-                    self._compensated_rows(col, x, work[0][:col.size])
+                    _compensated(*self.split, col, x, work[0][:col.size])
                 x *= w
                 sums += exact_row_sums(x, work[:, :col.size])
         return sums
-
-    def _compensated_rows(self, col: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-        """_compensated(hi, r, e) for each exponent e of the column col, one
-        row each, into out; exponent 2 squares, as _direct does."""
-        hi, r = self.split
-        np.power(hi, col, out=out)
-        for i in np.flatnonzero(col == 2.0).tolist():
-            np.multiply(hi, hi, out=out[i])
-        np.multiply(r, col, out=tmp)
-        tmp *= out
-        out += tmp
-
-
-def pow_unit(b, t, out=None):
-    """b^t elementwise for b in [0, 1] and t >= 0; underflow rounds to 0.
-    out as for pow_one_minus."""
-    return _by_policy(np.asarray(t >= POW_EXPONENT_SWITCH), np.asarray(b, dtype=float), t,
-                      _log_unit, _direct, out)
-
-
-def _log_unit(b, t, out=None):
-    """exp(t log b), each step written into out when it is given."""
-    v = np.log(b, out=out)
-    v = np.multiply(t, v, out=out)
-    return np.exp(v, out=out)
-
-
-def _direct(b, t):
-    """b ** t over an ndarray, never a numpy scalar, whose `**` rounds apart
-    from the array loop; as numpy squares a scalar exponent 2 but calls pow
-    for an array of them, an array squares its 2s too."""
-    b = np.asarray(b)
-    out = b ** t
-    if isinstance(t, np.ndarray) and t.ndim and (two := t == 2).any():
-        out = np.where(two, b * b, out)
-    return out
-
-
-def _by_policy(mask, x, t, when_true, when_false, out=None):
-    """when_true(x, t, out) where mask holds and when_false(x, t) elsewhere,
-    evaluating only the branches some element needs, into out if it is
-    given.  when_true is the branch that may take the log of 0: it runs with
-    that warning off, and in out when it covers every element."""
-    logs = np.count_nonzero(mask)
-    if not logs:
-        if out is None:
-            return when_false(x, t)
-        out[...] = when_false(x, t)
-        return out
-    with np.errstate(divide="ignore"):
-        if logs == mask.size:
-            return when_true(x, t, out)
-        x, t, mask = np.broadcast_arrays(x, t, mask)
-        if out is None:
-            out = np.empty(mask.shape)
-        out[mask] = when_true(x[mask], t[mask], None)
-        out[~mask] = when_false(x[~mask], t[~mask])
-        return out
 
 
 # Below this many terms exact_sum hands the whole sum to math.fsum, which is

@@ -95,6 +95,20 @@ class TestBivalentPrime:
         scale = np.abs(second * x).max()
         assert prime == pytest.approx(_prime(n, t_arr, x), rel=1e-12, abs=1e-12 * scale)
 
+    @pytest.mark.parametrize("ts", [[3, 10, 40], [65, 66, 1000], [3, 63, 64, 65, 10 ** 6]],
+                             ids=["below", "above", "mixed"])
+    def test_work_buffers_change_no_bit(self, ts):
+        """_prime in its work buffers, as the threshold scan calls it, returns
+        the second buffer holding the bits of _prime without them, with the
+        powers' exponents t - 1 below the switch, above it and on both sides."""
+        n = 50
+        x = np.random.default_rng(len(ts)).random((len(ts), 65)) / n
+        t = np.array(ts)[:, None]
+        work = np.full((3, *x.shape), np.nan)
+        got = _prime(n, t, x, work)
+        assert np.shares_memory(got, work[1])
+        assert got.tobytes() == _prime(n, t, x).tobytes()
+
 
 class TestMaximize:
     def test_uniform_regime(self):

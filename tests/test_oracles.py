@@ -291,6 +291,25 @@ class TestPowerPolicy:
                     decimal_pow(b, t, one_minus=True), rel=1e-13, abs=0.0)
                 assert unit[i, j] == pytest.approx(decimal_pow(b, t), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("ts", [[0, 1, 2, 3, 63], [64, 65, 130, 10 ** 6, 10 ** 9],
+                                    [2, 63, 64, 10 ** 9]], ids=["below", "above", "mixed"])
+    @pytest.mark.parametrize("power", [pow_one_minus, pow_unit])
+    def test_out_changes_no_bit(self, power, ts):
+        """With out=buf, both powers return buf holding the bits they give
+        without it: a scalar exponent, a column of exponents, and one
+        exponent per base, below the switch, above it and on both sides,
+        with 2 among the exponents below; and one scalar base in a 0-d out."""
+        bases = TWIN_BASES[:500]
+        calls = [(bases, t) for t in ts]
+        calls.append((bases, np.array(ts)[:, None]))
+        calls.append((bases, np.resize(ts, bases.size)))
+        calls += [(0.25, t) for t in ts]
+        for b, t in calls:
+            want = np.asarray(power(b, t))
+            buf = np.full(want.shape, np.nan)
+            assert power(b, t, out=buf) is buf
+            assert buf.tobytes() == want.tobytes(), (b if np.isscalar(b) else "bases", t)
+
 
 U = 2.0 ** -53  # the unit roundoff
 

@@ -30,6 +30,7 @@ def test_quick_lines():
     assert "mc/d12/n20/s1/estimate" in keys
     assert "closed/tiny50/scan60/bias/t64" in keys
     assert "closed/curve/geometric0.5/1e9/0/upper/t999999930" in keys
+    assert "extremal/max/n10/t40/value" in keys
 
 
 def test_compare_with_itself():
