@@ -12,11 +12,15 @@ uniforms and truncated countable families:
 
 - sequential scans of ``expected_missing_mass``, ``gt_expected_estimate``
   and ``gt_bias``, each form on its own, from t = 1, from t = 60 (across
-  the exponent switch at 64), and near 10^6 and 10^9;
+  the exponent switch at 64), and near 10^6 and 10^9, and on supports of
+  1-50 runs from t = 500 and 1000 too (across the blocks of 512 exponents
+  at 512 and 1024);
 - sorted random sparse t-grids, with the three forms interleaved at each t;
-- ``missing_mass_curve`` on the same distributions and on truncated
-  geometric and dyadic-block families, over a scan from t = 1, a sparse
-  grid and grids near 10^6 and 10^9;
+- ``missing_mass_curve`` on the same distributions, on supports just below
+  and above 256 runs, where a full block of exponents turns from columns to
+  rows, and on truncated geometric and dyadic-block families,
+  over a scan from t = 1, a sparse grid, a grid across t = 512 and 1024 and
+  grids near 10^6 and 10^9;
 - ``dyadic_bands`` at a few t.
 
 The cloud section (keys ``cloud/...`` and ``mc/...``):
@@ -142,6 +146,9 @@ def cloud_section(cover, quick: bool):
 
 
 SCAN_STARTS = (1, 60, 10 ** 6 - 5, 10 ** 9 - 5)
+# supports of up to SMALL_RUNS runs also scan across the blocks of 512 exponents
+SMALL_SCAN_STARTS = (500, 1000)
+SMALL_RUNS = 50
 
 
 def seeded_distributions(mm, quick: bool):
@@ -165,7 +172,7 @@ def closed_form_section(mm, quick: bool):
     length = 70 if quick else 150
     for name, d in seeded_distributions(mm, quick):
         key = f"closed/{name}"
-        for start in SCAN_STARTS:
+        for start in SCAN_STARTS + (SMALL_SCAN_STARTS if d.m.size <= SMALL_RUNS else ()):
             for form, f in forms:
                 for t in range(start, start + length):
                     yield f"{key}/scan{start}/{form}/t{t}", f(d, t)
@@ -178,12 +185,16 @@ def closed_form_section(mm, quick: bool):
                 yield f"{key}/bands/t{t}/j{band}/atoms", atoms
                 yield f"{key}/bands/t{t}/j{band}/mass", value
     curves = list(seeded_distributions(mm, quick))
+    for n in (255, 256) if quick else (254, 255, 256, 257):  # the layout switch
+        rng = np.random.default_rng([n, 3])
+        curves.append((f"layout{n}", mm.ProbVector(rng.exponential(size=n), normalize=True)))
     for ratio in (0.3, 0.5, 0.9):
         curves.append((f"geometric{ratio}", mm.truncate(mm.CountableFamily.geometric(ratio), 1e-12)))
     for a in (2, 3, 17):
         curves.append((f"dyadic{a}", mm.truncate(mm.CountableFamily.dyadic_blocks(a), 1e-12)))
     rng = np.random.default_rng(3)
     grids = {"scan": range(1, 200), "sparse": sorted(rng.integers(1, 10 ** 5, 60).tolist()),
+             "1e3": range(1000, 1050) if quick else range(490, 1050),
              "1e6": range(10 ** 6 - 70, 10 ** 6 + 70), "1e9": range(10 ** 9 - 70, 10 ** 9 + 70)}
     for name, d in curves:
         for grid, ts in grids.items():

@@ -56,8 +56,13 @@ DEFAULT_COUNTABLE_C = 0.69
 DEFAULT_TOL = 1e-12
 
 
+# The finite distribution types; the scalar closed forms check an exact type
+# and an exact int t inline, and send anything else through the full checks.
+_FINITE = (ProbVector, BlockVector)
+
+
 def _require_distribution(d) -> None:
-    if not isinstance(d, (ProbVector, BlockVector)):
+    if not isinstance(d, _FINITE):
         raise InvalidInputError(
             f"expected a ProbVector or BlockVector, got {type(d).__name__}; "
             "countable families go through expected_missing_mass_interval"
@@ -66,8 +71,10 @@ def _require_distribution(d) -> None:
 
 def expected_missing_mass(d: ProbVector | BlockVector, t: int) -> float:
     """Exact E[U_t] = sum_i p_i (1 - p_i)^t."""
-    _require_distribution(d)
-    return d.kernel_terms.total(require_t(t))
+    if type(t) is not int or t < 1 or type(d) not in _FINITE:
+        _require_distribution(d)
+        t = require_t(t)
+    return d.kernel_terms.total(t)
 
 
 def expected_missing_mass_interval(
@@ -112,13 +119,15 @@ def kernel_prime(x: float, t: int) -> float:
 def bound_finite(n: int, t: int) -> float:
     """Distribution-free upper bound on E[U_t] for support size n.
 
-    exp(-t/n) while t <= n, then n/(e t); both clamped to 1.
+    exp(-t/n) while t <= n, then n/(e t).  Neither needs a clamp to 1:
+    exp(-t/n) <= 1 for t >= 1, and n/(e t) < 1/e for t > n.
     """
-    n = require_int(n, "support size n", 1)
-    t = require_t(t)
+    if type(n) is not int or type(t) is not int or n < 1 or t < 1:
+        n = require_int(n, "support size n", 1)
+        t = require_t(t)
     if t <= n:
-        return min(1.0, math.exp(-t / n))
-    return min(1.0, n / (math.e * t))
+        return math.exp(-t / n)
+    return n / (math.e * t)
 
 
 def bound_countable(ell: int, t: int) -> float:
@@ -156,8 +165,10 @@ def dyadic_bands(d: ProbVector | BlockVector, t: int) -> list[tuple[int, int, fl
 
 def gt_expected_estimate(d: ProbVector | BlockVector, t: int) -> float:
     """Exact expectation of the Good-Turing estimate: sum_i p_i (1 - p_i)^(t-1)."""
-    _require_distribution(d)
-    return d.kernel_terms.total(require_t(t) - 1)
+    if type(t) is not int or t < 1 or type(d) not in _FINITE:
+        _require_distribution(d)
+        t = require_t(t)
+    return d.kernel_terms.total(t - 1)
 
 
 def singleton_mass_expectation(d: ProbVector | BlockVector, t: int) -> float:
@@ -173,8 +184,10 @@ def gt_bias(d: ProbVector | BlockVector, t: int) -> float:
     taking the sum directly, exactly rounded, avoids that subtraction, which
     cancels (to 1e-9 relative on uniform(2^40) at t = 1000).
     """
-    _require_distribution(d)
-    return d.kernel_terms.total(require_t(t) - 1, 2)
+    if type(t) is not int or t < 1 or type(d) not in _FINITE:
+        _require_distribution(d)
+        t = require_t(t)
+    return d.kernel_terms.total(t - 1, 2)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,12 @@ its neighbours and whether it comes alone.  The callers only pick the side:
   exponents (the extremal solvers, the eps-ball masses, the scalar kernel),
   and ``_by_policy`` sends each element to its side;
 * ``KernelTerms`` takes one distribution's sorted masses and one exponent
-  (every closed form in ``mass``), or up to 64 exponents on one side of the
-  switch as one (exponents, runs) block (a t-grid, or a scan).  What
+  (every closed form in ``mass``), or a block of up to 512 exponents on one
+  side of the switch (a t-grid, or a scan), laid out by its shape: one
+  (runs, exponents) array, the exponents contiguous, where it has fewer
+  runs than exponents, one (exponents, runs) array otherwise, so numpy's
+  loops run along the longer side.  A scan's blocks are aligned, and one
+  that straddles the switch is cut there into two.  What
   depends only on the distribution (its weights c m^k, the split hi and r,
   and log1p(-m)) is built on first use and cached per distribution, by
   ``_Runs.kernel_terms``.  That the 2-D exp and pow loops round each cell
@@ -95,10 +99,13 @@ filter proves it equal to fsum's.  With u = 2^-53, n terms x_i and
    sigma outside 2^-900..2^1021 (fsum's OverflowError; B and the grids
    stay exact floats inside), the sum is math.fsum's.
 
-``exact_row_sums`` is the row form, for the blocks of KernelTerms: every
-step above is taken for all rows of a 2-D array at once, each row with its
-own sigma, filter and fsum fallback, so each row's sum is exact_sum's.
-Below EXACT_ROWS_MIN cells it hands each row to math.fsum instead.
+``exact_row_sums`` is the 2-D form, for the blocks of KernelTerms: every
+step above is taken for all rows of a 2-D array at once, or for all its
+columns, each sum with its own sigma (broadcast along the summed axis),
+filter and fsum fallback, so each sum is exact_sum's of its row or column.
+The proof above holds for every order of addition, so summing down the
+columns changes no bit.  Below EXACT_ROWS_MIN cells it hands each sum to
+math.fsum instead.
 """
 
 import math
@@ -210,16 +217,20 @@ class KernelTerms:
     Each ingredient is built the first time a branch needs it and then kept,
     so a distribution evaluated once pays only for its own branch.
 
-    ``totals`` sums the terms of many exponents in blocks: one (rows, runs)
-    array of terms per block, at most ``width`` exponents, all on one side of
-    POW_EXPONENT_SWITCH, summed row by row by exact_row_sums.  ``total``
-    serves one exponent.  It keeps, per k, the last block it evaluated, and
-    evaluates one when a request for e follows requests for e - 2 and e - 1
-    (a scan over consecutive exponents): the aligned block of width
-    exponents that holds e, which, as width divides the switch, lies on one
-    side of it.  The scan's next requests read from that block.  Any other
-    request takes the one-exponent path.  A block's sums are the correctly
-    rounded sums of the same terms, so both paths give the same bits.
+    ``totals`` sums the terms of many exponents in blocks of at most
+    ``width`` exponents, all on one side of POW_EXPONENT_SWITCH, each one
+    array of terms laid out by its shape: a block with fewer runs than
+    exponents is one (runs, exponents) array, the exponents contiguous,
+    summed column by column, and any other block one (exponents, runs)
+    array, summed row by row, both by exact_row_sums.  So every numpy call
+    on a block runs along its longer side.  ``total`` serves one exponent.
+    It keeps, per k, the last block it evaluated, and evaluates one when a
+    request for e follows requests for e - 2 and e - 1 (a scan over
+    consecutive exponents): the aligned block of width exponents that holds
+    e, which totals cuts at the switch where it straddles it.  The scan's
+    next requests read from that block.  Any other request takes the
+    one-exponent path.  A block's sums are the correctly rounded sums of the
+    same terms, so both paths give the same bits.
     """
 
     __slots__ = ("m", "c", "_w1", "_w2", "_split", "_log", "_kept", "_seen")
@@ -232,9 +243,9 @@ class KernelTerms:
 
     @property
     def width(self) -> int:
-        """Exponents per block: a power of two up to 64, so a block's cells
-        fit in SLICE_BYTES, and an aligned block never straddles the switch."""
-        return 1 << min(6, rows_per_slice(8 * self.m.size).bit_length() - 1)
+        """Exponents per block: the largest power of two up to 512 whose
+        block of cells fits in SLICE_BYTES (at least one exponent)."""
+        return 1 << min(9, rows_per_slice(8 * self.m.size).bit_length() - 1)
 
     def __call__(self, e: int, k: int = 1) -> np.ndarray:
         return self.weights(k) * self.powers(e)
@@ -279,8 +290,10 @@ class KernelTerms:
         (pairwise summation would carry an O(eps log n) bound instead:
         Higham, SIAM J. Sci. Comput. 14(4), 1993).  A request for e just
         after e - 1 (of the same k) reads e from the block kept for k, or,
-        after e - 2 and e - 1, from a new aligned block: the same sum of the
-        same terms, so a scan gives the bits of isolated calls."""
+        after e - 2 and e - 1, from a new aligned block of width exponents
+        (up to 512, on both sides of the switch if it straddles it): the
+        same sum of the same terms, so a scan gives the bits of isolated
+        calls."""
         seen = self._seen
         last, before = seen[k - 1]
         seen[k - 1] = e, last
@@ -299,26 +312,34 @@ class KernelTerms:
 
     def totals(self, es, k: int = 1) -> list[float]:
         """[exact_sum(self(e, k)) for e in es], bit for bit, in blocks of up
-        to width consecutive entries of es on one side of the switch, through
-        four (width, runs) buffers allocated once per call."""
+        to width consecutive entries of es on one side of the switch, each
+        laid out by its shape (see the class docstring), through four
+        buffers of width x runs cells allocated once per call."""
         e = np.array(es, dtype=float)  # each exponent rounded as powers rounds it
         rows = min(self.width, e.size) or 1
-        buffers = np.empty((4, rows, self.m.size))
-        block, work = buffers[0], buffers[1:]  # the terms, and exact_row_sums' work
+        runs = self.m.size
+        buffers = np.empty((4, rows * runs))
         w = self.weights(k)
         side = e >= POW_EXPONENT_SWITCH
         cuts = [0, *(np.flatnonzero(side[1:] != side[:-1]) + 1).tolist(), e.size]
         sums = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            for i in range(lo, hi, rows):
-                col = e[i:min(i + rows, hi), None]
-                x = block[:col.size]
+        for start, stop in zip(cuts, cuts[1:]):
+            for i in range(start, stop, rows):
+                t = e[i:min(i + rows, stop)]
+                n = t.size
+                # `at` indexes an array over the runs against the exponents
+                if runs < n:  # the exponents contiguous: one column per exponent
+                    at, axis, shape = (slice(None), None), 0, (runs, n)
+                else:  # one row per exponent
+                    at, axis, shape, t = slice(None), 1, (n, runs), t[:, None]
+                x = buffers[:, :n * runs].reshape(4, *shape)  # the terms, and the sums' work
                 if side[i]:
-                    _exp_times(self.log, col, x)
+                    _exp_times(self.log[at], t, x[0])
                 else:
-                    _compensated(*self.split, col, x, work[0][:col.size])
-                x *= w
-                sums += exact_row_sums(x, work[:, :col.size])
+                    hi, r = self.split
+                    _compensated(hi[at], r[at], t, x[0], x[1])
+                x[0] *= w[at]
+                sums += exact_row_sums(x[0], x[1:], axis)
         return sums
 
 
@@ -330,11 +351,11 @@ class KernelTerms:
 EXACT_SUM_MIN = 512
 
 
-# Below this many cells exact_row_sums hands each row to math.fsum.  Taken
-# for all rows at once, the extraction's and the filter's steps cost about
-# 50 us whatever the rows (up to 64 of them, on the machine above), where one
-# tolist and fsum over each row take about 34 ns a cell; they cross between
-# 1300 and 1900 cells.
+# Below this many cells exact_row_sums hands each row or column to
+# math.fsum.  Taken for all rows at once, the extraction's and the filter's
+# steps cost about 50 us whatever the rows (up to 64 of them, on the machine
+# above), where one tolist and fsum over each row take about 34 ns a cell;
+# they cross between 1300 and 1900 cells.
 EXACT_ROWS_MIN = 1536
 
 
@@ -357,7 +378,7 @@ def exact_sum(x: np.ndarray) -> float:
     if not (math.isfinite(top) and -900 <= e <= 1021):
         return math.fsum(x.tolist())
     hi, lo, rest = _extract(x, math.ldexp(1.0, e), math.ldexp(1.0, e + m - 53),
-                            np.empty((3, n))).tolist()
+                            np.empty((3, n)), 0).tolist()
     r, err = _rounded(hi, lo, rest, math.ldexp(1.0, e + 3 * m - 158))
     a = abs(r)
     if a and err < 0.5 * (a - math.nextafter(a, 0.0)):
@@ -365,41 +386,45 @@ def exact_sum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
-def exact_row_sums(x: np.ndarray, work=None) -> list[float]:
-    """[exact_sum(row) for row in x] for a 2-D float array x, bit for bit:
-    the same extractions and filter, each step taken for every row at once,
-    with each row's own sigma, and math.fsum for the rows the filter cannot
-    certify.  work, if given, is a float array of shape (3, *x.shape) for
-    the extractions to write into; x is left as it is.
+def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
+    """[exact_sum(v) for v in the 1-D slices of x along axis] for a 2-D
+    float array x (its rows for axis = 1, its columns for axis = 0), bit for
+    bit: the same extractions and filter, each step taken for every sum at
+    once, with each sum's own sigma broadcast along axis, and math.fsum for
+    the sums the filter cannot certify.  work, if given, is a float array of
+    shape (3, *x.shape) for the extractions to write into; x is left as it is.
     """
+    lines = x if axis else x.T  # one sum per row of lines
     if x.size < EXACT_ROWS_MIN:
-        return [math.fsum(row) for row in x.tolist()]
+        return [math.fsum(v) for v in lines.tolist()]
     if work is None:
         work = np.empty((3, *x.shape))
-    top = np.abs(x, out=work[0]).max(axis=1)
-    m = (x.shape[1] + 1).bit_length()
+    top = np.abs(x, out=work[0]).max(axis=axis)
+    m = (x.shape[axis] + 1).bit_length()
     e = np.frexp(top)[1] + m
     ok = np.isfinite(top) & (e >= -900) & (e <= 1021)
     y = x
-    if not ok.all():  # such rows fall back; zeros keep the steps finite
-        y, e = np.where(ok[:, None], x, 0.0), np.where(ok, e, 0)
-    sigma = np.ldexp(1.0, e)[:, None]
-    hi, lo, rest = _extract(y, sigma, sigma * 2.0 ** (m - 53), work)
+    if not ok.all():  # such sums fall back; zeros keep the steps finite
+        y, e = np.where(ok[:, None] if axis else ok, x, 0.0), np.where(ok, e, 0)
+    sigma = np.ldexp(1.0, e)
+    if axis:
+        sigma = sigma[:, None]  # one per row; along axis 0 one per column broadcasts as is
+    hi, lo, rest = _extract(y, sigma, sigma * 2.0 ** (m - 53), work, axis)
     r, err = _rounded(hi, lo, rest, np.ldexp(1.0, e + (3 * m - 158)))
     a = np.abs(r)
     certified = ok & (err < 0.5 * (a - np.nextafter(a, 0.0)))  # r = 0 fails too
     out = r.tolist()
     if not certified.all():
         for i in np.flatnonzero(~certified).tolist():
-            out[i] = math.fsum(x[i].tolist())
+            out[i] = math.fsum(lines[i].tolist())
     return out
 
 
-def _extract(x, sigma, sigma2, work):
-    """Steps 1 to 3 of the module docstring along x's last axis, with
-    sigma = 2^e and sigma2 = 2^m u sigma (scalars, or a column of one per
-    row), in work, of shape (3, *x.shape): the exact sums hi and lo and the
-    sum rest, as one array of shape (3, *x.shape[:-1])."""
+def _extract(x, sigma, sigma2, work, axis):
+    """Steps 1 to 3 of the module docstring along x's axis, with sigma = 2^e
+    and sigma2 = 2^m u sigma (scalars, or one per sum, broadcast along axis),
+    in work, of shape (3, *x.shape): the exact sums hi and lo and the sum
+    rest, as one array of shape (3, *x.shape without axis)."""
     q, q2, p = work
     np.add(x, sigma, out=q)
     q -= sigma
@@ -407,7 +432,7 @@ def _extract(x, sigma, sigma2, work):
     np.add(p, sigma2, out=q2)
     q2 -= sigma2
     p -= q2
-    return work.sum(axis=-1)
+    return work.sum(axis=axis + 1)
 
 
 def _rounded(hi, lo, rest, bound):

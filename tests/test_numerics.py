@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, example, given, settings
 from missingmass import (ProbVector, dyadic_bands, expected_missing_mass, gt_bias,
                          gt_expected_estimate, missing_mass_curve)
 from missingmass import numerics
-from missingmass.numerics import (EXACT_ROWS_MIN, EXACT_SUM_MIN, POW_EXPONENT_SWITCH,
-                                  KernelTerms, exact_row_sums, exact_sum)
+from missingmass.numerics import (EXACT_ROWS_MIN, EXACT_SUM_MIN, KernelTerms, exact_row_sums,
+                                  exact_sum)
 
 # sizes on both sides of the switch to the extraction
 sizes = st.integers(EXACT_SUM_MIN - 4, EXACT_SUM_MIN + 700)
@@ -64,6 +64,9 @@ def same_as_fsum(x: np.ndarray) -> None:
     block = rows_around(x)
     assert block.size >= EXACT_ROWS_MIN
     assert outcome(exact_row_sums, block) == outcome(fsum_rows, block)
+    # the column form: the same sums down the columns of the transposed block
+    columns = np.ascontiguousarray(block.T)
+    assert outcome(lambda b: exact_row_sums(b, axis=0), columns) == outcome(fsum_rows, block)
 
 
 @st.composite
@@ -168,10 +171,16 @@ class TestExponentBlocks:
     """KernelTerms.totals and the scans of KernelTerms.total against the
     one-exponent sum exact_sum(terms(e, k)), by float.hex."""
 
-    EXPONENTS = [*range(131), *range(10 ** 6 - 70, 10 ** 6 + 70),
-                 *range(10 ** 9 - 3, 10 ** 9 + 66)]
+    # windows across the switch at 64, across 1024 (a scan then reads from
+    # two consecutive blocks of 512), back across 512, and near 10^6 and
+    # 10^9; no window starts inside the block its predecessor's scan kept
+    WINDOWS = [range(131), range(1000, 1050), range(490, 530), range(10 ** 6 - 70, 10 ** 6 + 70),
+               range(10 ** 9 - 3, 10 ** 9 + 66)]
+    EXPONENTS = [e for window in WINDOWS for e in window]
 
-    @pytest.mark.parametrize("runs", [1, 2, 7, 50, 300, 2000])
+    # both layouts: fewer runs than exponents a block up to 255 runs (columns),
+    # and from 256 on (rows)
+    @pytest.mark.parametrize("runs", [1, 2, 7, 50, 127, 128, 255, 256, 300, 511, 512, 513, 2000])
     @pytest.mark.parametrize("k", [1, 2])
     def test_blocks_equal_one_exponent_sums(self, runs, k, monkeypatch):
         terms = seeded_terms(runs, 0)
@@ -183,17 +192,16 @@ class TestExponentBlocks:
         alone = []
         monkeypatch.setattr(numerics, "exact_sum", lambda x: alone.append(1) or exact_sum(x))
         assert [scan.total(e, k).hex() for e in self.EXPONENTS] == want
-        assert len(alone) == 6
+        assert len(alone) == 2 * len(self.WINDOWS)
 
-    @pytest.mark.parametrize("runs", [1, 2, 7, 50, 300, 2000, 10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("runs", [1, 2, 7, 50, 128, 129, 300, 2000, 10 ** 4, 10 ** 5])
     def test_block_width(self, runs):
-        """At most 64 exponents, whose cells fit in a slice buffer (or one
-        exponent), and a power of two, so an aligned block never straddles
-        the switch."""
+        """A power of two up to 512 exponents whose cells fit in a slice
+        buffer (or one exponent), and the widest such."""
         width = seeded_terms(runs, 1).width
-        assert 1 <= width <= 64 and POW_EXPONENT_SWITCH % width == 0
+        assert 1 <= width <= 512 and width & (width - 1) == 0
         assert width == 1 or 8 * width * runs <= numerics.SLICE_BYTES
-        assert width == 64 or 16 * width * runs > numerics.SLICE_BYTES  # the widest that fits
+        assert width == 512 or 16 * width * runs > numerics.SLICE_BYTES  # the widest that fits
 
     def test_no_block_leaks_across_requests(self):
         """Scans of one form after another over the same exponents, scans

@@ -29,6 +29,7 @@ def test_quick_lines():
     assert "cloud/d130/n64/distances" in keys and "cloud/matrix/n19/eps0/exact" in keys
     assert "mc/d12/n20/s1/estimate" in keys
     assert "closed/tiny50/scan60/bias/t64" in keys
+    assert "closed/exp50/scan1000/emm/t1024" in keys
     assert "closed/curve/geometric0.5/1e9/0/upper/t999999930" in keys
     assert "extremal/max/n10/t40/value" in keys
 
