@@ -4,7 +4,7 @@ that two checkouts can be compared bit for bit.
 
 A float prints as ``float.hex``, an array (or a tuple of indices) as its
 dtype, shape and the SHA-256 of its ``tobytes()``, an int or a bool as
-itself.  Three sections so far.
+itself.  Four sections so far.
 
 The closed-form section (keys ``closed/...``), on seeded distributions of
 1-2000 runs (masses down to 1e-300), BlockVectors with counts up to 2^40,
@@ -46,6 +46,18 @@ the power policy, ``pow_unit``'s included:
   given as a scalar (to the bases as an array, with and without ``out=``,
   and to each base alone), and as a column of exponents below the switch,
   above it and on both sides, with and without ``out=``.
+
+The numerics section (keys ``numerics/...``), the sums behind every value
+above:
+
+- ``exact_sum`` on seeded arrays of lengths just below, at and above
+  EXACT_SUM_MIN (and 512, its value before) and up to 10^5: positive
+  terms, mixed signs, a cancelling pair, a cancelled copy, a tie,
+  subnormals, and sigma at 2^-901..2^-899 and 2^1020..2^1022 (both ends of
+  the range the extraction takes);
+- ``exact_row_sums`` along axis 1 and axis 0 on blocks of those rows, just
+  below, at and above EXACT_ROWS_MIN cells (and 1536, its value before) and
+  up to 10^5.
 
 Usage::
 
@@ -204,6 +216,62 @@ def closed_form_section(mm, quick: bool):
                     yield f"closed/curve/{name}/{grid}/{i}/{field}/t{t}", getattr(curve, field)[i]
 
 
+# the kinds of sums of the numerics section, each drawn by audit_terms
+SUM_KINDS = ("positive", "signed", "cancel", "copy", "tie", "subnormal",
+             "e-901", "e-900", "e-899", "e1020", "e1021", "e1022")
+
+
+def audit_terms(kind: str, n: int, seed: int) -> np.ndarray:
+    """n seeded terms of one kind: positive, of either sign, next to a
+    cancelling pair +-2^40, half of them cancelled by a copy, a tie (pairs
+    [1, 2^-53], so a sum halfway between two floats), subnormal, or
+    positive with sigma = 2^e for the e in the name (e = -900 and 1021 are
+    the ends of the range the extraction takes)."""
+    rng = np.random.default_rng([SUM_KINDS.index(kind), n, seed])
+    x = rng.random(n) ** 4 + 2.0 ** -30
+    if kind == "signed":
+        x *= rng.choice([-1.0, 1.0], n)
+    elif kind == "cancel":
+        x = (x - 0.5) * 1e-3
+        x[:2] = 2.0 ** 40, -2.0 ** 40
+    elif kind == "copy":
+        x[n // 2:n // 2 + n // 4] = -x[:n // 4]
+    elif kind == "tie":
+        x = np.zeros(n)
+        k = 1 << ((n // 2).bit_length() - 1)
+        x[:2 * k] = np.tile([1.0, 2.0 ** -53], k)
+    elif kind == "subnormal":
+        x = np.ldexp(x, -1060)
+    elif kind.startswith("e"):
+        m = (n + 1).bit_length()  # sigma = 2^(frexp(max)[1] + m)
+        x = np.ldexp(0.75 * x / x.max(), int(kind[1:]) - m)
+    return rng.permutation(x)
+
+
+def numerics_section(quick: bool):
+    from missingmass.numerics import exact_row_sums, exact_sum
+
+    # around EXACT_SUM_MIN (256) and its value before (512); fixed, so that
+    # two checkouts with other thresholds print the same keys
+    lengths = (255, 256, 512, 10 ** 4) if quick else (
+        255, 256, 257, 511, 512, 513, 2000, 10 ** 4, 10 ** 5)
+    for kind in SUM_KINDS:
+        for n in lengths:
+            for seed in (0, 1):
+                yield f"numerics/sum/{kind}/n{n}/s{seed}", exact_sum(audit_terms(kind, n, seed))
+    # blocks just below, at and above EXACT_ROWS_MIN cells (1024) and its
+    # value before (1536), and up to 10^5
+    shapes = ((4, 256), (3, 512), (64, 24)) if quick else (
+        (3, 341), (4, 256), (64, 16), (3, 511), (3, 512), (4, 400), (12, 128), (64, 24),
+        (2, 10 ** 4), (10, 10 ** 4))
+    for rows, cols in shapes:
+        block = np.stack([audit_terms(SUM_KINDS[i % len(SUM_KINDS)], cols, i // len(SUM_KINDS))
+                          for i in range(rows)])
+        for axis, x in ((1, block), (0, np.ascontiguousarray(block.T))):
+            for i, value in enumerate(exact_row_sums(x, axis=axis)):
+                yield f"numerics/rows/{rows}x{cols}/axis{axis}/{i}", value
+
+
 # C7's seed in tests/test_acceptance.py, so the grid below is that cell's
 C7_SEED = 20260808 + 3
 POW_TOPS = (10 ** 6, 10 ** 9)
@@ -269,6 +337,8 @@ def audit(quick: bool) -> None:
     for key, value in cloud_section(cover, quick):
         print(key, fmt(value))
     for key, value in extremal_section(mm, quick):
+        print(key, fmt(value))
+    for key, value in numerics_section(quick):
         print(key, fmt(value))
 
 

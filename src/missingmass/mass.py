@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -109,11 +108,13 @@ def kernel_prime(x: float, t: int) -> float:
 
     The factor 1 - (t+1) x is taken exactly and rounded once, so its sign is
     right at every float, also next to the peak 1/(t+1), where rounding
-    (t+1) x first would cancel to 0 or flip it.
+    (t+1) x first would cancel to 0 or flip it: with x = n/d exactly, it is
+    (d - (t+1) n)/d, a true division of ints, which Python rounds correctly.
     """
     require_real(x, "kernel argument", 0.0, 1.0)
     t = require_t(t)
-    return float(pow_one_minus(x, t - 1) * float(1 - (t + 1) * Fraction(float(x))))
+    n, d = float(x).as_integer_ratio()
+    return float(pow_one_minus(x, t - 1) * ((d - (t + 1) * n) / d))
 
 
 def bound_finite(n: int, t: int) -> float:

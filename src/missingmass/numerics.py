@@ -60,9 +60,10 @@ floating-point arithmetic", DCG 18, 1997), so a sum depends neither on the
 order nor on the number of its terms.  From EXACT_SUM_MIN terms on it avoids
 fsum's per-term Python loop by Rump, Ogita & Oishi's error-free vector
 extraction ("Accurate floating-point summation part I: faithful rounding",
-SIAM J. Sci. Comput. 31(1), 2008), and it returns its own value only where a
-filter proves it equal to fsum's.  With u = 2^-53, n terms x_i and
-2^m >= n + 2:
+SIAM J. Sci. Comput. 31(1), 2008), and, as their AccSum does, it stops at
+the first level whose error bound certifies the result: it returns its own
+value only where a filter proves it equal to fsum's.  With u = 2^-53, n
+terms x_i and 2^m >= n + 2:
 
 1. Extraction.  Take sigma = 2^e with |x_i| < 2^-m sigma, q_i = (sigma +
    x_i) - sigma and p_i = x_i - q_i in floats.  sigma + x_i lies within
@@ -74,38 +75,55 @@ filter proves it equal to fsum's.  With u = 2^-53, n terms x_i and
 2. Exactness of sum(q).  Every partial sum of the q_i, in any order, is a
    multiple of u sigma below n 2^-m sigma < sigma in magnitude, so it needs
    at most 53 bits: np.sum adds them exactly whatever its order.
-3. The second extraction runs on the p_i with sigma' = 2^m u sigma, for
-   which |p_i| <= 2^-m sigma' holds, leaving p'_i with |p'_i| <= u sigma'.
-   So the exact sum is hi + lo + sum(p'), with hi and lo the two exact
-   extracted sums, and rest = np.sum(p') is off by at most gamma_(n-1)
-   sum|p'_i| <= (2nu)(n u sigma') < 2^(2m-105) sigma' =: B (Higham,
+3. Level 1.  So the exact sum is hi + sum(p), with hi the exact sum of the
+   q_i, and rest = np.sum(p) is off by at most gamma_(n-1) sum|p_i| <=
+   (2nu)(n u sigma) < 2^(2m-105) sigma = 2^(e+2m-105) =: B1 (Higham,
    "Accuracy and Stability of Numerical Algorithms", 2nd ed., sec. 4.2; the
    bound holds for every order of addition, and gradual underflow keeps it,
-   since a sum that lands below the normal range is exact).
-4. Rounding.  Knuth's TwoSum gives h + l = hi + lo, c + dc = l + rest and
-   r + d = h + c, each exactly, so the exact sum is r + d + dc + delta with
-   |delta| <= B.  If |d| + |dc| + B < g/2, where g is the gap from |r| down
-   to the next float toward zero, the exact sum lies strictly nearer to r
-   than to either neighbour of r, since the spacing above |r| is g or 2g;
-   r is then the correctly rounded sum, which fsum returns too.  Measuring
-   g below |r| covers the binade edge, where |r| is a power of two and the
-   spacing below it is half the spacing above.  The test is made in
-   floats as fl(|d| + 2 fl(|dc| + B)) < fl(g/2): doubling covers the one
-   rounding of |dc| + B, a float sum below the float g/2 means an exact sum
-   below it (rounding is monotone), and fl(g/2) is exact or, at g =
-   2^-1074, 0.
+   since a sum that lands below the normal range is exact).  TwoSum (Knuth)
+   gives r + d = hi + rest exactly, so the exact sum is r + d + delta with
+   |delta| <= B1.  If |d| + B1 < g/2, where g is the gap from |r| down to
+   the next float toward zero, the exact sum lies strictly nearer to r than
+   to either neighbour of r, since the spacing above |r| is g or 2g; r is
+   then the correctly rounded sum, which fsum returns too.  Measuring g
+   below |r| covers the binade edge, where |r| is a power of two and the
+   spacing below it is half the spacing above.  The test is made in floats
+   as fl(|d| + 2 B1) < fl(g/2), with 2 B1 = 2^(e+2m-104) a float: a float
+   sum below the float g/2 means an exact sum below it (rounding is
+   monotone), and fl(g/2) is exact or, at g = 2^-1074, 0.  On
+   nonnegative terms the sum is at least the largest term, so 2 B1 is at
+   most 2^(3m-51) of its ulp (2^-9 at n = 10^4), and only a sum whose d
+   lies that close to g/2 in magnitude fails: this level certifies nearly
+   every closed form.
+4. Level 2, for the sums level 1 cannot certify.  The second extraction
+   runs on the same remainders p_i with sigma' = 2^m u sigma, for which
+   |p_i| <= 2^-m sigma' holds, leaving p'_i with |p'_i| <= u sigma'.  So the
+   exact sum is hi + lo + sum(p'), with lo the exact sum of the second
+   q's, and rest' = np.sum(p') is off by at most 2^(2m-105) sigma' =
+   2^(e+3m-158) =: B, as in step 3.  TwoSum gives h + l = hi + lo, c + dc
+   = l + rest' and r + d = h + c, each exactly, so the exact sum is r + d +
+   dc + delta with |delta| <= B, and r is certified, as in step 3, where
+   fl(|d| + 2 fl(|dc| + B)) < fl(g/2): doubling covers the one rounding of
+   |dc| + B.
 5. Otherwise, near a tie or under deep cancellation, and for r = 0 (fsum's
    sign of zero), non-finite terms (fsum's inf, nan and ValueError), and
-   sigma outside 2^-900..2^1021 (fsum's OverflowError; B and the grids
+   sigma outside 2^-900..2^1021 (fsum's OverflowError; B, B1 and the grids
    stay exact floats inside), the sum is math.fsum's.
+
+So the exits come in this order: the level-1 filter, the level-2 filter,
+fsum.  Each exit returns the correctly rounded sum, so which one a sum
+takes never changes a bit.  One helper takes each step for both forms
+below: ``_extract`` either extraction, ``_rounded1`` and ``_rounded`` the
+rounding of each level.
 
 ``exact_row_sums`` is the 2-D form, for the blocks of KernelTerms: every
 step above is taken for all rows of a 2-D array at once, or for all its
-columns, each sum with its own sigma (broadcast along the summed axis),
-filter and fsum fallback, so each sum is exact_sum's of its row or column.
-The proof above holds for every order of addition, so summing down the
-columns changes no bit.  Below EXACT_ROWS_MIN cells it hands each sum to
-math.fsum instead.
+columns, each sum with its own sigma (broadcast along the summed axis) and
+filters; only the sums the level-1 filter cannot certify take the second
+extraction, and only those neither filter certifies take fsum, so each sum
+is exact_sum's of its row or column.  The proof above holds for every
+order of addition, so summing down the columns changes no bit.  Below
+EXACT_ROWS_MIN cells it hands each sum to math.fsum instead.
 """
 
 import math
@@ -224,13 +242,15 @@ class KernelTerms:
     summed column by column, and any other block one (exponents, runs)
     array, summed row by row, both by exact_row_sums.  So every numpy call
     on a block runs along its longer side.  ``total`` serves one exponent.
-    It keeps, per k, the last block it evaluated, and evaluates one when a
-    request for e follows requests for e - 2 and e - 1 (a scan over
-    consecutive exponents): the aligned block of width exponents that holds
-    e, which totals cuts at the switch where it straddles it.  The scan's
-    next requests read from that block.  Any other request takes the
-    one-exponent path.  A block's sums are the correctly rounded sums of the
-    same terms, so both paths give the same bits.
+    It keeps, per k, the last block it evaluated, and reads any request
+    inside it from it, first and with no other bookkeeping, so a scan's
+    step, forward or backward, is one lookup.  It evaluates a block when a
+    request for e lies just past the kept block's end or follows requests
+    for e - 2 and e - 1 (a scan over consecutive exponents): the aligned
+    block of width exponents that holds e, which totals cuts at the switch
+    where it straddles it.  Any other request takes the one-exponent path.
+    A block's sums are the correctly rounded sums of the same terms, so
+    both paths give the same bits.
     """
 
     __slots__ = ("m", "c", "_w1", "_w2", "_split", "_log", "_kept", "_seen")
@@ -238,8 +258,10 @@ class KernelTerms:
     def __init__(self, m: np.ndarray, c: np.ndarray):
         self.m, self.c = m, c
         self._w1 = self._w2 = self._split = self._log = None
-        self._kept = [(0, ()), (0, ())]  # per k: (first exponent, sums) of the last block
-        self._seen = [(None, None), (None, None)]  # per k: the last two exponents asked for
+        # indexed by k (1 or 2; entry 0 unused): the last block's (first
+        # exponent, stop, sums), and the last two exponents asked for
+        self._kept = [None, (-1, -1, ()), (-1, -1, ())]
+        self._seen = [None, (None, None), (None, None)]
 
     @property
     def width(self) -> int:
@@ -288,24 +310,24 @@ class KernelTerms:
         """exact_sum(self(e, k)), the sum behind every closed form in
         ``mass``, correctly rounded whatever the number or order of its terms
         (pairwise summation would carry an O(eps log n) bound instead:
-        Higham, SIAM J. Sci. Comput. 14(4), 1993).  A request for e just
-        after e - 1 (of the same k) reads e from the block kept for k, or,
-        after e - 2 and e - 1, from a new aligned block of width exponents
-        (up to 512, on both sides of the switch if it straddles it): the
-        same sum of the same terms, so a scan gives the bits of isolated
-        calls."""
+        Higham, SIAM J. Sci. Comput. 14(4), 1993).  A request for e inside
+        the block kept for k reads it from there; one just past that block's
+        end, or one after e - 2 and e - 1, reads it from a new aligned block
+        of width exponents (up to 512, on both sides of the switch if it
+        straddles it), and width is taken only then: the same sum of the
+        same terms, so a scan gives the bits of isolated calls."""
+        start, stop, sums = self._kept[k]
+        if start <= e < stop:  # a step of a scan, inside its block
+            return sums[e - start]
         seen = self._seen
-        last, before = seen[k - 1]
-        seen[k - 1] = e, last
-        if last == e - 1:  # a step of a scan
-            start, sums = self._kept[k - 1]
-            if 0 <= e - start < len(sums):
-                return sums[e - start]
+        last, before = seen[k]
+        seen[k] = e, last
+        if e == stop or (last == e - 1 and before == e - 2):
             width = self.width
-            if before == e - 2 and width > 1:
+            if width > 1:  # the aligned block that holds e
                 start = e - e % width
                 sums = self.totals(range(start, start + width), k)
-                self._kept[k - 1] = start, sums
+                self._kept[k] = start, start + width, sums
                 return sums[e - start]
         w = self._w1 if k == 1 else self._w2  # self(e, k) in fewer calls
         return exact_sum((self.weights(k) if w is None else w) * self.powers(e))
@@ -313,12 +335,13 @@ class KernelTerms:
     def totals(self, es, k: int = 1) -> list[float]:
         """[exact_sum(self(e, k)) for e in es], bit for bit, in blocks of up
         to width consecutive entries of es on one side of the switch, each
-        laid out by its shape (see the class docstring), through four
-        buffers of width x runs cells allocated once per call."""
+        laid out by its shape (see the class docstring), through three
+        buffers of width x runs cells allocated once per call: the terms,
+        and the first extraction's q and p."""
         e = np.array(es, dtype=float)  # each exponent rounded as powers rounds it
         rows = min(self.width, e.size) or 1
         runs = self.m.size
-        buffers = np.empty((4, rows * runs))
+        buffers = np.empty((3, rows * runs))
         w = self.weights(k)
         side = e >= POW_EXPONENT_SWITCH
         cuts = [0, *(np.flatnonzero(side[1:] != side[:-1]) + 1).tolist(), e.size]
@@ -332,7 +355,7 @@ class KernelTerms:
                     at, axis, shape = (slice(None), None), 0, (runs, n)
                 else:  # one row per exponent
                     at, axis, shape, t = slice(None), 1, (n, runs), t[:, None]
-                x = buffers[:, :n * runs].reshape(4, *shape)  # the terms, and the sums' work
+                x = buffers[:, :n * runs].reshape(3, *shape)  # the terms, and the sums' work
                 if side[i]:
                     _exp_times(self.log[at], t, x[0])
                 else:
@@ -345,28 +368,32 @@ class KernelTerms:
 
 # Below this many terms exact_sum hands the whole sum to math.fsum, which is
 # then about as fast or faster.  On a 2-vCPU x86-64 VM (Python 3.11, numpy
-# 2.4) fsum takes about 21 ns per term and the extraction about 7-8 us up to
-# 500 terms; they cross between 350 and 550 terms as the machine's speed
-# varies, and at 10^4 terms they take 274 and 25 us.
-EXACT_SUM_MIN = 512
+# 2.4) fsum takes 21-30 ns per term as the machine's speed varies, and one
+# extraction with its filter about 7.5 us up to 450 terms: they cross
+# between about 250 and 360 terms, and at 10^4 terms they take 457 and
+# 22 us.  A power of two, so that pairs [1, 2^-53] of EXACT_SUM_MIN terms
+# sum to a tie, which the tests use.
+EXACT_SUM_MIN = 256
 
 
 # Below this many cells exact_row_sums hands each row or column to
-# math.fsum.  Taken for all rows at once, the extraction's and the filter's
-# steps cost about 50 us whatever the rows (up to 64 of them, on the machine
-# above), where one tolist and fsum over each row take about 34 ns a cell;
-# they cross between 1300 and 1900 cells.
-EXACT_ROWS_MIN = 1536
+# math.fsum.  Taken for all sums at once, one extraction and its filter cost
+# 25-40 us from 4 to 448 sums (on the machine above), where one tolist and
+# fsum over each sum take about 35-70 ns a cell, the more the shorter the
+# sums: on blocks of kernel terms they cross between 700 and 1000 cells
+# (columns of 64 and 448 exponents, rows of 4 and 64).
+EXACT_ROWS_MIN = 1024
 
 
 def exact_sum(x: np.ndarray) -> float:
     """The correctly rounded sum of a 1-D float array x: math.fsum(x.tolist())
     bit for bit, with fsum's special values and errors.
 
-    From EXACT_SUM_MIN terms on it takes two error-free extractions and one
-    filtered rounding (see the module docstring) instead of fsum's Python
-    loop over the terms, and falls back to fsum when the filter cannot
-    certify the result.
+    From EXACT_SUM_MIN terms on it takes one error-free extraction and the
+    level-1 filter, a second extraction from the same remainders and the
+    level-2 filter only where the first cannot certify the result, and
+    fsum only where neither can (see the module docstring), instead of
+    fsum's Python loop over the terms.
     """
     n = x.size  # first, so a short sum pays nothing for the test
     if n < EXACT_SUM_MIN:
@@ -374,11 +401,16 @@ def exact_sum(x: np.ndarray) -> float:
     top = max(float(x.max()), -float(x.min()))
     m = (n + 1).bit_length()  # 2^m >= n + 2
     e = math.frexp(top)[1] + m  # |x_i| < 2^(e - m)
-    # past these exponents a step could overflow, or the bound below underflow
+    # past these exponents a step could overflow, or the bounds below underflow
     if not (math.isfinite(top) and -900 <= e <= 1021):
         return math.fsum(x.tolist())
-    hi, lo, rest = _extract(x, math.ldexp(1.0, e), math.ldexp(1.0, e + m - 53),
-                            np.empty((3, n)), 0).tolist()
+    work = np.empty((2, n))
+    hi, rest = _extract(x, math.ldexp(1.0, e), work, 0).tolist()
+    r, err = _rounded1(hi, rest, math.ldexp(1.0, e + 2 * m - 104))
+    a = abs(r)
+    if a and err < 0.5 * (a - math.nextafter(a, 0.0)):
+        return r
+    lo, rest = _extract(work[1], math.ldexp(1.0, e + m - 53), work, 0).tolist()
     r, err = _rounded(hi, lo, rest, math.ldexp(1.0, e + 3 * m - 158))
     a = abs(r)
     if a and err < 0.5 * (a - math.nextafter(a, 0.0)):
@@ -389,56 +421,73 @@ def exact_sum(x: np.ndarray) -> float:
 def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     """[exact_sum(v) for v in the 1-D slices of x along axis] for a 2-D
     float array x (its rows for axis = 1, its columns for axis = 0), bit for
-    bit: the same extractions and filter, each step taken for every sum at
-    once, with each sum's own sigma broadcast along axis, and math.fsum for
-    the sums the filter cannot certify.  work, if given, is a float array of
-    shape (3, *x.shape) for the extractions to write into; x is left as it is.
+    bit: the same extractions and filters, each step taken for every sum at
+    once, with each sum's own sigma broadcast along axis; the second
+    extraction for the sums the level-1 filter cannot certify, and math.fsum
+    for those the level-2 filter cannot certify either.  work, if given, is
+    a float array of shape (2, *x.shape) for the first extraction to write
+    into; x is left as it is.
     """
     lines = x if axis else x.T  # one sum per row of lines
     if x.size < EXACT_ROWS_MIN:
         return [math.fsum(v) for v in lines.tolist()]
     if work is None:
-        work = np.empty((3, *x.shape))
-    top = np.abs(x, out=work[0]).max(axis=axis)
+        work = np.empty((2, *x.shape))
+    top = x.max(axis=axis)
+    np.maximum(top, np.negative(x.min(axis=axis)), out=top)  # nan stays nan
     m = (x.shape[axis] + 1).bit_length()
     e = np.frexp(top)[1] + m
     ok = np.isfinite(top) & (e >= -900) & (e <= 1021)
     y = x
     if not ok.all():  # such sums fall back; zeros keep the steps finite
         y, e = np.where(ok[:, None] if axis else ok, x, 0.0), np.where(ok, e, 0)
-    sigma = np.ldexp(1.0, e)
-    if axis:
-        sigma = sigma[:, None]  # one per row; along axis 0 one per column broadcasts as is
-    hi, lo, rest = _extract(y, sigma, sigma * 2.0 ** (m - 53), work, axis)
-    r, err = _rounded(hi, lo, rest, np.ldexp(1.0, e + (3 * m - 158)))
+    along = (slice(None), None) if axis else slice(None)  # one per sum, broadcast along axis
+    hi, rest = _extract(y, np.ldexp(1.0, e)[along], work, axis)
+    r, err = _rounded1(hi, rest, np.ldexp(1.0, e + (2 * m - 104)))
     a = np.abs(r)
-    certified = ok & (err < 0.5 * (a - np.nextafter(a, 0.0)))  # r = 0 fails too
+    certified = err < 0.5 * (a - np.nextafter(a, 0.0))  # r = 0 fails: zeros out of range
+    if certified.all():
+        return r.tolist()
+    redo = np.flatnonzero(ok & ~certified)
+    if redo.size:  # the second extraction, from these sums' remainders
+        p = np.take(work, redo, axis=2 - axis)  # (q, p) of these sums
+        e = e[redo]
+        lo, rest = _extract(p[1], np.ldexp(1.0, e + (m - 53))[along], p, axis)
+        r[redo], err = _rounded(hi[redo], lo, rest, np.ldexp(1.0, e + (3 * m - 158)))
+        a = np.abs(r[redo])
+        certified[redo] = err < 0.5 * (a - np.nextafter(a, 0.0))
     out = r.tolist()
-    if not certified.all():
-        for i in np.flatnonzero(~certified).tolist():
-            out[i] = math.fsum(lines[i].tolist())
+    for i in np.flatnonzero(~certified).tolist():
+        out[i] = math.fsum(lines[i].tolist())
     return out
 
 
-def _extract(x, sigma, sigma2, work, axis):
-    """Steps 1 to 3 of the module docstring along x's axis, with sigma = 2^e
-    and sigma2 = 2^m u sigma (scalars, or one per sum, broadcast along axis),
-    in work, of shape (3, *x.shape): the exact sums hi and lo and the sum
-    rest, as one array of shape (3, *x.shape without axis)."""
-    q, q2, p = work
+def _extract(x, sigma, work, axis):
+    """One error-free extraction (step 1 of the module docstring) along x's
+    axis, with sigma = 2^e (a scalar, or one per sum, broadcast along axis),
+    in work, of shape (2, *x.shape): q into work[0] and the remainders p
+    into work[1] (x may be work[1] itself, as for the second extraction),
+    and the exact sum of q and the float sum rest of p, as one array of
+    shape (2, *x.shape without axis)."""
+    q, p = work
     np.add(x, sigma, out=q)
     q -= sigma
     np.subtract(x, q, out=p)
-    np.add(p, sigma2, out=q2)
-    q2 -= sigma2
-    p -= q2
     return work.sum(axis=axis + 1)
+
+
+def _rounded1(hi, rest, bound):
+    """Step 3's (r, err), floats or arrays: r = fl(hi + rest), and the exact
+    sum lies within err of r, where bound = 2^(e + 2m - 104) is twice rest's
+    error bound B1."""
+    r = hi + rest
+    return r, abs(_two_sum_err(hi, rest, r)) + bound
 
 
 def _rounded(hi, lo, rest, bound):
     """Step 4's (r, err), floats or arrays: r = fl(hi + lo + rest), and the
     exact sum lies within err of r, given that rest is within bound of its
-    exact value, 2^(2m - 105) sigma' = 2^(e + 3m - 158)."""
+    exact value, B = 2^(e + 3m - 158)."""
     h = hi + lo
     l = _two_sum_err(hi, lo, h)
     c = l + rest

@@ -4,9 +4,10 @@ KernelTerms' blocks of exponents against its one-exponent path.
 exact_sum promises fsum's value (and its special values and errors) for
 every input; from EXACT_SUM_MIN terms on it gets there without fsum's
 per-term loop, and it must not quietly fall back to that loop on the sums
-the package makes.  exact_row_sums promises the same for every row of a
-2-D array, and a block's sums are the one-exponent sums, whatever order the
-requests come in.
+the package makes.  Its three exits (certified after one extraction, after
+a second one, or fsum's) each give fsum's bits.  exact_row_sums promises
+the same for every row or column of a 2-D array, and a block's sums are
+the one-exponent sums, whatever order the requests come in.
 """
 
 import math
@@ -46,20 +47,37 @@ def fsum_rows(block: np.ndarray) -> list[float]:
     return [math.fsum(row) for row in block.tolist()]
 
 
+def cancelling(x: np.ndarray) -> np.ndarray:
+    """x's cancelling mixture: x (scaled down by a power of two where its
+    largest term is above 2^940) with its first two terms replaced by
+    +-2^j, 2^60 times its largest term or more (and 2^-880 at least).  The
+    pair cancels exactly, but it sets sigma, so the level-1 bound lies far
+    above the spacing of the sum: every such sum whose sigma is in range
+    takes the second extraction."""
+    top = float(np.max(np.abs(x)))
+    j = math.frexp(top)[1] + 60 if math.isfinite(top) else 0
+    y = np.ldexp(x, -max(0, j - 1000))
+    j = max(-880, min(j, 1000))
+    y[:2] = [2.0 ** j, -2.0 ** j]
+    return y
+
+
 def rows_around(x: np.ndarray) -> np.ndarray:
     """x as the first row of a block whose other rows take the fallback, or
     lie next to it: a tie (2^j pairs [1, 2^-53] sum to halfway between 2^j
     and the float above), an all-zero row, negative zeros, x scaled toward
-    the subnormals, and -x."""
+    the subnormals, -x, and x's cancelling mixture."""
     n = x.size
     ties = np.zeros(n)
     k = 1 << ((n // 2).bit_length() - 1)
     ties[:2 * k] = np.tile([1.0, 2.0 ** -53], k)
-    return np.stack([x, ties, np.zeros(n), np.full(n, -0.0), x * 2.0 ** -1000, -x])
+    return np.stack([x, ties, np.zeros(n), np.full(n, -0.0), x * 2.0 ** -1000, -x,
+                     cancelling(x)])
 
 
 def same_as_fsum(x: np.ndarray) -> None:
-    assert outcome(exact_sum, x) == outcome(lambda v: math.fsum(v.tolist()), x)
+    for v in (x, cancelling(x)):
+        assert outcome(exact_sum, v) == outcome(lambda v: math.fsum(v.tolist()), v)
     # the row form, by one extraction over a block of rows
     block = rows_around(x)
     assert block.size >= EXACT_ROWS_MIN
@@ -108,7 +126,9 @@ class TestExactSum:
     def test_near_overflow_and_underflow(self, x):
         same_as_fsum(x)
 
-    @pytest.mark.parametrize("n", [EXACT_SUM_MIN // 2, EXACT_SUM_MIN, 4 * EXACT_SUM_MIN])
+    # fixed sizes in this class: from EXACT_SUM_MIN (256) on, and below it
+    # (1 and 3 terms), which go to fsum whole
+    @pytest.mark.parametrize("n", [256, 512, 2048])
     def test_ties_fall_back(self, n, monkeypatch):
         """n/2 = 2^k pairs [1, 2^-53] sum to 2^k + 2^(k-53), exactly halfway
         between 2^k and the float above it: the filter cannot decide that
@@ -122,13 +142,13 @@ class TestExactSum:
         monkeypatch.undo()
         same_as_fsum(x)
 
-    @pytest.mark.parametrize("n", [1, EXACT_SUM_MIN, 3 * EXACT_SUM_MIN])
+    @pytest.mark.parametrize("n", [1, 512, 1536])
     def test_negative_zeros_sum_to_positive_zero(self, n):
         got = exact_sum(np.full(n, -0.0))
         assert got.hex() == math.fsum([-0.0] * n).hex() == "0x0.0p+0"
         assert math.copysign(1.0, got) == 1.0
 
-    @pytest.mark.parametrize("n", [3, EXACT_SUM_MIN + 1])
+    @pytest.mark.parametrize("n", [3, 513])
     def test_special_values_and_errors(self, n):
         x = np.ones(n)
         x[1] = math.inf
@@ -156,6 +176,84 @@ class TestExactSum:
         values = missing_mass_curve(d, ts).values
         assert calls == []
         assert [v.hex() for v in values] == [w.hex() for w in want]
+
+
+EXIT_TERMS = 1024  # above EXACT_SUM_MIN; three sums of them above EXACT_ROWS_MIN
+
+
+def exit_sums(kind: str, seed: int) -> np.ndarray:
+    """EXIT_TERMS terms whose exact sum leaves exact_sum by the given exit:
+    "one" (positive terms, certified after one extraction), "two" (terms of
+    either sign next to a cancelling pair +-2^40, whose sigma puts the
+    level-1 bound far above the sum's spacing, certified after the second
+    extraction) or "fsum" (pairs [1, 2^-53], whose sum is a tie)."""
+    rng = np.random.default_rng([seed, 7])
+    if kind == "one":
+        return rng.random(EXIT_TERMS) ** 4 * 1e-3
+    if kind == "two":
+        x = rng.random(EXIT_TERMS) * rng.choice([-1.0, 1.0], EXIT_TERMS)
+        x[:2] = 2.0 ** 40, -2.0 ** 40
+        return rng.permutation(x)
+    return rng.permutation(np.tile([1.0, 2.0 ** -53], EXIT_TERMS // 2))
+
+
+class TestExits:
+    """exact_sum and exact_row_sums (both axes) leave by the first exit that
+    certifies a sum: the extractions and fsum calls are counted, and every
+    sum is fsum's, by float.hex."""
+
+    # (extractions, fsum calls) per sum: only a sum the level-1 filter cannot
+    # certify takes the second extraction, and only one neither filter can
+    # certify takes fsum
+    EXITS = {"one": (1, 0), "two": (2, 0), "fsum": (2, 1)}
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The shapes of the arrays _extract was called on, and the lengths
+        of the sequences fsum was called on."""
+        calls = {"extract": [], "fsum": []}
+        extract, fsum = numerics._extract, math.fsum
+        monkeypatch.setattr(numerics, "_extract",
+                            lambda x, *a: calls["extract"].append(x.shape) or extract(x, *a))
+        monkeypatch.setattr(numerics.math, "fsum",
+                            lambda v: calls["fsum"].append(len(v)) or fsum(v))
+        return calls
+
+    @pytest.mark.parametrize("kind", EXITS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_sum(self, kind, seed, counted):
+        x = exit_sums(kind, seed)
+        want = math.fsum(x.tolist()).hex()
+        del counted["fsum"][:]  # the reference's own call
+        assert exact_sum(x).hex() == want
+        extractions, fsums = self.EXITS[kind]
+        assert counted["extract"] == [(EXIT_TERMS,)] * extractions
+        assert counted["fsum"] == [EXIT_TERMS] * fsums
+
+    @pytest.mark.parametrize("kind", EXITS)
+    @pytest.mark.parametrize("axis", [1, 0])
+    def test_exact_row_sums(self, kind, axis, counted):
+        rows = np.stack([exit_sums(kind, seed) for seed in range(3)])
+        want = [math.fsum(v).hex() for v in rows.tolist()]
+        del counted["fsum"][:]
+        block = rows if axis else np.ascontiguousarray(rows.T)
+        assert [v.hex() for v in exact_row_sums(block, axis=axis)] == want
+        extractions, fsums = self.EXITS[kind]
+        assert counted["extract"] == [block.shape] * extractions
+        assert counted["fsum"] == [EXIT_TERMS] * (3 * fsums)
+
+    @pytest.mark.parametrize("axis", [1, 0])
+    def test_mixed_rows_take_their_own_exits(self, axis, counted):
+        """In one block, the second extraction runs on the two sums the
+        first cannot certify, and fsum on the tie alone."""
+        rows = np.stack([exit_sums(kind, 3) for kind in self.EXITS])
+        want = [math.fsum(v).hex() for v in rows.tolist()]
+        del counted["fsum"][:]
+        block = rows if axis else np.ascontiguousarray(rows.T)
+        assert [v.hex() for v in exact_row_sums(block, axis=axis)] == want
+        second = (2, EXIT_TERMS) if axis else (EXIT_TERMS, 2)
+        assert counted["extract"] == [block.shape, second]
+        assert counted["fsum"] == [EXIT_TERMS]
 
 
 def seeded_terms(runs: int, seed: int) -> KernelTerms:
@@ -193,6 +291,50 @@ class TestExponentBlocks:
         monkeypatch.setattr(numerics, "exact_sum", lambda x: alone.append(1) or exact_sum(x))
         assert [scan.total(e, k).hex() for e in self.EXPONENTS] == want
         assert len(alone) == 2 * len(self.WINDOWS)
+
+    @pytest.fixture
+    def alone(self, monkeypatch):
+        """The count of one-exponent sums (exact_sum calls) and of blocks
+        (totals calls)."""
+        calls = {"sums": 0, "blocks": 0}
+        totals = KernelTerms.totals
+
+        def sum_alone(x):
+            calls["sums"] += 1
+            return exact_sum(x)
+
+        def block(self, es, k=1):
+            calls["blocks"] += 1
+            return totals(self, es, k)
+
+        monkeypatch.setattr(numerics, "exact_sum", sum_alone)
+        monkeypatch.setattr(KernelTerms, "totals", block)
+        return calls
+
+    @pytest.mark.parametrize("runs", [2, 50])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_backward_scan_inside_a_kept_block(self, runs, k, alone):
+        """After a forward scan has kept the block of 0..511, a backward scan
+        over it takes no one-exponent sum and builds no block."""
+        terms = seeded_terms(runs, 2)
+        assert terms.width == 512
+        want = [exact_sum(terms(e, k)).hex() for e in range(512)]
+        assert [terms.total(e, k).hex() for e in (100, 101, 102)] == want[100:103]
+        alone.update(sums=0, blocks=0)
+        assert [terms.total(e, k).hex() for e in range(511, -1, -1)] == want[::-1]
+        assert alone == {"sums": 0, "blocks": 0}
+
+    @pytest.mark.parametrize("runs", [2, 50])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_forward_scan_across_512_and_1024(self, runs, k, alone):
+        """A forward scan over 500..1099 takes exactly two one-exponent sums
+        (500 and 501); then 502 builds the block of 0..511, and 512 and 1024,
+        each just past the kept block's end, build the next two."""
+        terms = seeded_terms(runs, 3)
+        want = [exact_sum(terms(e, k)).hex() for e in range(500, 1100)]
+        alone.update(sums=0, blocks=0)
+        assert [terms.total(e, k).hex() for e in range(500, 1100)] == want
+        assert alone == {"sums": 2, "blocks": 3}
 
     @pytest.mark.parametrize("runs", [1, 2, 7, 50, 128, 129, 300, 2000, 10 ** 4, 10 ** 5])
     def test_block_width(self, runs):

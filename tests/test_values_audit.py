@@ -32,6 +32,7 @@ def test_quick_lines():
     assert "closed/exp50/scan1000/emm/t1024" in keys
     assert "closed/curve/geometric0.5/1e9/0/upper/t999999930" in keys
     assert "extremal/max/n10/t40/value" in keys
+    assert "numerics/sum/e1021/n512/s0" in keys and "numerics/rows/64x24/axis0/63" in keys
 
 
 def test_compare_with_itself():
