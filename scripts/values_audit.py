@@ -4,7 +4,7 @@ that two checkouts can be compared bit for bit.
 
 A float prints as ``float.hex``, an array (or a tuple of indices) as its
 dtype, shape and the SHA-256 of its ``tobytes()``, an int or a bool as
-itself.  Four sections so far.
+itself.  Five sections.
 
 The closed-form section (keys ``closed/...``), on seeded distributions of
 1-2000 runs (masses down to 1e-300), BlockVectors with counts up to 2^40,
@@ -33,6 +33,17 @@ The cloud section (keys ``cloud/...`` and ``mc/...``):
   eps-missing mass at t = 1 and 1000, and, up to EXACT_COVER_LIMIT points,
   ``exact_covering_number``;
 - seeded ``mc_eps_missing_mass`` reports.
+
+The Monte Carlo section (keys ``mc/bias/...``, ``mc/concentration/...`` and
+``mc/index/...``), on seeded supports of 1-2000 atoms, a BlockVector with
+counts above 1, 300 atoms of 10^-6 (flagged guide-table buckets, which
+reach searchsorted) and a BlockVector of 40,000 atoms (past 2^15):
+
+- seeded ``verify_bias`` and ``verify_concentration`` reports, every field,
+  at t = 1, t below n, t = n and t above n (the sort and the bincount
+  branch of the bias statistic);
+- the index stream of ``monte_carlo`` at the same t, cast to int64 and
+  flattened, as its SHA-256, over enough replicates to span several slices.
 
 The extremal section (keys ``extremal/...``), which reads every branch of
 the power policy, ``pow_unit``'s included:
@@ -155,6 +166,38 @@ def cloud_section(cover, quick: bool):
             value = getattr(report, field.name)
             if value is not None:
                 yield f"mc/d{dim}/n{n}/s{seed}/{field.name}", value
+
+
+def mc_supports(mm, quick: bool):
+    """(name, distribution) pairs of the Monte Carlo section."""
+    for n in (50,) if quick else (1, 2, 5, 50, 300, 2000):
+        rng = np.random.default_rng([n, 4])
+        yield f"exp{n}", mm.ProbVector(rng.exponential(size=n), normalize=True)
+    if quick:
+        return
+    yield "blocks56", mm.BlockVector([(0.125, 2), (0.0625, 4), (0.01, 50)])
+    yield "tiny301", mm.BlockVector([(1e-06, 300), (0.9997, 1)])
+    yield "blocks40000", mm.BlockVector([(1 / 80000, 20000), (3 / 80000, 20000)])
+
+
+def mc_section(mm, quick: bool):
+    for i, (name, d) in enumerate(mc_supports(mm, quick)):
+        n = int(d.n)
+        ts = (10,) if quick else sorted({1, max(1, n // 4), n, n + 1, 2 * n + 3}
+                                        if n <= 2000 else {1, 1000})
+        masses = np.repeat(d.m, d.c)
+        for t in ts:
+            seed = 1000 * i + t
+            reports = (("bias", mm.verify_bias(d, t, 1000, seed)),
+                       ("concentration", mm.verify_concentration(d, t, 0.1, 10_000, seed)))
+            for kind, report in reports:
+                for field in dataclasses.fields(report):
+                    value = getattr(report, field.name)
+                    if value is not None:
+                        yield f"mc/{kind}/{name}/t{t}/s{seed}/{field.name}", value
+            replicates = max(100, 200_000 // t)
+            idx = mm.monte_carlo(masses, t, replicates, seed, lambda idx: idx)
+            yield f"mc/index/{name}/t{t}/r{replicates}/s{seed}", idx.astype(np.int64).ravel()
 
 
 SCAN_STARTS = (1, 60, 10 ** 6 - 5, 10 ** 9 - 5)
@@ -335,6 +378,8 @@ def audit(quick: bool) -> None:
     for key, value in closed_form_section(mm, quick):
         print(key, fmt(value))
     for key, value in cloud_section(cover, quick):
+        print(key, fmt(value))
+    for key, value in mc_section(mm, quick):
         print(key, fmt(value))
     for key, value in extremal_section(mm, quick):
         print(key, fmt(value))
