@@ -34,14 +34,16 @@ The cloud section (keys ``cloud/...`` and ``mc/...``):
   ``exact_covering_number``;
 - seeded ``mc_eps_missing_mass`` reports.
 
-The Monte Carlo section (keys ``mc/bias/...``, ``mc/concentration/...`` and
-``mc/index/...``), on seeded supports of 1-2000 atoms, a BlockVector with
-counts above 1, 300 atoms of 10^-6 (flagged guide-table buckets, which
-reach searchsorted) and a BlockVector of 40,000 atoms (past 2^15):
+The Monte Carlo section (keys ``mc/bias/...``, ``mc/concentration/...``,
+``mc/rows/...`` and ``mc/index/...``), on seeded supports of 1-2000
+atoms, a BlockVector with counts above 1, 300 atoms of 10^-6 (flagged
+guide-table buckets, which reach searchsorted) and a BlockVector of
+40,000 atoms (past 2^15):
 
 - seeded ``verify_bias`` and ``verify_concentration`` reports, every field,
   at t = 1, t below n, t = n and t above n (the sort and the bincount
-  branch of the bias statistic);
+  branch of the bias statistic), and the SHA-256 of the per-replicate
+  missing masses and bias values behind them;
 - the index stream of ``monte_carlo`` at the same t, cast to int64 and
   flattened, as its SHA-256, over enough replicates to span several slices.
 
@@ -181,6 +183,8 @@ def mc_supports(mm, quick: bool):
 
 
 def mc_section(mm, quick: bool):
+    from missingmass.sampling import _BlockStats
+
     for i, (name, d) in enumerate(mc_supports(mm, quick)):
         n = int(d.n)
         ts = (10,) if quick else sorted({1, max(1, n // 4), n, n + 1, 2 * n + 3}
@@ -195,6 +199,9 @@ def mc_section(mm, quick: bool):
                     value = getattr(report, field.name)
                     if value is not None:
                         yield f"mc/{kind}/{name}/t{t}/s{seed}/{field.name}", value
+            for kind in ("missing", "bias"):
+                rows = mm.monte_carlo(masses, t, 1000, seed, getattr(_BlockStats(masses), kind))
+                yield f"mc/rows/{kind}/{name}/t{t}/s{seed}", rows
             replicates = max(100, 200_000 // t)
             idx = mm.monte_carlo(masses, t, replicates, seed, lambda idx: idx)
             yield f"mc/index/{name}/t{t}/r{replicates}/s{seed}", idx.astype(np.int64).ravel()

@@ -39,7 +39,7 @@ from .distributions import MassSumError, validate_masses
 from .errors import InvalidInputError, require_real, require_reals, require_t
 from .mass import bound_finite
 from .numerics import exact_sum, pow_one_minus, rows_per_slice
-from .sampling import McReport, is_violation, mean_report, monte_carlo, require_run
+from .sampling import McReport, is_violation, mean_report, monte_carlo, require_run, row_chunks
 
 MATRIX_TOL = 1e-9
 # Largest cloud a PointCloud accepts: its n x n distance matrix is 512 MiB.
@@ -427,24 +427,29 @@ def _eps_missing_rows(words: np.ndarray, masses: np.ndarray, idx: np.ndarray) ->
     """eps-missing mass of each row of a (rows, t) index block; words =
     _near_words(d <= eps).
 
-    The draws' bit rows are gathered in chunks of columns, each a
-    (columns, rows, words) array within SLICE_BYTES (at least one column),
-    and OR-ed into one (rows, words) hit mask, which does not depend on the
-    chunking.  OR and NOT act on each byte alone, so the missed points
-    unpacked from the mask's bytes do not depend on byte order.  Each row
-    then sums, in point order, m for a missed point and +0.0 for a hit one:
-    the summands, and their order, of a bool (rows, n) mask times the
-    masses, so the values are those of the bool mask bit for bit.
+    The block is walked in sampling.row_chunks, so a chunk's (rows, n)
+    masses stay within SLICE_BYTES.  A chunk's draws' bit
+    rows are gathered by take in chunks of columns, each a (columns, rows,
+    words) array within SLICE_BYTES (at least one column), and OR-ed into
+    one (rows, words) hit mask, which does not depend on the chunking.  OR
+    and NOT act on each byte alone, so the missed points unpacked from the
+    mask's bytes do not depend on byte order.  Each row then sums, in point
+    order, m for a missed point and +0.0 for a hit one: the summands, and
+    their order, of a bool (rows, n) mask times the masses, so the values
+    are those of the bool mask bit for bit, whatever the chunks.
     """
-    rows, t = idx.shape
-    step = rows_per_slice(rows * words.shape[1] * words.itemsize)
-    hit = np.bitwise_or.reduce(words[idx[:, :step].T], axis=0)
-    for c in range(step, t, step):
-        hit |= np.bitwise_or.reduce(words[idx[:, c:c + step].T], axis=0)
-    missed = np.unpackbits(~hit.view(np.uint8), axis=1, count=len(masses), bitorder="little")
-    values = missed.astype(float)
-    values *= masses
-    return values.sum(axis=1)
+    t, n = idx.shape[1], len(masses)
+    out = np.empty(len(idx))
+    for r, chunk in row_chunks(idx, n):
+        cols = rows_per_slice(len(chunk) * words.shape[1] * words.itemsize)
+        hit = np.bitwise_or.reduce(words.take(chunk[:, :cols].T, axis=0), axis=0)
+        for c in range(cols, t, cols):
+            hit |= np.bitwise_or.reduce(words.take(chunk[:, c:c + cols].T, axis=0), axis=0)
+        missed = np.unpackbits(~hit.view(np.uint8), axis=1, count=n, bitorder="little")
+        values = missed.astype(float)
+        values *= masses
+        values.sum(axis=1, out=out[r:r + len(chunk)])
+    return out
 
 
 def mc_eps_missing_mass(

@@ -108,7 +108,9 @@ terms x_i and 2^m >= n + 2:
 5. Otherwise, near a tie or under deep cancellation, and for r = 0 (fsum's
    sign of zero), non-finite terms (fsum's inf, nan and ValueError), and
    sigma outside 2^-900..2^1021 (fsum's OverflowError; B, B1 and the grids
-   stay exact floats inside), the sum is math.fsum's.
+   stay exact floats inside), the sum is math.fsum's.  Terms that are all
+   zero (top = 0), whose r would be 0, and the last three cases go to fsum
+   at once, before any extraction.
 
 So the exits come in this order: the level-1 filter, the level-2 filter,
 fsum.  Each exit returns the correctly rounded sum, so which one a sum
@@ -393,7 +395,8 @@ def exact_sum(x: np.ndarray) -> float:
     level-1 filter, a second extraction from the same remainders and the
     level-2 filter only where the first cannot certify the result, and
     fsum only where neither can (see the module docstring), instead of
-    fsum's Python loop over the terms.
+    fsum's Python loop over the terms.  Terms that are all zero, non-finite
+    or out of the extraction's range go to fsum at once.
     """
     n = x.size  # first, so a short sum pays nothing for the test
     if n < EXACT_SUM_MIN:
@@ -401,8 +404,9 @@ def exact_sum(x: np.ndarray) -> float:
     top = max(float(x.max()), -float(x.min()))
     m = (n + 1).bit_length()  # 2^m >= n + 2
     e = math.frexp(top)[1] + m  # |x_i| < 2^(e - m)
-    # past these exponents a step could overflow, or the bounds below underflow
-    if not (math.isfinite(top) and -900 <= e <= 1021):
+    # all zeros take fsum's sign of zero; past these exponents a step could
+    # overflow, or the bounds below underflow
+    if not (top and math.isfinite(top) and -900 <= e <= 1021):
         return math.fsum(x.tolist())
     work = np.empty((2, n))
     hi, rest = _extract(x, math.ldexp(1.0, e), work, 0).tolist()
@@ -424,7 +428,9 @@ def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     bit: the same extractions and filters, each step taken for every sum at
     once, with each sum's own sigma broadcast along axis; the second
     extraction for the sums the level-1 filter cannot certify, and math.fsum
-    for those the level-2 filter cannot certify either.  work, if given, is
+    for those the level-2 filter cannot certify either; a sum that
+    exact_sum sends to fsum at once (all zeros, non-finite or out of range)
+    skips the second extraction.  work, if given, is
     a float array of shape (2, *x.shape) for the first extraction to write
     into; x is left as it is.
     """
@@ -437,7 +443,9 @@ def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     np.maximum(top, np.negative(x.min(axis=axis)), out=top)  # nan stays nan
     m = (x.shape[axis] + 1).bit_length()
     e = np.frexp(top)[1] + m
-    ok = np.isfinite(top) & (e >= -900) & (e <= 1021)
+    ok = (top > 0.0) & np.isfinite(top) & (e >= -900) & (e <= 1021)
+    if not ok.any():
+        return [math.fsum(v) for v in lines.tolist()]
     y = x
     if not ok.all():  # such sums fall back; zeros keep the steps finite
         y, e = np.where(ok[:, None] if axis else ok, x, 0.0), np.where(ok, e, 0)

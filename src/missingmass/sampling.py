@@ -7,29 +7,37 @@ reproducible, a shorter run is a prefix of a longer one, and aggregation
 uses exactly rounded summation.
 
 Rows run in slices sized by the one memory budget, numerics.SLICE_BYTES:
-rows_per_slice(8 max(3t, n)) rows, so a row's three draw buffers (3t cells)
-and the statistics' row of n masses fit in it.  A slice's uniforms are one
-fill from the stream, then the inverse CDF and the statistic run once on the
-whole slice.  A float64 uniform takes exactly one 64-bit output, so no value
-depends on the slicing.
+rows_per_slice(8 * 3t) rows, so a row's three draw buffers (its 64-bit
+outputs, its buckets and its atom indices) fit in it, whatever n.  A
+slice's outputs are one read of the bit generator's raw stream
+(random_raw), then the inverse CDF and the statistic run once on the whole
+slice.  A float64 uniform is one 64-bit output x, (x >> 11) 2^-53, as
+Generator.random makes it, so no value depends on the slicing and the
+stream is Generator.random's.
 
 Uniforms map to atoms by inverse CDF through a guide table (Chen & Asau,
-1974; Devroye 1986, III.2.4) of K buckets, K the next power of two >= 64n,
-at most GUIDE_CELLS.  A bucket that no cumulative mass falls strictly
-inside is exact: every u in [k/K, (k+1)/K) has as many cumulative masses
-<= u as k/K has, so one table lookup resolves the draw.  The table flags
-the other buckets, 1-3 % of draws at 64 buckets an atom, and only their
-draws step or search.  The result is exactly the index of
-``searchsorted(cum, u, side="right")`` at a fraction of its cost.
+1974; Devroye 1986, III.2.4) of K = 2^b buckets, K the next power of two
+>= 64n, at most GUIDE_CELLS.  The bucket of u = (x >> 11) 2^-53 is x's top
+b bits, so a draw needs no float until it lands in a flagged bucket.  A
+bucket that no cumulative mass falls strictly inside is exact: every u in
+[k/K, (k+1)/K) has as many cumulative masses <= u as k/K has, so one table
+lookup resolves the draw.  The table flags the other buckets, 1-3 % of
+draws at 64 buckets an atom, and only their draws form their uniform and
+step or search.  The result is exactly the index of
+``searchsorted(cum, u, side="right")`` at a fraction of its cost.  The
+table and the indices are of the narrowest signed integer type that holds
++-n: int16 up to 32,767 atoms, int32 past that.
 
-Each call allocates its slice buffers once: the uniforms, the atom indices,
-and for the missing-mass statistics a (rows, n) copy of the masses.  A
-slice's missing masses are then a fill, a scatter of 0.0 at the drawn atoms
-and a row sum, which add the same summands in the same order as the dense
-count form they replaced, so no value changed.  The Good-Turing singletons
-are counted exactly: from t = n up by a bincount, whose zero counts times
-the masses, written into the same copy, also give the missing masses; below
-t = n by sorting each row.
+Each call allocates its slice buffers once (random_raw returns each
+slice's outputs in a new array): the buckets, the atom indices, and for
+the missing-mass statistics a (chunk, n) copy of the masses, which the
+statistics walk in row chunks of rows_per_slice(8 n) rows.  A chunk's
+missing masses are then a fill, a scatter of 0.0 at the drawn atoms and a
+row sum, which add the same summands in the same order as the dense count
+form they replaced, so no value changed, and no row's sum depends on its
+chunk.  The Good-Turing singletons are counted exactly: from t = n up by a
+bincount, whose zero counts times the masses, written into the same copy,
+also give the missing masses; below t = n by sorting each row.
 """
 
 from __future__ import annotations
@@ -45,10 +53,10 @@ from .errors import InvalidInputError, require_int, require_real, require_t
 from .mass import _require_distribution, expected_missing_mass, gt_bias
 from .numerics import exact_sum, rows_per_slice
 
-# A row holds max(t, n) cells for t draws from n atoms (its uniforms, and its
-# masses in the statistics' buffer).  Rows run in slices within
-# numerics.SLICE_BYTES, which continue the call's one stream, so no value
-# depends on them; a row cannot be split, so past this it is refused.
+# A row holds max(t, n) cells for t draws from n atoms (its draws, and its
+# masses in the statistics' row chunks).  Rows run in slices and chunks
+# within numerics.SLICE_BYTES, which continue the call's one stream, so no
+# value depends on them; a row cannot be split, so past this it is refused.
 MAX_ROW_CELLS = 2_000_000
 # The most replicates one Monte Carlo call takes: it keeps one value per
 # replicate (80 MB at the cap) and its mean and variance read them twice.
@@ -58,10 +66,12 @@ MAX_REPLICATES = 10_000_000
 # up to a few ulps is no violation, even when the standard error is 0.
 RHO = 1e-12
 # Guide table: K buckets, K the next power of two >= 64n, at most GUIDE_CELLS
-# (512 KiB of intp).  K is a power of two, so u*K and the edges k/K are
-# exact, and a bucket that no cumulative mass falls strictly inside resolves
-# its draws by one lookup.  At 64 buckets an atom 1-3 % of draws land in the
-# other, flagged buckets; past GUIDE_CELLS atoms nearly all of them do.
+# (128 KiB of int16, or 256 KiB of int32 past 32,767 atoms).  K is a power
+# of two, so u*K and the edges k/K are exact, a draw's bucket is the top
+# bits of its 64-bit output, and a bucket that no cumulative mass falls
+# strictly inside resolves its draws by one lookup.  At 64 buckets an atom
+# 1-3 % of draws land in the other, flagged buckets; past GUIDE_CELLS atoms
+# nearly all of them do.
 GUIDE_CELLS = 1 << 16
 
 
@@ -98,30 +108,39 @@ def monte_carlo(masses, t: int, replicates: int, seed: int, stat) -> np.ndarray:
 
     One generator, np.random.default_rng(seed), serves the call: replicate r
     takes uniforms r*t ... (r+1)*t - 1 of its stream, row after row, and maps
-    them to atom indices by inverse CDF.  Rows run in slices of
-    rows_per_slice(8 max(3t, n)) rows, at most replicates; a float64 uniform
-    takes exactly one 64-bit output of the stream, so filling a slice at once
-    equals filling its rows one by one, and no value depends on the slicing.
-    stat turns the slice's (rows, t) index array into one value or one row of
-    values per replicate.  A row's three draw buffers (uniforms, indices,
-    scratch) and stat's row of n masses fit in numerics.SLICE_BYTES; the
-    buffers are allocated once per call, so stat must not keep its argument,
-    and its results are copied out in replicate order.  The arguments are
-    checked by require_run before anything is allocated.
+    them to atom indices by inverse CDF.  A uniform is one 64-bit output x of
+    the bit generator, (x >> 11) 2^-53, as Generator.random makes it, so the
+    draws read x itself through random_raw: x's top bits are its guide-table
+    bucket, and only a draw in a flagged bucket forms its uniform.  Rows run
+    in slices of rows_per_slice(8 * 3t) rows, at most replicates, so a row's
+    draw buffers (the raw outputs, the buckets and the indices, 3t cells of
+    at most 8 bytes) fit in numerics.SLICE_BYTES; an output is consumed
+    whole by one draw, so filling a slice at once equals filling its rows
+    one by one, and no value depends on the slicing.
+
+    stat turns the slice's (rows, t) index array into one value or one row
+    of values per replicate.  The indices are of the narrowest signed type
+    that holds +-n (index_dtype: int16 up to 32,767 atoms, int32 past that),
+    so stat must not assume intp.  A statistic that keeps n cells a row walks
+    the slice in row chunks of rows_per_slice(8 n) rows to stay within
+    SLICE_BYTES.  The index buffer is allocated once per call, so stat must
+    not keep its argument, and its results are copied out in replicate
+    order.  The arguments are checked by require_run before anything is
+    allocated.
     """
     t, replicates, seed = require_run(t, replicates, seed, len(masses))
     cum = np.cumsum(masses)
     cum[-1] = 1.0  # guard: float cumsum may land a hair under 1
     table = _guide_table(cum)
-    step = min(replicates, rows_per_slice(8 * max(3 * t, len(cum))))
-    u = np.empty((step, t))
-    idx, scratch = np.empty((2, step, t), np.intp)
-    rng = np.random.default_rng(seed)
+    step = min(replicates, rows_per_slice(8 * 3 * t))
+    idx = np.empty((step, t), table.dtype)
+    bucket = np.empty((step, t), np.intp)
+    bits = np.random.default_rng(seed).bit_generator
     out = None
     for start in range(0, replicates, step):
         k = min(step, replicates - start)
-        rng.random(out=u[:k])
-        values = stat(_inverse_cdf(cum, table, u[:k], idx[:k], scratch[:k]))
+        raw = bits.random_raw((k, t))
+        values = stat(_inverse_cdf(cum, table, raw, idx[:k], bucket[:k]))
         if out is None:
             out = np.empty((replicates,) + values.shape[1:], values.dtype)
         out[start:start + k] = values
@@ -148,9 +167,25 @@ def require_run(t, replicates, seed, n: int, name: str = "replicates",
     return t, replicates, seed
 
 
+def row_chunks(idx: np.ndarray, n: int):
+    """(first row, chunk) for the row chunks of a (rows, t) index slice of
+    draws from n atoms: rows_per_slice(8 n) rows each, so a statistic's
+    (chunk, n) array of 8-byte cells fits in numerics.SLICE_BYTES."""
+    step = rows_per_slice(8 * n)
+    for r in range(0, len(idx), step):
+        yield r, idx[r:r + step]
+
+
+def index_dtype(n: int) -> type:
+    """The atom indices' dtype for n atoms: the narrowest signed integer type
+    that holds +-n, int16 up to 32,767 atoms and int32 past that (a row is
+    at most MAX_ROW_CELLS atoms)."""
+    return np.int16 if n <= np.iinfo(np.int16).max else np.int32
+
+
 def _guide_table(cum: np.ndarray) -> np.ndarray:
     """Exact-bucket guide table over K buckets, K a power of two: the next one
-    >= 64n, capped at GUIDE_CELLS.
+    >= 64n, capped at GUIDE_CELLS, of dtype index_dtype(n).
 
     lo[k] = searchsorted(cum, k/K, side="right") counts the cum values <=
     k/K.  Bucket k is exact when no cum value lies strictly inside (k/K,
@@ -160,36 +195,40 @@ def _guide_table(cum: np.ndarray) -> np.ndarray:
     cum[i]*K that is no integer lies strictly inside bucket e[i] - 1.  So the
     table costs O(n + K), with no search.
     """
-    buckets = min(1 << (64 * len(cum) - 1).bit_length(), GUIDE_CELLS)
+    n = len(cum)
+    buckets = min(1 << (64 * n - 1).bit_length(), GUIDE_CELLS)
     scaled = np.minimum(cum, 1.0) * buckets  # a float cumsum may pass 1 by a hair
     ends = np.ceil(scaled)
-    lo = np.repeat(np.arange(len(cum)), np.diff(ends, prepend=0.0).astype(np.intp))
+    lo = np.repeat(np.arange(n, dtype=index_dtype(n)), np.diff(ends, prepend=0.0).astype(np.intp))
     flagged = ends[ends != scaled].astype(np.intp) - 1
     lo[flagged] = -1 - lo[flagged]
     return lo
 
 
-def _inverse_cdf(cum: np.ndarray, table: np.ndarray, u: np.ndarray, out: np.ndarray,
-                 scratch: np.ndarray) -> np.ndarray:
-    """searchsorted(cum, u, side="right") for uniforms u in [0, 1), by the
-    exact-bucket guide table, written to out; out and scratch are intp
-    arrays of u's shape.
+def _inverse_cdf(cum: np.ndarray, table: np.ndarray, raw: np.ndarray, out: np.ndarray,
+                 bucket: np.ndarray) -> np.ndarray:
+    """searchsorted(cum, u, side="right") for the uniforms u = (x >> 11) 2^-53
+    of the 64-bit outputs x in raw (uint64), by the exact-bucket guide table,
+    written to out, an array of raw's shape and table's dtype; bucket is an
+    intp array of raw's shape.
 
-    K = len(table) is a power of two, so u*K and k/K are exact, and u lies in
-    [k/K, (k+1)/K) for its bucket k.  In an exact bucket no cum value lies in
-    (k/K, u], so the count of cum <= u is the count of cum <= k/K, the stored
-    lo[k]: one lookup.  A flagged draw starts at lo[k] and steps once if
-    cum[lo[k]] <= u; the draws still short (two or more boundaries at or
-    below u in their bucket) go through searchsorted, in ascending order of
-    u, which numpy resolves several times faster on a large support.
+    K = len(table) = 2^b is a power of two, so u*K and k/K are exact, and
+    the bucket of u, floor(u*K), is x's top b bits, x >> (64 - b).  In an
+    exact bucket no cum value lies in (k/K, u], so the count of cum <= u is
+    the count of cum <= k/K, the stored lo[k]: one lookup, and the uniform
+    is never formed.  A flagged draw forms its uniform, starts at lo[k] and
+    steps once if cum[lo[k]] <= u; the draws still short (two or more
+    boundaries at or below u in their bucket) go through searchsorted, in
+    ascending order of u, which numpy resolves several times faster on a
+    large support.
     """
-    # Every bucket index is in range; mode="clip" lets take write to out
-    # unbuffered.  scratch holds the buckets.
-    bucket = np.multiply(u, len(table), out=scratch, casting="unsafe")
+    shift = np.uint64(65 - len(table).bit_length())
+    np.right_shift(raw, shift, out=bucket.view(np.uint64))
+    # Every bucket index is in range; mode="clip" lets take write to out unbuffered.
     j = table.take(bucket, out=out, mode="clip")
-    flat_j, flat_u = j.reshape(-1), u.reshape(-1)
+    flat_j = j.reshape(-1)
     flagged = np.flatnonzero(flat_j < 0)
-    at, at_u = -1 - flat_j[flagged], flat_u[flagged]
+    at, at_u = -1 - flat_j[flagged], _uniforms(raw.reshape(-1)[flagged])
     at += cum[at] <= at_u  # cum[at] <= u < 1 = cum[-1], so at + 1 < n
     short = np.flatnonzero(cum[at] <= at_u)
     short = short[np.argsort(at_u[short])]
@@ -198,70 +237,94 @@ def _inverse_cdf(cum: np.ndarray, table: np.ndarray, u: np.ndarray, out: np.ndar
     return j
 
 
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The float64 uniforms (x >> 11) 2^-53 of 64-bit outputs x, exactly those
+    Generator.random makes of them."""
+    return np.right_shift(raw, np.uint64(11)) * 2.0 ** -53
+
+
 class _BlockStats:
     """Missing mass and Good-Turing bias of each row of the (rows, t) index
-    slices of one monte_carlo call, in buffers allocated once for the call:
-    at the first slice, which has the call's full row count.
+    slices of one monte_carlo call.  Each statistic walks its slice in
+    row_chunks, so its (rows, n) buffer stays within numerics.SLICE_BYTES,
+    through buffers allocated once for the call: at its first chunk, the
+    call's largest.
 
-    A slice's missing masses are a fill, a scatter and a row sum: the masses
+    A chunk's missing masses are a fill, a scatter and a row sum: the masses
     are copied into every row, the drawn atoms are set to 0.0 through the
     flat index idx + n*row, and each row is summed.  The summands are those
     of the dense form, each count == 0 times its mass (m, or +0.0 for a
     drawn atom), in the same order, so numpy's pairwise sum returns the same
-    value without a (rows, n) count array.
+    value without a (rows, n) count array, and a row's sum does not depend
+    on its chunk.
     """
 
     def __init__(self, masses: np.ndarray):
         self.masses = masses
-        # kept (rows, n): the masses of the atoms a row never drew; flat
-        # (rows, t): the slice's flat index; offsets (rows, 1): n*row
+        # kept (chunk, n): the masses of the atoms a row never drew; flat
+        # (chunk, t): the chunk's flat index; offsets (chunk, 1): n*row
         self.kept = self.flat = self.offsets = None
 
     def _flat_index(self, idx: np.ndarray) -> np.ndarray:
-        """idx + n*row, the index of each draw in the flattened (rows, n) slice."""
+        """idx + n*row, the index of each draw in the flattened (rows, n) chunk."""
         rows, n = len(idx), len(self.masses)
-        if self.kept is None:
+        if self.kept is None:  # the first chunk is the call's largest
             self.kept = np.empty((rows, n))
             self.flat = np.empty(idx.shape, np.intp)
             self.offsets = n * np.arange(rows)[:, None]
         return np.add(idx, self.offsets[:rows], out=self.flat[:rows])
 
-    def missing(self, idx: np.ndarray) -> np.ndarray:
-        """Mass of the atoms each row never drew."""
+    def _missing(self, idx: np.ndarray) -> np.ndarray:
+        """Mass of the atoms each row of a chunk never drew."""
         flat = self._flat_index(idx)
         kept = self.kept[:len(idx)]
         kept[...] = self.masses
         kept.reshape(-1)[flat.reshape(-1)] = 0.0
         return kept.sum(axis=1)
 
+    def missing(self, idx: np.ndarray) -> np.ndarray:
+        """Mass of the atoms each row never drew."""
+        out = np.empty(len(idx))
+        for r, chunk in row_chunks(idx, len(self.masses)):
+            out[r:r + len(chunk)] = self._missing(chunk)
+        return out
+
     def bias(self, idx: np.ndarray) -> np.ndarray:
         """Good-Turing estimate minus missing mass.
 
         The singletons (atoms drawn exactly once) are counted exactly.  From
-        t = n up, a bincount of the flat index is no larger than the draws;
-        its zero counts times the masses, written into kept, are the
+        t = n up, a bincount of a chunk's flat index is no larger than its
+        draws; its zero counts times the masses, written into kept, are the
         missing-mass summands, so no scatter is needed.  Below t = n the
-        counts would outgrow the draws, so the rows are scattered for the
-        missing mass, then sorted in kept, which has room for them, and a
-        singleton is a value equal to neither neighbour; 16 bits is the
-        narrowest type numpy sorts fast.
+        counts would outgrow the draws, so the chunk is scattered for the
+        missing mass, then its rows are sorted in kept, which has room for
+        them, in the indices' own narrow type.  A draw is repeated when it
+        equals a neighbour: with same marking each sorted value equal to its
+        right neighbour, an inner draw is repeated where same | (same shifted
+        by one) holds, the first draw where same[0] does and the last where
+        same[-1] does (both the one pair at t = 2).
         """
         (rows, t), n = idx.shape, len(self.masses)
-        if t >= n:
-            counts = np.bincount(self._flat_index(idx).reshape(-1), minlength=rows * n)
-            counts = counts.reshape(rows, n)
-            missing = np.multiply(counts == 0, self.masses, out=self.kept[:rows]).sum(axis=1)
-            return np.count_nonzero(counts == 1, axis=1) / t - missing
-        missing = self.missing(idx)
-        dtype = np.result_type(np.min_scalar_type(n - 1), np.uint16)
-        drawn = self.kept.reshape(-1).view(dtype)[:rows * t].reshape(rows, t)
-        drawn[...] = idx
-        drawn.sort(axis=1)
-        same = drawn[:, 1:] == drawn[:, :-1]
-        repeated = np.zeros((rows, t), bool)
-        repeated[:, 1:] = same
-        repeated[:, :-1] |= same
-        return (t - np.count_nonzero(repeated, axis=1)) / t - missing
+        out = np.empty(rows)
+        for r, chunk in row_chunks(idx, n):
+            k = len(chunk)
+            if t >= n:
+                counts = np.bincount(self._flat_index(chunk).reshape(-1), minlength=k * n)
+                counts = counts.reshape(k, n)
+                missing = np.multiply(counts == 0, self.masses, out=self.kept[:k]).sum(axis=1)
+                singles = np.count_nonzero(counts == 1, axis=1)
+            else:
+                missing = self._missing(chunk)
+                singles = 1  # t = 1 < n: the one draw
+                if t > 1:
+                    drawn = self.kept.reshape(-1).view(idx.dtype)[:k * t].reshape(k, t)
+                    drawn[...] = chunk
+                    drawn.sort(axis=1)
+                    same = drawn[:, 1:] == drawn[:, :-1]
+                    inner = np.add.reduce(same[:, 1:] | same[:, :-1], axis=1, dtype=np.intp)
+                    singles = t - (inner + same[:, 0] + same[:, -1])
+            out[r:r + k] = singles / t - missing
+        return out
 
 
 def is_violation(excess: float, se: float, estimate: float, reference: float) -> bool:

@@ -255,6 +255,30 @@ class TestExits:
         assert counted["extract"] == [block.shape, second]
         assert counted["fsum"] == [EXIT_TERMS]
 
+    @pytest.mark.parametrize("zeros", [[0.0], [-0.0], [0.0, -0.0]], ids=["+0", "-0", "mixed"])
+    def test_zeros_go_to_fsum_at_once(self, zeros, counted):
+        """1000 zeros (the variance sum of a constant run) take no
+        extraction, and their sum has fsum's sign of zero.  A block of zero
+        sums takes none either; a zero sum next to a nonzero one rides along
+        the first extraction and then goes to fsum without a second."""
+        x = np.resize(np.array(zeros), 1000)
+        want = math.fsum(x.tolist()).hex()
+        del counted["fsum"][:]
+        assert exact_sum(x).hex() == want
+        assert counted == {"extract": [], "fsum": [1000]}
+        del counted["fsum"][:]
+        block = np.stack([x] * 4)
+        assert [v.hex() for v in exact_row_sums(block)] == [want] * 4
+        assert counted == {"extract": [], "fsum": [1000] * 4}
+        del counted["fsum"][:]
+        rows = np.stack([x, exit_sums("one", 0)[:1000]])
+        want = [math.fsum(v).hex() for v in rows.tolist()]
+        del counted["fsum"][:]
+        for axis, block in ((1, rows), (0, np.ascontiguousarray(rows.T))):
+            assert [v.hex() for v in exact_row_sums(block, axis=axis)] == want
+            assert counted == {"extract": [block.shape], "fsum": [1000]}
+            del counted["extract"][:], counted["fsum"][:]
+
 
 def seeded_terms(runs: int, seed: int) -> KernelTerms:
     """KernelTerms over runs sorted masses spread down to 1e-300 (a mass of 1

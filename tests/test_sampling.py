@@ -31,6 +31,8 @@ from missingmass.sampling import (
     _BlockStats,
     _guide_table,
     _inverse_cdf,
+    _uniforms,
+    index_dtype,
 )
 
 
@@ -157,6 +159,50 @@ class TestMonteCarlo:
         assert all(np.array_equal(run, runs[0]) for run in runs)
         assert np.array_equal(runs[0], _reference_indices(d.masses, t, replicates, 6))
 
+    @pytest.mark.parametrize("n", [1, 50, 2000])
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_raw_outputs_are_the_generators_uniforms(self, monkeypatch, n, rows):
+        """The 64-bit outputs the engine reads, slice after slice, are the
+        stream Generator.random draws from: their uniforms equal its
+        uniforms bit for bit, and their top bits are the buckets floor(u*K).
+        Each slice's draw buffers fit in SLICE_BYTES."""
+        d, t, replicates, seed = _random_support(n, seed=3), 40, 100, 6
+        monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * 3 * t * rows)
+        seen = []
+
+        def spy(cum, table, raw, out, bucket):
+            seen.append((raw.copy(), len(table)))
+            assert raw.nbytes + out.nbytes + bucket.nbytes <= numerics.SLICE_BYTES
+            return _inverse_cdf(cum, table, raw, out, bucket)
+
+        monkeypatch.setattr(sampling, "_inverse_cdf", spy)
+        monte_carlo(d.masses, t, replicates, seed, lambda idx: idx[:, 0])
+        assert len(seen[0][0]) == rows
+        raw, buckets = np.concatenate([raw for raw, _ in seen]), seen[0][1]
+        u = np.random.default_rng(seed).random((replicates, t))
+        assert raw.dtype == np.uint64 and _uniforms(raw).tobytes() == u.tobytes()
+        top = raw >> np.uint64(65 - buckets.bit_length())
+        assert np.array_equal(top, (u * buckets).astype(np.uint64))
+
+    @pytest.mark.parametrize("n, dtype", [(32_767, np.int16), (32_768, np.int32)])
+    def test_indices_at_the_int16_edge(self, n, dtype):
+        """Up to 2^15 - 1 atoms the table and the indices are int16, past
+        that int32; either way the draws are the plain inverse CDF's and the
+        statistics, the sort branch's included, are the dense forms'."""
+        assert index_dtype(n) is dtype
+        d = _random_support(n, seed=n)
+        masses = np.repeat(d.m, d.c)
+        cum = np.cumsum(masses)
+        cum[-1] = 1.0
+        table = _guide_table(cum)
+        assert table.dtype == dtype and table.min() < 0  # flagged buckets
+        idx = monte_carlo(masses, 300, 20, 7, lambda idx: idx)
+        assert idx.dtype == dtype
+        assert np.array_equal(idx, _reference_indices(masses, 300, 20, 7))
+        missing, singletons = _dense_rows(idx, masses)
+        assert _BlockStats(masses).missing(idx).tolist() == missing.tolist()
+        assert _BlockStats(masses).bias(idx).tolist() == (singletons / 300 - missing).tolist()
+
     def test_shorter_run_is_prefix(self):
         assert np.array_equal(self._missing(128, 4), self._missing(1000, 4)[:128])
 
@@ -167,7 +213,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n, t, replicates, slices", [
         (50, 20, 1000, [1000]),  # one slice of 1000 rows
-        (2000, 500, 100, [32, 32, 32, 4]),  # 8 max(3t, n) = 16000 bytes a row
+        (2000, 500, 100, [43, 43, 14]),  # 8 * 3t = 12000 bytes a row, whatever n
+        (2000, 100, 500, [218, 218, 64]),  # 2400 bytes a row: a slice spans 7 chunks of n
         (5, 40_000, 3, [1, 1, 1]),  # a row's 3t cells pass the budget: a row a slice
     ])
     def test_slices_span_blocks(self, n, t, replicates, slices):
@@ -321,10 +368,16 @@ def _reference_indices(masses, t, replicates, seed):
     return np.searchsorted(cum, np.random.default_rng(seed).random((replicates, t)), "right")
 
 
+def _raw(u, seed=0):
+    """64-bit outputs x whose uniforms (x >> 11) 2^-53 are u, uniforms on the
+    generator's grid of 2^-53, with seeded low 11 bits, which no draw reads."""
+    x = (u * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    return x | np.random.default_rng(seed).integers(0, 2 ** 11, u.shape, dtype=np.uint64)
+
+
 def _search(cum, lo, u):
-    """_inverse_cdf into fresh buffers."""
-    out, scratch = np.empty((2,) + u.shape, np.intp)
-    return _inverse_cdf(cum, lo, u, out, scratch)
+    """_inverse_cdf of the outputs whose uniforms are u, into fresh buffers."""
+    return _inverse_cdf(cum, lo, _raw(u), np.empty(u.shape, lo.dtype), np.empty(u.shape, np.intp))
 
 
 def _steps(cum, table, u):
@@ -335,10 +388,12 @@ def _steps(cum, table, u):
 
 
 def _adversarial_uniforms(cum, buckets):
-    """Every bucket edge k/K and every cum value, with their float neighbours."""
-    edges = np.concatenate([np.arange(buckets) / buckets, cum, [0.0, 1.0]])
-    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+    """Every bucket edge k/K and every cum value, rounded down to the grid of
+    2^-53 that every uniform of the generator lies on, with their neighbours
+    on it: the uniforms nearest each boundary that a draw can take."""
+    edges = np.floor(np.concatenate([np.arange(buckets) / buckets, cum, [0.0, 1.0]]) * 2.0 ** 53)
+    grid = np.concatenate([edges, edges - 1.0, edges + 1.0])
+    return np.unique(grid[(grid >= 0.0) & (grid < 2.0 ** 53)]) * 2.0 ** -53
 
 
 class TestGuideTable:
@@ -347,7 +402,7 @@ class TestGuideTable:
     def _check_engine(self, d, t=50, replicates=100, seed=5):
         idx = monte_carlo(d.masses, t, replicates, seed, lambda idx: idx)
         ref = _reference_indices(d.masses, t, replicates, seed)
-        assert idx.dtype == ref.dtype
+        assert idx.dtype == np.int16  # every support here has under 2^15 atoms
         assert np.array_equal(idx, ref)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 2000])
@@ -426,7 +481,7 @@ class TestGuideTable:
         assert buckets == min(1 << (64 * len(cum) - 1).bit_length(), cells)
         lo = np.searchsorted(cum, np.arange(buckets) / buckets, side="right")
         hi = np.searchsorted(cum, np.arange(1, buckets + 1) / buckets, side="left")
-        assert table.dtype == np.intp
+        assert table.dtype == np.int16
         assert np.array_equal(table, np.where(lo == hi, lo, -1 - lo))
         # dyadic masses put every cum value on an edge k/K: no bucket is flagged
         assert np.isin(cum, np.arange(buckets + 1) / buckets).all() == on_edges
@@ -462,17 +517,17 @@ class TestBlockStats:
     forms bit for bit, on every slice of a run, full or partial."""
 
     @pytest.mark.parametrize("d, t, replicates, rows", [
-        (_random_support(2000, seed=3), 100, 70, 24),  # t < n, rows sliced by n
+        (_random_support(2000, seed=3), 100, 70, 24),  # t < n, slices in chunks of 3 rows
         (GEOMETRIC, 30, 130, 24),  # t < n, many repeats
         (_random_support(5, seed=4), 40, 130, 40),  # t > n
         (_random_support(50, seed=5), 50, 100, 30),  # t = n
-        (_random_support(50, seed=6), 1, 100, 30),  # t = 1
-        (_random_support(20, seed=7), 120, 70, 6),  # t > n, rows sliced by 3t
-        (_random_support(300, seed=8), 120, 70, 3),  # t < n, rows sliced by 3t
+        (_random_support(50, seed=6), 1, 100, 30),  # t = 1, chunks of one row
+        (_random_support(20, seed=7), 120, 70, 6),  # t > n, one chunk a slice
+        (_random_support(300, seed=8), 120, 70, 3),  # t < n, one chunk a slice
     ], ids=["t<n-2000", "t<n-geometric", "t>n", "t=n", "t=1", "t>n-sliced", "t<n-sliced"])
     def test_rows_match_dense_reference(self, monkeypatch, d, t, replicates, rows):
         masses = np.repeat(d.m, d.c)
-        monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * max(3 * t, len(masses)) * rows)
+        monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * 3 * t * rows)  # slices of rows rows
         stats = _BlockStats(masses)
         slices = []
 
@@ -484,8 +539,32 @@ class TestBlockStats:
 
         values = monte_carlo(masses, t, replicates, 9, stat)
         assert len(slices) >= 2 and slices[0] == rows > slices[-1]  # a partial last slice
+        assert stats.kept.nbytes <= numerics.SLICE_BYTES  # its row chunks, within the budget
         assert [x.hex() for x in values[:, 0]] == [x.hex() for x in values[:, 1]]
         assert [x.hex() for x in values[:, 2]] == [x.hex() for x in values[:, 3]]
+
+    @pytest.mark.parametrize("n, t", [(2000, 100), (300, 1), (60, 200)],
+                             ids=["t<n", "t=1", "t>n"])
+    def test_values_do_not_depend_on_row_chunks(self, monkeypatch, n, t):
+        """Each statistic that keeps n cells a row gives the same bits in
+        chunks of one row and of seven rows (a partial last chunk) as in its
+        default chunks."""
+        d = _random_support(n, seed=n)
+        masses = np.repeat(d.m, d.c)
+        coords = np.random.default_rng(n).random((n, 2))
+        cloud = PointCloud(masses, coords=coords)
+        words = _near_words(cloud.distances() <= 0.05)
+        idx = monte_carlo(masses, t, 50, 4, lambda idx: idx.copy())
+
+        def rows():
+            return [[x.hex() for x in f(idx)] for f in (
+                _BlockStats(masses).missing, _BlockStats(masses).bias,
+                lambda idx: _eps_missing_rows(words, masses, idx))]
+
+        whole = rows()
+        for budget in (1, 8 * n * 7):
+            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
+            assert rows() == whole
 
     def test_reports_do_not_read_the_masses_tuple(self, monkeypatch):
         def refuse(self):
@@ -507,6 +586,23 @@ class TestBlockStats:
         finally:
             tracemalloc.stop()
         assert peak < 2.2e6
+
+
+def test_eps_rows_memory_bounded():
+    # 400 rows of 2000 points: one (rows, n) float array would take 6.4 MB;
+    # the row chunks keep each within SLICE_BYTES (a chunk's array is
+    # allocated before the last one's is freed, so two may coexist)
+    rng = np.random.default_rng(3)
+    words = _near_words(rng.random((2000, 2000)) < 0.01)
+    masses = np.full(2000, 1 / 2000)
+    idx = rng.integers(0, 2000, (400, 10)).astype(np.int16)
+    tracemalloc.start()
+    try:
+        _eps_missing_rows(words, masses, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * numerics.SLICE_BYTES
 
 
 class TestPinnedValues:

@@ -28,6 +28,9 @@ def test_quick_lines():
     assert len(set(keys)) == len(keys) > 200
     assert "cloud/d130/n64/distances" in keys and "cloud/matrix/n19/eps0/exact" in keys
     assert "mc/d12/n20/s1/estimate" in keys
+    assert "mc/bias/exp50/t10/s10/estimate" in keys
+    assert "mc/concentration/exp50/t10/s10/exceed_freq" in keys
+    assert "mc/rows/bias/exp50/t10/s10" in keys and "mc/index/exp50/t10/r20000/s10" in keys
     assert "closed/tiny50/scan60/bias/t64" in keys
     assert "closed/exp50/scan1000/emm/t1024" in keys
     assert "closed/curve/geometric0.5/1e9/0/upper/t999999930" in keys
