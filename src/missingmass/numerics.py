@@ -108,9 +108,9 @@ terms x_i and 2^m >= n + 2:
 5. Otherwise, near a tie or under deep cancellation, and for r = 0 (fsum's
    sign of zero), non-finite terms (fsum's inf, nan and ValueError), and
    sigma outside 2^-900..2^1021 (fsum's OverflowError; B, B1 and the grids
-   stay exact floats inside), the sum is math.fsum's.  Terms that are all
-   zero (top = 0), whose r would be 0, and the last three cases go to fsum
-   at once, before any extraction.
+   stay exact floats inside), the sum is math.fsum's.  exact_sum sends
+   terms that are all zero (top = 0), whose r would be 0, and the last
+   three cases to fsum at once, before any extraction.
 
 So the exits come in this order: the level-1 filter, the level-2 filter,
 fsum.  Each exit returns the correctly rounded sum, so which one a sum
@@ -430,7 +430,8 @@ def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     extraction for the sums the level-1 filter cannot certify, and math.fsum
     for those the level-2 filter cannot certify either; a sum that
     exact_sum sends to fsum at once (all zeros, non-finite or out of range)
-    skips the second extraction.  work, if given, is
+    skips the second extraction (the first is taken for the whole block at
+    once).  work, if given, is
     a float array of shape (2, *x.shape) for the first extraction to write
     into; x is left as it is.
     """
@@ -443,9 +444,7 @@ def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     np.maximum(top, np.negative(x.min(axis=axis)), out=top)  # nan stays nan
     m = (x.shape[axis] + 1).bit_length()
     e = np.frexp(top)[1] + m
-    ok = (top > 0.0) & np.isfinite(top) & (e >= -900) & (e <= 1021)
-    if not ok.any():
-        return [math.fsum(v) for v in lines.tolist()]
+    ok = np.isfinite(top) & (e >= -900) & (e <= 1021)
     y = x
     if not ok.all():  # such sums fall back; zeros keep the steps finite
         y, e = np.where(ok[:, None] if axis else ok, x, 0.0), np.where(ok, e, 0)
@@ -456,7 +455,7 @@ def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     certified = err < 0.5 * (a - np.nextafter(a, 0.0))  # r = 0 fails: zeros out of range
     if certified.all():
         return r.tolist()
-    redo = np.flatnonzero(ok & ~certified)
+    redo = np.flatnonzero(ok & ~certified & (top > 0.0))  # all zeros: fsum's sign
     if redo.size:  # the second extraction, from these sums' remainders
         p = np.take(work, redo, axis=2 - axis)  # (q, p) of these sums
         e = e[redo]

@@ -258,9 +258,9 @@ class TestExits:
     @pytest.mark.parametrize("zeros", [[0.0], [-0.0], [0.0, -0.0]], ids=["+0", "-0", "mixed"])
     def test_zeros_go_to_fsum_at_once(self, zeros, counted):
         """1000 zeros (the variance sum of a constant run) take no
-        extraction, and their sum has fsum's sign of zero.  A block of zero
-        sums takes none either; a zero sum next to a nonzero one rides along
-        the first extraction and then goes to fsum without a second."""
+        extraction, and their sum has fsum's sign of zero.  In a block, zero
+        sums ride along the block's first extraction and then go to fsum
+        without a second."""
         x = np.resize(np.array(zeros), 1000)
         want = math.fsum(x.tolist()).hex()
         del counted["fsum"][:]
@@ -269,8 +269,8 @@ class TestExits:
         del counted["fsum"][:]
         block = np.stack([x] * 4)
         assert [v.hex() for v in exact_row_sums(block)] == [want] * 4
-        assert counted == {"extract": [], "fsum": [1000] * 4}
-        del counted["fsum"][:]
+        assert counted == {"extract": [block.shape], "fsum": [1000] * 4}
+        del counted["extract"][:], counted["fsum"][:]
         rows = np.stack([x, exit_sums("one", 0)[:1000]])
         want = [math.fsum(v).hex() for v in rows.tolist()]
         del counted["fsum"][:]
