@@ -214,8 +214,8 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n, t, replicates, slices", [
         (50, 20, 1000, [1000]),  # one slice of 1000 rows
         (2000, 500, 100, [43, 43, 14]),  # 8 * 3t = 12000 bytes a row, whatever n
-        (2000, 100, 500, [218, 218, 64]),  # 2400 bytes a row: a slice spans 7 chunks of n
         (5, 40_000, 3, [1, 1, 1]),  # a row's 3t cells pass the budget: a row a slice
+        (2000, 100, 500, [218, 218, 64]),  # 2400 bytes a row: a slice spans 7 chunks of n
     ])
     def test_slices_span_blocks(self, n, t, replicates, slices):
         seen = []
