@@ -32,7 +32,8 @@ The cloud section (keys ``cloud/...`` and ``mc/...``):
   net, ``ball_masses``, ``covering_bound_report``, the expected
   eps-missing mass at t = 1 and 1000, and, up to EXACT_COVER_LIMIT points,
   ``exact_covering_number``;
-- seeded ``mc_eps_missing_mass`` reports.
+- seeded ``mc_eps_missing_mass`` reports at t = 10, and on a 700-point
+  cloud at t = 1 and 100, whose slices span several row chunks.
 
 The Monte Carlo section (keys ``mc/bias/...``, ``mc/concentration/...``,
 ``mc/rows/...`` and ``mc/index/...``), on seeded supports of 1-2000
@@ -158,16 +159,20 @@ def cloud_section(cover, quick: bool):
     matrix = seeded_cloud(cover, 3, 19).distances()
     yield from cloud_values(cover, "cloud/matrix/n19",
                             cover.PointCloud(seeded_cloud(cover, 2, 19).masses, matrix=matrix))
-    runs = ((2, 64, 0), (12, 20, 1)) if quick else ((1, 64, 0), (2, 64, 1), (3, 257, 2),
-                                                     (12, 20, 3), (130, 64, 4))
-    for dim, n, seed in runs:
+    # (dim, n, t, quantile of the distances that is eps, seed); 700 points take
+    # several row chunks a slice, and at t = 100 two column gathers a chunk; a
+    # smaller eps there leaves a missing mass near 0.39 at t = 100, not 0
+    runs = ((2, 64, 10, 0.3, 0), (12, 20, 10, 0.3, 1), (2, 700, 100, 0.01, 6)) if quick else (
+        (1, 64, 10, 0.3, 0), (2, 64, 10, 0.3, 1), (3, 257, 10, 0.3, 2), (12, 20, 10, 0.3, 3),
+        (130, 64, 10, 0.3, 4), (2, 700, 1, 0.01, 5), (2, 700, 100, 0.01, 6))
+    for dim, n, t, quantile, seed in runs:
         cloud = seeded_cloud(cover, dim, n)
-        eps = float(np.quantile(cloud.distances(), 0.3))
-        report = cover.mc_eps_missing_mass(cloud, 10, eps, 2000, seed)
+        eps = float(np.quantile(cloud.distances(), quantile))
+        report = cover.mc_eps_missing_mass(cloud, t, eps, 2000, seed)
         for field in dataclasses.fields(report):
             value = getattr(report, field.name)
             if value is not None:
-                yield f"mc/d{dim}/n{n}/s{seed}/{field.name}", value
+                yield f"mc/d{dim}/n{n}/t{t}/s{seed}/{field.name}", value
 
 
 def mc_supports(mm, quick: bool):

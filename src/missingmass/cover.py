@@ -11,8 +11,11 @@ set-cover search gives the covering number N(eps) on small clouds.
 
 The Monte Carlo check and the exact cover read the eps-ball mask d <= eps
 as bit rows (_near_words): point j is bit j % 8 of byte j // 8 of a row of
-64-bit words, 8x smaller than the bool mask.  A sample's hit mask is the
-OR of its draws' rows, one word per 64 points.
+64-bit words, 8x smaller than the bool mask, which is packed a slice of
+rows at a time within numerics.SLICE_BYTES and never built whole.  A
+sample's hit mask is the OR of its draws' rows, one word per 64 points;
+the eps-missing mass is a chunk function of sampling._BlockStats.rows,
+which unpacks the missed points into the walk's shared float buffer.
 
 The distance matrix and the ball masses are computed in row slices within
 numerics.SLICE_BYTES, through slice buffers allocated once per call.  A
@@ -32,6 +35,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .distributions import MassSumError, validate_masses
 from .errors import InvalidInputError, require_real, require_reals, require_t
 from .mass import bound_finite
 from .numerics import exact_sum, pow_one_minus, rows_per_slice
-from .sampling import McReport, is_violation, mean_report, monte_carlo, require_run, row_chunks
+from .sampling import _BlockStats, McReport, is_violation, mean_report, monte_carlo, require_run
 
 MATRIX_TOL = 1e-9
 # Largest cloud a PointCloud accepts: its n x n distance matrix is 512 MiB.
@@ -410,46 +414,52 @@ def covering_bound_report(cloud: PointCloud, t: int, eps: float) -> dict:
     }
 
 
-def _near_words(near: np.ndarray) -> np.ndarray:
-    """An (n, n) bool mask as bit rows: an (n, ceil(n/64)) uint64 array.
+def _near_words(d: np.ndarray, eps: float) -> np.ndarray:
+    """The eps-ball mask d <= eps of an (n, n) distance matrix as bit rows:
+    an (n, ceil(n/64)) uint64 array.
 
     Point j of a row is bit j % 8 of the row's byte j // 8 (np.packbits'
     little bit order), and the padding bits past n are 0.  The words are
     written and read through their bytes, so byte order does not matter.
+    The mask is packed in row slices through one bool buffer within
+    SLICE_BYTES, so the (n, n) bool mask is never built.
     """
-    n = near.shape[0]
+    n = d.shape[0]
     words = np.zeros((n, -(-n // 64)), np.uint64)
-    words.view(np.uint8)[:, :-(-n // 8)] = np.packbits(near, axis=1, bitorder="little")
+    row_bytes = words.view(np.uint8)[:, :-(-n // 8)]
+    step = min(rows_per_slice(n), n)
+    near = np.empty((step, n), bool)
+    for r in range(0, n, step):
+        k = min(step, n - r)
+        row_bytes[r:r + k] = np.packbits(np.less_equal(d[r:r + k], eps, out=near[:k]),
+                                         axis=1, bitorder="little")
     return words
 
 
-def _eps_missing_rows(words: np.ndarray, masses: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """eps-missing mass of each row of a (rows, t) index block; words =
-    _near_words(d <= eps).
+def _eps_missing_chunk(words: np.ndarray, masses: np.ndarray, chunk: np.ndarray,
+                       kept: np.ndarray, out: np.ndarray) -> None:
+    """eps-missing mass of each row of a (rows, t) index chunk, written to
+    out; words = _near_words(d, eps), and kept is a (rows, n) float buffer
+    (a chunk function of sampling._BlockStats.rows).
 
-    The block is walked in sampling.row_chunks, so a chunk's (rows, n)
-    masses stay within SLICE_BYTES.  A chunk's draws' bit
-    rows are gathered by take in chunks of columns, each a (columns, rows,
-    words) array within SLICE_BYTES (at least one column), and OR-ed into
-    one (rows, words) hit mask, which does not depend on the chunking.  OR
-    and NOT act on each byte alone, so the missed points unpacked from the
-    mask's bytes do not depend on byte order.  Each row then sums, in point
-    order, m for a missed point and +0.0 for a hit one: the summands, and
-    their order, of a bool (rows, n) mask times the masses, so the values
-    are those of the bool mask bit for bit, whatever the chunks.
+    The draws' bit rows are gathered by take in chunks of columns, each a
+    (columns, rows, words) array within SLICE_BYTES (at least one column),
+    and OR-ed into one (rows, words) hit mask, which does not depend on the
+    chunking.  OR and NOT act on each byte alone, so the missed points
+    unpacked from the mask's bytes do not depend on byte order.  They are
+    unpacked straight into kept, and each row then sums, in point order, m
+    for a missed point and +0.0 for a hit one: the summands, and their
+    order, of a bool (rows, n) mask times the masses, so the values are
+    those of the bool mask bit for bit, whatever the chunks.
     """
-    t, n = idx.shape[1], len(masses)
-    out = np.empty(len(idx))
-    for r, chunk in row_chunks(idx, n):
-        cols = rows_per_slice(len(chunk) * words.shape[1] * words.itemsize)
-        hit = np.bitwise_or.reduce(words.take(chunk[:, :cols].T, axis=0), axis=0)
-        for c in range(cols, t, cols):
-            hit |= np.bitwise_or.reduce(words.take(chunk[:, c:c + cols].T, axis=0), axis=0)
-        missed = np.unpackbits(~hit.view(np.uint8), axis=1, count=n, bitorder="little")
-        values = missed.astype(float)
-        values *= masses
-        values.sum(axis=1, out=out[r:r + len(chunk)])
-    return out
+    t, n = chunk.shape[1], len(masses)
+    cols = rows_per_slice(len(chunk) * words.shape[1] * words.itemsize)
+    hit = np.bitwise_or.reduce(words.take(chunk[:, :cols].T, axis=0), axis=0)
+    for c in range(cols, t, cols):
+        hit |= np.bitwise_or.reduce(words.take(chunk[:, c:c + cols].T, axis=0), axis=0)
+    kept[...] = np.unpackbits(~hit.view(np.uint8), axis=1, count=n, bitorder="little")
+    kept *= masses
+    kept.sum(axis=1, out=out)
 
 
 def mc_eps_missing_mass(
@@ -458,15 +468,14 @@ def mc_eps_missing_mass(
     """Monte Carlo mean eps-missing mass, checked against the closed form.
 
     The arguments (sampling.require_run) are refused before the eps-ball
-    mask is built.
+    bit rows are built.
     """
     t, replicates, seed = require_run(t, replicates, seed, cloud.n,
                                       "eps-missing-mass replicates", 1000)
     require_real(eps, "radius eps", 0.0, math.inf, "(]")
-    words = _near_words(cloud.distances() <= eps)
-    values = monte_carlo(
-        cloud.masses, t, replicates, seed, lambda idx: _eps_missing_rows(words, cloud.masses, idx)
-    )
+    eps_missing = partial(_eps_missing_chunk, _near_words(cloud.distances(), eps), cloud.masses)
+    stat = partial(_BlockStats(cloud.masses).rows, chunk_stat=eps_missing)
+    values = monte_carlo(cloud.masses, t, replicates, seed, stat)
     return mean_report(values, expected_eps_missing_mass(cloud, t, eps), seed)
 
 
@@ -479,8 +488,7 @@ def exact_covering_number(cloud: PointCloud, eps: float) -> int:
             f"exact cover is limited to {EXACT_COVER_LIMIT} points, cloud has {cloud.n}"
         )
     best = greedy_eps_net(cloud, eps).size  # valid upper bound to prune against
-    sets = [int.from_bytes(row.tobytes(), "little")
-            for row in _near_words(cloud.distances() <= eps)]
+    sets = [int.from_bytes(row.tobytes(), "little") for row in _near_words(cloud.distances(), eps)]
     full = (1 << cloud.n) - 1
 
     def search(uncovered: int, depth: int) -> None:

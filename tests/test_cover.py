@@ -545,8 +545,8 @@ class TestMcEpsMissingMass:
 
     def test_memory_bounded_on_large_cloud(self):
         # a whole block's (rows, t, n) gather of ball hits would be 32 MB
-        # here; the 1 MB ball mask, its 128 KB of bit rows and 512 KB
-        # gathers fit in 2 MB
+        # here; 128 KB of bit rows, packed in slices, and 512 KB gathers
+        # fit in 2 MB
         cloud = random_cloud(np.random.default_rng(5), 1000, 2)
         cloud.distances()  # cached before tracing: the 8 MB matrix is the input
         tracemalloc.start()
@@ -558,3 +558,32 @@ class TestMcEpsMissingMass:
         assert peak < 2 * 2 ** 20
         assert rep.violated is False
 
+    def test_bit_rows_packed_in_slices(self):
+        # the (n, n) bool ball mask alone would be 9 MB here; the bit rows
+        # (1.1 MB) are packed from one bool slice buffer within SLICE_BYTES
+        cloud = random_cloud(np.random.default_rng(6), 3000, 2)
+        cloud.distances()  # cached before tracing: the 72 MB matrix is the input
+        tracemalloc.start()
+        try:
+            rep = mc_eps_missing_mass(cloud, 10, 0.02, replicates=1000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+        assert rep.violated is False
+
+
+class TestNearWords:
+    @pytest.mark.parametrize("budget", [1, 200, None], ids=["1", "200", "default"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 129, 200])
+    def test_bit_rows_of_the_ball_mask(self, monkeypatch, n, budget):
+        """Packed one row, one 200-byte slice or one default slice at a time,
+        the words hold the bool mask d <= eps bit for bit, in np.packbits'
+        little bit order, with zero padding past n."""
+        d = random_cloud(np.random.default_rng(n), n, 2).distances()
+        if budget is not None:
+            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
+        words = cover._near_words(d, 0.3)
+        assert words.shape == (n, -(-n // 64)) and words.dtype == np.uint64
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        assert np.array_equal(bits[:, :n], d <= 0.3) and not bits[:, n:].any()

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from missingmass import (
     verify_concentration,
 )
 from missingmass import numerics, sampling
-from missingmass.cover import _eps_missing_rows, _near_words
+from missingmass.cover import _eps_missing_chunk, _near_words
 from missingmass.sampling import (
     GUIDE_CELLS,
     MAX_ROW_CELLS,
@@ -242,12 +243,12 @@ class TestMonteCarlo:
     def test_eps_rows_do_not_depend_on_column_chunks(self, monkeypatch):
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.exponential(size=40), coords=rng.random((40, 2)), normalize=True)
-        words = _near_words(cloud.distances() <= 0.1)
+        words = _near_words(cloud.distances(), 0.1)
         idx = monte_carlo(cloud.masses, 30, 64, 5, lambda idx: idx.copy())
-        whole = _eps_missing_rows(words, cloud.masses, idx)
+        whole = _eps_rows(words, cloud.masses, idx)
         for budget in (1, 64 * 8 * 7):  # one draw column per gather, then seven
             monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
-            assert _eps_missing_rows(words, cloud.masses, idx).tolist() == whole.tolist()
+            assert _eps_rows(words, cloud.masses, idx).tolist() == whole.tolist()
 
     @pytest.mark.parametrize("budget", [1, 64, None], ids=["1", "64", "default"])
     @pytest.mark.parametrize("t", [1, 3, 30])
@@ -261,7 +262,7 @@ class TestMonteCarlo:
         reference = (~near[idx].any(axis=1) * cloud.masses).sum(axis=1)
         if budget is not None:
             monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
-        rows = _eps_missing_rows(_near_words(near), cloud.masses, idx)
+        rows = _eps_rows(_near_words(cloud.distances(), 0.3), cloud.masses, idx)
         assert rows.tolist() == reference.tolist()
 
 
@@ -366,6 +367,12 @@ def _reference_indices(masses, t, replicates, seed):
     cum = np.cumsum(masses)
     cum[-1] = 1.0
     return np.searchsorted(cum, np.random.default_rng(seed).random((replicates, t)), "right")
+
+
+def _eps_rows(words, masses, idx, stats=None):
+    """eps-missing mass of each row of idx, through the block statistics' one walk."""
+    stats = _BlockStats(masses) if stats is None else stats
+    return stats.rows(idx, partial(_eps_missing_chunk, words, masses))
 
 
 def _raw(u, seed=0):
@@ -514,7 +521,8 @@ def _dense_rows(idx, masses):
 
 class TestBlockStats:
     """The fill-scatter-sum missing mass and the bias equal the dense count
-    forms bit for bit, on every slice of a run, full or partial."""
+    forms, and the eps-missing mass the bool mask's, bit for bit, on every
+    slice of a run, full or partial."""
 
     @pytest.mark.parametrize("d, t, replicates, rows", [
         (_random_support(2000, seed=3), 100, 70, 24),  # t < n, slices in chunks of 3 rows
@@ -527,21 +535,28 @@ class TestBlockStats:
     ], ids=["t<n-2000", "t<n-geometric", "t>n", "t=n", "t=1", "t>n-sliced", "t<n-sliced"])
     def test_rows_match_dense_reference(self, monkeypatch, d, t, replicates, rows):
         masses = np.repeat(d.m, d.c)
+        dist = np.random.default_rng(t).random((len(masses), len(masses)))
+        near, words = dist <= 0.05, _near_words(dist, 0.05)
         monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * 3 * t * rows)  # slices of rows rows
-        stats = _BlockStats(masses)
-        slices = []
+        stats, eps_stats = _BlockStats(masses), _BlockStats(masses)
+        slices, buffers = [], []
 
         def stat(idx):
             slices.append(len(idx))
             missing, singletons = _dense_rows(idx, masses)
-            return np.column_stack(
-                [stats.missing(idx), missing, stats.bias(idx), singletons / t - missing])
+            values = np.column_stack(
+                [stats.missing(idx), missing, stats.bias(idx), singletons / t - missing,
+                 _eps_rows(words, masses, idx, eps_stats),
+                 (~near[idx].any(axis=1) * masses).sum(axis=1)])
+            buffers.append((stats.kept, eps_stats.kept))
+            return values
 
         values = monte_carlo(masses, t, replicates, 9, stat)
         assert len(slices) >= 2 and slices[0] == rows > slices[-1]  # a partial last slice
-        assert stats.kept.nbytes <= numerics.SLICE_BYTES  # its row chunks, within the budget
-        assert [x.hex() for x in values[:, 0]] == [x.hex() for x in values[:, 1]]
-        assert [x.hex() for x in values[:, 2]] == [x.hex() for x in values[:, 3]]
+        for kept in zip(*buffers):  # one buffer a call, its row chunks within the budget
+            assert all(b is kept[0] for b in kept) and kept[0].nbytes <= numerics.SLICE_BYTES
+        for col in (0, 2, 4):
+            assert [x.hex() for x in values[:, col]] == [x.hex() for x in values[:, col + 1]]
 
     @pytest.mark.parametrize("n, t", [(2000, 100), (300, 1), (60, 200)],
                              ids=["t<n", "t=1", "t>n"])
@@ -553,13 +568,13 @@ class TestBlockStats:
         masses = np.repeat(d.m, d.c)
         coords = np.random.default_rng(n).random((n, 2))
         cloud = PointCloud(masses, coords=coords)
-        words = _near_words(cloud.distances() <= 0.05)
+        words = _near_words(cloud.distances(), 0.05)
         idx = monte_carlo(masses, t, 50, 4, lambda idx: idx.copy())
 
         def rows():
             return [[x.hex() for x in f(idx)] for f in (
                 _BlockStats(masses).missing, _BlockStats(masses).bias,
-                lambda idx: _eps_missing_rows(words, masses, idx))]
+                lambda idx: _eps_rows(words, masses, idx))]
 
         whole = rows()
         for budget in (1, 8 * n * 7):
@@ -590,19 +605,18 @@ class TestBlockStats:
 
 def test_eps_rows_memory_bounded():
     # 400 rows of 2000 points: one (rows, n) float array would take 6.4 MB;
-    # the row chunks keep each within SLICE_BYTES (a chunk's array is
-    # allocated before the last one's is freed, so two may coexist)
+    # the row chunks share one buffer within SLICE_BYTES
     rng = np.random.default_rng(3)
-    words = _near_words(rng.random((2000, 2000)) < 0.01)
+    words = _near_words(rng.random((2000, 2000)), 0.01)
     masses = np.full(2000, 1 / 2000)
     idx = rng.integers(0, 2000, (400, 10)).astype(np.int16)
     tracemalloc.start()
     try:
-        _eps_missing_rows(words, masses, idx)
+        _eps_rows(words, masses, idx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * numerics.SLICE_BYTES
+    assert peak < 1.5 * numerics.SLICE_BYTES
 
 
 class TestPinnedValues:

@@ -27,7 +27,7 @@ def test_quick_lines():
     keys = [k for k, _ in pairs]
     assert len(set(keys)) == len(keys) > 200
     assert "cloud/d130/n64/distances" in keys and "cloud/matrix/n19/eps0/exact" in keys
-    assert "mc/d12/n20/s1/estimate" in keys
+    assert "mc/d12/n20/t10/s1/estimate" in keys and "mc/d2/n700/t100/s6/estimate" in keys
     assert "mc/bias/exp50/t10/s10/estimate" in keys
     assert "mc/concentration/exp50/t10/s10/exceed_freq" in keys
     assert "mc/rows/bias/exp50/t10/s10" in keys and "mc/index/exp50/t10/r20000/s10" in keys
