@@ -55,6 +55,9 @@ the power policy, ``pow_unit``'s included:
   log-spaced n from 120 to 10^6;
 - ``maximize_missing_mass`` on acceptance cell C7's grid and at t = 1..63
   for n = 2, 10 and 100;
+- ``simplex_grid_oracle``'s value and point (its three coordinates as one
+  array) at t = 1..60, 100, 500 and 1000, each at grid steps 1e-3, 3e-3
+  and 1e-2;
 - ``pow_one_minus`` and ``pow_unit`` on seeded bases (down to 1e-300, near
   1, and 0, 2^-54, 1/2 and 1) at exponents 0..130, 10^6 and 10^9, each
   given as a scalar (to the bases as an array, with and without ``out=``,
@@ -330,6 +333,7 @@ def numerics_section(quick: bool):
 # C7's seed in tests/test_acceptance.py, so the grid below is that cell's
 C7_SEED = 20260808 + 3
 POW_TOPS = (10 ** 6, 10 ** 9)
+ORACLE_STEPS = (1e-3, 3e-3, 1e-2)
 
 
 def c7_grid():
@@ -366,6 +370,12 @@ def extremal_section(mm, quick: bool):
         for field, value in mm.maximize_missing_mass(n, t).to_json_obj().items():
             if field not in ("n", "t"):
                 yield f"extremal/max/n{n}/t{t}/{field}", value
+    oracle_ts = (5, 40) if quick else (*range(1, 61), 100, 500, 1000)
+    for t in oracle_ts:
+        for step in (1e-3,) if quick else ORACLE_STEPS:
+            value, point = mm.simplex_grid_oracle(t, step)
+            yield f"extremal/oracle/t{t}/s{step}/value", value
+            yield f"extremal/oracle/t{t}/s{step}/point", np.array(point)
     bases = pow_bases()
     below = list(range(64))
     above = [*range(64, 131), *POW_TOPS]

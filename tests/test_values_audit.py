@@ -35,6 +35,7 @@ def test_quick_lines():
     assert "closed/exp50/scan1000/emm/t1024" in keys
     assert "closed/curve/geometric0.5/1e9/0/upper/t999999930" in keys
     assert "extremal/max/n10/t40/value" in keys
+    assert "extremal/oracle/t5/s0.001/value" in keys and "extremal/oracle/t40/s0.001/point" in keys
     assert "numerics/sum/e1021/n512/s0" in keys and "numerics/rows/64x24/axis0/63" in keys
 
 
