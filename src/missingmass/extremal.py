@@ -10,10 +10,13 @@ The value of that family is
 with x = 1/n recovering the uniform distribution.  Small sample counts are
 won by the uniform; past an integer threshold (strictly above n) a strictly
 interior light mass wins, and its location is pinned inside (1/(t+1), 1/t).
-The threshold is found by one array scan over t, and an exhaustive grid oracle
-over the 3-atom simplex cross-checks the one-variable reduction.  Both run in
-slices within numerics.SLICE_BYTES, through slice buffers allocated once per
-call, so no slice allocates or faults in memory of its own.
+The threshold is found by one array scan over t, in slices within
+numerics.SLICE_BYTES through slice buffers allocated once per call, so no
+slice allocates or faults in memory of its own.  A grid oracle over the
+3-atom simplex cross-checks the one-variable reduction: it bounds each square
+block of its grid from above and evaluates only the blocks whose bound is not
+below a value it has computed, so it returns the exhaustive sweep's answer,
+bit for bit, from a few percent of its cells.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ _SCAN = np.arange(CRITICAL_SCAN_POINTS + 1) / CRITICAL_SCAN_POINTS
 # about 7 s at the cap); the default budget n + 10 sqrt(n) fits under it for
 # every n up to 1.7e11.
 MAX_SCAN = 1 << 22
+# The simplex grid oracle: square blocks of ORACLE_BLOCK x ORACLE_BLOCK
+# cells, each evaluated only if its bound is not below a value already
+# computed; the bound's relative and absolute margins; and the most grid
+# points per axis (grid step 1e-5), past which a grid is refused.
+ORACLE_BLOCK = 16
+ORACLE_MARGIN_REL = 2.0 ** -40
+ORACLE_MARGIN_ABS = 2.0 ** -1060
+MAX_GRID_POINTS = 100_001
 
 
 def _require(n, t=1, x=0.0) -> tuple[int, int]:
@@ -259,69 +270,166 @@ def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
     return ThresholdResult(n=n, tau=tau, margin_at_tau=margin, scan_range=(n + 1, t_max))
 
 
+def _axis_blocks(p: np.ndarray, t: int):
+    """One axis of the oracle's grid in blocks of ORACLE_BLOCK points: its
+    terms p (1 - p)^t and its points, each padded with 2.0 (out of the
+    simplex) to whole blocks and shaped (blocks, ORACLE_BLOCK), and each
+    block's largest term, smallest point and largest point."""
+    term = p * (1.0 - p) ** t
+    starts = np.arange(0, p.size, ORACLE_BLOCK)
+    shape = (starts.size, ORACLE_BLOCK)
+    padded_term, padded_p = np.zeros(shape), np.full(shape, 2.0)
+    padded_term.reshape(-1)[:p.size], padded_p.reshape(-1)[:p.size] = term, p
+    stats = (np.maximum.reduceat(term, starts), np.minimum.reduceat(p, starts),
+             np.maximum.reduceat(p, starts))
+    return padded_term, padded_p, stats
+
+
+def _block_bounds(t: int, rows, cols) -> np.ndarray:
+    """The oracle's bound on each block's computed cell values, from the
+    (largest term, smallest point, largest point) of its row block and of
+    its column block (see simplex_grid_oracle); -inf for a block with no
+    cell in the simplex."""
+    (top1, lo1, hi1), (top2, lo2, hi2) = ((a[:, None] for a in rows), cols)
+    # each block's interval of y = 1 - p3 (p3 clipped at 0), from its
+    # corners: rounding is monotone
+    p3_hi = (1.0 - lo1) - lo2
+    y_lo = 1.0 - np.maximum(p3_hi, 0.0)
+    y_hi = 1.0 - np.maximum((1.0 - hi1) - hi2, 0.0)
+    # psi at the point of the interval nearest its peak t (1 + 2^-54) / (t + 1),
+    # or, where the interval meets the floats on either side of the peak,
+    # the largest psi at those
+    peak = t / (t + 1)
+    around = np.minimum([np.nextafter(peak, 0.0), peak, np.nextafter(peak, 2.0)], 1.0)
+    y = np.minimum(np.maximum(y_lo, peak), y_hi)
+    psi = ((1.0 - y) + 2.0 ** -54) * y ** t
+    psi_peak = (((1.0 - around) + 2.0 ** -54) * around ** t).max()
+    np.maximum(psi, psi_peak, out=psi, where=(y_lo <= around[2]) & (y_hi >= around[0]))
+    bound = ((top1 + top2) + psi) * (1.0 + ORACLE_MARGIN_REL) + ORACLE_MARGIN_ABS
+    bound[p3_hi < -1e-12] = -math.inf
+    return bound
+
+
+def _grid_max(t: int, p1_vals: np.ndarray, p2_vals: np.ndarray) -> tuple[float, int, int]:
+    """The largest (p1_i (1-p1_i)^t + p2_j (1-p2_j)^t) + p3 (1-p3)^t over the
+    cells (i, j) of a grid, p3 = (1 - p1_i) - p2_j clipped to [0, 1] and a
+    cell with p3 < -1e-12 worth -1, and its cell (i, j), the first in
+    row-major order: an exhaustive sweep's answer, from the blocks whose
+    bound is not below it (see simplex_grid_oracle)."""
+    term1, blocks1, stats1 = _axis_blocks(p1_vals, t)
+    term2, blocks2, stats2 = _axis_blocks(p2_vals, t)
+    cells = ORACLE_BLOCK * ORACLE_BLOCK
+    batch = min(len(term1) * len(term2), rows_per_slice(8 * cells))
+    p3_buf, term_buf, f_buf = (np.empty(batch * cells) for _ in range(3))
+    outside_buf = np.empty(batch * cells, bool)
+    best, best_key = -math.inf, 0
+
+    def evaluate(bi: np.ndarray, bj: np.ndarray) -> None:
+        nonlocal best, best_key
+        shape = (bi.size, ORACLE_BLOCK, ORACLE_BLOCK)
+        size = bi.size * cells
+        p1 = blocks1[bi][:, :, None]
+        p3 = np.subtract(1.0 - p1, blocks2[bj][:, None, :], out=p3_buf[:size].reshape(shape))
+        outside = np.less(p3, -1e-12, out=outside_buf[:size].reshape(shape))
+        np.clip(p3, 0.0, 1.0, out=p3)
+        term = np.subtract(1.0, p3, out=term_buf[:size].reshape(shape))
+        term **= t  # p3 (1 - p3)^t, in place
+        term *= p3
+        f = np.add(term1[bi][:, :, None], term2[bj][:, None, :], out=f_buf[:size].reshape(shape))
+        f += term
+        f[outside] = -1.0
+        f = f.reshape(bi.size, cells)
+        at = np.argmax(f, axis=1)  # the first maximum of each block
+        value = f[np.arange(bi.size), at]
+        top = np.flatnonzero(value == value.max())
+        # the first of the batch's maxima, by its row-major index in the grid
+        key = int(((bi[top] * ORACLE_BLOCK + at[top] // ORACLE_BLOCK) * p2_vals.size
+                   + bj[top] * ORACLE_BLOCK + at[top] % ORACLE_BLOCK).min())
+        if value[top[0]] > best or (value[top[0]] == best and key < best_key):
+            best, best_key = value[top[0]], key
+
+    step = rows_per_slice(8 * len(term2))
+    slices = [slice(r, r + step) for r in range(0, len(term1), step)]
+
+    def bounds(rows: slice) -> np.ndarray:
+        return _block_bounds(t, [a[rows] for a in stats1], stats2)
+
+    # the incumbent: the first block of the largest bound
+    largest, first = -math.inf, (0, 0)
+    for rows in slices:
+        bound = bounds(rows)
+        k = int(np.argmax(bound))
+        if bound.flat[k] > largest:
+            largest, first = bound.flat[k], divmod(rows.start * len(term2) + k, len(term2))
+    evaluate(np.array([first[0]]), np.array([first[1]]))
+    # every block whose bound is not below a value already computed
+    for rows in slices:
+        bi, bj = np.nonzero(bounds(rows) >= best)
+        bi += rows.start
+        for b in range(0, bi.size, batch):
+            evaluate(bi[b:b + batch], bj[b:b + batch])
+    return float(best), *divmod(best_key, p2_vals.size)
+
+
 def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[float, float, float]]:
     """Exhaustive grid maximization of E[U_t] over the 3-atom simplex.
 
-    Independent of the one-variable reduction: sweeps (p1, p2) on a grid,
-    takes p3 = 1 - p1 - p2, then refines once around the best cell.  A cell
-    is in the simplex when (1 - p1) - p2 >= -1e-12.  Both axes are
-    nondecreasing and rounding is monotone, so the cells of a row that are
-    in form a prefix of its columns, and that prefix does not grow down the
-    rows: each sweep runs over bands of rows cut to their first row's
-    prefix, each band within SLICE_BYTES, and evaluates only the triangle
-    and the few cells of a band past a later row's prefix (marked -1).  The
-    band arrays are views of buffers allocated once per call.  It keeps the
-    first maximum in row-major order, as a sweep of the whole square would,
-    so its memory does not grow with the grid.  Returns the
+    Independent of the one-variable reduction: sweeps (p1, p2) on the grid
+    of m + 1 points per axis, m = round(1 / grid_step) (at most
+    MAX_GRID_POINTS: a finer grid is refused before anything is allocated),
+    takes p3 = (1 - p1) - p2, then refines once on a 101 x 101 grid around
+    the best cell.  A cell is in the simplex when p3 >= -1e-12 and is then
+    worth (p1 (1-p1)^t + p2 (1-p2)^t) + p3 (1-p3)^t, p3 clipped to [0, 1];
+    a cell outside is worth -1.  Each sweep returns the first maximum in
+    row-major order, bit for bit as an exhaustive sweep of the whole square
+    would, but evaluates only a few blocks of cells.
+
+    The grid is cut into square blocks of ORACLE_BLOCK x ORACLE_BLOCK cells,
+    and each block gets an upper bound on its cells' computed values: the
+    largest row term over its rows, plus the largest column term over its
+    columns, plus a bound on its p3 terms.  Rounding is monotone, so every
+    cell's p3 lies in [(1 - p1_max) - p2_max, (1 - p1_min) - p2_min] over
+    the block's points, and its y = 1 - p3 (p3 clipped) in the matching
+    interval.  A cell's term is y^t p3, and p3 <= (1 - y) + 2^-54 (half an
+    ulp below 1), so the term is at most psi(y) = ((1 - y) + 2^-54) y^t,
+    up to the rounding of one power and one product.  psi is unimodal with
+    its peak at t (1 + 2^-54) / (t + 1), so over the floats of the interval
+    it is largest at the point nearest that peak or, where the interval
+    meets the three floats around the peak, at one of those.  Bounding in y,
+    not in p3, keeps the t-fold growth of the rounding of 1 - p3 out of the
+    bound.  The sum is inflated by the relative margin ORACLE_MARGIN_REL,
+    far above the few ulps of rounding in the powers, products and sums,
+    and by the absolute ORACLE_MARGIN_ABS, above the error of results that
+    underflow.  A block with no cell in the simplex is bounded by -inf.
+
+    The first block of the largest bound is evaluated first, and its
+    maximum is the incumbent.  Then every block whose bound is not below
+    the incumbent is evaluated, in batches within SLICE_BYTES through
+    buffers allocated once per sweep, the incumbent rising as they go; ties
+    go to the first cell in row-major order.  A pruned block's bound is
+    strictly below a value that was actually computed, so none of its cells
+    can hold the maximum or tie with it, and pruning cannot change the
+    answer.  The bounds are computed twice (to find the first block, then
+    to select), in slices of block rows within SLICE_BYTES.  Returns the
     best value and its point, coordinates sorted nondecreasing.
     """
     require_t(t)
     require_real(grid_step, "grid step", 0.0, 1e-2, "(]")
-
-    def sweep(p1_vals: np.ndarray, p2_vals: np.ndarray) -> tuple[float, float, float]:
-        column = p2_vals * (1.0 - p2_vals) ** t
-        best, bi, bj = -math.inf, 0, 0
-        start = 0
-        while start < p1_vals.size:
-            width = int(np.count_nonzero((1.0 - p1_vals[start]) - p2_vals >= -1e-12))
-            if width == 0:  # nor any later row
-                break
-            stop = min(start + rows_per_slice(8 * width), p1_vals.size)
-            shape = (stop - start, width)
-            band = shape[0] * width
-            p1 = p1_vals[start:stop, None]
-            p3 = np.subtract(1.0 - p1, p2_vals[:width], out=p3_buf[:band].reshape(shape))
-            outside = np.less(p3, -1e-12, out=outside_buf[:band].reshape(shape))
-            np.clip(p3, 0.0, 1.0, out=p3)
-            term = np.subtract(1.0, p3, out=term_buf[:band].reshape(shape))
-            term **= t  # p3 (1 - p3)^t, in place
-            term *= p3
-            f = np.add(p1 * (1.0 - p1) ** t, column[:width], out=f_buf[:band].reshape(shape))
-            f += term
-            f[outside] = -1.0
-            i, j = np.unravel_index(int(np.argmax(f)), f.shape)
-            if f[i, j] > best:  # a later band wins only strictly
-                best, bi, bj = f[i, j], start + i, j
-            start = stop
-        return float(best), float(p1_vals[bi]), float(p2_vals[bj])
-
-    m = int(round(1.0 / grid_step))
-    coarse = np.linspace(0.0, 1.0, m + 1)
-    # a band holds at most max(SLICE_BYTES / 8, one row) cells, and the
-    # refinement's 101 x 101 grid is no larger than the coarse one (m >= 100):
-    # the band buffers are allocated once per call, each band a prefix of them
-    cells = min(coarse.size ** 2, max(rows_per_slice(8), coarse.size))
-    p3_buf, term_buf, f_buf = (np.empty(cells) for _ in range(3))
-    outside_buf = np.empty(cells, bool)
-    val, b1, b2 = sweep(coarse, coarse)
+    steps = 1.0 / grid_step  # inf for a subnormal step
+    if steps > MAX_GRID_POINTS or round(steps) + 1 > MAX_GRID_POINTS:
+        raise InvalidInputError(f"grid step {grid_step!r} gives more than "
+                                f"MAX_GRID_POINTS={MAX_GRID_POINTS} points per axis")
+    coarse = np.linspace(0.0, 1.0, int(round(steps)) + 1)
+    val, i, j = _grid_max(t, coarse, coarse)
+    b1, b2 = float(coarse[i]), float(coarse[j])
 
     fine_step = grid_step / 50.0
     offsets = np.arange(-50, 51) * fine_step
     ref1 = np.clip(b1 + offsets, 0.0, 1.0)
     ref2 = np.clip(b2 + offsets, 0.0, 1.0)
-    rval, r1, r2 = sweep(ref1, ref2)
+    rval, i, j = _grid_max(t, ref1, ref2)
     if rval > val:
-        val, b1, b2 = rval, r1, r2
+        val, b1, b2 = rval, float(ref1[i]), float(ref2[j])
 
     p3 = max(0.0, 1.0 - b1 - b2)
     point = tuple(sorted((b1, b2, p3)))

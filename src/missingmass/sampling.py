@@ -245,8 +245,9 @@ class _BlockStats:
 
     rows is the one walk: it takes a slice in row chunks of
     rows_per_slice(8 n) rows, so a chunk's (chunk, n) float buffer stays
-    within numerics.SLICE_BYTES, and both that buffer and the flat index are
-    allocated once for the call, at its first chunk, the call's largest.
+    within numerics.SLICE_BYTES, and that buffer is allocated once for the
+    call, at its first chunk, the call's largest; so is the flat index, at
+    the first chunk that asks for it.
 
     A chunk's missing masses are a fill, a scatter and a row sum: the masses
     are copied into every row, the drawn atoms are set to 0.0 through the
@@ -274,13 +275,17 @@ class _BlockStats:
             chunk = idx[r:r + step]
             if self.kept is None:  # the first chunk is the call's largest
                 self.kept = np.empty((len(chunk), n))
-                self.flat = np.empty(chunk.shape, np.intp)
-                self.offsets = n * np.arange(len(chunk))[:, None]
             chunk_stat(chunk, self.kept[:len(chunk)], out[r:r + len(chunk)])
         return out
 
     def _flat_index(self, chunk: np.ndarray) -> np.ndarray:
-        """idx + n*row, the index of each draw in the flattened (chunk, n) buffer."""
+        """idx + n*row, the index of each draw in the flattened (chunk, n)
+        buffer.  Its buffer and the row offsets are allocated at the first
+        call, on the call's first and largest chunk, so a chunk function
+        that never asks (cover's eps-missing mass) allocates neither."""
+        if self.flat is None:
+            self.flat = np.empty(chunk.shape, np.intp)
+            self.offsets = len(self.masses) * np.arange(len(chunk))[:, None]
         return np.add(chunk, self.offsets[:len(chunk)], out=self.flat[:len(chunk)])
 
     def _missing(self, chunk: np.ndarray, kept: np.ndarray, out: np.ndarray) -> None:

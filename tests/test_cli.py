@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from missingmass import CountableFamily, McReport, PointCloud, mc_eps_missing_mass
-from missingmass import cli, cover, sampling
+from missingmass import cli, cover, extremal, sampling
 from missingmass.cli import _dict_to_csv, build_parser, main
 
 
@@ -574,6 +574,8 @@ class TestCaps:
         ("tau --n 10 --t-max 1000000000000",
          "mml tau: threshold scan of 999999999990 values of t (n=10, t_max=1000000000000) "
          "exceeds MAX_SCAN=4194304"),
+        ("oracle --t 5 --grid-step 1e-9",
+         "mml oracle: grid step 1e-09 gives more than MAX_GRID_POINTS=100001 points per axis"),
         # strict JSON (RFC 8259) has no Infinity, so a report holding one is refused
         ("cover --cloud {cloud} --eps inf --t 3",
          "mml cover: Out of range float values are not JSON compliant: inf"),
@@ -600,6 +602,18 @@ class TestCaps:
             assert code == 0 and len(json.loads(out)["t"]) == count
         else:
             assert (code, err) == (2, "mml emm: t grid of 5 values exceeds MAX_T_GRID=4\n")
+
+    @pytest.mark.parametrize("step, points", [
+        ("0.005", 201), ("0.00499", 201), ("0.0049", 205), ("5e-324", None),
+    ])
+    def test_oracle_grid_at_the_cap(self, capsys, monkeypatch, step, points):
+        monkeypatch.setattr(extremal, "MAX_GRID_POINTS", 201)
+        code, out, err = run_cli(capsys, "oracle", "--t", "3", "--grid-step", step)
+        if points == 201:
+            assert code == 0 and json.loads(out)["t"] == 3
+        else:
+            assert (code, out, err) == (2, "", f"mml oracle: grid step {float(step)!r} gives "
+                                               "more than MAX_GRID_POINTS=201 points per axis\n")
 
     @pytest.mark.parametrize("argv", [
         "cover --cloud {cloud} --eps 0.5 --t 3",

@@ -22,7 +22,7 @@ from missingmass import (
     simplex_grid_oracle,
 )
 from missingmass import extremal, numerics
-from missingmass.extremal import _prime, _prime_second, _solve
+from missingmass.extremal import _axis_blocks, _block_bounds, _grid_max, _prime, _prime_second, _solve
 from missingmass.numerics import pow_one_minus
 
 
@@ -366,17 +366,26 @@ class TestSimplexOracle:
             simplex_grid_oracle(5, 0.5)
 
     @staticmethod
-    def full_square_oracle(t, grid_step):
-        """The oracle with both sweeps over the whole square, invalid cells
-        set to -1, first maximum in row-major order."""
+    def reference_sweep(t, p1_vals, p2_vals):
+        """Every cell of the grid by the oracle's definition: p3 = (1 - p1) - p2,
+        a cell with p3 < -1e-12 worth -1, any other worth
+        (p1 (1-p1)^t + p2 (1-p2)^t) + p3 (1-p3)^t with p3 clipped to [0, 1].
+        Returns the cell values and (value, i, j) of the first maximum in
+        row-major order."""
+        p1, p2 = p1_vals[:, None], p2_vals[None, :]
+        p3 = (1.0 - p1) - p2
+        p3c = np.clip(p3, 0.0, 1.0)
+        f = (p1 * (1.0 - p1) ** t + p2 * (1.0 - p2) ** t) + p3c * (1.0 - p3c) ** t
+        f = np.where(p3 >= -1e-12, f, -1.0)
+        i, j = np.unravel_index(int(np.argmax(f)), f.shape)
+        return f, (float(f[i, j]), int(i), int(j))
+
+    @classmethod
+    def full_square_oracle(cls, t, grid_step):
+        """The oracle with both sweeps over the whole square, exhaustively."""
         def sweep(p1_vals, p2_vals):
-            p1, p2 = p1_vals[:, None], p2_vals[None, :]
-            p3 = 1.0 - p1 - p2
-            p3c = np.clip(p3, 0.0, 1.0)
-            f = p1 * (1.0 - p1) ** t + p2 * (1.0 - p2) ** t + p3c * (1.0 - p3c) ** t
-            f = np.where(p3 >= -1e-12, f, -1.0)
-            i, j = np.unravel_index(int(np.argmax(f)), f.shape)
-            return float(f[i, j]), float(p1_vals[i]), float(p2_vals[j])
+            _, (value, i, j) = cls.reference_sweep(t, p1_vals, p2_vals)
+            return value, float(p1_vals[i]), float(p2_vals[j])
 
         m = int(round(1.0 / grid_step))
         coarse = np.linspace(0.0, 1.0, m + 1)
@@ -394,15 +403,92 @@ class TestSimplexOracle:
             ref_val, ref_point = self.full_square_oracle(t, grid_step)
             assert [x.hex() for x in (val, *point)] == [x.hex() for x in (ref_val, *ref_point)]
 
+    # t = 2^62: every term underflows but those of the p3 left by rounding
+    # near 0, of order 2^-54, whose y = 1 - p3 rounds to 1
+    @pytest.mark.parametrize("grid_step", [1e-2, 3e-3, 1e-3])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6, 8, 40, 1000, 2 ** 62])
+    def test_matches_exhaustive_reference(self, t, grid_step):
+        val, point = simplex_grid_oracle(t, grid_step)
+        ref_val, ref_point = self.full_square_oracle(t, grid_step)
+        assert [x.hex() for x in (val, *point)] == [x.hex() for x in (ref_val, *ref_point)]
+
+    # hand-built axes: dyadic points (exact sums, so the maximum ties with the
+    # permutations of its point, in other blocks), one point repeated down 40
+    # rows (each row ties with the first),
+    # a refinement axis clipped at 0 (51 zeros), a descending axis, axes of
+    # 37 and 23 points (partial blocks), and the coarse axis at step 1e-2,
+    # some of whose p3 are left by rounding near 0 (2^-54 at p1 = 0.58,
+    # p2 = 0.42): at t = 2^62 only those terms are above 0
+    DYADIC = np.arange(65) / 64
+    HAND_BUILT = {
+        "dyadic": (DYADIC, DYADIC),
+        "repeated": (np.full(40, 0.25), DYADIC),
+        "clipped": (np.clip(np.arange(-50, 51) * 2e-5, 0.0, 1.0),) * 2,
+        "descending": (DYADIC[::-1], DYADIC[::-1]),
+        "ragged": (np.linspace(0.0, 1.0, 37), np.linspace(0.0, 1.0, 23)),
+        "coarse": (np.linspace(0.0, 1.0, 101),) * 2,
+    }
+
+    @pytest.mark.parametrize("batch", ["one block", "default"])
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 40])
+    @pytest.mark.parametrize("grid", list(HAND_BUILT))
+    def test_sweep_matches_reference_on_hand_built_grids(self, monkeypatch, grid, t, batch):
+        # batches of one block put tied maxima in different batches
+        if batch == "one block":
+            monkeypatch.setattr(numerics, "SLICE_BYTES", 8 * extremal.ORACLE_BLOCK ** 2)
+        p1_vals, p2_vals = self.HAND_BUILT[grid]
+        f, (value, i, j) = self.reference_sweep(t, p1_vals, p2_vals)
+        if grid == "repeated":  # the first of 40 tied maxima
+            assert np.count_nonzero(f == value) >= 40
+        got = _grid_max(t, p1_vals, p2_vals)
+        assert (got[0].hex(), *got[1:]) == (value.hex(), i, j)
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 40, 1000, 2 ** 62])
+    @pytest.mark.parametrize("grid", list(HAND_BUILT))
+    def test_bound_exceeds_every_cell_by_its_margin(self, grid, t):
+        """Each block's bound is above every computed value of its cells by
+        the relative margin (up to one rounding), and strictly above, 0
+        included; a block with no cell in the simplex is bounded by -inf."""
+        p1_vals, p2_vals = self.HAND_BUILT[grid]
+        f, _ = self.reference_sweep(t, p1_vals, p2_vals)
+        bound = _block_bounds(t, _axis_blocks(p1_vals, t)[2], _axis_blocks(p2_vals, t)[2])
+        b = extremal.ORACLE_BLOCK
+        for (bi, bj), value in np.ndenumerate(bound):
+            cells = f[bi * b:(bi + 1) * b, bj * b:(bj + 1) * b]
+            top = cells.max()
+            if top < 0.0:
+                assert value == -math.inf
+            else:
+                assert value > top and value >= top * (1.0 + 2.0 ** -41), (bi, bj)
+
+    def test_blocks_bounded_at_the_incumbent_are_evaluated(self, monkeypatch):
+        """A block whose bound equals the incumbent is evaluated, and may hold
+        an earlier tie.  The margins make such a bound exceed every cell, so
+        they are set to 0 here: every cell of the first block row is worth
+        the maximum, its exact bound, and so are the second block's rows but
+        the one at 5/16, whose larger row term lifts that block's bound above
+        the first's, so the second block is evaluated first."""
+        monkeypatch.setattr(extremal, "ORACLE_MARGIN_REL", 0.0)
+        monkeypatch.setattr(extremal, "ORACLE_MARGIN_ABS", 0.0)
+        p1_vals = np.full(32, 0.375)
+        p1_vals[16] = 0.3125
+        p2_vals = np.array([0.125])
+        f, (value, i, j) = self.reference_sweep(2, p1_vals, p2_vals)
+        bound = _block_bounds(2, _axis_blocks(p1_vals, 2)[2], _axis_blocks(p2_vals, 2)[2])
+        assert bound[0, 0] == value < bound[1, 0] and f[16, 0] < value == f[17, 0]
+        got = _grid_max(2, p1_vals, p2_vals)
+        assert (got[0].hex(), *got[1:]) == (value.hex(), 0, 0)
+
     def test_bands_do_not_change_the_argmax(self, monkeypatch):
-        # bands of one row, and of a few rows, cut at other places than the
-        # default's; a later band wins only strictly, so ties keep the first cell
-        results = set()
-        for budget in (8, 8 * 7 * 64, numerics.SLICE_BYTES):
-            monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
-            val, point = simplex_grid_oracle(2, 1e-2)
-            results.add(tuple(x.hex() for x in (val, *point)))
-        assert len(results) == 1
+        # batches of one block and of three, and bounds in slices of one
+        # block row, against the default's; t = 5 evaluates many blocks
+        for t in (2, 5):
+            results = set()
+            for budget in (8, 3 * 8 * extremal.ORACLE_BLOCK ** 2, numerics.SLICE_BYTES):
+                monkeypatch.setattr(numerics, "SLICE_BYTES", budget)
+                val, point = simplex_grid_oracle(t, 1e-2)
+                results.add(tuple(x.hex() for x in (val, *point)))
+            assert len(results) == 1
 
     def test_memory_bounded(self):
         # one unsliced sweep of the 1001 x 1001 grid holds several 8 MB temporaries

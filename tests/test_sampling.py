@@ -619,6 +619,29 @@ def test_eps_rows_memory_bounded():
     assert peak < 1.5 * numerics.SLICE_BYTES
 
 
+def test_eps_rows_allocate_no_flat_index():
+    # at t > n a slice's flat draw index, (21, 1000) intp here (168 KB), is
+    # larger than its (21, 400) float buffer; the eps statistic never reads
+    # it, so the walk never allocates it: the peak is the gather of bit rows
+    # (its indices as intp too) and the float buffer, with 96 KB to spare
+    rng = np.random.default_rng(5)
+    n, t = 400, 1000
+    words = _near_words(rng.random((n, n)), 0.01)
+    masses = np.full(n, 1 / n)
+    idx = rng.integers(0, n, (numerics.rows_per_slice(8 * 3 * t), t)).astype(np.int16)
+    row_bytes = len(idx) * words.shape[1] * words.itemsize
+    cols = numerics.rows_per_slice(row_bytes)
+    budget = cols * (row_bytes + 8 * len(idx)) + 8 * len(idx) * n + 96 * 1024
+    assert 8 * idx.size > 96 * 1024
+    tracemalloc.start()
+    try:
+        _eps_rows(words, masses, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, (peak, budget)
+
+
 class TestPinnedValues:
     """Seeded values of the one-stream engine, whose indices equal plain
     searchsorted ones (TestGuideTable) and whose row statistics equal the
