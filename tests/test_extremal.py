@@ -530,8 +530,7 @@ class TestSliceBuffers:
         assert many <= 1.5 * one + 256, (many, one)
 
     def test_oracle(self):
-        # three float band buffers and one bool (about 1 600 faults when each
-        # band allocated its own)
+        # three float batch buffers and one bool, each within SLICE_BYTES
         pages = (3 * numerics.SLICE_BYTES + numerics.SLICE_BYTES // 8) // mmap.PAGESIZE
         faults = _minor_faults("mm.simplex_grid_oracle(40, 1e-3)")
         assert faults <= pages + 256, (faults, pages)
