@@ -95,7 +95,7 @@ class PointCloud:
             pts = _real_array(coords, "coordinates")
             if pts.ndim == 1:
                 pts = pts[:, None]
-            if pts.ndim != 2 or pts.shape[0] != self.n:
+            if pts.ndim != 2 or pts.shape[0] != self.n or pts.shape[1] == 0:
                 raise InvalidInputError(
                     f"coords must be (n, d) with n={self.n}, got shape {pts.shape}"
                 )

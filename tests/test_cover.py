@@ -146,7 +146,8 @@ class TestPointCloud:
         ([0.5, 0.5], "masses"),
         ({"masses": [0.5, 0.5]}, "'points' or 'matrix'"),
         ({"masses": 0.5, "points": [[0.0]]}, "list of numbers"),
-    ], ids=["no-masses", "not-an-object", "no-geometry", "masses-number"])
+        ({"masses": [0.5, 0.5], "points": [[], []]}, "coords must be"),
+    ], ids=["no-masses", "not-an-object", "no-geometry", "masses-number", "no-coordinates"])
     def test_json_object_rejected(self, obj, message):
         with pytest.raises(InvalidInputError, match=message):
             PointCloud.from_json_obj(obj)
@@ -155,7 +156,8 @@ class TestPointCloud:
         ("id,mass,x1\n", "header and data rows"),
         ("", "header and data rows"),
         ("name,mass,x1\na,1.0,0\n", "must start id,mass"),
-    ], ids=["header-only", "empty", "bad-header"])
+        ("id,mass\na,0.5\nb,0.5\n", "coords must be"),
+    ], ids=["header-only", "empty", "bad-header", "no-coordinates"])
     def test_csv_text_rejected(self, text, message):
         with pytest.raises(InvalidInputError, match=message):
             PointCloud.from_csv_text(text)
