@@ -19,9 +19,11 @@ which unpacks the missed points into the walk's shared float buffer.
 
 The distance matrix and the ball masses are computed in row slices within
 numerics.SLICE_BYTES, through slice buffers allocated once per call.  A
-coordinate cloud's matrix is filled one coordinate column at a time, each
-entry's squared differences added in numpy's own pairwise order, so it is
-bit for bit the matrix np.sum gives over an (n, n, dim) difference array.
+coordinate cloud's matrix is bit for bit the matrix np.sum gives over an
+(n, n, dim) difference array: below 8 coordinates it is filled one
+coordinate column at a time, each entry's squared differences added in
+order, which is np.sum's order for so few terms; from 8 on, np.sum itself
+adds each row slice's squared differences.
 A cloud of more than MAX_CLOUD_POINTS points is refused before its n x n
 matrix is allocated, and a distance matrix input of more than
 MAX_MATRIX_POINTS points before it is read.
@@ -134,31 +136,41 @@ class PointCloud:
                 )
 
     def distances(self) -> np.ndarray:
-        """The (n, n) distance matrix, built once.
+        """The (n, n) distance matrix, built once, in row slices of the matrix
+        itself.
 
-        A coordinate cloud's matrix is filled one coordinate at a time, from
-        contiguous coordinate columns (coords.T, copied once), in row slices
-        of the matrix itself.  Each entry adds its squared differences in
-        numpy's pairwise order (_pairwise_sum), so every distance is bit for
-        bit the square root of np.sum over one (n, n, dim) difference array.
-        The slices' buffers, allocated once per call, fit in SLICE_BYTES, so
-        the build holds little more than the matrix."""
+        np.sum adds fewer than 8 terms in order, so a cloud of fewer than 8
+        coordinates is summed one coordinate at a time, from contiguous
+        coordinate columns (coords.T, copied once), each column's squared
+        differences added to the slice in order.  A cloud of 8 or more
+        coordinates writes a slice's squared differences into one
+        (rows, n, dim) buffer and sums it with np.sum along its last axis,
+        so numpy itself decides the order.  Either way every distance is bit
+        for bit the square root of np.sum over one (n, n, dim) difference
+        array.  The slice buffer, allocated once per call, fits in
+        SLICE_BYTES (at least one row), so the build holds little more than
+        the matrix."""
         if self._dist is None:
-            cols = np.ascontiguousarray(self.coords.T)
-            dim, n = cols.shape
-            spare = _pairwise_buffers(dim)
-            step = min(rows_per_slice(8 * n * spare), n)
-            buffers = np.empty((spare, step, n))
+            n, dim = self.coords.shape
+            in_order = dim < 8  # np.sum adds fewer than 8 terms in order
+            cols = np.ascontiguousarray(self.coords.T) if in_order else None
+            step = min(rows_per_slice(8 * n * (1 if in_order else dim)), n)
+            buffer = np.empty((step, n) if in_order else (step, n, dim))
             d = np.empty((n, n))
             for r in range(0, n, step):
                 k = min(step, n - r)
-
-                def square(c, out):  # (x_c - y_c)^2 for the slice's pairs
-                    np.subtract(cols[c, r:r + k, None], cols[c], out=out)
-                    return np.multiply(out, out, out=out)
-
-                _pairwise_sum(square, 0, dim, d[r:r + k], buffers[:, :k])
-                np.sqrt(d[r:r + k], out=d[r:r + k])
+                rows, sq = d[r:r + k], buffer[:k]
+                if in_order:
+                    for c in range(dim):  # (x_c - y_c)^2 for the slice's pairs
+                        out = sq if c else rows
+                        np.subtract(cols[c, r:r + k, None], cols[c], out=out)
+                        np.multiply(out, out, out=out)
+                        if c:
+                            rows += sq
+                else:
+                    np.subtract(self.coords[r:r + k, None], self.coords, out=sq)
+                    np.sum(np.multiply(sq, sq, out=sq), axis=2, out=rows)
+                np.sqrt(rows, out=rows)
             np.fill_diagonal(d, 0.0)
             self._dist = d
         return self._dist
@@ -201,73 +213,6 @@ class PointCloud:
         masses = validate_masses([float(r[1]) for r in rows[1:]])[0]  # as in from_json_obj
         coords = [[float(v) for v in r[2:]] for r in rows[1:]]
         return PointCloud(masses, coords=coords)
-
-
-# numpy's pairwise_sum: its unrolled lanes and its block size (PW_BLOCKSIZE)
-_UNROLL, _BLOCK = 8, 128
-
-
-def _half(count: int) -> int:
-    """Where numpy's pairwise_sum splits more than _BLOCK terms."""
-    return count // 2 - count // 2 % _UNROLL
-
-
-def _pairwise_buffers(count: int) -> int:
-    """Spare buffers _pairwise_sum needs for count terms."""
-    if count < _UNROLL:
-        return 1
-    if count <= _BLOCK:
-        return _UNROLL
-    half = _half(count)
-    return max(_pairwise_buffers(half), 1 + _pairwise_buffers(count - half))
-
-
-def _pairwise_sum(term, lo: int, hi: int, out: np.ndarray, spare: np.ndarray) -> None:
-    """Write term(lo) + ... + term(hi - 1) into out, elementwise, added in the
-    order of numpy's pairwise_sum (Higham, "The accuracy of floating point
-    summation", SIAM J. Sci. Comput. 14(4), 1993), which np.sum applies
-    along a reduced axis:
-
-    - fewer than 8 terms, in order;
-    - 8 to 128 terms, in eight lanes: lane j starts at term j and adds
-      terms i + j for i = 8, 16, ... below count - count % 8; the lanes add
-      as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-      leftover terms in order;
-    - more, split at half = count/2 - (count/2) % 8, the two sums added.
-
-    np.sum then adds the result to 0.0, which changes no sum but -0.0, and
-    a sum of squares is never -0.0.  term(c, buf) writes term c into buf
-    and returns it; spare holds _pairwise_buffers(hi - lo) buffers of out's
-    shape.
-    """
-    count = hi - lo
-    if count < _UNROLL:
-        term(lo, out)
-        for c in range(lo + 1, hi):
-            out += term(c, spare[0])
-    elif count <= _BLOCK:
-        r = [out, *spare[:_UNROLL - 1]]
-        tmp = spare[_UNROLL - 1]
-        for j in range(_UNROLL):
-            term(lo + j, r[j])
-        end = hi - count % _UNROLL
-        for i in range(lo + _UNROLL, end, _UNROLL):
-            for j in range(_UNROLL):
-                r[j] += term(i + j, tmp)
-        r[0] += r[1]
-        r[2] += r[3]
-        r[0] += r[2]
-        r[4] += r[5]
-        r[6] += r[7]
-        r[4] += r[6]
-        r[0] += r[4]
-        for c in range(end, hi):
-            out += term(c, tmp)
-    else:
-        half = _half(count)
-        _pairwise_sum(term, lo, lo + half, out, spare)
-        _pairwise_sum(term, lo + half, hi, spare[0], spare[1:])
-        out += spare[0]
 
 
 def _real_array(values, name: str) -> np.ndarray:

@@ -412,6 +412,14 @@ def simplex_grid_oracle(t: int, grid_step: float = 1e-3) -> tuple[float, tuple[f
     answer.  The bounds are computed twice (to find the first block, then
     to select), in slices of block rows within SLICE_BYTES.  Returns the
     best value and its point, coordinates sorted nondecreasing.
+
+    The value is that of a grid point, so it is a lower bound on the
+    maximum of E[U_t] over the simplex, up to rounding.  The maximizer's
+    light atoms lie near 1/t, which the grid resolves only while
+    t * grid_step is at most about 1: there the value is within 5.0e-5
+    relative of maximize_missing_mass(3, t) (t = 1..60, 100, 500, 1000 at
+    steps 1e-3, 3e-3 and 1e-2), but it is 9 % short at t * grid_step = 3
+    and about 50 % short from t * grid_step of about 10.
     """
     require_t(t)
     require_real(grid_step, "grid step", 0.0, 1e-2, "(]")

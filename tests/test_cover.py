@@ -164,9 +164,11 @@ class TestPointCloud:
 
 
 class TestDistances:
-    """distances() fills the matrix one coordinate column at a time, in row
-    slices through buffers allocated once; each entry is bit for bit that of
-    one (n, n, dim) difference array summed by np.sum."""
+    """distances() fills the matrix in row slices through one buffer
+    allocated once: one coordinate column at a time below 8 coordinates,
+    by np.sum over each slice's (rows, n, dim) squared differences from 8
+    on; each entry is bit for bit that of one (n, n, dim) difference array
+    summed by np.sum."""
 
     @staticmethod
     def one_shot(coords):
@@ -207,8 +209,9 @@ class TestDistances:
         assert d[0, 4] == math.sqrt(1.0 + 2.25 * 2.25)
 
     def test_independent_of_the_slicing(self, monkeypatch):
-        # the in-order sum at dim 3 and the eight lanes at dim 12; 5 rows of
-        # the lanes' buffers end dim 12 in a partial slice
+        # the in-order column sum at dim 3 and np.sum over (rows, n, dim)
+        # slices at dim 12; the 31,040-byte budget gives 40-row slices at
+        # dim 3 and 3-row slices at dim 12, each ending in a partial slice
         for dim in (3, 12):
             coords = np.random.default_rng(11).random((97, dim))
             results = set()
@@ -219,18 +222,22 @@ class TestDistances:
             assert results == {self.one_shot(coords).tobytes()}, dim
 
     def test_memory_near_the_matrix(self):
-        # the 8 MB matrix and its slice buffers, the eight lanes of dim 12
-        # among them; a (n, n, dim) difference array and its square would
-        # add 32 MB in 2-D
-        for dim in (2, 12):
-            cloud = random_cloud(np.random.default_rng(7), 1000, dim)
+        # the 8 MB matrix, one slice buffer within SLICE_BYTES (at 130-D a
+        # single (1, 1000, 130) row of squared differences, 1.04 MB) and
+        # about 128 KiB of numpy's own buffers for the broadcast subtraction;
+        # peaks 8.27 MiB in 2-D and 8.69 MiB at 130-D.  A (n, n, dim)
+        # difference array and its square would add 32 MB in 2-D
+        n = 1000
+        for dim in (2, 12, 130):
+            cloud = random_cloud(np.random.default_rng(7), n, dim)
             tracemalloc.start()
             try:
                 cloud.distances()
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 9 * 2 ** 20, dim
+            one_slice = max(numerics.SLICE_BYTES, 8 * n * dim)
+            assert peak < 8 * n * n + one_slice + 2 ** 18, dim
 
 
 class TestGreedyNet:

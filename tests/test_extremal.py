@@ -365,6 +365,18 @@ class TestSimplexOracle:
         with pytest.raises(InvalidInputError):
             simplex_grid_oracle(5, 0.5)
 
+    def test_a_lower_bound_resolved_while_t_times_step_is_at_most_one(self):
+        # the value is a grid point's, so it never passes the maximum but by
+        # rounding; the grid resolves light atoms near 1/t only while
+        # t * step <= 1 (at t * step = 10 it is about 50 % short)
+        for step in (1e-3, 3e-3, 1e-2):
+            for t in (*range(1, 61), 100, 500, 1000, 3000, 10 ** 4, 10 ** 5):
+                value, _ = simplex_grid_oracle(t, step)
+                best = maximize_missing_mass(3, t).value
+                assert value <= best * (1 + 2 ** -40), (t, step)
+                if t * step <= 1:
+                    assert value >= best * (1 - 1e-4), (t, step)
+
     @staticmethod
     def reference_sweep(t, p1_vals, p2_vals):
         """Every cell of the grid by the oracle's definition: p3 = (1 - p1) - p2,
