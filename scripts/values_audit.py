@@ -4,7 +4,7 @@ that two checkouts can be compared bit for bit.
 
 A float prints as ``float.hex``, an array (or a tuple of indices) as its
 dtype, shape and the SHA-256 of its ``tobytes()``, an int or a bool as
-itself.  Five sections.
+itself.  Six sections.
 
 The closed-form section (keys ``closed/...``), on seeded distributions of
 1-2000 runs (masses down to 1e-300), BlockVectors with counts up to 2^40,
@@ -75,6 +75,12 @@ above:
 - ``exact_row_sums`` along axis 1 and axis 0 on blocks of those rows, just
   below, at and above EXACT_ROWS_MIN cells (and 1536, its value before) and
   up to 10^5.
+
+The constructions section (keys ``constructions/...``): ``rate_lb``'s
+masses and counts, as SHA-256, for inverse-log targets at horizons T = 200,
+10^3, 10^4 and 3 * 10^4 and geometric targets at T = 20 and 60 (the
+horizons tests/test_constructions.py pins).  Its interval check decides
+each doubling from exact sums, so its result moves if one of them does.
 
 Usage::
 
@@ -393,6 +399,17 @@ def extremal_section(mm, quick: bool):
             yield f"{key}/{side}/out", f(bases, col, out=np.empty((col.size, bases.size)))
 
 
+def constructions_section(mm, quick: bool):
+    horizons = (("inverse-log", 200),) if quick else (
+        ("inverse-log", 200), ("inverse-log", 1000), ("inverse-log", 10_000),
+        ("inverse-log", 30_000), ("geometric", 20), ("geometric", 60))
+    targets = {"inverse-log": mm.inverse_log_targets, "geometric": mm.geometric_targets}
+    for kind, t_max in horizons:
+        d = mm.rate_lb(targets[kind](t_max))
+        yield f"constructions/rate_lb/{kind}/T{t_max}/m", d.m
+        yield f"constructions/rate_lb/{kind}/T{t_max}/c", d.c
+
+
 def audit(quick: bool) -> None:
     import missingmass as mm
     from missingmass import cover
@@ -406,6 +423,8 @@ def audit(quick: bool) -> None:
     for key, value in extremal_section(mm, quick):
         print(key, fmt(value))
     for key, value in numerics_section(quick):
+        print(key, fmt(value))
+    for key, value in constructions_section(mm, quick):
         print(key, fmt(value))
 
 

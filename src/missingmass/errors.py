@@ -5,8 +5,11 @@ Every scalar precondition in the package goes through one of two rules:
 sample-count case) and ``require_real`` (a real number inside an interval,
 NaN never passing).  Both reject ``bool`` and never coerce: a value that is
 not already an integer or a real is an ``InvalidInputError``, not a rounded
-number.  ``require_reals`` applies require_real's type rule to every item of
-a list of numbers read from a file, so "0.5" or true in one is an error too.
+number.  require_t and require_real also refuse a number past the float
+range (10**400), which the package's arithmetic would meet as an
+OverflowError.  ``require_reals`` applies require_real's type rule to every
+item of a list of numbers read from a file, so "0.5" or true in one is an
+error too.
 A refused value is quoted by its repr, except an int too long for Python to
 print (past its 4300-digit limit), which is quoted by its sign and bit length.
 Distribution masses are arrays, not scalars; they have their own validator,
@@ -73,11 +76,16 @@ def require_int(value, name: str, minimum: int) -> int:
 
 
 def require_t(t, minimum: int = 1) -> int:
-    """The sample count case of require_int; it runs on every kernel call, so
-    a plain int takes the fast path."""
-    if type(t) is int and t >= minimum:
-        return t
-    return require_int(t, "sample count t", minimum)
+    """The sample count case of require_int, for a t that fits in a float
+    (every power takes float(t)); it runs on every kernel call, so a plain
+    int takes the fast path."""
+    if type(t) is not int or t < minimum:
+        t = require_int(t, "sample count t", minimum)
+    try:
+        float(t)
+    except OverflowError:
+        raise InvalidInputError("sample count t must fit in a float") from None
+    return t
 
 
 def require_real(value, name: str, low: float, high: float, bounds: str = "[]"):

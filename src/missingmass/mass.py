@@ -128,7 +128,11 @@ def bound_finite(n: int, t: int) -> float:
         t = require_t(t)
     if t <= n:
         return math.exp(-t / n)
-    return n / (math.e * t)
+    try:
+        return n / (math.e * t)
+    except OverflowError:  # t past the float range, which the fast path lets in
+        require_t(t)
+        raise
 
 
 def bound_countable(ell: int, t: int) -> float:

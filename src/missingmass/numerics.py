@@ -112,25 +112,29 @@ terms x_i and 2^m >= n + 2:
    terms that are all zero (top = 0), whose r would be 0, and the last
    three cases to fsum at once, before any extraction.
 
-So the exits come in this order: the level-1 filter, the level-2 filter,
-fsum.  Each exit returns the correctly rounded sum, so which one a sum
-takes never changes a bit.  One helper takes each step for both forms
-below: ``_extract`` either extraction, ``_rounded1`` and ``_rounded`` the
+So a sum leaves ``exact_sum`` by the first exit that holds, in this
+order: the level-1 filter, the level-2 filter, fsum.  Each exit returns the
+correctly rounded sum, so which one a sum takes never changes a bit.
+``_extract`` takes either extraction, ``_rounded1`` and ``_rounded`` the
 rounding of each level.
 
-``exact_row_sums`` is the 2-D form, for the blocks of KernelTerms: every
-step above is taken for all rows of a 2-D array at once, or for all its
-columns, each sum with its own sigma (broadcast along the summed axis) and
-filters; only the sums the level-1 filter cannot certify take the second
-extraction, and only those neither filter certifies take fsum, so each sum
-is exact_sum's of its row or column.  The proof above holds for every
-order of addition, so summing down the columns changes no bit.  Below
-EXACT_ROWS_MIN cells it hands each sum to math.fsum instead.
+``exact_row_sums`` is the 2-D form, for the blocks of KernelTerms: it takes
+steps 1 to 3 for all rows of a 2-D array at once, or for all its columns,
+each sum with its own sigma (broadcast along the summed axis) and filter,
+and hands each sum that filter does not certify (zero, non-finite and
+out-of-range sums among them) to exact_sum, with its own row or column,
+which climbs the ladder above from level 1 (or, below EXACT_SUM_MIN terms,
+takes fsum at once).  So level 2 and fsum run only inside exact_sum, and
+each sum is exact_sum's of its row or column.  The proof above holds for
+every order of addition, so summing down the columns changes no bit.
+Below EXACT_ROWS_MIN cells it hands each sum to math.fsum instead.
 """
 
 import math
 
 import numpy as np
+
+from .errors import require_t
 
 # Every power takes log space from this exponent on, and one of the direct
 # powers (compensated for (1-p)^t, within about 1 ulp) below it; see the
@@ -321,6 +325,7 @@ class KernelTerms:
         start, stop, sums = self._kept[k]
         if start <= e < stop:  # a step of a scan, inside its block
             return sums[e - start]
+        require_t(e, 0)  # e past the float range; mass's fast paths skip the rule
         seen = self._seen
         last, before = seen[k]
         seen[k] = e, last
@@ -425,15 +430,12 @@ def exact_sum(x: np.ndarray) -> float:
 def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     """[exact_sum(v) for v in the 1-D slices of x along axis] for a 2-D
     float array x (its rows for axis = 1, its columns for axis = 0), bit for
-    bit: the same extractions and filters, each step taken for every sum at
-    once, with each sum's own sigma broadcast along axis; the second
-    extraction for the sums the level-1 filter cannot certify, and math.fsum
-    for those the level-2 filter cannot certify either; a sum that
-    exact_sum sends to fsum at once (all zeros, non-finite or out of range)
-    skips the second extraction (the first is taken for the whole block at
-    once).  work, if given, is
-    a float array of shape (2, *x.shape) for the first extraction to write
-    into; x is left as it is.
+    bit: one extraction and the level-1 filter for every sum at once, with
+    each sum's own sigma broadcast along axis, then exact_sum itself on the
+    slice of each sum that filter cannot certify (every sum that exact_sum
+    sends to fsum at once, all zeros, non-finite or out of range, among
+    them).  work, if given, is a float array of shape (2, *x.shape) for the
+    extraction to write into; x is left as it is.
     """
     lines = x if axis else x.T  # one sum per row of lines
     if x.size < EXACT_ROWS_MIN:
@@ -453,19 +455,9 @@ def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     r, err = _rounded1(hi, rest, np.ldexp(1.0, e + (2 * m - 104)))
     a = np.abs(r)
     certified = err < 0.5 * (a - np.nextafter(a, 0.0))  # r = 0 fails: zeros out of range
-    if certified.all():
-        return r.tolist()
-    redo = np.flatnonzero(ok & ~certified & (top > 0.0))  # all zeros: fsum's sign
-    if redo.size:  # the second extraction, from these sums' remainders
-        p = np.take(work, redo, axis=2 - axis)  # (q, p) of these sums
-        e = e[redo]
-        lo, rest = _extract(p[1], np.ldexp(1.0, e + (m - 53))[along], p, axis)
-        r[redo], err = _rounded(hi[redo], lo, rest, np.ldexp(1.0, e + (3 * m - 158)))
-        a = np.abs(r[redo])
-        certified[redo] = err < 0.5 * (a - np.nextafter(a, 0.0))
     out = r.tolist()
     for i in np.flatnonzero(~certified).tolist():
-        out[i] = math.fsum(lines[i].tolist())
+        out[i] = exact_sum(lines[i])
     return out
 
 
@@ -492,9 +484,9 @@ def _rounded1(hi, rest, bound):
 
 
 def _rounded(hi, lo, rest, bound):
-    """Step 4's (r, err), floats or arrays: r = fl(hi + lo + rest), and the
-    exact sum lies within err of r, given that rest is within bound of its
-    exact value, B = 2^(e + 3m - 158)."""
+    """Step 4's (r, err), for exact_sum's floats: r = fl(hi + lo + rest),
+    and the exact sum lies within err of r, given that rest is within bound
+    of its exact value, B = 2^(e + 3m - 158)."""
     h = hi + lo
     l = _two_sum_err(hi, lo, h)
     c = l + rest

@@ -21,7 +21,8 @@ from missingmass import (
     rate_lb,
     verify_bias,
 )
-from missingmass import cover, distributions
+from missingmass import constructions, cover, distributions, extremal, mass
+from missingmass.cli import main
 from missingmass.errors import require_int, require_real, require_reals
 
 
@@ -72,6 +73,67 @@ def test_radius_past_the_float_range_is_refused(entry, value):
     with pytest.raises(InvalidInputError, match="radius eps must fit in a float"):
         calls[entry](value)
     calls[entry](math.inf)  # the bound allows inf itself
+
+
+def pair():
+    return PointCloud([0.5, 0.5], coords=[[0.0], [1.0]])
+
+
+def scan_of_three(t):
+    """Three requests in a row look like a scan, which asks for a block."""
+    d = ProbVector.uniform(10)
+    return [mass.expected_missing_mass(d, s) for s in (t, t + 1, t + 2)]
+
+
+T_ENTRIES = {
+    "expected_missing_mass": lambda t: mass.expected_missing_mass(ProbVector.uniform(10), t),
+    "expected_missing_mass-scan": scan_of_three,
+    "gt_expected_estimate": lambda t: mass.gt_expected_estimate(ProbVector.uniform(10), t),
+    "gt_bias": lambda t: mass.gt_bias(ProbVector.uniform(10), t),
+    "singleton_mass_expectation":
+        lambda t: mass.singleton_mass_expectation(ProbVector.uniform(10), t),
+    "expected_missing_mass_interval":
+        lambda t: mass.expected_missing_mass_interval(CountableFamily.geometric(0.5), t),
+    "missing_mass_curve": lambda t: mass.missing_mass_curve(ProbVector.uniform(10), [1, t]),
+    "dyadic_bands": lambda t: mass.dyadic_bands(ProbVector.uniform(10), t),
+    "bound_finite": lambda t: bound_finite(10, t),
+    "bound_countable": lambda t: mass.bound_countable(3, t),
+    "kernel": lambda t: mass.kernel(0.5, t),
+    "kernel_prime": lambda t: mass.kernel_prime(0.5, t),
+    "maximize_missing_mass": lambda t: maximize_missing_mass(10, t),
+    "simplex_grid_oracle": lambda t: extremal.simplex_grid_oracle(t, 1e-2),
+    "tight_finite": lambda t: constructions.tight_finite(10, t),
+    "expected_eps_missing_mass": lambda t: cover.expected_eps_missing_mass(pair(), t, 0.5),
+    "covering_bound_report": lambda t: cover.covering_bound_report(pair(), t, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(T_ENTRIES))
+def test_sample_count_past_the_float_range_is_refused(entry):
+    # the powers and bounds take float(t), which overflows past the float range
+    with pytest.raises(InvalidInputError, match="^sample count t must fit in a float"):
+        T_ENTRIES[entry](10 ** 400)
+    T_ENTRIES[entry](10 ** 18)  # far below it, t is taken
+
+
+@pytest.mark.parametrize("argv", [
+    "emm --family uniform --n 10 --t T",
+    "emm --family uniform --n 10 --t-grid 1,T",
+    "bounds --family uniform --n 10 --t T",
+    "bounds --family uniform --n 10 --t-grid T",
+    "gt --family uniform --n 10 --t T",
+    "extremal --n 10 --t T",
+    "oracle --t T",
+    "cover --cloud CLOUD --eps 0.5 --t T",
+    "construct --kind tight-finite --n 10 --t T",
+], ids=lambda argv: argv.split(" --")[0] + ("-grid" if "t-grid" in argv else ""))
+def test_sample_count_past_the_float_range_exits_2(argv, tmp_path, capsys):
+    cloud = tmp_path / "cloud.json"
+    cloud.write_text('{"masses": [0.5, 0.5], "points": [[0.0], [1.0]]}')
+    args = argv.replace("CLOUD", str(cloud)).replace("T", str(10 ** 400)).split()
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "sample count t must fit in a float" in err
 
 
 HUGE = -10 ** 5000

@@ -6,8 +6,9 @@ every input; from EXACT_SUM_MIN terms on it gets there without fsum's
 per-term loop, and it must not quietly fall back to that loop on the sums
 the package makes.  Its three exits (certified after one extraction, after
 a second one, or fsum's) each give fsum's bits.  exact_row_sums promises
-the same for every row or column of a 2-D array, and a block's sums are
-the one-exponent sums, whatever order the requests come in.
+the same for every row or column of a 2-D array: it certifies at level 1
+and hands every other sum to exact_sum.  A block's sums are the
+one-exponent sums, whatever order the requests come in.
 """
 
 import math
@@ -198,13 +199,14 @@ def exit_sums(kind: str, seed: int) -> np.ndarray:
 
 
 class TestExits:
-    """exact_sum and exact_row_sums (both axes) leave by the first exit that
-    certifies a sum: the extractions and fsum calls are counted, and every
-    sum is fsum's, by float.hex."""
+    """exact_sum leaves by the first exit that certifies a sum, and
+    exact_row_sums (both axes) certifies at level 1 for the whole block and
+    hands every other sum to exact_sum: the extractions and fsum calls are
+    counted, and every sum is fsum's, by float.hex."""
 
-    # (extractions, fsum calls) per sum: only a sum the level-1 filter cannot
-    # certify takes the second extraction, and only one neither filter can
-    # certify takes fsum
+    # exact_sum's (extractions, fsum calls) per sum: only a sum the level-1
+    # filter cannot certify takes the second extraction, and only one neither
+    # filter can certify takes fsum
     EXITS = {"one": (1, 0), "two": (2, 0), "fsum": (2, 1)}
 
     @pytest.fixture
@@ -238,22 +240,40 @@ class TestExits:
         del counted["fsum"][:]
         block = rows if axis else np.ascontiguousarray(rows.T)
         assert [v.hex() for v in exact_row_sums(block, axis=axis)] == want
+        # the block's one extraction; then each sum its filter leaves takes
+        # exact_sum's exits on its own line
         extractions, fsums = self.EXITS[kind]
-        assert counted["extract"] == [block.shape] * extractions
+        again = 3 * extractions if kind != "one" else 0
+        assert counted["extract"] == [block.shape] + [(EXIT_TERMS,)] * again
         assert counted["fsum"] == [EXIT_TERMS] * (3 * fsums)
 
     @pytest.mark.parametrize("axis", [1, 0])
     def test_mixed_rows_take_their_own_exits(self, axis, counted):
-        """In one block, the second extraction runs on the two sums the
-        first cannot certify, and fsum on the tie alone."""
+        """In one block, the two sums the block's extraction cannot certify
+        take exact_sum's exits on their own lines (two extractions each),
+        and fsum runs on the tie alone."""
         rows = np.stack([exit_sums(kind, 3) for kind in self.EXITS])
         want = [math.fsum(v).hex() for v in rows.tolist()]
         del counted["fsum"][:]
         block = rows if axis else np.ascontiguousarray(rows.T)
         assert [v.hex() for v in exact_row_sums(block, axis=axis)] == want
-        second = (2, EXIT_TERMS) if axis else (EXIT_TERMS, 2)
-        assert counted["extract"] == [block.shape, second]
-        assert counted["fsum"] == [EXIT_TERMS]
+        assert counted == {"extract": [block.shape] + [(EXIT_TERMS,)] * 4, "fsum": [EXIT_TERMS]}
+
+    @pytest.mark.parametrize("axis", [1, 0])
+    def test_each_uncertified_sum_reaches_exact_sum_once(self, axis, monkeypatch):
+        """Every sum the block's level-1 filter leaves (a cancelling sum, a
+        tie, zeros) reaches exact_sum exactly once, with its own row or
+        column of the block, in order; no certified sum does."""
+        kinds = ["one", "two", "one", "fsum", "zeros", "one"]
+        rows = np.stack([np.zeros(EXIT_TERMS) if kind == "zeros" else exit_sums(kind, i)
+                         for i, kind in enumerate(kinds)])
+        want = [math.fsum(v).hex() for v in rows.tolist()]
+        block = rows if axis else np.ascontiguousarray(rows.T)
+        lines = []
+        monkeypatch.setattr(numerics, "exact_sum", lambda v: lines.append(v) or exact_sum(v))
+        assert [v.hex() for v in exact_row_sums(block, axis=axis)] == want
+        assert [v.tobytes() for v in lines] == [rows[i].tobytes() for i in (1, 3, 4)]
+        assert all(np.shares_memory(v, block) for v in lines)  # the block's own lines
 
     @pytest.mark.parametrize("zeros", [[0.0], [-0.0], [0.0, -0.0]], ids=["+0", "-0", "mixed"])
     def test_zeros_go_to_fsum_at_once(self, zeros, counted):
@@ -309,29 +329,32 @@ class TestExponentBlocks:
         want = [exact_sum(terms(e, k)).hex() for e in self.EXPONENTS]
         assert [v.hex() for v in terms.totals(self.EXPONENTS, k)] == want
         # a scan: its first two exponents in each window take the one-exponent
-        # path, and the rest are read from aligned blocks
+        # path, and the rest are read from aligned blocks; only that path
+        # calls powers (a block's uncertified sums call exact_sum too)
         scan = seeded_terms(runs, 0)
         alone = []
-        monkeypatch.setattr(numerics, "exact_sum", lambda x: alone.append(1) or exact_sum(x))
+        powers = KernelTerms.powers
+        monkeypatch.setattr(KernelTerms, "powers",
+                            lambda self, e: alone.append(1) or powers(self, e))
         assert [scan.total(e, k).hex() for e in self.EXPONENTS] == want
         assert len(alone) == 2 * len(self.WINDOWS)
 
     @pytest.fixture
     def alone(self, monkeypatch):
-        """The count of one-exponent sums (exact_sum calls) and of blocks
-        (totals calls)."""
+        """The count of one-exponent sums (KernelTerms.powers calls, which
+        only that path makes) and of blocks (totals calls)."""
         calls = {"sums": 0, "blocks": 0}
-        totals = KernelTerms.totals
+        powers, totals = KernelTerms.powers, KernelTerms.totals
 
-        def sum_alone(x):
+        def sum_alone(self, e):
             calls["sums"] += 1
-            return exact_sum(x)
+            return powers(self, e)
 
         def block(self, es, k=1):
             calls["blocks"] += 1
             return totals(self, es, k)
 
-        monkeypatch.setattr(numerics, "exact_sum", sum_alone)
+        monkeypatch.setattr(KernelTerms, "powers", sum_alone)
         monkeypatch.setattr(KernelTerms, "totals", block)
         return calls
 

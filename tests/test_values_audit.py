@@ -37,6 +37,8 @@ def test_quick_lines():
     assert "extremal/max/n10/t40/value" in keys
     assert "extremal/oracle/t5/s0.001/value" in keys and "extremal/oracle/t40/s0.001/point" in keys
     assert "numerics/sum/e1021/n512/s0" in keys and "numerics/rows/64x24/axis0/63" in keys
+    assert "constructions/rate_lb/inverse-log/T200/m" in keys
+    assert "constructions/rate_lb/inverse-log/T200/c" in keys
 
 
 def test_compare_with_itself():
