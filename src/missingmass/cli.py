@@ -201,7 +201,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_tau(args) -> int:
     ns = [int(p) for p in args.n.split(",")]
-    rows = [extremal.find_threshold(n, args.t_max).to_json_obj() for n in ns]
+    rows = [extremal.find_threshold(n).to_json_obj() for n in ns]
     _emit(args, rows if len(rows) > 1 else rows[0])
     return EXIT_OK
 
@@ -325,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.set_defaults(handler=_cmd_extremal)
 
-    p = sub.add_parser("tau", help="uniform-to-bivalent threshold scan")
+    p = sub.add_parser("tau", help="uniform-to-bivalent threshold search")
     p.add_argument("--n", required=True, help="support size or comma list")
-    p.add_argument("--t-max", type=int, default=None)
     _common_flags(p)
     p.set_defaults(handler=_cmd_tau)
 

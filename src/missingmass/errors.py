@@ -5,11 +5,11 @@ Every scalar precondition in the package goes through one of two rules:
 sample-count case) and ``require_real`` (a real number inside an interval,
 NaN never passing).  Both reject ``bool`` and never coerce: a value that is
 not already an integer or a real is an ``InvalidInputError``, not a rounded
-number.  require_t and require_real also refuse a number past the float
-range (10**400), which the package's arithmetic would meet as an
-OverflowError.  ``require_reals`` applies require_real's type rule to every
-item of a list of numbers read from a file, so "0.5" or true in one is an
-error too.
+number.  require_t also refuses a sample count past ``MAX_T``, and
+require_real a number past the float range (10**400), which the package's
+arithmetic would meet as an OverflowError.  ``require_reals`` applies
+require_real's type rule to every item of a list of numbers read from a
+file, so "0.5" or true in one is an error too.
 A refused value is quoted by its repr, except an int too long for Python to
 print (past its 4300-digit limit), which is quoted by its sign and bit length.
 Distribution masses are arrays, not scalars; they have their own validator,
@@ -19,6 +19,11 @@ Distribution masses are arrays, not scalars; they have their own validator,
 
 import numbers
 import operator
+
+# The largest sample count t any entry point takes, and the one bound on t:
+# the extremal solver holds t in int64, where t + 1 wraps at 2^63 - 1, and
+# the entry points that skip require_t for a plain int compare against it.
+MAX_T = 2 ** 62
 
 
 class MissingMassError(Exception):
@@ -39,13 +44,14 @@ class ConstructionFailedError(MissingMassError):
 
 
 class ThresholdNotFoundError(MissingMassError):
-    """A threshold scan exhausted its budget without finding the crossing."""
+    """The threshold search saw no win of the bivalent family over the
+    uniform distribution at any t up to its budget t_max."""
 
     def __init__(self, n: int, t_max: int):
         self.n = n
         self.t_max = t_max
         super().__init__(
-            f"no uniform-to-bivalent crossing found for n={n} scanning t up to {t_max}"
+            f"no uniform-to-bivalent crossing found for n={n} searching t up to {t_max}"
         )
 
 
@@ -76,15 +82,12 @@ def require_int(value, name: str, minimum: int) -> int:
 
 
 def require_t(t, minimum: int = 1) -> int:
-    """The sample count case of require_int, for a t that fits in a float
-    (every power takes float(t)); it runs on every kernel call, so a plain
-    int takes the fast path."""
-    if type(t) is not int or t < minimum:
+    """The sample count case of require_int, for a t of at most MAX_T; it
+    runs on every kernel call, so a plain int in range takes the fast path."""
+    if type(t) is not int or t < minimum or t > MAX_T:
         t = require_int(t, "sample count t", minimum)
-    try:
-        float(t)
-    except OverflowError:
-        raise InvalidInputError("sample count t must fit in a float") from None
+        if t > MAX_T:
+            raise InvalidInputError(f"sample count t={_shown(t)} exceeds MAX_T={MAX_T}")
     return t
 
 

@@ -8,15 +8,16 @@ The value of that family is
         = (n-1) x (1-x)^t + (1 - (n-1) x) ((n-1) x)^t,
 
 with x = 1/n recovering the uniform distribution.  Small sample counts are
-won by the uniform; past an integer threshold (strictly above n) a strictly
-interior light mass wins, and its location is pinned inside (1/(t+1), 1/t).
-The threshold is found by one array scan over t, in slices within
-numerics.SLICE_BYTES through slice buffers allocated once per call, so no
-slice allocates or faults in memory of its own.  A grid oracle over the
-3-atom simplex cross-checks the one-variable reduction: it bounds each square
-block of its grid from above and evaluates only the blocks whose bound is not
-below a value it has computed, so it returns the exhaustive sweep's answer,
-bit for bit, from a few percent of its cells.
+won by the uniform; past an integer threshold tau(n) (strictly above n) a
+strictly interior light mass wins, and its location is pinned inside
+(1/(t+1), 1/t).  tau(n) - n is floor(sqrt(2n)) or one more, so the threshold
+is found by a search over the integers that decides the win at
+n + isqrt(2n) and at one neighbour, and bisects only if those two do not
+bracket it.  A grid oracle over the 3-atom simplex cross-checks the
+one-variable reduction: it bounds each square block of its grid from above
+and evaluates only the blocks whose bound is not below a value it has
+computed, so it returns the exhaustive sweep's answer, bit for bit, from a
+few percent of its cells.
 """
 
 from __future__ import annotations
@@ -27,17 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProbVector
-from .errors import (InvalidInputError, MissingMassError, ThresholdNotFoundError, require_int,
-                     require_real, require_t)
+from .errors import InvalidInputError, ThresholdNotFoundError, require_int, require_real, require_t
 from .numerics import pow_one_minus, pow_unit, rows_per_slice
 
 # Cells per sign scan of the derivative when locating the interior maximum.
 CRITICAL_SCAN_POINTS = 64
 _SCAN = np.arange(CRITICAL_SCAN_POINTS + 1) / CRITICAL_SCAN_POINTS
-# The most values of t one threshold scan takes (1.3-3 us each on 2 vCPUs, so
-# about 7 s at the cap); the default budget n + 10 sqrt(n) fits under it for
-# every n up to 1.7e11.
-MAX_SCAN = 1 << 22
+# The largest support size find_threshold takes: the largest n whose tau(n)
+# has been checked against mpmath at 60 digits.  The win margins near tau
+# shrink with n to a few ulps at 10^10, and at n = 10^11 the float decision
+# puts tau two below mpmath's.
+MAX_THRESHOLD_N = 10 ** 10
 # The simplex grid oracle: square blocks of ORACLE_BLOCK x ORACLE_BLOCK
 # cells, each evaluated only if its bound is not below a value already
 # computed; the bound's relative and absolute margins; and the most grid
@@ -75,19 +76,12 @@ def _value(n: int, t, x):
     return u * pow_one_minus(x, t) + (1.0 - u) * pow_unit(u, t)
 
 
-def _prime(n: int, t, x, work=None):
-    """bivalent_missing_mass_prime elementwise over arrays of t and x, unchecked.
-
-    work, if given, is three float arrays of the result's shape, which hold
-    every intermediate; the derivative is returned in the second.
-    """
-    a, b, c = (None, None, None) if work is None else work
-    u = np.multiply(n - 1, x, out=a)
-    light_part = np.multiply(pow_one_minus(x, t - 1, out=b),
-                             np.subtract(1.0, np.multiply(t + 1, x, out=c), out=c), out=b)
-    heavy_part = np.multiply(pow_unit(u, t - 1, out=c),
-                             np.subtract(t, np.multiply(t + 1, u, out=a), out=a), out=c)
-    return np.multiply(n - 1, np.add(light_part, heavy_part, out=b), out=b)
+def _prime(n: int, t, x):
+    """bivalent_missing_mass_prime elementwise over arrays of t and x, unchecked."""
+    u = (n - 1) * x
+    light_part = pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x)
+    heavy_part = pow_unit(u, t - 1) * (t - (t + 1) * u)
+    return (n - 1) * (light_part + heavy_part)
 
 
 def _prime_second(n: int, t, x):
@@ -131,7 +125,8 @@ class ExtremalSolution:
 @dataclass(frozen=True)
 class ThresholdResult:
     """First sample count at which an interior light mass strictly beats
-    the uniform distribution, with the win margin at that point."""
+    the uniform distribution, with the win margin at that point, and the
+    range of t searched for it, (n + 1, the search budget)."""
 
     n: int
     tau: int
@@ -142,11 +137,9 @@ class ThresholdResult:
         return {"n": self.n, "tau": self.tau, "margin_at_tau": self.margin_at_tau}
 
 
-def _solve(n: int, t: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _solve(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best interior light mass and its value for each sample count in t
     (all > n); the family beats the uniform wherever value > (1 - 1/n)^t.
-    work, if given, is a (4, len(t), len(_SCAN)) float array for the
-    derivative samples, which a caller solving many slices allocates once.
 
     Interior local maxima can only live below 2/(t+1) (the derivative of the
     kernel decreases there and increases beyond).  One scan samples the
@@ -168,17 +161,14 @@ def _solve(n: int, t: np.ndarray, work: np.ndarray | None = None) -> tuple[np.nd
     on the other t solved with it.  The peak stays a candidate: it wins where
     its value is strictly larger.
     """
-    if work is None:
-        work = np.empty((4, len(t), len(_SCAN)))
     lo = 1.0 / (t + 1)
     peak = np.nextafter(lo, 1.0)
     end = np.minimum(lo + lo, (1.0 - 1e-9) / n)
     # a cell within a factor 2 of 1/(t+1) has an exact width, so the samples
     # stay inside it; the first one is the peak
-    x = np.multiply((end - lo)[:, None], _SCAN, out=work[0])
-    x += lo[:, None]
+    x = lo[:, None] + (end - lo)[:, None] * _SCAN
     x[:, 0] = peak
-    rising = _prime(n, t[:, None], x, work[1:]) > 0.0
+    rising = _prime(n, t[:, None], x) > 0.0
     turn = rising[:, :-1] & ~rising[:, 1:]
     i = np.argmax(turn, axis=1)
     live = np.flatnonzero(turn[np.arange(len(t)), i] & (end > lo))
@@ -232,42 +222,40 @@ def maximize_missing_mass(n: int, t: int) -> ExtremalSolution:
     return ExtremalSolution(n=n, t=t, x_star=1.0 / n, heavy=1.0 / n, value=uval, is_uniform=True)
 
 
-def find_threshold(n: int, t_max: int | None = None) -> ThresholdResult:
-    """Scan t = n+1, n+2, ... for the first strict win of an interior light
-    mass over the uniform distribution, verifying the win persists through
-    the rest of the scan.  The scan is solved in slices of t whose
-    derivative samples (len(_SCAN) floats per t) fit in SLICE_BYTES, and
-    their workspace is allocated once per call, so its memory does not grow
-    with n and no slice allocates a buffer of that size.  A scan of more
-    than MAX_SCAN values of t is refused before it starts.
+def find_threshold(n: int) -> ThresholdResult:
+    """The first t at which an interior light mass strictly beats the
+    uniform distribution, for 2 <= n <= MAX_THRESHOLD_N.
+
+    A search over the integers with the invariant "lo loses, hi wins",
+    from lo = n (t <= n is the certified uniform case) and hi = budget + 1
+    (no win seen yet), budget = n + max(10, ceil(10 sqrt(n))).  Each probe
+    solves the family at one t and compares its value with (1 - 1/n)^t.
+    The first probe is t0 = n + isqrt(2n), the second its neighbour (t0 - 1
+    after a win, t0 + 1 after a loss), and every later one the midpoint.
+    tau(n) - n is floor(sqrt(2n)) or one more for every n checked, so two
+    probes decide it, and bisection keeps the answer right where they do
+    not.  That the win persists past tau is the family's behaviour, which
+    the tests check against a scan of every t up to the budget.
     """
     n = _require(n)[0]
+    if n > MAX_THRESHOLD_N:
+        raise InvalidInputError(f"support size n={n} exceeds MAX_THRESHOLD_N={MAX_THRESHOLD_N}")
     budget = n + max(10, math.ceil(10.0 * math.sqrt(n)))
-    t_max = budget if t_max is None else require_int(t_max, f"t_max for n={n}", budget)
-    if t_max - n > MAX_SCAN:
-        raise InvalidInputError(
-            f"threshold scan of {t_max - n} values of t (n={n}, t_max={t_max}) "
-            f"exceeds MAX_SCAN={MAX_SCAN}")
-    step = rows_per_slice(8 * len(_SCAN))
-    work = np.empty((4, min(step, t_max - n), len(_SCAN)))
-    tau, margin = None, None
-    for start in range(n + 1, t_max + 1, step):
-        t = np.arange(start, min(start + step, t_max + 1))
-        _, values = _solve(n, t, work[:, :len(t)])
-        uval = pow_one_minus(1.0 / n, t)
-        win = values > uval
-        if tau is None and win.any():
-            i = int(np.argmax(win))
-            tau, margin = int(t[i]), float(values[i] - uval[i])
-            t, win = t[i:], win[i:]
-        if tau is not None and not win.all():
-            raise MissingMassError(
-                f"win indicator not monotone: n={n} wins at t={tau} "
-                f"but loses at t={int(t[np.argmin(win)])}"
-            )
-    if tau is None:
-        raise ThresholdNotFoundError(n, t_max)
-    return ThresholdResult(n=n, tau=tau, margin_at_tau=margin, scan_range=(n + 1, t_max))
+    lo, hi, margin = n, budget + 1, None
+    t, first = n + math.isqrt(2 * n), True
+    while hi - lo > 1:
+        ts = np.array([t])
+        [value], [uval] = _solve(n, ts)[1], pow_one_minus(1.0 / n, ts)
+        win = value > uval
+        if win:
+            hi, margin = t, float(value - uval)
+        else:
+            lo = t
+        t = (t - 1 if win else t + 1) if first else (lo + hi) // 2
+        first = False
+    if hi > budget:
+        raise ThresholdNotFoundError(n, budget)
+    return ThresholdResult(n=n, tau=hi, margin_at_tau=margin, scan_range=(n + 1, budget))
 
 
 def _axis_blocks(p: np.ndarray, t: int):

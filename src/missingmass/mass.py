@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BlockVector, CountableFamily, ProbVector, Truncation, truncate
-from .errors import InvalidInputError, require_int, require_real, require_t
+from .errors import MAX_T, InvalidInputError, require_int, require_real, require_t
 from .numerics import exact_sum, pow_one_minus
 
 # The constant c of the countable-support bound ell/(c*t).  The bound holds for
@@ -56,7 +56,8 @@ DEFAULT_TOL = 1e-12
 
 
 # The finite distribution types; the scalar closed forms check an exact type
-# and an exact int t inline, and send anything else through the full checks.
+# and an exact int t in [1, MAX_T] inline, and send anything else through the
+# full checks.
 _FINITE = (ProbVector, BlockVector)
 
 
@@ -70,7 +71,7 @@ def _require_distribution(d) -> None:
 
 def expected_missing_mass(d: ProbVector | BlockVector, t: int) -> float:
     """Exact E[U_t] = sum_i p_i (1 - p_i)^t."""
-    if type(t) is not int or t < 1 or type(d) not in _FINITE:
+    if type(t) is not int or t < 1 or t > MAX_T or type(d) not in _FINITE:
         _require_distribution(d)
         t = require_t(t)
     return d.kernel_terms.total(t)
@@ -123,16 +124,12 @@ def bound_finite(n: int, t: int) -> float:
     exp(-t/n) while t <= n, then n/(e t).  Neither needs a clamp to 1:
     exp(-t/n) <= 1 for t >= 1, and n/(e t) < 1/e for t > n.
     """
-    if type(n) is not int or type(t) is not int or n < 1 or t < 1:
+    if type(n) is not int or type(t) is not int or n < 1 or t < 1 or t > MAX_T:
         n = require_int(n, "support size n", 1)
         t = require_t(t)
     if t <= n:
         return math.exp(-t / n)
-    try:
-        return n / (math.e * t)
-    except OverflowError:  # t past the float range, which the fast path lets in
-        require_t(t)
-        raise
+    return n / (math.e * t)
 
 
 def bound_countable(ell: int, t: int) -> float:
@@ -170,7 +167,7 @@ def dyadic_bands(d: ProbVector | BlockVector, t: int) -> list[tuple[int, int, fl
 
 def gt_expected_estimate(d: ProbVector | BlockVector, t: int) -> float:
     """Exact expectation of the Good-Turing estimate: sum_i p_i (1 - p_i)^(t-1)."""
-    if type(t) is not int or t < 1 or type(d) not in _FINITE:
+    if type(t) is not int or t < 1 or t > MAX_T or type(d) not in _FINITE:
         _require_distribution(d)
         t = require_t(t)
     return d.kernel_terms.total(t - 1)
@@ -189,7 +186,7 @@ def gt_bias(d: ProbVector | BlockVector, t: int) -> float:
     taking the sum directly, exactly rounded, avoids that subtraction, which
     cancels (to 1e-9 relative on uniform(2^40) at t = 1000).
     """
-    if type(t) is not int or t < 1 or type(d) not in _FINITE:
+    if type(t) is not int or t < 1 or t > MAX_T or type(d) not in _FINITE:
         _require_distribution(d)
         t = require_t(t)
     return d.kernel_terms.total(t - 1, 2)

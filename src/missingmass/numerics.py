@@ -134,7 +134,6 @@ import math
 
 import numpy as np
 
-from .errors import require_t
 
 # Every power takes log space from this exponent on, and one of the direct
 # powers (compensated for (1-p)^t, within about 1 ulp) below it; see the
@@ -325,7 +324,6 @@ class KernelTerms:
         start, stop, sums = self._kept[k]
         if start <= e < stop:  # a step of a scan, inside its block
             return sums[e - start]
-        require_t(e, 0)  # e past the float range; mass's fast paths skip the rule
         seen = self._seen
         last, before = seen[k]
         seen[k] = e, last

@@ -441,7 +441,7 @@ class TestOptions:
         "emm": "a dist family format n out ratio t t_grid tol",
         "bounds": "a dist family format n out ratio t t_grid tol",
         "extremal": "format n out t",
-        "tau": "format n out t_max",
+        "tau": "format n out",
         "construct": "a format kind n out r_file t t_max target",
         "gt": "dist family format n out t",
         "simulate": "cloud dist eps family format mode n out replicates seed t",
@@ -455,10 +455,11 @@ class TestOptions:
         got = {name: sorted(a.dest for a in p._actions if not isinstance(a, argparse._HelpAction))
                for name, p in sub.choices.items()}
         assert got == {name: dests.split() for name, dests in self.DESTS.items()}
-        assert sum(len(dests) for dests in got.values()) == 64
+        assert sum(len(dests) for dests in got.values()) == 63
 
     @pytest.mark.parametrize("argv,message", [
         (["tau", "--n", "3", "--seed", "1"], "unrecognized arguments"),
+        (["tau", "--n", "10", "--t-max", "60"], "unrecognized arguments"),
         (["emm", "--family", "uniform", "--n", "3", "--t", "1", "--seed", "1"],
          "unrecognized arguments"),
         (["construct", "--kind", "tight-countable", "--a", "3", "--tol", "1e-9"],
@@ -467,7 +468,7 @@ class TestOptions:
         (["gt", "--family", "geometric", "--t", "3"], "invalid choice: 'geometric'"),
         (["simulate", "--mode", "bias", "--family", "uniform", "--n", "3", "--t", "3",
           "--ratio", "0.3"], "unrecognized arguments"),
-    ], ids=["tau-seed", "emm-seed", "construct-tol", "bounds-c", "gt-geometric", "simulate-ratio"])
+    ], ids=["tau-seed", "tau-t-max", "emm-seed", "construct-tol", "bounds-c", "gt-geometric", "simulate-ratio"])
     def test_removed_flag_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -571,9 +572,8 @@ class TestCaps:
          "mml construct: horizon t_max=100000000 exceeds MAX_HORIZON=1048576"),
         ("construct --kind rate-lb --target geometric --t-max 1048577",
          "mml construct: horizon t_max=1048577 exceeds MAX_HORIZON=1048576"),
-        ("tau --n 10 --t-max 1000000000000",
-         "mml tau: threshold scan of 999999999990 values of t (n=10, t_max=1000000000000) "
-         "exceeds MAX_SCAN=4194304"),
+        ("tau --n 100000000000",
+         "mml tau: support size n=100000000000 exceeds MAX_THRESHOLD_N=10000000000"),
         ("oracle --t 5 --grid-step 1e-9",
          "mml oracle: grid step 1e-09 gives more than MAX_GRID_POINTS=100001 points per axis"),
         # strict JSON (RFC 8259) has no Infinity, so a report holding one is refused

@@ -23,7 +23,7 @@ from missingmass import (
 )
 from missingmass import constructions, cover, distributions, extremal, mass
 from missingmass.cli import main
-from missingmass.errors import require_int, require_real, require_reals
+from missingmass.errors import MAX_T, require_int, require_real, require_reals
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
@@ -97,6 +97,7 @@ T_ENTRIES = {
     "missing_mass_curve": lambda t: mass.missing_mass_curve(ProbVector.uniform(10), [1, t]),
     "dyadic_bands": lambda t: mass.dyadic_bands(ProbVector.uniform(10), t),
     "bound_finite": lambda t: bound_finite(10, t),
+    "bound_finite-n-above-t": lambda t: bound_finite(10 ** 401, t),
     "bound_countable": lambda t: mass.bound_countable(3, t),
     "kernel": lambda t: mass.kernel(0.5, t),
     "kernel_prime": lambda t: mass.kernel_prime(0.5, t),
@@ -110,10 +111,12 @@ T_ENTRIES = {
 
 @pytest.mark.parametrize("entry", sorted(T_ENTRIES))
 def test_sample_count_past_the_float_range_is_refused(entry):
-    # the powers and bounds take float(t), which overflows past the float range
-    with pytest.raises(InvalidInputError, match="^sample count t must fit in a float"):
-        T_ENTRIES[entry](10 ** 400)
-    T_ENTRIES[entry](10 ** 18)  # far below it, t is taken
+    # one bound on t for every entry point, far below the float range (where
+    # float(t) overflows) and below the int64 wrap of t + 1 (at 2^63 - 1)
+    for t in (10 ** 400, 2 ** 1024 - 2 ** 970, 2 ** 63 - 1, MAX_T + 1):
+        with pytest.raises(InvalidInputError, match=rf"^sample count t=\d+ exceeds MAX_T={MAX_T}$"):
+            T_ENTRIES[entry](t)
+    T_ENTRIES[entry](10 ** 18)  # below it, t is taken
 
 
 @pytest.mark.parametrize("argv", [
@@ -130,10 +133,11 @@ def test_sample_count_past_the_float_range_is_refused(entry):
 def test_sample_count_past_the_float_range_exits_2(argv, tmp_path, capsys):
     cloud = tmp_path / "cloud.json"
     cloud.write_text('{"masses": [0.5, 0.5], "points": [[0.0], [1.0]]}')
-    args = argv.replace("CLOUD", str(cloud)).replace("T", str(10 ** 400)).split()
-    assert main(args) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "sample count t must fit in a float" in err
+    for t in (10 ** 400, 10 ** 300):  # past the float range, and inside it past MAX_T
+        args = argv.replace("CLOUD", str(cloud)).replace("T", str(t)).split()
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"exceeds MAX_T={MAX_T}" in err
 
 
 HUGE = -10 ** 5000

@@ -11,7 +11,6 @@ import pytest
 
 from missingmass import (
     InvalidInputError,
-    MissingMassError,
     ProbVector,
     ThresholdNotFoundError,
     bivalent_missing_mass,
@@ -95,20 +94,6 @@ class TestBivalentPrime:
         scale = np.abs(second * x).max()
         assert prime == pytest.approx(_prime(n, t_arr, x), rel=1e-12, abs=1e-12 * scale)
 
-    @pytest.mark.parametrize("ts", [[3, 10, 40], [65, 66, 1000], [3, 63, 64, 65, 10 ** 6]],
-                             ids=["below", "above", "mixed"])
-    def test_work_buffers_change_no_bit(self, ts):
-        """_prime in its work buffers, as the threshold scan calls it, returns
-        the second buffer holding the bits of _prime without them, with the
-        powers' exponents t - 1 below the switch, above it and on both sides."""
-        n = 50
-        x = np.random.default_rng(len(ts)).random((len(ts), 65)) / n
-        t = np.array(ts)[:, None]
-        work = np.full((3, *x.shape), np.nan)
-        got = _prime(n, t, x, work)
-        assert np.shares_memory(got, work[1])
-        assert got.tobytes() == _prime(n, t, x).tobytes()
-
 
 class TestMaximize:
     def test_uniform_regime(self):
@@ -161,13 +146,13 @@ class TestMaximize:
             assert abs(bivalent_missing_mass_prime(n, t, sol.x_star)) <= 1e-10 * scale
 
 
-def _mp_interior_maximum(n: int, t: int):
+def _mp_interior_maximum(n: int, t: int, dps: int = 50):
     """The first root of the derivative inside (1/(t+1), min(2/(t+1), 1/n))
-    at 50 digits, with the family value and the second derivative there, or
+    at dps digits, with the family value and the second derivative there, or
     None when the derivative stays positive (the uniform point wins)."""
     import mpmath
 
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         def terms(x):
             u = (n - 1) * x
             return u, (1 - x) ** (t - 2), u ** (t - 2)
@@ -252,7 +237,8 @@ class TestThreshold:
         assert find_threshold(n).tau == tau
 
     def test_memory_flat_at_a_million_atoms(self):
-        # one unsliced solve over the 10^4 scanned t would peak near 35 MB
+        # each probe solves one t; a solve of the 10^4 t up to the budget
+        # would peak near 35 MB
         tracemalloc.start()
         try:
             res = find_threshold(10 ** 6)
@@ -262,62 +248,99 @@ class TestThreshold:
         assert peak < 16 * 2 ** 20
         assert res.tau == 1001414
 
-    def test_scan_budget_validation(self):
-        with pytest.raises(InvalidInputError):
-            find_threshold(100, t_max=120)
-
     def test_not_found_error_carries_evidence(self):
-        # the mandated scan budget always covers the crossing, so the error
-        # is defensive; it must still carry the scan evidence when raised
+        # the budget always covers the crossing, so the error is defensive;
+        # it must still carry the search's evidence when raised
         err = ThresholdNotFoundError(7, 99)
         assert err.n == 7 and err.t_max == 99
         assert "n=7" in str(err)
 
     def test_scan_without_a_win_raises(self, monkeypatch):
-        # a solver whose best value never beats the uniform one
-        monkeypatch.setattr(extremal, "_solve", lambda n, t, work: (t * 0.0, t * 0.0))
-        with pytest.raises(ThresholdNotFoundError, match="n=10 scanning t up to 60") as exc:
-            find_threshold(10, t_max=60)
-        assert exc.value.n == 10 and exc.value.t_max == 60
+        # a solver whose best value never beats the uniform one: the search
+        # climbs to the budget, n + 32 at n = 10
+        monkeypatch.setattr(extremal, "_solve", lambda n, t: (t * 0.0, t * 0.0))
+        with pytest.raises(ThresholdNotFoundError, match="^no uniform-to-bivalent crossing "
+                                                         "found for n=10 searching t up to 42$") as exc:
+            find_threshold(10)
+        assert exc.value.n == 10 and exc.value.t_max == 42
 
-    @pytest.mark.parametrize("rows", [None, 7], ids=["one-slice", "slices-of-7"])
-    def test_loss_after_a_win_raises(self, monkeypatch, rows):
-        # wins from t = 20 on, except at t = 30
-        def solve(n, t, work):
-            return t * 0.0, np.where((t >= 20) & (t != 30), 1.0, 0.0)
+    def test_two_probes(self, monkeypatch):
+        """tau(n) is n + isqrt(2n) or one more for every n up to 3000, so
+        the search solves the family at two t."""
+        calls = []
+
+        def counting(n, t):
+            calls.append(int(t[0]))
+            return _solve(n, t)
+
+        monkeypatch.setattr(extremal, "_solve", counting)
+        for n in range(2, 3001):
+            calls.clear()
+            res = find_threshold(n)
+            t0 = n + math.isqrt(2 * n)
+            assert len(calls) == 2 and calls[0] == t0 and res.tau in (t0, t0 + 1), (n, calls)
+
+    def test_bisection_when_the_probes_miss(self, monkeypatch):
+        # wins from t = 20 on, far from the first probe n + isqrt(2n) = 14
+        calls = []
+
+        def solve(n, t):
+            calls.append(int(t[0]))
+            return t * 0.0, np.where(t >= 20, 1.0, 0.0)
 
         monkeypatch.setattr(extremal, "_solve", solve)
-        if rows is not None:
-            monkeypatch.setattr(extremal, "rows_per_slice", lambda row_bytes: rows)
-        with pytest.raises(MissingMassError, match="win indicator not monotone: "
-                                                   "n=10 wins at t=20 but loses at t=30"):
-            find_threshold(10, t_max=60)
+        res = find_threshold(10)
+        budget = res.scan_range[1]
+        assert res.tau == 20 and res.margin_at_tau == 1.0 - 0.9 ** 20
+        assert calls[:2] == [14, 15] and 20 in calls and 19 in calls
+        assert len(calls) <= 2 + math.ceil(math.log2(budget - 10)), calls
+
+    def test_matches_a_scan_of_the_budget(self):
+        """A scan of every t up to the budget in one vectorised solve: the win
+        indicator is monotone (a loss up to tau, a win from it on), and the
+        search returns the scan's tau and margin, bit for bit."""
+        for n in range(2, 301):
+            res = find_threshold(n)
+            ts = np.arange(n + 1, res.scan_range[1] + 1)
+            _, values = _solve(n, ts)
+            uval = pow_one_minus(1.0 / n, ts)
+            win = values > uval
+            i = int(np.argmax(win))
+            assert win[i:].all() and not win[:i].any(), n
+            assert res.tau == ts[i], n
+            assert res.margin_at_tau.hex() == float(values[i] - uval[i]).hex(), n
+
+    @pytest.mark.parametrize("n", [10 ** 8, 10 ** 9, 10 ** 10])
+    def test_decisions_match_mpmath(self, n):
+        """At 60 digits the family's interior maximum loses to the uniform
+        value at tau - 1 and beats it at tau; the margins there are a few
+        thousand ulps of the uniform value at 10^8 and a few at 10^10."""
+        import mpmath
+
+        tau = find_threshold(n).tau
+        for t, wins in ((tau - 1, False), (tau, True)):
+            best = _mp_interior_maximum(n, t, dps=60)
+            with mpmath.workdps(60):
+                uniform = (1 - mpmath.mpf(1) / n) ** t
+                assert (best is not None and best[1] > uniform) == wins, (n, t)
 
     def test_scan_cap(self, monkeypatch):
-        # refused before the workspace is allocated or a slice is solved
-        over = extremal.MAX_SCAN + 1
-        with pytest.raises(InvalidInputError, match=(
-                rf"^threshold scan of {over} values of t \(n=10, t_max={10 + over}\) "
-                rf"exceeds MAX_SCAN={extremal.MAX_SCAN}$")):
-            find_threshold(10, t_max=10 + over)
-        with pytest.raises(InvalidInputError, match="MAX_SCAN"):
-            find_threshold(2 * 10 ** 11)  # the default budget: 4.47e6 values of t
-
+        # the threshold search's cap is on n: MAX_THRESHOLD_N, the largest n
+        # whose tau has been checked against mpmath; past it, n is refused
+        # before anything is solved
         class Reached(Exception):
             pass
 
-        def solve(n, t, work):
+        def solve(n, t):
             raise Reached
 
-        # the default budget of n = 1.7e11 (4.12e6 values of t) is under the cap
         monkeypatch.setattr(extremal, "_solve", solve)
+        over = extremal.MAX_THRESHOLD_N + 1
+        with pytest.raises(InvalidInputError, match=(
+                rf"^support size n={over} exceeds MAX_THRESHOLD_N={extremal.MAX_THRESHOLD_N}$")):
+            find_threshold(over)
         with pytest.raises(Reached):
-            find_threshold(17 * 10 ** 10)
-        monkeypatch.undo()
-        monkeypatch.setattr(extremal, "MAX_SCAN", 50)
-        assert find_threshold(10, t_max=60).tau == 15
-        with pytest.raises(InvalidInputError, match="^threshold scan of 51 values of t"):
-            find_threshold(10, t_max=61)
+            find_threshold(extremal.MAX_THRESHOLD_N)
 
     def test_wins_monotone_past_tau(self):
         """maximize_missing_mass agrees with the scan at every scanned t: its
@@ -515,10 +538,10 @@ class TestSimplexOracle:
 
 def _minor_faults(call: str) -> int:
     """Minor page faults of one call in a fresh interpreter, after one small
-    call of each solver; a fresh allocator maps every buffer of SLICE_BYTES
-    anew, so a buffer allocated per slice shows up as its pages per slice."""
+    call of the oracle; a fresh allocator maps every buffer of SLICE_BYTES
+    anew, so a buffer allocated per batch shows up as its pages per batch."""
     code = ("import resource; import missingmass as mm\n"
-            "mm.find_threshold(10); mm.simplex_grid_oracle(2, 1e-2)\n"
+            "mm.simplex_grid_oracle(2, 1e-2)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             f"{call}\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
@@ -531,15 +554,8 @@ def _minor_faults(call: str) -> int:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
 class TestSliceBuffers:
-    """The sliced solvers allocate their slice buffers once per call, so
-    their page faults do not grow with the number of slices."""
-
-    def test_threshold_scan(self):
-        # 10 slices of t against 1 (about 8 000 faults against 900 when each
-        # slice allocated its own derivative samples)
-        many = _minor_faults("mm.find_threshold(10 ** 6)")
-        one = _minor_faults("mm.find_threshold(10 ** 4)")
-        assert many <= 1.5 * one + 256, (many, one)
+    """The oracle allocates its batch buffers once per call, so its page
+    faults do not grow with the number of batches."""
 
     def test_oracle(self):
         # three float batch buffers and one bool, each within SLICE_BYTES
