@@ -60,9 +60,8 @@ the power policy, ``pow_unit``'s included:
   and 1e-2;
 - ``pow_one_minus`` and ``pow_unit`` on seeded bases (down to 1e-300, near
   1, and 0, 2^-54, 1/2 and 1) at exponents 0..130, 10^6 and 10^9, each
-  given as a scalar (to the bases as an array, with and without ``out=``,
-  and to each base alone), and as a column of exponents below the switch,
-  above it and on both sides, with and without ``out=``.
+  given as a scalar (to the bases as an array and to each base alone), and
+  as a column of exponents below the switch, above it and on both sides.
 
 The numerics section (keys ``numerics/...``), the sums behind every value
 above:
@@ -392,11 +391,9 @@ def extremal_section(mm, quick: bool):
         for t in below + above:
             yield f"{key}/scalar/t{t}", f(bases, t)
             yield f"{key}/each/t{t}", np.array([float(f(b, t)) for b in bases.tolist()])
-            yield f"{key}/out/t{t}", f(bases, t, out=np.empty(bases.size))
         for side, ts in (("below", below), ("above", above), ("mixed", below + above)):
             col = np.array(ts)[:, None]
             yield f"{key}/{side}", f(bases, col)
-            yield f"{key}/{side}/out", f(bases, col, out=np.empty((col.size, bases.size)))
 
 
 def constructions_section(mm, quick: bool):

@@ -10,10 +10,13 @@ The value of that family is
 with x = 1/n recovering the uniform distribution.  Small sample counts are
 won by the uniform; past an integer threshold tau(n) (strictly above n) a
 strictly interior light mass wins, and its location is pinned inside
-(1/(t+1), 1/t).  tau(n) - n is floor(sqrt(2n)) or one more, so the threshold
-is found by a search over the integers that decides the win at
-n + isqrt(2n) and at one neighbour, and bisects only if those two do not
-bracket it.  A grid oracle over the 3-atom simplex cross-checks the
+(1/(t+1), 1/t).  The solver works on one t at a time: one array pass of
+the derivative over 65 points picks the cell of the maximum, and
+safeguarded Newton steps on scalars refine it, every power through the
+numpy routines of numerics.  tau(n) - n is floor(sqrt(2n)) or one more, so
+the threshold is found by a search over the integers that decides the win
+at n + isqrt(2n) and at one neighbour, and bisects only if those two do
+not bracket it.  A grid oracle over the 3-atom simplex cross-checks the
 one-variable reduction: it bounds each square block of its grid from above
 and evaluates only the blocks whose bound is not below a value it has
 computed, so it returns the exhaustive sweep's answer, bit for bit, from a
@@ -71,13 +74,13 @@ def bivalent_missing_mass_prime(n: int, t: int, x: float) -> float:
 
 
 def _value(n: int, t, x):
-    """bivalent_missing_mass elementwise over arrays of t and x, unchecked."""
+    """bivalent_missing_mass elementwise over t and x (scalars or arrays), unchecked."""
     u = (n - 1) * x
     return u * pow_one_minus(x, t) + (1.0 - u) * pow_unit(u, t)
 
 
 def _prime(n: int, t, x):
-    """bivalent_missing_mass_prime elementwise over arrays of t and x, unchecked."""
+    """bivalent_missing_mass_prime elementwise over t and x (scalars or arrays), unchecked."""
     u = (n - 1) * x
     light_part = pow_one_minus(x, t - 1) * (1.0 - (t + 1) * x)
     heavy_part = pow_unit(u, t - 1) * (t - (t + 1) * u)
@@ -86,8 +89,8 @@ def _prime(n: int, t, x):
 
 def _prime_second(n: int, t, x):
     """The first and second derivatives of bivalent_missing_mass elementwise
-    over arrays of t and x, unchecked; the powers (1-x)^(t-2) and u^(t-2)
-    are taken once and multiplied up."""
+    over t and x (scalars or arrays), unchecked; the powers (1-x)^(t-2) and
+    u^(t-2) are taken once and multiplied up."""
     u, e = (n - 1) * x, t - 2
     light, heavy = pow_one_minus(x, e), pow_unit(u, e)
     prime = (n - 1) * (light * (1.0 - x) * (1.0 - (t + 1) * x)
@@ -137,88 +140,77 @@ class ThresholdResult:
         return {"n": self.n, "tau": self.tau, "margin_at_tau": self.margin_at_tau}
 
 
-def _solve(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best interior light mass and its value for each sample count in t
-    (all > n); the family beats the uniform wherever value > (1 - 1/n)^t.
+def _solve(n: int, t: int) -> tuple[float, float]:
+    """Best interior light mass and its value for one sample count t > n;
+    the family beats the uniform where the value is > (1 - 1/n)^t.
 
     Interior local maxima can only live below 2/(t+1) (the derivative of the
-    kernel decreases there and increases beyond).  One scan samples the
-    derivative at CRITICAL_SCAN_POINTS + 1 points across (1/(t+1),
+    kernel decreases there and increases beyond).  One array pass samples
+    the derivative at CRITICAL_SCAN_POINTS + 1 points across (1/(t+1),
     min(2/(t+1), 1/n)), the first of them the kernel peak (the first float
     past 1/(t+1)), and keeps the first cell where it turns from > 0 to <= 0:
     f rises up to that root, and a later root is a local minimum.  The right
     end stays a hair below 1/n, where the uniform point is a critical point
-    by construction and float noise would make spurious roots.  A row without
-    such a cell takes the peak; for extreme t that is most rows, since their
+    by construction and float noise would make spurious roots.  Without such
+    a cell the answer is the peak; for extreme t it mostly is, since the
     sign change sits within one float spacing of it.
 
-    Every other row then takes safeguarded Newton steps on the derivative
-    from its cell's left end ("rtsafe", Numerical Recipes 9.4), with the
-    second derivative in closed form.  Each step moves the end of the bracket
-    on its side of the sign change; a step that would leave the bracket or
-    not halve the previous step is replaced by bisection.  A row is frozen
-    once its step is within four float spacings, so its answer never depends
-    on the other t solved with it.  The peak stays a candidate: it wins where
-    its value is strictly larger.
+    Otherwise safeguarded Newton steps on the derivative run from the cell's
+    left end ("rtsafe", Numerical Recipes 9.4), on scalars, with the second
+    derivative in closed form and every power through the numpy ufuncs of
+    pow_one_minus and pow_unit, as for the scan.  Each step moves the end of
+    the bracket on its side of the sign change; a step that would leave the
+    bracket or not halve the previous step is replaced by bisection.  The
+    steps stop once one is within four float spacings.  The peak stays a
+    candidate: it wins where its value is strictly larger.
     """
     lo = 1.0 / (t + 1)
-    peak = np.nextafter(lo, 1.0)
-    end = np.minimum(lo + lo, (1.0 - 1e-9) / n)
+    peak = math.nextafter(lo, 1.0)
+    end = min(lo + lo, (1.0 - 1e-9) / n)
     # a cell within a factor 2 of 1/(t+1) has an exact width, so the samples
     # stay inside it; the first one is the peak
-    x = lo[:, None] + (end - lo)[:, None] * _SCAN
-    x[:, 0] = peak
-    rising = _prime(n, t[:, None], x) > 0.0
-    turn = rising[:, :-1] & ~rising[:, 1:]
-    i = np.argmax(turn, axis=1)
-    live = np.flatnonzero(turn[np.arange(len(t)), i] & (end > lo))
-    i = i[live]
-    root = peak.copy()
-    xk, b, tl = x[live, i], x[live, i + 1], t[live]
-    a, step = xk, np.inf
-    while live.size:
-        fp, fpp = _prime_second(n, tl, xk)
-        up = fp > 0.0
-        a, b = np.where(up, xk, a), np.where(up, b, xk)
-        dx = fp / fpp
-        nxt = xk - dx
-        tol = 4.0 * np.spacing(xk)
-        # Newton when it stays inside the bracket and halves the last step, or
-        # moves less than the tolerance; bisection otherwise
-        bisect = ~(((a < nxt) & (nxt < b) & (np.abs(dx + dx) < np.abs(step)))
-                   | (np.abs(dx) <= tol))
-        if bisect.any():
-            mid = 0.5 * (a + b)
-            nxt, dx = np.where(bisect, mid, nxt), np.where(bisect, xk - mid, dx)
-        done = np.abs(dx) <= tol
-        if done.any():
-            root[live[done]] = np.maximum(nxt[done], peak[live[done]])
-            if done.all():
+    x = lo + (end - lo) * _SCAN
+    x[0] = peak
+    rising = _prime(n, t, x) > 0.0
+    turn = np.flatnonzero(rising[:-1] & ~rising[1:])
+    root = peak
+    if turn.size and end > lo:
+        a, b = x[turn[0]:turn[0] + 2].tolist()
+        xk, step = a, math.inf
+        while True:
+            fp, fpp = _prime_second(n, t, xk)
+            a, b = (xk, b) if fp > 0.0 else (a, xk)
+            dx = fp / fpp  # numpy scalars: a zero fpp gives inf, as in an array
+            nxt = xk - dx
+            tol = 4.0 * math.ulp(xk)
+            # Newton when it stays inside the bracket and halves the last step, or
+            # moves less than the tolerance; bisection otherwise
+            if not ((a < nxt < b and abs(dx + dx) < abs(step)) or abs(dx) <= tol):
+                nxt = 0.5 * (a + b)
+                dx = xk - nxt
+            if abs(dx) <= tol:
+                root = max(nxt, peak)
                 break
-            keep = ~done
-            live, a, b, tl, nxt, dx = live[keep], a[keep], b[keep], tl[keep], nxt[keep], dx[keep]
-        xk, step = nxt, dx
-    v = _value(n, np.concatenate((t, t)), np.concatenate((root, peak)))
-    v_root, v_peak = v[:len(t)], v[len(t):]
-    better = v_peak > v_root  # the root on ties
-    return np.where(better, peak, root), np.where(better, v_peak, v_root)
+            xk, step = nxt, dx
+    v_root, v_peak = _value(n, t, np.array([root, peak])).tolist()
+    return (peak, v_peak) if v_peak > v_root else (float(root), v_root)  # the root on ties
 
 
 def maximize_missing_mass(n: int, t: int) -> ExtremalSolution:
     """Global maximizer of E[U_t] over distributions on n atoms.
 
     For t <= n the uniform distribution is certified optimal.  Otherwise the
-    best interior light mass inside (1/(t+1), 1/t) is compared against the
-    uniform value; ties go to the uniform.
+    best interior light mass inside (1/(t+1), 1/t), which _solve finds for
+    this one t, is compared against the uniform value; ties go to the
+    uniform.
     """
     n, t = _require(n, t)
     uval = float(pow_one_minus(1.0 / n, t))
     if t > n:
-        [x], [value] = _solve(n, np.array([t]))
+        x, value = _solve(n, t)
         if value > uval:
-            x = float(x)
             return ExtremalSolution(n=n, t=t, x_star=x, heavy=1.0 - (n - 1) * x,
-                                    value=float(value), is_uniform=False)
+                                    value=value, is_uniform=False)
     return ExtremalSolution(n=n, t=t, x_star=1.0 / n, heavy=1.0 / n, value=uval, is_uniform=True)
 
 
@@ -244,11 +236,10 @@ def find_threshold(n: int) -> ThresholdResult:
     lo, hi, margin = n, budget + 1, None
     t, first = n + math.isqrt(2 * n), True
     while hi - lo > 1:
-        ts = np.array([t])
-        [value], [uval] = _solve(n, ts)[1], pow_one_minus(1.0 / n, ts)
+        value, uval = _solve(n, t)[1], float(pow_one_minus(1.0 / n, t))
         win = value > uval
         if win:
-            hi, margin = t, float(value - uval)
+            hi, margin = t, value - uval
         else:
             lo = t
         t = (t - 1 if win else t + 1) if first else (lo + hi) // 2

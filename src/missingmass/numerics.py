@@ -36,9 +36,12 @@ direct b^t), squaring every exponent of 2, and ``_exp_times`` every power
 from it on.  So a power depends on its own base and exponent only, whatever
 its neighbours and whether it comes alone.  The callers only pick the side:
 
-* ``pow_one_minus`` and ``pow_unit`` take arrays or scalars of bases and
-  exponents (the extremal solvers, the eps-ball masses, the scalar kernel),
-  and ``_by_policy`` sends each element to its side;
+* ``pow_one_minus(p, t)`` and ``pow_unit(b, t)`` take arrays or scalars of
+  bases and exponents and return a new array or numpy scalar.
+  ``_by_policy`` picks the side of a scalar exponent with one comparison,
+  and sends each element of an array of exponents to its own side.  Every
+  call in the package has one exponent: the extremal solver's scan, Newton
+  steps and values at its one t, the eps-ball masses and the scalar kernel;
 * ``KernelTerms`` takes one distribution's sorted masses and one exponent
   (every closed form in ``mass``), or a block of up to 512 exponents on one
   side of the switch (a t-grid, or a scan), laid out by its shape: one
@@ -123,10 +126,12 @@ steps 1 to 3 for all rows of a 2-D array at once, or for all its columns,
 each sum with its own sigma (broadcast along the summed axis) and filter,
 and hands each sum that filter does not certify (zero, non-finite and
 out-of-range sums among them) to exact_sum, with its own row or column,
-which climbs the ladder above from level 1 (or, below EXACT_SUM_MIN terms,
-takes fsum at once).  So level 2 and fsum run only inside exact_sum, and
-each sum is exact_sum's of its row or column.  The proof above holds for
-every order of addition, so summing down the columns changes no bit.
+which climbs the ladder above from level 1.  Sums shorter than
+EXACT_SUM_MIN, which exact_sum would send to fsum at once, go to fsum
+directly, with no call of exact_sum per sum.  So level 2 runs only inside
+exact_sum, and each sum is exact_sum's of its row or column.  The proof
+above holds for every order of addition, so summing down the columns
+changes no bit.
 Below EXACT_ROWS_MIN cells it hands each sum to math.fsum instead.
 """
 
@@ -142,9 +147,9 @@ import numpy as np
 # stays within about 1 ulp, but it costs a third to a fifth as much.
 POW_EXPONENT_SWITCH = 64
 
-# Cap on the bytes of one slice buffer in a sliced evaluation (the extremal
-# scan over t, the simplex grid oracle, the distance matrix, the eps-ball
-# sums and gathers, the Monte Carlo blocks); slicing never changes a value.
+# Cap on the bytes of one slice buffer in a sliced evaluation (the simplex
+# grid oracle, the distance matrix, the eps-ball sums and gathers, the Monte
+# Carlo blocks, the blocks of KernelTerms); slicing never changes a value.
 # Each call allocates its slice buffers once and reuses them for every
 # slice: a fresh buffer of this size per slice is mapped and faulted in anew
 # whenever the allocator has returned the last one to the system.
@@ -157,25 +162,19 @@ def rows_per_slice(row_bytes: int) -> int:
     return max(1, SLICE_BYTES // row_bytes)
 
 
-def pow_one_minus(p, t, out=None):
-    """(1 - p)^t elementwise for p in [0, 1] and t >= 0, safe for large t and tiny p.
-
-    out, if given, is a float array of the result's shape that receives the
-    result and is returned; the power is computed in it where every
-    exponent lies on one side of the switch.
-    """
-    return _by_policy(np.asarray(p, dtype=float), t, _log_one_minus, _split_one_minus, out)
+def pow_one_minus(p, t):
+    """(1 - p)^t elementwise for p in [0, 1] and t >= 0, safe for large t and tiny p."""
+    return _by_policy(np.asarray(p, dtype=float), t, _log_one_minus, _split_one_minus)
 
 
-def pow_unit(b, t, out=None):
-    """b^t elementwise for b in [0, 1] and t >= 0; underflow rounds to 0.
-    out as for pow_one_minus."""
-    return _by_policy(np.asarray(b, dtype=float), t, np.log, lambda b: (b, None), out)
+def pow_unit(b, t):
+    """b^t elementwise for b in [0, 1] and t >= 0; underflow rounds to 0."""
+    return _by_policy(np.asarray(b, dtype=float), t, np.log, lambda b: (b, None))
 
 
-def _log_one_minus(p, out=None):
-    """log1p(-p), written into out when it is given."""
-    return np.log1p(np.negative(p, out=out), out=out)
+def _log_one_minus(p):
+    """log1p(-p)."""
+    return np.log1p(-p)
 
 
 def _split_one_minus(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,23 +187,26 @@ def _split_one_minus(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, r
 
 
-def _by_policy(x, t, log, split, out=None):
+def _by_policy(x, t, log, split):
     """x's power t elementwise: _exp_times(log(x), t) where t >= the switch
-    and _compensated(*split(x), t) elsewhere, evaluating only the sides some
-    element needs, into out if it is given.  The log of 0 does not warn."""
-    above = np.asarray(t >= POW_EXPONENT_SWITCH)
-    logs = np.count_nonzero(above)
-    if not logs:
-        return _compensated(*split(x), t, out)
-    with np.errstate(divide="ignore"):
-        if logs == above.size:
-            return _exp_times(log(x, out), t, out)
-        x, t, above = np.broadcast_arrays(x, t, above)
-        if out is None:
+    and _compensated(*split(x), t) elsewhere.  A scalar exponent picks its
+    side with one comparison; an array of them evaluates only the sides some
+    element needs.  The log of 0 does not warn."""
+    above = t >= POW_EXPONENT_SWITCH
+    if isinstance(above, np.ndarray):  # an array of exponents
+        logs = np.count_nonzero(above)
+        if 0 < logs < above.size:  # on both sides: each element on its own
+            x, t, above = np.broadcast_arrays(x, t, above)
             out = np.empty(above.shape)
-        out[above] = _exp_times(log(x[above]), t[above])
-        out[~above] = _compensated(*split(x[~above]), t[~above])
-        return out
+            with np.errstate(divide="ignore"):
+                out[above] = _exp_times(log(x[above]), t[above])
+            out[~above] = _compensated(*split(x[~above]), t[~above])
+            return out
+        above = logs > 0
+    if not above:
+        return _compensated(*split(x), t)
+    with np.errstate(divide="ignore"):
+        return _exp_times(log(x), t)
 
 
 def _compensated(hi, r, t, out=None, tmp=None):
@@ -432,8 +434,10 @@ def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     each sum's own sigma broadcast along axis, then exact_sum itself on the
     slice of each sum that filter cannot certify (every sum that exact_sum
     sends to fsum at once, all zeros, non-finite or out of range, among
-    them).  work, if given, is a float array of shape (2, *x.shape) for the
-    extraction to write into; x is left as it is.
+    them), or math.fsum where the slices are shorter than EXACT_SUM_MIN,
+    which is what exact_sum would return for them.  work, if given, is a
+    float array of shape (2, *x.shape) for the extraction to write into; x
+    is left as it is.
     """
     lines = x if axis else x.T  # one sum per row of lines
     if x.size < EXACT_ROWS_MIN:
@@ -454,8 +458,13 @@ def exact_row_sums(x: np.ndarray, work=None, axis: int = 1) -> list[float]:
     a = np.abs(r)
     certified = err < 0.5 * (a - np.nextafter(a, 0.0))  # r = 0 fails: zeros out of range
     out = r.tolist()
-    for i in np.flatnonzero(~certified).tolist():
-        out[i] = exact_sum(lines[i])
+    left = np.flatnonzero(~certified)
+    if x.shape[axis] < EXACT_SUM_MIN:  # exact_sum would take fsum at once
+        for i, v in zip(left.tolist(), lines[left].tolist()):
+            out[i] = math.fsum(v)
+    else:
+        for i in left.tolist():
+            out[i] = exact_sum(lines[i])
     return out
 
 

@@ -21,8 +21,57 @@ from missingmass import (
     simplex_grid_oracle,
 )
 from missingmass import extremal, numerics
-from missingmass.extremal import _axis_blocks, _block_bounds, _grid_max, _prime, _prime_second, _solve
+from missingmass.extremal import (_SCAN, _axis_blocks, _block_bounds, _grid_max, _prime,
+                                  _prime_second, _solve, _value)
 from missingmass.numerics import pow_one_minus
+
+
+def _reference_solve(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The array form of extremal._solve that solved many t at once, kept
+    verbatim as the reference for the scalar one: the same scan, then the
+    safeguarded Newton steps on the rows that found a cell, each row frozen
+    once its step is within four float spacings."""
+    lo = 1.0 / (t + 1)
+    peak = np.nextafter(lo, 1.0)
+    end = np.minimum(lo + lo, (1.0 - 1e-9) / n)
+    # a cell within a factor 2 of 1/(t+1) has an exact width, so the samples
+    # stay inside it; the first one is the peak
+    x = lo[:, None] + (end - lo)[:, None] * _SCAN
+    x[:, 0] = peak
+    rising = _prime(n, t[:, None], x) > 0.0
+    turn = rising[:, :-1] & ~rising[:, 1:]
+    i = np.argmax(turn, axis=1)
+    live = np.flatnonzero(turn[np.arange(len(t)), i] & (end > lo))
+    i = i[live]
+    root = peak.copy()
+    xk, b, tl = x[live, i], x[live, i + 1], t[live]
+    a, step = xk, np.inf
+    while live.size:
+        fp, fpp = _prime_second(n, tl, xk)
+        up = fp > 0.0
+        a, b = np.where(up, xk, a), np.where(up, b, xk)
+        dx = fp / fpp
+        nxt = xk - dx
+        tol = 4.0 * np.spacing(xk)
+        # Newton when it stays inside the bracket and halves the last step, or
+        # moves less than the tolerance; bisection otherwise
+        bisect = ~(((a < nxt) & (nxt < b) & (np.abs(dx + dx) < np.abs(step)))
+                   | (np.abs(dx) <= tol))
+        if bisect.any():
+            mid = 0.5 * (a + b)
+            nxt, dx = np.where(bisect, mid, nxt), np.where(bisect, xk - mid, dx)
+        done = np.abs(dx) <= tol
+        if done.any():
+            root[live[done]] = np.maximum(nxt[done], peak[live[done]])
+            if done.all():
+                break
+            keep = ~done
+            live, a, b, tl, nxt, dx = live[keep], a[keep], b[keep], tl[keep], nxt[keep], dx[keep]
+        xk, step = nxt, dx
+    v = _value(n, np.concatenate((t, t)), np.concatenate((root, peak)))
+    v_root, v_peak = v[:len(t)], v[len(t):]
+    better = v_peak > v_root  # the root on ties
+    return np.where(better, peak, root), np.where(better, v_peak, v_root)
 
 
 class TestBivalentValue:
@@ -185,14 +234,36 @@ def _mp_interior_maximum(n: int, t: int, dps: int = 50):
 
 
 class TestSolver:
-    def test_slice_independence(self):
-        # a t's answer is bit for bit the same alone as in a slice of 800
-        for n in (10, 100, 1000, 5000):
-            t = np.arange(n + 1, n + 801)
+    @staticmethod
+    def assert_matches_reference(n, ts):
+        """The scalar _solve at each t of ts, bit for bit against one
+        reference solve of all of them."""
+        ts = np.asarray(ts)
+        want_x, want_v = _reference_solve(n, ts)
+        for t, wx, wv in zip(ts.tolist(), want_x.tolist(), want_v.tolist()):
             x, v = _solve(n, t)
-            for k in range(0, 800, 7):
-                xk, vk = _solve(n, t[k:k + 1])
-                assert (x[k].hex(), v[k].hex()) == (xk[0].hex(), vk[0].hex()), (n, int(t[k]))
+            assert type(x) is float and type(v) is float
+            assert (x.hex(), v.hex()) == (wx.hex(), wv.hex()), (n, t)
+
+    def test_slice_independence(self):
+        # a t's answer alone is bit for bit its answer in a slice of 800
+        for n in (10, 100, 1000, 5000):
+            self.assert_matches_reference(n, np.arange(n + 1, n + 801)[::7])
+
+    def test_matches_the_reference_past_n(self):
+        for n in range(2, 65):
+            self.assert_matches_reference(n, np.arange(n + 1, n + 101))
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_matches_the_reference_on_a_c7_grid(self, n):
+        # every t of C7's range for n, from ceil(n + sqrt(2n)) to 5n
+        self.assert_matches_reference(n, np.arange(math.ceil(n + math.sqrt(2 * n)), 5 * n + 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 62])
+    def test_matches_the_reference_around_the_switch(self, n):
+        # t - 1 and t - 2, the scan's and the Newton steps' exponents, on
+        # both sides of POW_EXPONENT_SWITCH, and one t far past it
+        self.assert_matches_reference(n, [63, 64, 65, 66, 10 ** 6])
 
     @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 10 ** 4])
     def test_matches_mpmath_maximum(self, n):
@@ -258,7 +329,7 @@ class TestThreshold:
     def test_scan_without_a_win_raises(self, monkeypatch):
         # a solver whose best value never beats the uniform one: the search
         # climbs to the budget, n + 32 at n = 10
-        monkeypatch.setattr(extremal, "_solve", lambda n, t: (t * 0.0, t * 0.0))
+        monkeypatch.setattr(extremal, "_solve", lambda n, t: (0.0, 0.0))
         with pytest.raises(ThresholdNotFoundError, match="^no uniform-to-bivalent crossing "
                                                          "found for n=10 searching t up to 42$") as exc:
             find_threshold(10)
@@ -270,7 +341,8 @@ class TestThreshold:
         calls = []
 
         def counting(n, t):
-            calls.append(int(t[0]))
+            assert type(t) is int
+            calls.append(t)
             return _solve(n, t)
 
         monkeypatch.setattr(extremal, "_solve", counting)
@@ -285,8 +357,8 @@ class TestThreshold:
         calls = []
 
         def solve(n, t):
-            calls.append(int(t[0]))
-            return t * 0.0, np.where(t >= 20, 1.0, 0.0)
+            calls.append(t)
+            return 0.0, 1.0 if t >= 20 else 0.0
 
         monkeypatch.setattr(extremal, "_solve", solve)
         res = find_threshold(10)
@@ -296,13 +368,13 @@ class TestThreshold:
         assert len(calls) <= 2 + math.ceil(math.log2(budget - 10)), calls
 
     def test_matches_a_scan_of_the_budget(self):
-        """A scan of every t up to the budget in one vectorised solve: the win
+        """A scan of every t up to the budget in one reference solve: the win
         indicator is monotone (a loss up to tau, a win from it on), and the
         search returns the scan's tau and margin, bit for bit."""
         for n in range(2, 301):
             res = find_threshold(n)
             ts = np.arange(n + 1, res.scan_range[1] + 1)
-            _, values = _solve(n, ts)
+            _, values = _reference_solve(n, ts)
             uval = pow_one_minus(1.0 / n, ts)
             win = values > uval
             i = int(np.argmax(win))
@@ -343,17 +415,20 @@ class TestThreshold:
             find_threshold(extremal.MAX_THRESHOLD_N)
 
     def test_wins_monotone_past_tau(self):
-        """maximize_missing_mass agrees with the scan at every scanned t: its
-        scalar uniform value is the scan's array one, bit for bit."""
+        """maximize_missing_mass agrees with a reference scan of every t up
+        to the budget: it is uniform exactly below tau, with the scan's array
+        uniform value, and otherwise takes the scan's light mass and value,
+        bit for bit."""
         for n in (2, 3, 5, 10, 17, 30, 37, 63):
             res = find_threshold(n)
             ts = np.arange(n + 1, res.scan_range[1] + 1)
+            xs, values = _reference_solve(n, ts)
             uval = pow_one_minus(1.0 / n, ts)
-            for t, u in zip(ts.tolist(), uval.tolist()):
+            for t, x, v, u in zip(ts.tolist(), xs.tolist(), values.tolist(), uval.tolist()):
                 sol = maximize_missing_mass(n, t)
-                assert sol.is_uniform == (t < res.tau), (n, t)
-                if sol.is_uniform:
-                    assert sol.value == u, (n, t)
+                assert sol.is_uniform == (t < res.tau) == (v <= u), (n, t)
+                want = (1.0 / n, u) if sol.is_uniform else (x, v)
+                assert (sol.x_star.hex(), sol.value.hex()) == tuple(w.hex() for w in want), (n, t)
 
     @pytest.mark.parametrize("n", [3, 17, 64, 200])
     def test_strict_bracket_past_tau_up_to_50n(self, n):

@@ -275,6 +275,23 @@ class TestExits:
         assert [v.tobytes() for v in lines] == [rows[i].tobytes() for i in (1, 3, 4)]
         assert all(np.shares_memory(v, block) for v in lines)  # the block's own lines
 
+    @pytest.mark.parametrize("t0", [1985, 4097], ids=["subnormal", "zero"])
+    @pytest.mark.parametrize("axis", [1, 0])
+    def test_short_uncertified_sums_go_to_fsum(self, axis, t0, counted, monkeypatch):
+        """A sum shorter than EXACT_SUM_MIN that the block's filter leaves
+        goes to fsum straight, as exact_sum would send it, with fsum's bits:
+        512 sums of the two terms m (1 - m)^t of [0.3, 0.7], from t0 on, all
+        in the subnormals or zero (t0 = 1985), or all underflowed to zero."""
+        t = np.arange(t0, t0 + 512)[:, None]
+        m = np.array([0.3, 0.7])
+        rows = m * np.exp(t * np.log1p(-m))
+        want = [math.fsum(v).hex() for v in rows.tolist()]
+        del counted["fsum"][:]
+        monkeypatch.setattr(numerics, "exact_sum", lambda v: pytest.fail("exact_sum called"))
+        block = rows if axis else np.ascontiguousarray(rows.T)
+        assert [v.hex() for v in exact_row_sums(block, axis=axis)] == want
+        assert counted == {"extract": [block.shape], "fsum": [2] * 512}
+
     @pytest.mark.parametrize("zeros", [[0.0], [-0.0], [0.0, -0.0]], ids=["+0", "-0", "mixed"])
     def test_zeros_go_to_fsum_at_once(self, zeros, counted):
         """1000 zeros (the variance sum of a constant run) take no
