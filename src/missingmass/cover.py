@@ -41,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import MassSumError, validate_masses
+from .distributions import MassSumError, csv_floats, validate_masses
 from .errors import InvalidInputError, require_real, require_reals, require_t
 from .mass import bound_finite
 from .numerics import exact_sum, pow_one_minus, rows_per_slice
@@ -200,19 +200,22 @@ class PointCloud:
 
     @staticmethod
     def from_csv_text(text: str) -> "PointCloud":
-        """CSV with header id,mass,x1,...,xd."""
+        """CSV with header id,mass,x1,...,xd; a data row without an id and a
+        mass, or with a mass or coordinate that is not a number, is refused
+        by its row."""
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
         if len(rows) < 2:
             raise InvalidInputError("point cloud CSV needs a header and data rows")
         header = [h.strip().lower() for h in rows[0]]
         if header[:2] != ["id", "mass"]:
             raise InvalidInputError("point cloud CSV header must start id,mass")
-        short = next((i for i, r in enumerate(rows[1:], 1) if len(r) < 2), None)
-        if short is not None:
-            raise InvalidInputError(f"point cloud CSV data row {short} needs an id and a mass")
-        masses = validate_masses([float(r[1]) for r in rows[1:]])[0]  # as in from_json_obj
-        coords = [[float(v) for v in r[2:]] for r in rows[1:]]
-        return PointCloud(masses, coords=coords)
+        values = []  # per data row: its mass, then its coordinates
+        for i, r in enumerate(rows[1:], 1):
+            if len(r) < 2:
+                raise InvalidInputError(f"point cloud CSV data row {i} needs an id and a mass")
+            values.append(csv_floats(r[1:], f"point cloud CSV data row {i}"))
+        masses = validate_masses([v[0] for v in values])[0]  # as in from_json_obj
+        return PointCloud(masses, coords=[v[1:] for v in values])
 
 
 def _real_array(values, name: str) -> np.ndarray:

@@ -48,6 +48,18 @@ class MassSumError(InvalidInputError):
 MassBlocks = tuple[tuple[float, int], ...]
 
 
+def csv_floats(cells: list[str], row: str) -> list[float]:
+    """The cells of one CSV row as floats; a cell that float() cannot read
+    is an InvalidInputError naming the row and the cell."""
+    out = []
+    for v in cells:
+        try:
+            out.append(float(v))
+        except ValueError:
+            raise InvalidInputError(f"{row}: {v!r} is not a number") from None
+    return out
+
+
 def validate_masses(masses, counts=None, *, normalize: bool = False, tail: float | None = None):
     """Validate atom masses, each repeated counts[i] times (default once), and
     return them in the order given as float and int64 arrays (m, c).
@@ -191,7 +203,14 @@ class ProbVector(_Runs):
 
     @staticmethod
     def from_csv_text(text: str) -> "ProbVector":
-        vals = [float(row[0]) for row in csv.reader(io.StringIO(text)) if row]
+        """One mass per row, blank rows skipped; a row of any other number of
+        cells, or a cell that is not a number, is refused by its row."""
+        vals = []
+        for i, row in enumerate((r for r in csv.reader(io.StringIO(text)) if r), 1):
+            if len(row) != 1:
+                raise InvalidInputError(
+                    f"ProbVector CSV row {i} must hold one mass, got {len(row)} cells")
+            vals += csv_floats(row, f"ProbVector CSV row {i}")
         return ProbVector._of_runs(vals, None)
 
 

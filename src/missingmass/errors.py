@@ -21,8 +21,9 @@ import numbers
 import operator
 
 # The largest sample count t any entry point takes, and the one bound on t:
-# the extremal solver holds t in int64, where t + 1 wraps at 2^63 - 1, and
-# the entry points that skip require_t for a plain int compare against it.
+# require_t refuses a larger t, and the entry points that skip require_t for
+# a plain int compare against it, so one comparison keeps every t, and
+# float(t), far inside the float range.
 MAX_T = 2 ** 62
 
 

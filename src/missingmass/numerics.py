@@ -38,10 +38,13 @@ its neighbours and whether it comes alone.  The callers only pick the side:
 
 * ``pow_one_minus(p, t)`` and ``pow_unit(b, t)`` take arrays or scalars of
   bases and exponents and return a new array or numpy scalar.
-  ``_by_policy`` picks the side of a scalar exponent with one comparison,
-  and sends each element of an array of exponents to its own side.  Every
+  ``_by_policy`` picks the side of a scalar exponent with one comparison.
+  An array of exponents takes both routines on every element and keeps
+  each element's own side, one ``np.where``, so each element is the power
+  of its own base and exponent by its own side's routine.  Every
   call in the package has one exponent: the extremal solver's scan, Newton
   steps and values at its one t, the eps-ball masses and the scalar kernel;
+  only the tests and the values audit pass arrays of exponents;
 * ``KernelTerms`` takes one distribution's sorted masses and one exponent
   (every closed form in ``mass``), or a block of up to 512 exponents on one
   side of the switch (a t-grid, or a scan), laid out by its shape: one
@@ -190,19 +193,14 @@ def _split_one_minus(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _by_policy(x, t, log, split):
     """x's power t elementwise: _exp_times(log(x), t) where t >= the switch
     and _compensated(*split(x), t) elsewhere.  A scalar exponent picks its
-    side with one comparison; an array of them evaluates only the sides some
-    element needs.  The log of 0 does not warn."""
+    side with one comparison.  An array of them takes both routines on every
+    element and selects each element's own side.  The discarded log side
+    takes 0 * -inf = nan at t = 0 on a zero base (b = 0, or p = 1), which
+    the selected side never does, so that does not warn, nor the log of 0."""
     above = t >= POW_EXPONENT_SWITCH
     if isinstance(above, np.ndarray):  # an array of exponents
-        logs = np.count_nonzero(above)
-        if 0 < logs < above.size:  # on both sides: each element on its own
-            x, t, above = np.broadcast_arrays(x, t, above)
-            out = np.empty(above.shape)
-            with np.errstate(divide="ignore"):
-                out[above] = _exp_times(log(x[above]), t[above])
-            out[~above] = _compensated(*split(x[~above]), t[~above])
-            return out
-        above = logs > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(above, _exp_times(log(x), t), _compensated(*split(x), t))
     if not above:
         return _compensated(*split(x), t)
     with np.errstate(divide="ignore"):

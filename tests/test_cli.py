@@ -370,12 +370,17 @@ class TestInvalidFiles:
          "header and data rows"),
         ("badheader.csv", "name,mass,x1\na,1.0,0\n", ["cover", "--eps", "1", "--t", "1"],
          "id,mass"),
+        ("two.csv", "0.5,0.9\n0.5,0.1\n", ["emm", "--t", "1"], "CSV row 1 must hold one mass"),
+        ("mass.csv", "mass\n0.5\n0.5\n", ["emm", "--t", "1"], "row 1: 'mass' is not a number"),
+        ("word.csv", "id,mass,x1\na,0.5,0\nb,abc,1\n", ["cover", "--eps", "1", "--t", "1"],
+         "data row 2: 'abc' is not a number"),
     ], ids=["fractional-count", "fractional-a", "nan-coordinate", "inf-coordinate",
             "unpaired-blocks", "one-cell-row", "params-array", "masses-number",
             "string-masses", "string-block-mass", "string-family-masses", "string-bool-points",
             "string-cloud-mass", "string-rate", "empty-rates", "dist-number",
             "cloud-no-masses", "cloud-no-geometry", "cloud-masses-number",
-            "cloud-matrix-shape", "cloud-csv-header-only", "cloud-csv-bad-header"])
+            "cloud-matrix-shape", "cloud-csv-header-only", "cloud-csv-bad-header",
+            "dist-csv-two-cells", "dist-csv-header-row", "cloud-csv-word-mass"])
     def test_rejected(self, tmp_path, capsys, name, text, argv, field):
         f = tmp_path / name
         f.write_text(text)

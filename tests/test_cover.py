@@ -157,7 +157,10 @@ class TestPointCloud:
         ("", "header and data rows"),
         ("name,mass,x1\na,1.0,0\n", "must start id,mass"),
         ("id,mass\na,0.5\nb,0.5\n", "coords must be"),
-    ], ids=["header-only", "empty", "bad-header", "no-coordinates"])
+        ("id,mass,x1\na,0.5,0\nb,abc,1\n", "data row 2: 'abc' is not a number"),
+        ("id,mass,x1\na,0.5,abc\nb,0.5,1\n", "data row 1: 'abc' is not a number"),
+    ], ids=["header-only", "empty", "bad-header", "no-coordinates", "word-mass",
+            "word-coordinate"])
     def test_csv_text_rejected(self, text, message):
         with pytest.raises(InvalidInputError, match=message):
             PointCloud.from_csv_text(text)

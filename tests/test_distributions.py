@@ -84,6 +84,17 @@ class TestProbVector:
         assert ProbVector.from_csv_text(d.to_csv_text()) == d
         assert ProbVector.from_json_obj(json.loads(json.dumps(d.to_json_obj()))) == d
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.5,0.9\n0.5,0.1\n", "row 1 must hold one mass, got 2 cells"),
+        ("0.5\n\n0.25,\n0.25\n", "row 2 must hold one mass, got 2 cells"),
+        ("mass\n0.5\n0.5\n", "row 1: 'mass' is not a number"),
+        ("0.5\nhalf\n", "row 2: 'half' is not a number"),
+    ], ids=["two-cells", "trailing-comma", "header-row", "word"])
+    def test_csv_row_not_one_number_rejected(self, text, message):
+        # each row is exactly one mass: nothing is dropped or coerced
+        with pytest.raises(InvalidInputError, match=f"ProbVector CSV {message}"):
+            ProbVector.from_csv_text(text)
+
     def test_mass_blocks_groups_ties(self):
         d = ProbVector([0.25, 0.25, 0.5])
         assert d.blocks == ((0.25, 2), (0.5, 1))

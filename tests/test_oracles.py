@@ -281,15 +281,31 @@ class TestPowerPolicy:
 
     def test_array_exponents(self):
         """Both powers over a (bases x exponents) grid, which mixes the direct
-        and the log-space branches in one call."""
-        bases = np.array(POWER_BASES)[:, None]
-        ts = np.array(POWER_EXPONENTS)[None, :]
-        one_minus, unit = pow_one_minus(bases, ts), pow_unit(bases, ts)
-        for i, b in enumerate(POWER_BASES):
-            for j, t in enumerate(POWER_EXPONENTS):
-                assert one_minus[i, j] == pytest.approx(
-                    decimal_pow(b, t, one_minus=True), rel=1e-13, abs=0.0)
-                assert unit[i, j] == pytest.approx(decimal_pow(b, t), rel=1e-13, abs=0.0)
+        and the log-space branches in one call, and over its transpose, its
+        flattened pairs and exponents all on one side of the switch: every
+        element equals the scalar call bit for bit, so no nan of the side an
+        element does not take is ever selected.  Base 0 takes 0 * log(0) on
+        the discarded log side at t = 0; no warning escapes, since the suite
+        turns warnings into errors."""
+        bases = POWER_BASES + [0.0]
+        for power, one_minus in ((pow_one_minus, True), (pow_unit, False)):
+            want = [[float(power(b, t)).hex() for t in POWER_EXPONENTS] for b in bases]
+            grid = power(np.array(bases)[:, None], np.array(POWER_EXPONENTS)[None, :])
+            assert not np.isnan(grid).any()
+            assert [[v.hex() for v in row] for row in grid.tolist()] == want
+            flipped = power(np.array(bases)[None, :], np.array(POWER_EXPONENTS)[:, None])
+            assert [[v.hex() for v in row] for row in flipped.T.tolist()] == want
+            b, t = np.meshgrid(bases, POWER_EXPONENTS, indexing="ij")
+            assert [v.hex() for v in power(b.ravel(), t.ravel()).tolist()] == sum(want, [])
+            for side in ([0, 1, 2, 63], [64, 10 ** 9]):  # one side only
+                got = power(np.array(bases)[:, None], np.array(side)[None, :])
+                cols = [POWER_EXPONENTS.index(s) for s in side]
+                assert [[v.hex() for v in row] for row in got.tolist()] == [
+                    [row[j] for j in cols] for row in want]
+            for i, b in enumerate(bases):
+                for j, t in enumerate(POWER_EXPONENTS):
+                    assert grid[i, j] == pytest.approx(
+                        decimal_pow(b, t, one_minus=one_minus), rel=1e-13, abs=0.0)
 
 
 U = 2.0 ** -53  # the unit roundoff
